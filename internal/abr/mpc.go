@@ -121,6 +121,14 @@ var noStallOnly = []float64{0}
 
 // Decide implements player.Algorithm.
 func (m *MPC) Decide(s *player.State) player.Decision {
+	t := treePool.Get().(*treeSearch)
+	d := m.decide(t, s)
+	t.release()
+	return d
+}
+
+// decide plans one chunk on search scratch t.
+func (m *MPC) decide(t *treeSearch, s *player.State) player.Decision {
 	horizon := m.Horizon
 	if horizon <= 0 {
 		horizon = 5
@@ -146,7 +154,7 @@ func (m *MPC) Decide(s *player.State) player.Decision {
 	if m.BruteForce {
 		return m.decideBrute(s, tbl, horizon, preStalls, pred.Predict(s.ThroughputBps), weights)
 	}
-	return m.decideTree(s, tbl, horizon, preStalls, pred, weights)
+	return m.decideTree(t, s, tbl, horizon, preStalls, pred, weights)
 }
 
 // decideBrute is the exhaustive planner: every base-nRungs rung sequence
@@ -232,9 +240,13 @@ func (m *MPC) scorePlan(s *player.State, tbl *vmafTable, plan []int, pre float64
 			buffer += chunkDur
 
 			q := tbl.v[i][rung]
-			q -= stallScale * m.Quality.StallCost(stall)
+			// The conversions round each product before it is subtracted,
+			// as the tree search's tabulated switch cost is rounded, so the
+			// two planners agree bit for bit even where the compiler may
+			// fuse a multiply into the subtraction.
+			q -= float64(stallScale * m.Quality.StallCost(stall))
 			if prev >= 0 {
-				q -= m.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, prev))
+				q -= float64(m.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, prev)))
 			}
 			if m.Sensitivity && weights != nil {
 				q *= weights[i]

@@ -1,0 +1,7 @@
+//go:build race
+
+package abr
+
+// raceEnabled coarsens the brute-force throughput sweep under the race
+// detector, whose instrumentation slows the exhaustive oracle ~10×.
+const raceEnabled = true

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"sensei/internal/abr"
@@ -249,5 +251,28 @@ func TestClientThroughputFloorFeedsHistory(t *testing.T) {
 				t.Fatalf("download ledger %v below the per-chunk floor", sess.DownloadVirtualSec)
 			}
 		})
+	}
+}
+
+// TestDrainCountsEveryByte covers the segment sink on its own: the count
+// is exact whether the body is empty, fits the head buffer, spans several
+// bulk reads or arrives a byte at a time, and a mid-body failure returns
+// the bytes that did arrive alongside the error.
+func TestDrainCountsEveryByte(t *testing.T) {
+	c := &Client{}
+	for _, size := range []int{0, 1, len(c.sinkHead), len(c.sinkHead) + 1, 600 << 10} {
+		payload := strings.Repeat("x", size)
+		if n, err := c.drain(strings.NewReader(payload)); err != nil || n != int64(size) {
+			t.Fatalf("drain(%d bytes) = %d, %v", size, n, err)
+		}
+		if n, err := c.drain(iotest.OneByteReader(strings.NewReader(payload[:min(size, 2048)]))); err != nil || n != int64(min(size, 2048)) {
+			t.Fatalf("drain(%d bytes, one at a time) = %d, %v", min(size, 2048), n, err)
+		}
+	}
+	for _, size := range []int{100, 300 << 10} {
+		broken := io.MultiReader(strings.NewReader(strings.Repeat("x", size)), iotest.ErrReader(io.ErrUnexpectedEOF))
+		if n, err := c.drain(broken); !errors.Is(err, io.ErrUnexpectedEOF) || n != int64(size) {
+			t.Fatalf("drain(%d bytes then hangup) = %d, %v", size, n, err)
+		}
 	}
 }
