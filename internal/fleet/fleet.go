@@ -18,15 +18,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime/pprof"
 	"sort"
+	"sync"
 	"time"
 
 	"sensei/internal/abr"
 	"sensei/internal/chaos"
 	"sensei/internal/dash"
 	"sensei/internal/ingest"
+	"sensei/internal/memnet"
 	"sensei/internal/mos"
 	"sensei/internal/origin"
 	"sensei/internal/par"
@@ -90,8 +93,8 @@ type Config struct {
 	TimeScales []float64
 	// Workers bounds concurrently running sessions; 0 runs the whole fleet
 	// concurrently (sessions spend most wall time sleeping on shaped
-	// transfers, so the bound is about file descriptors and scheduler
-	// pressure, not CPU).
+	// transfers, so the bound is about memory and scheduler pressure, not
+	// CPU).
 	Workers int
 	// MaxBufferSec caps each client's playback buffer (0 = dash default).
 	MaxBufferSec float64
@@ -455,16 +458,35 @@ type backend interface {
 // server is the matching lifecycle surface, satisfied by *origin.Server and
 // *router.Server.
 type server interface {
-	Start(addr string) (string, error)
+	Serve(ln net.Listener) error
 	Close() error
 }
 
-// Run executes the fleet against a freshly started origin server on a
-// loopback listener and returns the aggregate report. Individual session
+// dial is http.Transport.DialContext's signature; nil selects net/http's
+// own TCP dialer.
+type dial func(ctx context.Context, network, addr string) (net.Conn, error)
+
+// listenMem is the fleet's connection plane: the origin it boots and the
+// clients it drives are goroutines of one process, so their net/http stacks
+// talk over in-memory pipes instead of loopback TCP (DESIGN.md "In-memory
+// connection plane").
+func listenMem() (net.Listener, dial, error) {
+	ln := memnet.Listen()
+	return ln, ln.DialContext, nil
+}
+
+// Run executes the fleet against a freshly started origin server on an
+// in-memory listener and returns the aggregate report. Individual session
 // failures are recorded as outcomes (and fail reconciliation), not returned
 // as errors; Run errors only when the harness itself cannot run (bad
 // config, origin start failure, unreadable /stats).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
+	return run(ctx, cfg, listenMem)
+}
+
+// run is Run over the connection plane listen opens. The seam exists for
+// the transport-equivalence proof, which runs the same fleet over TCP.
+func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, error)) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -568,13 +590,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		o = org
 		srv = origin.NewServer(org)
 	}
-	addr, err := srv.Start("127.0.0.1:0")
+	ln, dialContext, err := listen()
 	if err != nil {
+		o.Close()
+		return nil, fmt.Errorf("fleet: listen: %w", err)
+	}
+	if err := srv.Serve(ln); err != nil {
+		_ = ln.Close()
 		o.Close()
 		return nil, err
 	}
 	defer func() { _ = srv.Close() }()
-	base := "http://" + addr
+	base := "http://" + ln.Addr().String()
 
 	workers := cfg.Workers
 	if workers <= 0 || workers > cfg.Sessions {
@@ -582,13 +609,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	// One shared transport sized to the concurrency: http.DefaultClient
 	// keeps only 2 idle connections per host, so a fleet on it re-dials
-	// TCP for almost every segment — churn that inflates the per-request
-	// overhead the parity tolerance budgets for.
+	// for almost every segment.
 	// Under chaos, connection reuse must go: net/http transparently retries
 	// replayable GETs on a reused connection the server closed early, which
 	// would hide reset/stall faults from the client-side ledger and break
 	// the exact per-kind reconciliation against the injector's counters.
 	httpc := &http.Client{Transport: &http.Transport{
+		DialContext:         dialContext,
 		MaxIdleConns:        workers + 4,
 		MaxIdleConnsPerHost: workers + 4,
 		DisableKeepAlives:   cfg.Chaos != nil,
@@ -598,6 +625,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	outcomes := make([]SessionOutcome, cfg.Sessions)
 	startWall := time.Now()
 	startClock := clock.Now()
+	// The first wave starts together: no session (and not the refresh
+	// watcher) proceeds until every worker has registered its first
+	// session with the clock. Otherwise a virtual clock advances through
+	// the early starters' sleeps while a worker goroutine is still waiting
+	// to be scheduled, and that worker's session starts late by however far
+	// the others had got — a different run every time.
+	var firstWave sync.WaitGroup
+	firstWave.Add(workers)
 
 	// The scheduled mid-run refresh: wait for every session to join, give
 	// them Refresh.After to get into their streams, then publish new
@@ -621,17 +656,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			cancelWatch()
 		}()
+		// The watcher is a registered clock participant: its sleeps park it
+		// like any session's shaped wait, so a virtual clock advances
+		// through the join poll and the grace window instead of deadlocking
+		// on a non-participant's timer. It registers here, before the first
+		// wave can be released, so that its polls tick from the run's first
+		// instant however late its goroutine is first scheduled.
+		clock.Enter()
 		// The watcher goroutine carries a pprof label like the session
 		// workers, so a profile of a refresh run attributes its polling.
 		go pprof.Do(watchCtx, pprof.Labels("subsystem", "fleet-refresh"), func(context.Context) {
 			defer close(refreshDone)
 			defer cancelWatch()
-			// The watcher is a registered clock participant: its sleeps
-			// park it like any session's shaped wait, so a virtual clock
-			// advances through the join poll and the grace window instead
-			// of deadlocking on a non-participant's timer.
-			clock.Enter()
 			defer clock.Exit()
+			firstWave.Wait()
 			abort := func(before string) {
 				if ctx.Err() != nil {
 					refreshOut.Err = "run canceled before the refresh fired: " + ctx.Err().Error()
@@ -644,11 +682,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			// SessionsCreated is a lock-free counter read; a full Stats()
 			// snapshot here would contend with segment serving on the
-			// registry mutex 500 times a second for nothing.
-			for o.SessionsCreated() < int64(cfg.Sessions) {
+			// registry mutex 500 times a second for nothing. Sleep first: a
+			// read at the run's first instant would race the joins, and on
+			// a virtual clock that race would decide when the bump lands.
+			for {
 				if !clock.Sleep(watchCtx, 2*time.Millisecond) {
 					abort("every session joined")
 					return
+				}
+				if o.SessionsCreated() >= int64(cfg.Sessions) {
+					break
 				}
 			}
 			if !clock.Sleep(watchCtx, cfg.Refresh.After) {
@@ -683,6 +726,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		// session (and the watcher) is parked in a clock sleep.
 		clock.Enter()
 		defer clock.Exit()
+		if k < workers {
+			firstWave.Done()
+			firstWave.Wait()
+		}
 		a := cfg.assign(k, traceNames, abrs, scales)
 		var rater dash.Rater
 		if raters != nil {

@@ -515,7 +515,7 @@ func classifyChaos(r *http.Request) (chaos.Kind, string, bool) {
 	return kind, key, true
 }
 
-// queryParam extracts one query parameter without materializing a
+// QueryParam extracts one query parameter without materializing a
 // url.Values map — r.URL.Query() allocates on every call, which the
 // zero-alloc segment path cannot afford. Unescaping is only attempted when
 // the raw value actually contains an escape, which session IDs (hex) never

@@ -1,76 +1,22 @@
 package router
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"net"
-	"net/http"
+import "sensei/internal/origin"
 
-	"sensei/internal/origin"
-)
-
-// shutdownTimeout mirrors origin.DefaultShutdownTimeout.
-const shutdownTimeout = origin.DefaultShutdownTimeout
-
-// Server binds a Router to a TCP listener, mirroring origin.Server:
-// Shutdown(ctx) stops accepting, drains in-flight streams on every shard
-// until ctx expires, then force-closes stragglers. The router (and with
-// it every shard origin) closes either way.
+// Server binds a Router to a listener with origin.Server's lifecycle
+// (Start, Serve, Shutdown, Close): Shutdown(ctx) stops accepting, drains
+// in-flight streams on every shard until ctx expires, then force-closes
+// stragglers. The router (and with it every shard origin) closes either
+// way.
 type Server struct {
-	router   *Router
-	listener net.Listener
-	httpSrv  *http.Server
+	*origin.HTTPServer
+	router *Router
 }
 
 // NewServer wraps rt. The router's lifecycle is tied to the server's:
 // Shutdown/Close also close rt.
 func NewServer(rt *Router) *Server {
-	return &Server{router: rt}
+	return &Server{HTTPServer: origin.NewHTTPServer("router", rt, rt.cfg.Origin.Logf, rt.Close), router: rt}
 }
 
 // Router returns the served router (for stats and shard access).
 func (s *Server) Router() *Router { return s.router }
-
-// Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves
-// in a background goroutine. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("router: listen: %w", err)
-	}
-	s.listener = ln
-	s.httpSrv = &http.Server{Handler: s.router}
-	go func() {
-		if err := s.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			if s.router.cfg.Origin.Logf != nil {
-				s.router.cfg.Origin.Logf("router: serve: %v", err)
-			}
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown gracefully stops the server, then closes the router.
-func (s *Server) Shutdown(ctx context.Context) error {
-	defer s.router.Close()
-	if s.httpSrv == nil {
-		return nil
-	}
-	err := s.httpSrv.Shutdown(ctx)
-	if err != nil {
-		// Drain deadline hit: cut the stragglers loose.
-		if cerr := s.httpSrv.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-	}
-	return err
-}
-
-// Close is Shutdown with origin.DefaultShutdownTimeout, for callers
-// without a context at hand.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	return s.Shutdown(ctx)
-}

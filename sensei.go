@@ -278,8 +278,8 @@ type (
 	DASHWeightService = origin.WeightService
 	// DASHOriginConfig assembles a DASHOrigin.
 	DASHOriginConfig = origin.Config
-	// DASHServer binds a DASHOrigin to a TCP listener with graceful,
-	// context-based shutdown.
+	// DASHServer binds a DASHOrigin to a listener — Start opens a TCP one,
+	// Serve takes any net.Listener — with graceful, context-based shutdown.
 	DASHServer = origin.Server
 	// DASHStats is the origin's /stats snapshot.
 	DASHStats = origin.Stats
@@ -318,8 +318,8 @@ type (
 	// DASHRouterConfig assembles a DASHRouter: shard count plus the
 	// per-shard origin template.
 	DASHRouterConfig = router.Config
-	// DASHRouterServer binds a DASHRouter to a TCP listener with graceful,
-	// connection-draining shutdown.
+	// DASHRouterServer binds a DASHRouter to a listener (Start: TCP; Serve:
+	// any net.Listener) with graceful, connection-draining shutdown.
 	DASHRouterServer = router.Server
 	// DASHRouterStats is the router's /stats payload: the merged DASHStats
 	// plus the per-shard ledgers behind the merge.
@@ -412,9 +412,11 @@ const (
 	FleetSensei    = fleet.ABRSensei
 )
 
-// RunFleet executes a streaming fleet against a freshly started loopback
-// origin and returns the aggregate report. Session failures are recorded
-// in the report (and fail its reconciliation), not returned as errors.
+// RunFleet executes a streaming fleet against a freshly started origin —
+// full net/http on both sides, joined by in-memory pipes rather than
+// loopback TCP — and returns the aggregate report. Session failures are
+// recorded in the report (and fail its reconciliation), not returned as
+// errors.
 func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetReport, error) {
 	return fleet.Run(ctx, cfg)
 }
