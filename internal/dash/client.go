@@ -1111,12 +1111,17 @@ func (c *Client) fetch(ctx context.Context, path string, kind chaos.Kind, expect
 var sinkBufs = sync.Pool{New: func() any { return new([256 << 10]byte) }}
 
 // drain reads r to EOF and returns the number of bytes read, alongside the
-// error that cut the stream short, if any. The origin sends the headers,
-// sleeps out the segment's shaped duration and only then writes the
-// payload, so the wait for the first bytes happens on the client's own
-// small buffer and a pooled one is held only while bytes are moving — a
-// fleet of sessions mid-sleep pins no pooled memory.
+// error that cut the stream short, if any. A body that can write itself
+// out (an in-process origin's) is counted slice by slice and never copied.
+// Otherwise: the origin sends the headers, sleeps out the segment's shaped
+// duration and only then writes the payload, so the wait for the first
+// bytes happens on the client's own small buffer and a pooled one is held
+// only while bytes are moving — a fleet of sessions mid-sleep pins no
+// pooled memory.
 func (c *Client) drain(r io.Reader) (n int64, err error) {
+	if wt, ok := r.(io.WriterTo); ok {
+		return wt.WriteTo(io.Discard)
+	}
 	m, err := r.Read(c.sinkHead[:])
 	n = int64(m)
 	if err == nil {

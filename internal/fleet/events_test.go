@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"sensei/internal/chaos"
 	"sensei/internal/qlog"
+	"sensei/internal/vclock"
 	"sensei/internal/video"
 )
 
@@ -194,5 +196,46 @@ func TestFleetEventsSharded(t *testing.T) {
 	if el.Emitted <= traced {
 		t.Fatalf("registry emitted %d events, client traces alone hold %d — origin mirrors missing",
 			el.Emitted, traced)
+	}
+}
+
+// TestFleetEventsOutlastTheProcessRing is the regression test for chaos +
+// events fleets of any size: the backend mirrors every injected fault onto
+// a process ring of qlog.DefaultRingCapacity slots that nobody but the
+// harness reads, so a run injecting more faults than that used to end
+// "event plane dropped N events". The harness now drains the ring (every
+// shard's, behind the router) as sessions finish, and the drained mirrors
+// are one more witness: as many as the chaos journal has entries.
+func TestFleetEventsOutlastTheProcessRing(t *testing.T) {
+	for name, shards := range map[string]int{"single origin": 1, "three shards": 3} {
+		t.Run(name, func(t *testing.T) {
+			report, err := Run(context.Background(), Config{
+				Sessions:     640,
+				Workers:      32,
+				OriginShards: shards,
+				Videos:       testCatalog(t, 6),
+				Traces:       flatTraces(map[string]float64{"med": 4e6, "slow": 1.5e6}),
+				TimeScales:   []float64{1},
+				// Segment streams are shard-sticky; a retried join is minted a
+				// new ID, may land on a shard whose injector has not seen its
+				// stream, and at this rate would exhaust the retry budget.
+				Chaos:  &ChaosSpec{Endpoints: map[chaos.Kind]chaos.Spec{chaos.KindSegment: {Rate: 0.25}}},
+				Events: &EventsSpec{},
+				Clock:  vclock.NewVirtual(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Failed != 0 || !report.Reconciliation.Ok {
+				t.Fatalf("fleet did not reconcile:\n%s", report.Render())
+			}
+			injected := report.Origin.Chaos.Total
+			if injected <= qlog.DefaultRingCapacity {
+				t.Fatalf("only %d faults injected: the run does not outlast a %d-slot ring", injected, qlog.DefaultRingCapacity)
+			}
+			if got, journal := report.Events.FaultsMirrored, int64(len(report.Chaos.Events)); got != injected || journal != injected {
+				t.Fatalf("%d faults injected, %d journaled, %d mirrored through the process ring", injected, journal, got)
+			}
+		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package fleet is the streaming-fleet harness: it drives N concurrent
 // dash.Clients — a deterministic mix of catalog videos, throughput traces,
-// timescales and ABR algorithms — against one multi-tenant origin.Server,
-// captures every session's outcome, and reconciles the client-side byte and
-// segment ledgers against the origin's /stats exactly.
+// timescales and ABR algorithms — against one multi-tenant origin.Origin
+// (its handler called in-process, request by request), captures every
+// session's outcome, and reconciles the client-side byte and segment
+// ledgers against the origin's /stats exactly.
 //
 // The harness is the scenario generator that makes client/simulator
 // divergence observable at scale: a single e2e test exercises one client on
@@ -18,18 +19,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"runtime/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sensei/internal/abr"
 	"sensei/internal/chaos"
 	"sensei/internal/dash"
 	"sensei/internal/ingest"
-	"sensei/internal/memnet"
+	"sensei/internal/inproc"
 	"sensei/internal/mos"
 	"sensei/internal/origin"
 	"sensei/internal/par"
@@ -133,7 +134,7 @@ type Config struct {
 	Events *EventsSpec
 	// OriginShards, when > 1, runs the fleet against a multi-origin
 	// router (internal/router) fronting that many origin shards behind one
-	// listener instead of a single origin. Sessions spread across shards by
+	// handler instead of a single origin. Sessions spread across shards by
 	// consistent hash on the session ID; reconciliation additionally proves
 	// the merged /stats equals the sum of the per-shard ledgers and that no
 	// shard leaks a session. 0 or 1 runs the classic single origin. Raters
@@ -442,51 +443,46 @@ func gcd(a, b int) int {
 	return a
 }
 
-// backend is the control-plane surface the harness needs from the serving
-// plane it boots, satisfied by both *origin.Origin and *router.Router: the
+// backend is the serving plane the harness boots, satisfied by both
+// *origin.Origin and *router.Router: the clients reach its handler, the
 // refresh watcher polls SessionsCreated, the scheduled refresh publishes
-// through PublishWeights, and the report drains/collects the ingest and
-// chaos planes.
+// through PublishWeights, and the report drains/collects the ingest, chaos
+// and event planes.
 type backend interface {
+	http.Handler
 	Close()
 	SessionsCreated() int64
 	PublishWeights(videoName string, weights []float64) (*sensitivity.Profile, error)
 	DrainIngest(ctx context.Context) error
 	ChaosJournal() []chaos.Event
+	DrainProcessEvents(buf []qlog.Event) []qlog.Event
 }
 
-// server is the matching lifecycle surface, satisfied by *origin.Server and
-// *router.Server.
-type server interface {
-	Serve(ln net.Listener) error
-	Close() error
+// reach is how a run's clients get to the backend's handler: the base URL
+// they address, the transport that carries their requests there, and done
+// to release whatever it started.
+type reach func(h http.Handler) (base string, rt http.RoundTripper, done func())
+
+// inProcess is the fleet's request plane: the origin it boots and the
+// clients it drives are goroutines of one process, so each request runs the
+// origin's handler as a coroutine of the session that issued it (DESIGN.md
+// "In-process request plane").
+func inProcess(h http.Handler) (string, http.RoundTripper, func()) {
+	return "http://origin.inproc", &inproc.Transport{Handler: h}, func() {}
 }
 
-// dial is http.Transport.DialContext's signature; nil selects net/http's
-// own TCP dialer.
-type dial func(ctx context.Context, network, addr string) (net.Conn, error)
-
-// listenMem is the fleet's connection plane: the origin it boots and the
-// clients it drives are goroutines of one process, so their net/http stacks
-// talk over in-memory pipes instead of loopback TCP (DESIGN.md "In-memory
-// connection plane").
-func listenMem() (net.Listener, dial, error) {
-	ln := memnet.Listen()
-	return ln, ln.DialContext, nil
-}
-
-// Run executes the fleet against a freshly started origin server on an
-// in-memory listener and returns the aggregate report. Individual session
-// failures are recorded as outcomes (and fail reconciliation), not returned
-// as errors; Run errors only when the harness itself cannot run (bad
-// config, origin start failure, unreadable /stats).
+// Run executes the fleet against a freshly built origin (or router) and
+// returns the aggregate report. Individual session failures are recorded
+// as outcomes (and fail reconciliation), not returned as errors; Run errors
+// only when the harness itself cannot run (bad config, unreadable /stats).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	return run(ctx, cfg, listenMem)
+	return run(ctx, cfg, inProcess)
 }
 
-// run is Run over the connection plane listen opens. The seam exists for
-// the transport-equivalence proof, which runs the same fleet over TCP.
-func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, error)) (*Report, error) {
+// run is Run with its clients reaching the backend through via. The seam
+// exists for the transport-equivalence proof, which runs the same fleet
+// over loopback TCP.
+func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -574,53 +570,28 @@ func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, err
 	// origin shards behind the same protocol. The harness drives both
 	// through the backend interface; the clients cannot tell the difference.
 	var o backend
-	var srv server
 	if cfg.OriginShards > 1 {
 		rt, err := router.New(router.Config{Shards: cfg.OriginShards, Origin: ocfg})
 		if err != nil {
 			return nil, err
 		}
 		o = rt
-		srv = router.NewServer(rt)
 	} else {
 		org, err := origin.New(ocfg)
 		if err != nil {
 			return nil, err
 		}
 		o = org
-		srv = origin.NewServer(org)
 	}
-	ln, dialContext, err := listen()
-	if err != nil {
-		o.Close()
-		return nil, fmt.Errorf("fleet: listen: %w", err)
-	}
-	if err := srv.Serve(ln); err != nil {
-		_ = ln.Close()
-		o.Close()
-		return nil, err
-	}
-	defer func() { _ = srv.Close() }()
-	base := "http://" + ln.Addr().String()
+	defer o.Close()
+	base, rt, done := via(o)
+	defer done()
+	httpc := &http.Client{Transport: rt}
 
 	workers := cfg.Workers
 	if workers <= 0 || workers > cfg.Sessions {
 		workers = cfg.Sessions
 	}
-	// One shared transport sized to the concurrency: http.DefaultClient
-	// keeps only 2 idle connections per host, so a fleet on it re-dials
-	// for almost every segment.
-	// Under chaos, connection reuse must go: net/http transparently retries
-	// replayable GETs on a reused connection the server closed early, which
-	// would hide reset/stall faults from the client-side ledger and break
-	// the exact per-kind reconciliation against the injector's counters.
-	httpc := &http.Client{Transport: &http.Transport{
-		DialContext:         dialContext,
-		MaxIdleConns:        workers + 4,
-		MaxIdleConnsPerHost: workers + 4,
-		DisableKeepAlives:   cfg.Chaos != nil,
-	}}
-	defer httpc.CloseIdleConnections()
 
 	outcomes := make([]SessionOutcome, cfg.Sessions)
 	startWall := time.Now()
@@ -718,6 +689,22 @@ func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, err
 		close(refreshDone)
 	}
 
+	// The backend mirrors every injected fault onto a bounded process ring
+	// that only the harness reads, so each finishing session empties it: a
+	// run may inject any number of faults without overflowing it, and the
+	// mirrored count is a witness reconciliation holds against the journal.
+	var faultEvents atomic.Int64
+	drainFaultEvents := func() {
+		if cfg.Events == nil || cfg.Chaos == nil {
+			return
+		}
+		for _, ev := range o.DrainProcessEvents(nil) {
+			if ev.Kind == qlog.KindOriginFaultInjected {
+				faultEvents.Add(1)
+			}
+		}
+	}
+
 	// Workers always return nil: a failed session is a data point the
 	// report must show, not a reason to abort the rest of the fleet.
 	_ = par.ForEachN(cfg.Sessions, workers, func(k int) error {
@@ -748,9 +735,11 @@ func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, err
 		outcomes[k].FinishedSec = (clock.Now() - startClock).Seconds()
 		if ring != nil {
 			outcomes[k].Events = drainOutcome(ring, cfg.Events.KeepTraces)
+			drainFaultEvents()
 		}
 		return nil
 	})
+	drainFaultEvents()
 	// Read the simulated span before teardown: the watcher's final polls
 	// would otherwise keep nudging a virtual clock after the last session
 	// exits and inflate the figure.
@@ -777,7 +766,7 @@ func run(ctx context.Context, cfg Config, listen func() (net.Listener, dial, err
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(outcomes, st, shardSt, refreshOut, metrics, elapsed, virtualElapsed, cfg.KeepOutcomes)
+	rep := buildReport(outcomes, st, shardSt, refreshOut, metrics, faultEvents.Load(), elapsed, virtualElapsed, cfg.KeepOutcomes)
 	if rep.Chaos != nil && chaosPolicy != nil {
 		// The journal plus the seed make the whole run's fault schedule
 		// independently reproducible via chaos.Policy.Replay.

@@ -69,24 +69,15 @@ func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock,
 }
 
 // streamVirtual streams v through c from a fresh origin (profiled with w)
-// on one virtual clock at timescale 1, over the fleet's in-memory
-// connection plane.
+// on one virtual clock at timescale 1, over the fleet's in-process request
+// plane.
 func streamVirtual(t *testing.T, v *video.Video, w []float64, c *dash.Client) *dash.Session {
 	t.Helper()
 	clock := vclock.NewVirtual()
-	ln, dialContext, err := listenMem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := parityOrigin(t, v, w, clock, 1)
-	if err := srv.Serve(ln); err != nil {
-		t.Fatal(err)
-	}
-	transport := &http.Transport{DialContext: dialContext}
-	t.Cleanup(transport.CloseIdleConnections)
+	base, rt, _ := inProcess(parityOrigin(t, v, w, clock, 1).Origin())
 
-	c.BaseURL = "http://" + ln.Addr().String()
-	c.HTTP = &http.Client{Transport: transport}
+	c.BaseURL = base
+	c.HTTP = &http.Client{Transport: rt}
 	c.Clock = clock
 	// The client is the run's one registered participant: simulated time
 	// advances exactly while the origin's shaper holds its request.

@@ -268,11 +268,15 @@ type EventsLedger struct {
 	Drops   int64 `json:"drops"`
 	// SessionsTraced counts outcome rows carrying a trace summary.
 	SessionsTraced int `json:"sessions_traced"`
+	// FaultsMirrored counts the origin_fault_injected events the harness
+	// drained from the backend's process ring(s) over a chaos run;
+	// reconciliation holds it against the injector's journal.
+	FaultsMirrored int64 `json:"faults_mirrored,omitempty"`
 }
 
 // buildReport aggregates outcomes and reconciles them against the origin's
 // ledger.
-func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.Stats, refresh *RefreshOutcome, metrics *qlog.Metrics, elapsed, virtual time.Duration, keepOutcomes bool) *Report {
+func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.Stats, refresh *RefreshOutcome, metrics *qlog.Metrics, faultEvents int64, elapsed, virtual time.Duration, keepOutcomes bool) *Report {
 	r := &Report{
 		Sessions:   len(outcomes),
 		ElapsedSec: elapsed.Seconds(),
@@ -397,9 +401,10 @@ func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.St
 	}
 	if metrics != nil {
 		el := &EventsLedger{
-			ByKind:  map[string]int64{},
-			Emitted: metrics.EventsEmitted.Load(),
-			Drops:   metrics.RingDrops.Load(),
+			ByKind:         map[string]int64{},
+			Emitted:        metrics.EventsEmitted.Load(),
+			Drops:          metrics.RingDrops.Load(),
+			FaultsMirrored: faultEvents,
 		}
 		for i := range outcomes {
 			o := &outcomes[i]
@@ -597,6 +602,11 @@ func reconcile(outcomes []SessionOutcome, r *Report, st origin.Stats) Reconcilia
 		}
 		if r.Events.Bytes != r.BytesDownloaded {
 			problem("event traces account %d payload bytes, client ledger %d", r.Events.Bytes, r.BytesDownloaded)
+		}
+		if st.Chaos != nil {
+			if journaled := st.Chaos.Total - st.Chaos.JournalDropped; r.Events.FaultsMirrored != journaled {
+				problem("process ring mirrored %d injected faults, the chaos journal holds %d", r.Events.FaultsMirrored, journaled)
+			}
 		}
 		for i := range outcomes {
 			o := &outcomes[i]

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
+	"net/http"
 	"reflect"
 	"runtime"
 	"sort"
@@ -13,17 +13,37 @@ import (
 	"time"
 
 	"sensei/internal/chaos"
+	"sensei/internal/origin"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
 )
 
-// listenTCP is the reference connection plane: the loopback TCP path Run
-// used before it moved onto memnet, kept here — and only here — so the
-// transport-equivalence proof has something to compare against. A nil dial
-// selects net/http's own dialer.
-func listenTCP() (net.Listener, dial, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	return ln, nil, err
+// overTCP is the reference request plane: the handler behind a real
+// http.Server on a loopback listener, reached through an http.Transport —
+// the path Run used before it moved in-process, kept here, and only here,
+// so the transport-equivalence proof has something to compare against. The
+// transport is sized to the concurrency (http.DefaultTransport keeps only
+// two idle connections per host), and under chaos connection reuse must go:
+// net/http transparently retries replayable GETs on a reused connection
+// the server closed early, which would hide reset and stall faults from
+// the client-side ledger.
+func overTCP(t testing.TB, cfg Config) reach {
+	return func(h http.Handler) (string, http.RoundTripper, func()) {
+		srv := origin.NewHTTPServer("fleet-reference", h, cfg.Logf, func() {})
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &http.Transport{
+			MaxIdleConns:        cfg.Sessions + 4,
+			MaxIdleConnsPerHost: cfg.Sessions + 4,
+			DisableKeepAlives:   cfg.Chaos != nil,
+		}
+		return "http://" + addr, tr, func() {
+			tr.CloseIdleConnections()
+			_ = srv.Close()
+		}
+	}
 }
 
 // transportParityConfig is one arm of the equivalence proof: a mixed fleet
@@ -78,9 +98,10 @@ func stripWall(r *Report) {
 	}
 }
 
-// TestFleetTransportParity proves the in-memory connection plane changes
+// TestFleetTransportParity proves the in-process request plane changes
 // only what a fleet run costs, never what it does: on virtual time the same
-// fleet over memnet and over loopback TCP must produce the same report —
+// fleet with the origin's handler called in-process and served over
+// loopback TCP behind net/http must produce the same report —
 // every session's rungs, bytes, stall and download ledgers, epochs,
 // resilience counters and event trace (virtual timestamps included), the
 // chaos journal, the refresh outcome and the origin's aggregate /stats.
@@ -95,8 +116,13 @@ func TestFleetTransportParity(t *testing.T) {
 	}
 	for name, spec := range arms {
 		t.Run(name, func(t *testing.T) {
-			runOver := func(transport string, listen func() (net.Listener, dial, error)) *Report {
-				rep, err := run(context.Background(), transportParityConfig(t, spec()), listen)
+			runOver := func(transport string) *Report {
+				cfg := transportParityConfig(t, spec())
+				via := reach(inProcess)
+				if transport == "tcp" {
+					via = overTCP(t, cfg)
+				}
+				rep, err := run(context.Background(), cfg, via)
 				if err != nil {
 					t.Fatalf("%s run: %v", transport, err)
 				}
@@ -109,12 +135,12 @@ func TestFleetTransportParity(t *testing.T) {
 				stripWall(rep)
 				return rep
 			}
-			mem, tcp := runOver("memory", listenMem), runOver("tcp", listenTCP)
-			if spec() != nil && len(mem.Chaos.Events) == 0 {
+			inp, tcp := runOver("in-process"), runOver("tcp")
+			if spec() != nil && len(inp.Chaos.Events) == 0 {
 				t.Fatal("chaos arm injected no faults")
 			}
-			if !reflect.DeepEqual(mem, tcp) {
-				t.Errorf("memory and TCP reports diverged:\n%s", reportDiff(t, mem, tcp))
+			if !reflect.DeepEqual(inp, tcp) {
+				t.Errorf("in-process and TCP reports diverged:\n%s", reportDiff(t, inp, tcp))
 			}
 		})
 	}
@@ -139,7 +165,7 @@ func reportDiff(t *testing.T, a, b *Report) string {
 			session = strings.TrimSpace(la[i])
 		}
 		if la[i] != lb[i] {
-			fmt.Fprintf(&out, "  line %d (%s)\n    memory: %s\n    tcp:    %s\n",
+			fmt.Fprintf(&out, "  line %d (%s)\n    in-process: %s\n    tcp:        %s\n",
 				i, session, strings.TrimSpace(la[i]), strings.TrimSpace(lb[i]))
 			shown++
 		}
@@ -150,10 +176,9 @@ func reportDiff(t *testing.T, a, b *Report) string {
 	return out.String()
 }
 
-// TestFleetRunLeavesNoGoroutines pins Run's teardown: with no kernel to
-// reap a forgotten pipe, every connection goroutine — both net/http sides —
-// must be gone once the server has shut down and the transport dropped its
-// idle connections.
+// TestFleetRunLeavesNoGoroutines pins Run's teardown: every request's
+// handler coroutine must have ended with its response body, and the
+// backend's own goroutines (janitor, ingest workers) with Run.
 func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 	for name, spec := range map[string]*ChaosSpec{"fault-free": nil, "chaos": parityChaos()} {
 		t.Run(name, func(t *testing.T) {
@@ -166,7 +191,7 @@ func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 			if rep.Failed != 0 || !rep.Reconciliation.Ok {
 				t.Fatalf("fleet did not reconcile:\n%s", rep.Render())
 			}
-			// Connection goroutines exit on their own schedule after Close.
+			// Exiting goroutines leave the count on their own schedule.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before {
 				if time.Now().After(deadline) {
@@ -177,5 +202,58 @@ func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestFleetSegmentAllocBudget pins what one downloaded segment costs the
+// allocator on the product path: a fixed fault-free fleet on virtual time
+// (the benchmark's fleet_vclock shape), heap objects allocated by the whole
+// process during Run over segments downloaded. A count, not a time — it
+// repeats to within a fraction of an object on any machine, so CI can gate
+// on it. Measured: 53.6 with the origin's handler called in-process
+// (102.8 at the commit before, over net/http on an in-memory pipe); the
+// bound leaves 10 % for toolchain drift.
+func TestFleetSegmentAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
+	}
+	const budget = 59
+	var catalog []*video.Video
+	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
+		v, err := video.ByName(name) // full length: per-session set-up is not what is pinned
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalog = append(catalog, v)
+	}
+	cfg := func() Config {
+		return Config{
+			Sessions:   24,
+			Workers:    2,
+			Videos:     catalog,
+			Traces:     flatTraces(map[string]float64{"med": 4e6, "slow": 1.5e6}),
+			TimeScales: []float64{1},
+			Profile:    func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
+			Clock:      vclock.NewVirtual(),
+		}
+	}
+	measure := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Run(context.Background(), cfg())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 0 || !rep.Reconciliation.Ok {
+			t.Fatalf("fleet did not reconcile:\n%s", rep.Render())
+		}
+		return float64(after.Mallocs-before.Mallocs) / float64(rep.SegmentsDownloaded)
+	}
+	measure() // warm the pools and every lazily built table
+	got := measure()
+	t.Logf("%.1f allocations per downloaded segment (budget %d)", got, budget)
+	if got > budget {
+		t.Fatalf("%.1f allocations per downloaded segment exceeds the budget of %d", got, budget)
 	}
 }

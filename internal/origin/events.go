@@ -62,6 +62,16 @@ func (o *Origin) EventRing(sid string) *qlog.Ring {
 	return s.ring
 }
 
+// DrainProcessEvents consumes the process ring (injected-fault mirrors),
+// appending to buf; a no-op when the event plane is disabled. An in-process
+// harness that injects more faults than the ring holds drains as it goes.
+func (o *Origin) DrainProcessEvents(buf []qlog.Event) []qlog.Event {
+	if o.procRing == nil {
+		return buf
+	}
+	return o.procRing.Drain(buf)
+}
+
 // observeChaos mirrors injected faults into the event plane: counters on
 // the registry, one origin_fault_injected event on the process ring. The
 // chaos key is the client-chosen stream key, not a session ID, so fault

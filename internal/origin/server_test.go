@@ -3,17 +3,28 @@ package origin
 import (
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"testing"
 
-	"sensei/internal/memnet"
 	"sensei/internal/video"
 )
 
-// TestServerServeLifecycle: Serve works over any listener (here the
-// in-memory one fleet.Run uses), and a server serves one listener, once —
-// a second Serve, or one after Shutdown, is an error, not a leaked
-// http.Server.
+// listenLoopback opens a loopback TCP listener that the test closes if no
+// server ever does.
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	return ln
+}
+
+// TestServerServeLifecycle: Serve works over a listener the caller opened,
+// and a server serves one listener, once — a second Serve, or one after
+// Shutdown, is an error, not a leaked http.Server.
 func TestServerServeLifecycle(t *testing.T) {
 	o, err := New(Config{
 		Catalog:      []*video.Video{excerptOf(t, "Soccer1", 4)},
@@ -25,11 +36,11 @@ func TestServerServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(o)
-	ln := memnet.Listen()
+	ln := listenLoopback(t)
 	if err := srv.Serve(ln); err != nil {
 		t.Fatal(err)
 	}
-	tr := &http.Transport{DialContext: ln.DialContext}
+	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
 	resp, err := (&http.Client{Transport: tr}).Get("http://" + ln.Addr().String() + "/stats")
 	if err != nil {
@@ -38,10 +49,10 @@ func TestServerServeLifecycle(t *testing.T) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stats over the in-memory listener: %s", resp.Status)
+		t.Fatalf("GET /stats over the served listener: %s", resp.Status)
 	}
 
-	if err := srv.Serve(memnet.Listen()); err == nil {
+	if err := srv.Serve(listenLoopback(t)); err == nil {
 		t.Fatal("second Serve on a serving server succeeded")
 	}
 	if _, err := srv.Start("127.0.0.1:0"); err == nil {
@@ -53,7 +64,7 @@ func TestServerServeLifecycle(t *testing.T) {
 	if _, err := ln.Accept(); err == nil {
 		t.Fatal("Shutdown left the served listener open")
 	}
-	if err := srv.Serve(memnet.Listen()); !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(listenLoopback(t)); !errors.Is(err, http.ErrServerClosed) {
 		t.Fatalf("Serve after Shutdown: %v, want http.ErrServerClosed", err)
 	}
 	if err := srv.Close(); err != nil {

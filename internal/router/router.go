@@ -238,6 +238,14 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf)
 }
 
+// DrainProcessEvents consumes every shard's process ring, appending to buf.
+func (rt *Router) DrainProcessEvents(buf []qlog.Event) []qlog.Event {
+	for _, o := range rt.shards {
+		buf = o.DrainProcessEvents(buf)
+	}
+	return buf
+}
+
 // Metrics exposes the deployment-wide shared registry (nil when the event
 // plane is disabled).
 func (rt *Router) Metrics() *qlog.Metrics { return rt.shards[0].Metrics() }

@@ -85,6 +85,11 @@ func (r *Real) Exit() {}
 // its heap index (for O(log n) removal on ctx cancellation). fired flips
 // when the waker pops it — the cancel path uses it to tell "already woken"
 // (the waker did the active++ on our behalf) from "still parked".
+//
+// Sleepers are recycled through sleepers, so a steady-state Sleep
+// allocates nothing. The wake channel holds one token: the waker sends
+// (never closes), and whoever returns a sleeper to the pool has first
+// received the token if one was sent, so a pooled channel is always empty.
 type sleeper struct {
 	deadline time.Duration
 	seq      uint64
@@ -92,6 +97,8 @@ type sleeper struct {
 	idx      int
 	fired    bool
 }
+
+var sleepers = sync.Pool{New: func() any { return &sleeper{ch: make(chan struct{}, 1)} }}
 
 // sleepHeap is a min-heap of parked sleepers ordered by (deadline, seq).
 type sleepHeap []*sleeper
@@ -126,10 +133,10 @@ func (h *sleepHeap) Pop() any {
 // Virtual is the discrete-event Clock. It keeps a single invariant
 // counter: active = registered activity units not currently parked in
 // Sleep. Enter increments it; Exit and Sleep decrement it; waking a
-// sleeper re-increments it (before its channel closes, so the count never
-// dips while a wake is in flight). Whenever active hits zero and sleepers
-// are parked, now jumps to the earliest deadline and every sleeper due at
-// that instant wakes together. With the heap empty too, time simply
+// sleeper re-increments it (before its channel is signaled, so the count
+// never dips while a wake is in flight). Whenever active hits zero and
+// sleepers are parked, now jumps to the earliest deadline and every sleeper
+// due at that instant wakes together. With the heap empty too, time simply
 // freezes until the next Enter — an idle simulation does not run away.
 type Virtual struct {
 	mu     sync.Mutex
@@ -188,11 +195,8 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 		v.mu.Unlock()
 		panic("vclock: Sleep outside a registered activity (Enter/Exit bracket missing)")
 	}
-	s := &sleeper{
-		deadline: v.now + d,
-		seq:      v.seq,
-		ch:       make(chan struct{}),
-	}
+	s := sleepers.Get().(*sleeper)
+	s.deadline, s.seq, s.fired = v.now+d, v.seq, false
 	v.seq++
 	heap.Push(&v.heap, s)
 	v.active--
@@ -201,15 +205,19 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 
 	select {
 	case <-s.ch:
+		sleepers.Put(s)
 		return true
 	case <-ctx.Done():
 	}
 	// Canceled — but the waker may have fired concurrently. Settle under
 	// the lock: fired means the waker already moved our +1 back to active
-	// and the sleep is complete; otherwise unpark ourselves.
+	// and the sleep is complete (its token was sent under this lock, so it
+	// is there to take); otherwise unpark ourselves.
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	defer sleepers.Put(s)
 	if s.fired {
+		<-s.ch
 		return true
 	}
 	heap.Remove(&v.heap, s.idx)
@@ -219,9 +227,9 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 
 // maybeAdvance jumps virtual time to the earliest parked deadline when the
 // clock is quiescent, waking every sleeper due at the new now. Waking
-// moves each sleeper's unit back into active *before* its channel closes,
-// so between the advance and the goroutine actually resuming the clock
-// already counts it runnable. Caller must hold v.mu.
+// moves each sleeper's unit back into active *before* its channel is
+// signaled, so between the advance and the goroutine actually resuming the
+// clock already counts it runnable. Caller must hold v.mu.
 func (v *Virtual) maybeAdvance() {
 	for v.active == 0 && len(v.heap) > 0 {
 		v.now = v.heap[0].deadline
@@ -229,7 +237,7 @@ func (v *Virtual) maybeAdvance() {
 			s := heap.Pop(&v.heap).(*sleeper)
 			s.fired = true
 			v.active++
-			close(s.ch)
+			s.ch <- struct{}{}
 		}
 	}
 }

@@ -303,3 +303,51 @@ func TestRealClockParity(t *testing.T) {
 		t.Fatalf("Real.Now went backwards: %v then %v", a, b)
 	}
 }
+
+// TestVirtualSleepSteadyStateZeroAlloc pins the sleeper pool: once a
+// sleeper and the heap's backing array exist, a sleep that parks, advances
+// the clock and wakes allocates nothing.
+func TestVirtualSleepSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	v := NewVirtual()
+	v.Enter()
+	defer v.Exit()
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(1000, func() { v.Sleep(ctx, time.Millisecond) }); allocs != 0 {
+		t.Fatalf("steady-state Sleep allocates %v objects per call, want 0", allocs)
+	}
+	if want := 1001 * time.Millisecond; v.Now() != want { // AllocsPerRun warms up with one extra call
+		t.Fatalf("Now() = %v after the sleeps, want %v", v.Now(), want)
+	}
+}
+
+// TestVirtualPooledSleeperNeverWakesEarly covers the recycled wake channel
+// on the cancel-vs-fired path: a sole participant sleeping on an already
+// canceled context fires itself while parking, so its select sees both the
+// wake token and ctx.Done and takes either at random. Whichever it takes,
+// the sleep completed, the token must not survive into the pool — a stale
+// one would end a later sleep before its deadline — and the clock's books
+// must balance.
+func TestVirtualPooledSleeperNeverWakesEarly(t *testing.T) {
+	v := NewVirtual()
+	v.Enter()
+	defer v.Exit()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 1; i <= 200; i++ {
+		if !v.Sleep(dead, time.Millisecond) {
+			t.Fatalf("round %d: a sleep the clock had already fired reported cancellation", i)
+		}
+		if !v.Sleep(context.Background(), time.Millisecond) {
+			t.Fatalf("round %d: live sleep reported cancellation", i)
+		}
+		v.mu.Lock()
+		now, heapLen, active := v.now, len(v.heap), v.active
+		v.mu.Unlock()
+		if want := time.Duration(2*i) * time.Millisecond; now != want || heapLen != 0 || active != 1 {
+			t.Fatalf("round %d: now=%v (want %v), %d parked, active=%d (want 1)", i, now, want, heapLen, active)
+		}
+	}
+}

@@ -412,11 +412,11 @@ const (
 	FleetSensei    = fleet.ABRSensei
 )
 
-// RunFleet executes a streaming fleet against a freshly started origin —
-// full net/http on both sides, joined by in-memory pipes rather than
-// loopback TCP — and returns the aggregate report. Session failures are
-// recorded in the report (and fail its reconciliation), not returned as
-// errors.
+// RunFleet executes a streaming fleet against a freshly built origin —
+// the same http.Client and the same handler as over TCP, but each request
+// calls the handler in-process instead of crossing a connection — and
+// returns the aggregate report. Session failures are recorded in the
+// report (and fail its reconciliation), not returned as errors.
 func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetReport, error) {
 	return fleet.Run(ctx, cfg)
 }
