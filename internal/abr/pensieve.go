@@ -46,6 +46,10 @@ type Pensieve struct {
 }
 
 const (
+	// pensieveHistLen is both the feature window and the history length
+	// training rollouts run at. Serving runs at player.Config's default of
+	// 8, which only the harmonic-mean feature can see; closing that skew
+	// would re-train every policy (DESIGN.md, "One playback model").
 	pensieveHistLen = 6
 	pensieveRungs   = 5
 )
@@ -436,78 +440,49 @@ type episode struct {
 	score   float64
 }
 
-// rollout plays one episode with stochastic actions, mirroring
-// player.Play's buffer dynamics inline so per-chunk rewards are available.
+// sampler is the trainer's player.Algorithm: it samples the policy where
+// Decide takes its argmax, and records what it saw and did.
+type sampler struct {
+	p   *Pensieve
+	rng *stats.RNG
+	ep  *episode
+}
+
+func (s *sampler) Name() string { return s.p.Name() }
+
+func (s *sampler) Decide(st *player.State) player.Decision {
+	x := s.p.features(st)
+	a := nn.SampleCategorical(nn.Softmax(s.p.policy.Forward(x), nil), s.rng)
+	s.ep.states = append(s.ep.states, x)
+	s.ep.actions = append(s.ep.actions, a)
+	return s.p.decodeAction(a, st)
+}
+
+// rollout plays one episode with stochastic actions through the simulator
+// and prices each delivered chunk. A session the simulator rejects (bad
+// trace, mis-sized weights) yields an empty episode, which Train skips.
 func (p *Pensieve) rollout(v *video.Video, tr *trace.Trace, w []float64, rng *stats.RNG, stallScale float64) *episode {
-	cur := trace.NewCursor(tr)
-	chunkDur := video.ChunkDuration.Seconds()
-	const maxBuffer = 60.0
-	buffer := 0.0
-	lastRung := -1
-	var thr, dls []float64
-	tbl := newVMAFTable(v)
 	ep := &episode{}
-
-	n := v.NumChunks()
+	res, err := player.Play(v, tr, &sampler{p: p, rng: rng, ep: ep}, w, player.Config{HistoryLen: pensieveHistLen})
+	if err != nil {
+		return &episode{}
+	}
+	tbl := newVMAFTable(v)
+	r := res.Rendering
 	var qSum float64
-	for i := 0; i < n; i++ {
-		st := &player.State{
-			Video: v, ChunkIndex: i, BufferSec: buffer, LastRung: lastRung,
-			ThroughputBps: thr, DownloadSec: dls, Weights: w,
-		}
-		x := p.features(st)
-		logits := p.policy.Forward(x)
-		probs := nn.Softmax(logits, nil)
-		a := nn.SampleCategorical(probs, rng)
-		d := p.decodeAction(a, st)
-
-		stall := 0.0
-		if d.PreStallSec > 0 && i > 0 {
-			buffer += d.PreStallSec
-			stall += d.PreStallSec
-		}
-		if buffer+chunkDur > maxBuffer {
-			wait := buffer + chunkDur - maxBuffer
-			cur.Advance(wait)
-			buffer -= wait
-		}
-		size := v.ChunkSizeBits(i, d.Rung)
-		dl := cur.Download(size)
+	for i, rung := range r.Rungs {
+		q := tbl.v[i][rung]
+		q -= stallScale * p.Quality.StallCost(r.StallSec[i])
 		if i > 0 {
-			if dl > buffer {
-				stall += dl - buffer
-				buffer = 0
-			} else {
-				buffer -= dl
-			}
-		}
-		buffer += chunkDur
-
-		q := tbl.v[i][d.Rung]
-		q -= stallScale * p.Quality.StallCost(stall)
-		if lastRung >= 0 {
-			q -= p.Quality.SwitchPenalty * math.Abs(tbl.v[i][d.Rung]-prevVMAF(tbl, i, lastRung))
+			q -= p.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, r.Rungs[i-1]))
 		}
 		if p.Sensitivity && w != nil {
 			q *= w[i]
 		}
 		qSum += q
-
-		ep.states = append(ep.states, x)
-		ep.actions = append(ep.actions, a)
 		ep.rewards = append(ep.rewards, q)
-
-		lastRung = d.Rung
-		thr = append(thr, size/dl)
-		if len(thr) > pensieveHistLen {
-			thr = thr[1:]
-		}
-		dls = append(dls, dl)
-		if len(dls) > pensieveHistLen {
-			dls = dls[1:]
-		}
 	}
-	ep.score = clamp01((qSum/float64(n) + 0.4) / 1.4)
+	ep.score = clamp01((qSum/float64(len(r.Rungs)) + 0.4) / 1.4)
 	return ep
 }
 

@@ -2,6 +2,7 @@ package abr
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -106,5 +107,48 @@ func TestLoadPolicySensitivityVariant(t *testing.T) {
 	}
 	if loaded.actionCount() != pensieveRungs+2 {
 		t.Fatal("action space lost")
+	}
+}
+
+// TestTrainedPolicyBytesGolden pins Train's output to policy bytes hashed
+// at the commit before the trainer's rollout became a driver of
+// player.Playback (055c784): same seeds, same fixtures, identical
+// SavePolicy encoding. Any drift in the rollout's buffer, stall or history
+// arithmetic — or in the order it consumes the RNG — changes a gradient and
+// with it every weight.
+func TestTrainedPolicyBytesGolden(t *testing.T) {
+	full, err := video.ByName("Soccer1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 24 chunks: long enough for fast training traces to fill the 60 s
+	// buffer, so the full-buffer wait is part of what is pinned.
+	v, err := full.Excerpt(0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	videos := []*video.Video{v}
+	weights := map[string][]float64{v.Name: v.TrueSensitivity()}
+	cfg := TrainConfig{Episodes: 80, EvalInterval: 40}
+	for _, c := range []struct {
+		agent   *Pensieve
+		weights map[string][]float64
+		want    uint64
+	}{
+		{NewPensieve(99), nil, 0x27bab9d5f5848a39},
+		{NewSenseiPensieve(7), weights, 0xb199eef7e7c43968},
+	} {
+		if _, err := c.agent.Train(videos, trace.TrainingSet(8, 5), c.weights, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.agent.SavePolicy(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: policy bytes hash %#016x, want %#016x", c.agent.Name(), got, c.want)
+		}
 	}
 }

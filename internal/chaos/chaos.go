@@ -25,11 +25,11 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"time"
 
+	"sensei/internal/hashx"
 	"sensei/internal/vclock"
 )
 
@@ -226,16 +226,13 @@ func (p *Policy) decide(key string, kind Kind, seq uint64, run int) (Mode, int) 
 	if len(modes) == 0 {
 		modes = DefaultModes(kind)
 	}
-	return modes[mix64(h)%uint64(len(modes))], run + 1
+	return modes[hashx.Mix64(h)%uint64(len(modes))], run + 1
 }
 
 // hash folds (seed, key, kind, seq) into one well-mixed draw.
 func (p *Policy) hash(key string, kind Kind, seq uint64) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(key))
-	f.Write([]byte{0})
-	f.Write([]byte(kind))
-	return mix64(p.Seed ^ mix64(f.Sum64()) ^ mix64(seq*0x9e3779b97f4a7c15+1))
+	f := hashx.FNV1aFrom(hashx.FNV1aFrom(hashx.FNV1a(key), "\x00"), string(kind))
+	return hashx.Mix64(p.Seed ^ hashx.Mix64(f) ^ hashx.Mix64(seq*hashx.Gamma+1))
 }
 
 // Replay recomputes the first n decisions of one (key, kind) stream from
@@ -249,14 +246,6 @@ func (p *Policy) Replay(key string, kind Kind, n uint64) []Mode {
 		out[seq], run = p.decide(key, kind, seq, run)
 	}
 	return out
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Stats is the injector's fault ledger, reported under origin /stats and

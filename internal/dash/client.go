@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sensei/internal/chaos"
-	"sensei/internal/crowd"
 	"sensei/internal/par"
 	"sensei/internal/player"
 	"sensei/internal/qlog"
@@ -45,11 +44,6 @@ const WeightEpochHeader = "X-Sensei-Weight-Epoch"
 // it with a negative value.
 const DefaultRequestTimeout = 5 * time.Minute
 
-// DefaultMaxPreStallSec caps a single proactive stall when
-// Client.MaxPreStallSec is zero. It matches player.Config's default so the
-// client realizes exactly the action space the simulator allows.
-const DefaultMaxPreStallSec = 2
-
 // MinDownloadVirtualSec floors a measured segment download duration in
 // virtual seconds. Local origins at small timescales can deliver a segment
 // within clock resolution; without the floor the throughput sample
@@ -70,12 +64,12 @@ const leaveDrainRetries = 12
 // validation failure at the trust boundary, which must abort the session.
 var errWire = errors.New("wire failure")
 
-// Client streams a video from a multi-tenant origin, driving a
-// player.Algorithm exactly like the simulator does but over real TCP with
-// wall-clock timing. It implements §6's two integration points: parsing
-// the SenseiWeights manifest extension, and the MSE-style delayed
-// source-buffer sink that realizes proactive rebuffering by withholding a
-// downloaded segment from the playback buffer for a controlled delay.
+// Client streams a video from a multi-tenant origin: it drives the same
+// player.Playback model as the simulator, but over HTTP on its own clock.
+// It implements §6's two integration points: parsing the SenseiWeights
+// manifest extension, and the MSE-style delayed source-buffer sink that
+// realizes proactive rebuffering by withholding a downloaded segment from
+// the playback buffer for a controlled delay.
 //
 // A client first joins a session (POST /session) — explicitly via Join, or
 // implicitly on the first Stream — and every subsequent segment request
@@ -102,11 +96,10 @@ type Client struct {
 	TimeScale float64
 	// HTTP is the client used for requests; http.DefaultClient when nil.
 	HTTP *http.Client
-	// MaxBufferSec caps the client buffer (default 60 virtual seconds).
-	MaxBufferSec float64
-	// MaxPreStallSec caps a single proactive stall (default 2, the paper's
-	// {0,1,2} action space) — the same clamp player.Config applies, so
-	// client and simulator playback semantics stay interchangeable.
+	// MaxBufferSec caps the client buffer in virtual seconds and
+	// MaxPreStallSec a single proactive stall; they are player.Config's
+	// fields of the same names, and zero selects its defaults.
+	MaxBufferSec   float64
 	MaxPreStallSec float64
 	// RequestTimeout bounds each HTTP request (default
 	// DefaultRequestTimeout; negative disables the timeout).
@@ -316,57 +309,55 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 	if err != nil {
 		return fmt.Errorf("dash: encoding join request: %w", err)
 	}
-	for attempt := 0; ; attempt++ {
-		transient, err := c.joinOnce(ctx, body)
-		if err == nil {
-			c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
-			return nil
+	var jr joinResponse
+	err = c.retried(ctx, chaos.KindSession, func(int) (transient bool, err error) {
+		_, transient, err = c.postJSON(ctx, "/session", "joining session", body, &jr)
+		if err == nil && (jr.SessionID == "" || jr.TimeScale <= 0) {
+			err = fmt.Errorf("dash: origin returned invalid session %+v", jr)
 		}
-		if !transient || ctx.Err() != nil {
-			return err
-		}
-		c.fault(chaos.KindSession)
-		if attempt >= c.Retry.Budget() {
-			return fmt.Errorf("dash: joining session: retry budget exhausted after %d attempts: %w", attempt+1, err)
-		}
-		c.retry()
-		if !c.backoff(ctx, attempt) {
-			return fmt.Errorf("dash: joining session: %w", ctx.Err())
-		}
+		return transient, err
+	})
+	if err != nil {
+		return err
 	}
+	c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
+	c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
+	return nil
 }
 
-// joinOnce issues one POST /session; transient reports whether a failure
-// is worth retrying (5xx or transport-level).
-func (c *Client) joinOnce(ctx context.Context, body []byte) (transient bool, err error) {
+// postJSON issues one POST of a JSON body and decodes the 200 reply into
+// out, returning the weight-epoch beacon the reply carried. transient
+// reports whether a failure is worth retrying (5xx or transport-level).
+func (c *Client) postJSON(ctx context.Context, path, what string, body []byte, out any) (epoch uint64, transient bool, err error) {
 	reqCtx, cancel := c.requestContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.BaseURL+"/session", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return false, fmt.Errorf("dash: join request: %w", err)
+		return 0, false, fmt.Errorf("dash: %s: %w", what, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	c.markChaosKey(req)
 	resp, err := c.httpc().Do(req)
 	if err != nil {
-		return true, fmt.Errorf("dash: joining session: %w", err)
+		return 0, true, fmt.Errorf("dash: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return resp.StatusCode >= 500, fmt.Errorf("dash: joining session: %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return 0, resp.StatusCode >= 500, fmt.Errorf("dash: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
 	}
-	var jr joinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return false, fmt.Errorf("dash: decoding join response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return 0, false, fmt.Errorf("dash: %s: decoding reply: %w", what, err)
 	}
-	if jr.SessionID == "" || jr.TimeScale <= 0 {
-		return false, fmt.Errorf("dash: origin returned invalid session %+v", jr)
-	}
-	c.sid = jr.SessionID
-	c.videoName = jr.Video
-	c.sessionScale = jr.TimeScale
-	return false, nil
+	return epochBeacon(resp), false, nil
+}
+
+// epochBeacon reads the weight epoch a response advertised: 0 when the
+// header is absent or malformed — an origin that does not speak the
+// extension simply never triggers a refresh.
+func epochBeacon(resp *http.Response) uint64 {
+	epoch, _ := strconv.ParseUint(resp.Header.Get(WeightEpochHeader), 10, 64)
+	return epoch
 }
 
 // Leave deletes the client's session on the origin, freeing it before the
@@ -438,7 +429,9 @@ func (c *Client) leaveOnce(ctx context.Context) (int, string, error) {
 
 // Stream plays the whole video for v within the client's session and
 // returns the playback outcome. ctx cancels the stream between (and
-// during) segment downloads.
+// during) segment downloads. It is the HTTP driver of player.Playback: it
+// supplies the profile snapshot (from the wire), the passage of time (the
+// client's clock) and the chunk (retries, degradation), and emits the trace.
 func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if c.Algorithm == nil {
 		return nil, fmt.Errorf("dash: client needs an algorithm")
@@ -463,20 +456,153 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	maxBuf := c.MaxBufferSec
-	if maxBuf <= 0 {
-		maxBuf = 60
+	pb, err := player.NewPlayback(v, player.Config{MaxBufferSec: c.MaxBufferSec, MaxPreStallSec: c.MaxPreStallSec})
+	if err != nil {
+		return nil, fmt.Errorf("dash: %w", err)
 	}
-	maxStall := c.MaxPreStallSec
-	if maxStall <= 0 {
-		maxStall = DefaultMaxPreStallSec
+	wv, err := c.bootstrap(ctx, v)
+	if err != nil {
+		return nil, err
 	}
+	sess := &Session{ID: c.sid, Rendering: pb.Rendering()}
+	traced := c.Events != nil || c.Metrics != nil
 
+	for i := 0; i < v.NumChunks(); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("dash: stream canceled at chunk %d: %w", i, err)
+		}
+		if err := c.snapshot(ctx, sess, i, wv); err != nil {
+			return nil, err
+		}
+		buffered := pb.BufferSec()
+		var decideStart time.Time
+		if traced {
+			decideStart = time.Now()
+		}
+		d, wait, err := pb.Decide(c.Algorithm, wv.prof, 0)
+		if err != nil {
+			return nil, fmt.Errorf("dash: %w", err)
+		}
+		if traced {
+			c.decided(i, d, wv.prof.Epoch, buffered, time.Since(decideStart))
+		}
+		if d.PreStallSec > 0 {
+			c.stall(d.PreStallSec)
+		}
+		// The full-buffer wait is a context-aware pause, so a canceled
+		// stream returns promptly instead of sleeping the wait out (at
+		// timescale 1 it is seconds of wall clock).
+		if wait > 0 && !c.clk().Sleep(ctx, time.Duration(wait*scale*float64(time.Second))) {
+			return nil, fmt.Errorf("dash: stream canceled during buffer wait at chunk %d: %w", i, ctx.Err())
+		}
+
+		f, rung, err := c.acquire(ctx, v, i, d.Rung)
+		if err != nil {
+			return nil, fmt.Errorf("dash: segment %d: %w", i, err)
+		}
+		wv.observed = max(wv.observed, f.epoch)
+		// The throughput sample sees only the successful attempt (floored:
+		// see MinDownloadVirtualSec); playback drains for the whole
+		// acquisition — retries, backoff pauses and truncated attempts
+		// included: a fault-lengthened download is a real stall.
+		downloadSec := max(f.sec/scale, MinDownloadVirtualSec)
+		acquireSec := max(f.totalSec/scale, downloadSec)
+		bits := float64(f.bytes * 8)
+		stall := pb.Deliver(rung, bits, downloadSec, acquireSec)
+		sess.BytesDownloaded += f.bytes + f.partialBytes
+		sess.DownloadVirtualSec += downloadSec + f.partialSec/scale
+		sess.ThroughputBps = append(sess.ThroughputBps, bits/downloadSec)
+		c.delivered(i, rung, f, downloadSec, stall, pb.BufferSec())
+
+		if err := c.rate(ctx, sess, i, wv); err != nil {
+			return nil, err
+		}
+	}
+	res, err := pb.Finish(0) // no trace clock here: Result.WallClockSec goes unread
+	if err != nil {
+		return nil, fmt.Errorf("dash: %w", err)
+	}
+	sess.ChunkEpochs = res.ChunkEpochs
+	sess.RebufferVirtualSec = res.RebufferSec
+	sess.Weights = wv.prof.Weights
+	sess.WeightEpoch = wv.prof.Epoch
+	sess.Resilience = c.res.clone()
+	c.streamedBytes, c.streamedChunks = sess.BytesDownloaded, int64(v.NumChunks())
+	return sess, nil
+}
+
+// decided traces chunk i's decision as the player will carry it out.
+// Decision latency is real compute, so it is measured on the wall clock
+// even when the session's timing plane is virtual.
+func (c *Client) decided(i int, d player.Decision, epoch uint64, bufferedSec float64, lat time.Duration) {
+	if c.Metrics != nil {
+		c.Metrics.DecisionLatency.Observe(int64(lat))
+	}
+	c.emit(qlog.Event{
+		Kind: qlog.KindDecision, Chunk: int32(i), Rung: int32(d.Rung),
+		Epoch: epoch, Wire: lat,
+		Extra: int64(bufferedSec * float64(time.Second)),
+		Tput:  d.PreStallSec,
+	})
+}
+
+// delivered traces chunk i landing at rung.
+func (c *Client) delivered(i, rung int, f *fetched, downloadSec, stallSec, bufferedSec float64) {
+	if f.partialBytes > 0 {
+		// Ledgered bytes that never became a throughput sample. Summing
+		// chunk_done + chunk_progress bytes reproduces BytesDownloaded
+		// exactly.
+		c.emit(qlog.Event{Kind: qlog.KindChunkProgress, Chunk: int32(i),
+			Rung: int32(rung), Bytes: f.partialBytes})
+	}
+	if stallSec > 0 {
+		c.stall(stallSec)
+	}
+	if c.Metrics != nil {
+		c.Metrics.DownloadLatency.Observe(int64(f.sec * float64(time.Second)))
+	}
+	c.emit(qlog.Event{
+		Kind: qlog.KindChunkDone, Chunk: int32(i), Rung: int32(rung),
+		Bytes: f.bytes,
+		Wire:  time.Duration(f.sec * float64(time.Second)),
+		Virt:  time.Duration(downloadSec * float64(time.Second)),
+		Tput:  float64(f.bytes*8) / downloadSec,
+	})
+	c.emit(qlog.Event{Kind: qlog.KindBufferSample, Chunk: int32(i),
+		Extra: int64(bufferedSec * float64(time.Second))})
+}
+
+// weightView is one stream's view of the sensitivity plane: the snapshot
+// its decisions run under, and how far the wire has advertised past it.
+type weightView struct {
+	prof *sensitivity.Profile
+	// observed tracks the newest epoch any response header has advertised;
+	// running ahead of prof.Epoch means the snapshot is stale and the next
+	// decision must not run until the new vector is fetched. fetchedFor
+	// remembers the newest epoch a /weights fetch was already attempted
+	// for, so an origin whose weights endpoint lags its own headers costs
+	// one fetch per advertised bump, not one per remaining chunk.
+	observed, fetchedFor uint64
+}
+
+// bootstrap fetches the manifest and returns the session's starting view
+// of the weight plane.
+func (c *Client) bootstrap(ctx context.Context, v *video.Video) (*weightView, error) {
 	mf, err := c.fetch(ctx, c.videoPath(v.Name, "manifest.mpd"), chaos.KindManifest, -1, false)
 	if err != nil {
 		return nil, fmt.Errorf("dash: fetching manifest: %w", err)
 	}
-	mpd, err := ParseMPD(mf.body)
+	prof, err := parseManifest(mf.body, v)
+	if err != nil {
+		return nil, err
+	}
+	return &weightView{prof: prof, observed: prof.Epoch, fetchedFor: prof.Epoch}, nil
+}
+
+// parseManifest decodes a manifest and validates it against the local
+// video model, returning the profile snapshot the session starts on.
+func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
+	mpd, err := ParseMPD(body)
 	if err != nil {
 		return nil, err
 	}
@@ -489,285 +615,131 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if weights != nil && len(weights) != v.NumChunks() {
-		return nil, fmt.Errorf("dash: manifest has %d weights for %d chunks", len(weights), v.NumChunks())
-	}
-	// Same trust boundary as the /weights path: a weightless manifest
-	// stamped with a positive epoch would seed the staleness tracking at
-	// that epoch and silently suppress adoption of every real profile the
-	// origin publishes up to it.
-	if weights == nil && mpd.WeightEpoch() > 0 {
-		return nil, fmt.Errorf("dash: manifest carries epoch %d without weights", mpd.WeightEpoch())
-	}
-
-	// The session's starting profile snapshot. A weighted manifest from an
-	// origin predating the epoch extension is, by definition, the first
-	// epoch.
 	prof := &sensitivity.Profile{VideoName: v.Name, Epoch: mpd.WeightEpoch(), Weights: weights}
 	if weights != nil && prof.Epoch == 0 {
+		// A weighted manifest from an origin predating the epoch extension
+		// is, by definition, the first epoch.
 		prof.Epoch = 1
 	}
-	// observed tracks the newest epoch any response header has advertised;
-	// running ahead of prof.Epoch means the snapshot is stale and the next
-	// decision must not run until the new vector is fetched. fetchedFor
-	// remembers the newest epoch a /weights fetch was already attempted
-	// for, so an origin whose weights endpoint lags its own headers costs
-	// one fetch per advertised bump, not one per remaining chunk.
-	observed := prof.Epoch
-	fetchedFor := prof.Epoch
-
-	n := v.NumChunks()
-	sess := &Session{
-		ID:      c.sid,
-		Weights: weights,
-		Rendering: &qoe.Rendering{
-			Video:    v,
-			Rungs:    make([]int, n),
-			StallSec: make([]float64, n),
-		},
-		ChunkEpochs: make([]uint64, n),
+	if err := checkProfile(prof, v); err != nil {
+		return nil, err
 	}
-	chunkDur := video.ChunkDuration.Seconds()
-	buffer := 0.0 // virtual seconds
-	lastRung := -1
-	var thr, dls []float64
+	return prof, nil
+}
 
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dash: stream canceled at chunk %d: %w", i, err)
-		}
-		// One immutable snapshot per decision. An injected source is
-		// polled like the simulator polls it; on the wire plane a stale
-		// snapshot (a segment response advertised a newer epoch) is
-		// re-fetched before the ABR runs, so a refresh reaches the
-		// decision loop within one segment download.
-		if c.Sensitivity != nil {
-			p, _ := c.Sensitivity.Snapshot()
-			if p.Weights != nil && len(p.Weights) != n {
-				return nil, fmt.Errorf("dash: epoch %d snapshot has %d weights for %d chunks", p.Epoch, len(p.Weights), n)
-			}
-			prof = p
-		} else if observed > prof.Epoch && observed > fetchedFor {
-			fetchedFor = observed
-			p, err := c.fetchWeights(ctx, v)
-			switch {
-			case err == nil:
-				if p.Epoch > prof.Epoch {
-					prof = p
-				}
-				sess.WeightRefreshes++
-				c.emit(qlog.Event{Kind: qlog.KindEpochAdopted, Chunk: int32(i), Epoch: prof.Epoch})
-			case ctx.Err() != nil:
-				return nil, fmt.Errorf("dash: refreshing weights at chunk %d: %w", i, err)
-			case errors.Is(err, errWire):
-				// Degradation rung: the weight service is unreachable past
-				// the retry budget. Continue on the last adopted epoch
-				// snapshot — counted, never torn — rather than killing
-				// playback over a sensitivity update.
-				c.res.StaleWeightsKept++
-				c.degrade(degradeStaleWeights)
-			default:
-				// Validation failures at the trust boundary still abort: a
-				// reachable origin sending poisoned weights is not a
-				// degraded wire.
-				return nil, fmt.Errorf("dash: refreshing weights at chunk %d: %w", i, err)
-			}
-		}
-		sess.ChunkEpochs[i] = prof.Epoch
-		st := &player.State{
-			Video:         v,
-			ChunkIndex:    i,
-			BufferSec:     buffer,
-			LastRung:      lastRung,
-			ThroughputBps: thr,
-			DownloadSec:   dls,
-			Weights:       prof.Weights,
-			Sensitivity:   prof,
-		}
-		var decideStart time.Time
-		if c.Events != nil || c.Metrics != nil {
-			decideStart = time.Now()
-		}
-		d := c.Algorithm.Decide(st)
-		if c.Events != nil || c.Metrics != nil {
-			// Decision latency is real compute, so it is measured on the
-			// wall clock even when the session's timing plane is virtual.
-			lat := time.Since(decideStart)
-			if c.Metrics != nil {
-				c.Metrics.DecisionLatency.Observe(int64(lat))
-			}
-			c.emit(qlog.Event{
-				Kind: qlog.KindDecision, Chunk: int32(i), Rung: int32(d.Rung),
-				Epoch: prof.Epoch, Wire: lat,
-				Extra: int64(buffer * float64(time.Second)),
-				Tput:  d.PreStallSec,
-			})
-		}
-		if d.Rung < 0 || d.Rung >= len(v.Ladder) {
-			return nil, fmt.Errorf("dash: %s chose rung %d", c.Algorithm.Name(), d.Rung)
-		}
-		if d.PreStallSec < 0 {
-			return nil, fmt.Errorf("dash: %s chose negative proactive stall %v", c.Algorithm.Name(), d.PreStallSec)
-		}
-		if d.PreStallSec > maxStall {
-			d.PreStallSec = maxStall
-		}
-
-		// MSE-style delayed sink: withhold playback for the proactive
-		// stall while the download proceeds, crediting the buffer.
-		if d.PreStallSec > 0 && i > 0 {
-			buffer += d.PreStallSec
-			sess.Rendering.StallSec[i] += d.PreStallSec
-			sess.RebufferVirtualSec += d.PreStallSec
-			c.stall(d.PreStallSec)
-		}
-
-		// Wait out a full buffer before starting the download — a
-		// context-aware pause, so a canceled stream returns promptly
-		// instead of sleeping the wait out (at timescale 1 a full-buffer
-		// wait is seconds of wall clock).
-		if buffer+chunkDur > maxBuf {
-			wait := buffer + chunkDur - maxBuf
-			if !c.clk().Sleep(ctx, time.Duration(wait*scale*float64(time.Second))) {
-				return nil, fmt.Errorf("dash: stream canceled during buffer wait at chunk %d: %w", i, ctx.Err())
-			}
-			buffer -= wait
-		}
-
-		c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i), Rung: int32(d.Rung),
-			Bytes: int64(v.ChunkSizeBits(i, d.Rung) / 8)})
-		f, err := c.fetch(ctx, c.videoPath(v.Name, fmt.Sprintf("segment/%d/%d", i, d.Rung)),
-			chaos.KindSegment, int64(v.ChunkSizeBits(i, d.Rung)/8), true)
-		if err != nil && errors.Is(err, errWire) && d.Rung != 0 {
-			// Degradation ladder: before declaring the stream dead,
-			// re-decide at the lowest rung with a fresh budget — the
-			// cheapest segment has the best odds of surviving a degraded
-			// wire, and a low-quality chunk beats a dead session.
-			c.res.SegmentFallbacks++
-			c.degrade(degradeSegmentFallback)
-			d.Rung = 0
-			c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i),
-				Bytes: int64(v.ChunkSizeBits(i, 0) / 8)})
-			f, err = c.fetch(ctx, c.videoPath(v.Name, fmt.Sprintf("segment/%d/%d", i, 0)),
-				chaos.KindSegment, int64(v.ChunkSizeBits(i, 0)/8), true)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dash: segment %d: %w", i, err)
-		}
-		if f.epoch > observed {
-			observed = f.epoch
-		}
-		elapsedVirtual := f.sec / scale
-		// At aggressive timescales a segment can land within clock
-		// resolution; an unfloored duration yields absurd (up to +Inf)
-		// throughput samples that poison the ABR's history, so the
-		// measurement never drops below MinDownloadVirtualSec — the same
-		// kind of floor the simulator gets for free from its trace cursor.
-		if elapsedVirtual < MinDownloadVirtualSec {
-			elapsedVirtual = MinDownloadVirtualSec
-		}
-		// The playback buffer drains for the whole acquisition — retries,
-		// backoff pauses and truncated attempts included: a
-		// fault-lengthened download is a real stall. The throughput
-		// history, by contrast, sees only the successful attempt below.
-		totalVirtual := f.totalSec / scale
-		if totalVirtual < elapsedVirtual {
-			totalVirtual = elapsedVirtual
-		}
-		sess.BytesDownloaded += f.bytes + f.partialBytes
-		sess.DownloadVirtualSec += elapsedVirtual + f.partialSec/scale
-		if f.partialBytes > 0 {
-			// Partial payloads from truncated attempts: ledgered bytes that
-			// never became a throughput sample. Summing chunk_done +
-			// chunk_progress bytes reproduces BytesDownloaded exactly.
-			c.emit(qlog.Event{Kind: qlog.KindChunkProgress, Chunk: int32(i),
-				Rung: int32(d.Rung), Bytes: f.partialBytes})
-		}
-
-		if i > 0 {
-			if totalVirtual > buffer {
-				stall := totalVirtual - buffer
-				sess.Rendering.StallSec[i] += stall
-				sess.RebufferVirtualSec += stall
-				buffer = 0
-				c.stall(stall)
-			} else {
-				buffer -= totalVirtual
-			}
-		}
-		buffer += chunkDur
-
-		sess.Rendering.Rungs[i] = d.Rung
-		lastRung = d.Rung
-		measured := float64(f.bytes*8) / elapsedVirtual
-		if c.Metrics != nil {
-			c.Metrics.DownloadLatency.Observe(int64(f.sec * float64(time.Second)))
-		}
-		c.emit(qlog.Event{
-			Kind: qlog.KindChunkDone, Chunk: int32(i), Rung: int32(d.Rung),
-			Bytes: f.bytes,
-			Wire:  time.Duration(f.sec * float64(time.Second)),
-			Virt:  time.Duration(elapsedVirtual * float64(time.Second)),
-			Tput:  measured,
-		})
-		c.emit(qlog.Event{Kind: qlog.KindBufferSample, Chunk: int32(i),
-			Extra: int64(buffer * float64(time.Second))})
-		sess.ThroughputBps = append(sess.ThroughputBps, measured)
-		thr = append(thr, measured)
-		if len(thr) > 8 {
-			thr = thr[1:]
-		}
-		dls = append(dls, elapsedVirtual)
-		if len(dls) > 8 {
-			dls = dls[1:]
-		}
-
-		// Close the loop: score the chunk that just rendered and post the
-		// rating stamped with the epoch its decision ran under. The reply's
-		// epoch beacon feeds the same staleness tracking as segment
-		// responses, so an autonomous refresh triggered by the fleet's own
-		// ratings still reaches this session within one chunk.
-		if c.Rater != nil {
-			if score, ok := c.Rater.RateChunk(sess.Rendering, i); ok {
-				accepted, respEpoch, err := c.postRating(ctx, i, sess.ChunkEpochs[i], score)
-				switch {
-				case err == nil:
-					sess.RatingsPosted++
-					c.emit(qlog.Event{Kind: qlog.KindRatingPosted, Chunk: int32(i),
-						Epoch: sess.ChunkEpochs[i], Extra: int64(score)})
-					if accepted {
-						sess.RatingsAccepted++
-						c.emit(qlog.Event{Kind: qlog.KindRatingAccepted, Chunk: int32(i),
-							Epoch: sess.ChunkEpochs[i]})
-					} else {
-						sess.RatingsQuarantined++
-						c.emit(qlog.Event{Kind: qlog.KindRatingQuarantined, Chunk: int32(i),
-							Epoch: sess.ChunkEpochs[i]})
-					}
-					if respEpoch > observed {
-						observed = respEpoch
-					}
-				case ctx.Err() != nil:
-					return nil, fmt.Errorf("dash: rating chunk %d: %w", i, err)
-				case errors.Is(err, errWire):
-					// Degradation rung: feedback is best-effort. Drop the
-					// rating without touching playback.
-					c.res.RatingsDropped++
-					c.degrade(degradeRatingDropped)
-				default:
-					return nil, fmt.Errorf("dash: rating chunk %d: %w", i, err)
-				}
-			}
-		}
+// checkProfile is the trust boundary every wire-carried profile crosses —
+// manifest or GET /weights — before it is allowed anywhere near an ABR
+// objective: one crowd.ValidWeight weight per local chunk at a positive
+// epoch, or no weights at epoch 0. A weightless profile at a positive epoch
+// would silently downgrade a profiled session to unweighted planning under
+// a fresh-looking stamp (and, from a manifest, suppress adoption of every
+// real profile published up to it).
+func checkProfile(p *sensitivity.Profile, v *video.Video) error {
+	if p.Weights != nil && len(p.Weights) != v.NumChunks() {
+		return fmt.Errorf("dash: origin sent %d weights for %d chunks", len(p.Weights), v.NumChunks())
 	}
-	if err := sess.Rendering.Validate(); err != nil {
-		return nil, fmt.Errorf("dash: session produced invalid rendering: %w", err)
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("dash: origin sent an unusable profile: %w", err)
 	}
-	sess.Weights = prof.Weights
-	sess.WeightEpoch = prof.Epoch
-	sess.Resilience = c.res.clone()
-	c.streamedBytes, c.streamedChunks = sess.BytesDownloaded, int64(n)
-	return sess, nil
+	return nil
+}
+
+// snapshot brings wv.prof up to date for chunk i's decision: one immutable
+// snapshot per decision. An injected source is polled like the simulator
+// polls it; on the wire plane a stale snapshot (a response advertised a
+// newer epoch) is re-fetched before the ABR runs, so a refresh reaches the
+// decision loop within one segment download.
+func (c *Client) snapshot(ctx context.Context, sess *Session, i int, wv *weightView) error {
+	if c.Sensitivity != nil {
+		wv.prof, _ = c.Sensitivity.Snapshot()
+		return nil
+	}
+	if wv.observed <= wv.prof.Epoch || wv.observed <= wv.fetchedFor {
+		return nil
+	}
+	wv.fetchedFor = wv.observed
+	p, err := c.fetchWeights(ctx, sess.Rendering.Video)
+	switch {
+	case err == nil:
+		if p.Epoch > wv.prof.Epoch {
+			wv.prof = p
+		}
+		sess.WeightRefreshes++
+		c.emit(qlog.Event{Kind: qlog.KindEpochAdopted, Chunk: int32(i), Epoch: wv.prof.Epoch})
+	case ctx.Err() == nil && errors.Is(err, errWire):
+		// Degradation rung: the weight service is unreachable past the
+		// retry budget. Continue on the last adopted epoch snapshot —
+		// counted, never torn — rather than killing playback over a
+		// sensitivity update.
+		c.res.StaleWeightsKept++
+		c.degrade(degradeStaleWeights)
+	default:
+		// A canceled stream, or a validation failure at the trust
+		// boundary: a reachable origin sending poisoned weights is not a
+		// degraded wire.
+		return fmt.Errorf("dash: refreshing weights at chunk %d: %w", i, err)
+	}
+	return nil
+}
+
+// acquire downloads chunk i at rung and returns the fetch with the rung
+// actually delivered. Degradation ladder: before declaring the stream
+// dead, a segment whose retry budget ran out is re-decided at the lowest
+// rung with a fresh budget — the cheapest segment has the best odds of
+// surviving a degraded wire, and a low-quality chunk beats a dead session.
+func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (*fetched, int, error) {
+	f, err := c.fetchSegment(ctx, v, i, rung)
+	if err != nil && errors.Is(err, errWire) && rung != 0 {
+		c.res.SegmentFallbacks++
+		c.degrade(degradeSegmentFallback)
+		rung = 0
+		f, err = c.fetchSegment(ctx, v, i, rung)
+	}
+	return f, rung, err
+}
+
+func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) (*fetched, error) {
+	size := int64(v.ChunkSizeBits(i, rung) / 8)
+	c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i), Rung: int32(rung), Bytes: size})
+	return c.fetch(ctx, c.videoPath(v.Name, fmt.Sprintf("segment/%d/%d", i, rung)), chaos.KindSegment, size, true)
+}
+
+// rate closes the loop for chunk i: the Rater scores the chunk that just
+// rendered and the rating is posted stamped with the epoch its decision
+// ran under. The reply's epoch beacon feeds the same staleness tracking as
+// segment responses, so an autonomous refresh triggered by the fleet's own
+// ratings still reaches this session within one chunk.
+func (c *Client) rate(ctx context.Context, sess *Session, i int, wv *weightView) error {
+	if c.Rater == nil {
+		return nil
+	}
+	score, ok := c.Rater.RateChunk(sess.Rendering, i)
+	if !ok {
+		return nil
+	}
+	epoch := wv.prof.Epoch
+	accepted, respEpoch, err := c.postRating(ctx, i, epoch, score)
+	switch {
+	case err == nil:
+		sess.RatingsPosted++
+		c.emit(qlog.Event{Kind: qlog.KindRatingPosted, Chunk: int32(i), Epoch: epoch, Extra: int64(score)})
+		if accepted {
+			sess.RatingsAccepted++
+			c.emit(qlog.Event{Kind: qlog.KindRatingAccepted, Chunk: int32(i), Epoch: epoch})
+		} else {
+			sess.RatingsQuarantined++
+			c.emit(qlog.Event{Kind: qlog.KindRatingQuarantined, Chunk: int32(i), Epoch: epoch})
+		}
+		wv.observed = max(wv.observed, respEpoch)
+	case ctx.Err() == nil && errors.Is(err, errWire):
+		// Degradation rung: feedback is best-effort. Drop the rating
+		// without touching playback.
+		c.res.RatingsDropped++
+		c.degrade(degradeRatingDropped)
+	default:
+		return fmt.Errorf("dash: rating chunk %d: %w", i, err)
+	}
+	return nil
 }
 
 // weightsResponse mirrors the origin's GET /weights wire format.
@@ -778,42 +750,30 @@ type weightsResponse struct {
 }
 
 // fetchWeights pulls the session video's current profile snapshot from the
-// origin, validating it at the trust boundary: wire-carried weights must
-// match the local chunk count and pass crowd.ValidWeight before they are
-// allowed anywhere near an ABR objective. Wire failures carry errWire (the
-// caller may degrade to its last snapshot); validation failures never do.
+// origin. Wire failures carry errWire (the caller may degrade to its last
+// snapshot); validation failures never do.
 func (c *Client) fetchWeights(ctx context.Context, v *video.Video) (*sensitivity.Profile, error) {
 	f, err := c.fetch(ctx, "/weights?sid="+url.QueryEscape(c.sid), chaos.KindWeights, -1, false)
 	if err != nil {
 		return nil, err
 	}
+	return parseWeights(f.body, v)
+}
+
+// parseWeights decodes and validates a GET /weights body.
+func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 	var wr weightsResponse
-	if err := json.Unmarshal(f.body, &wr); err != nil {
+	if err := json.Unmarshal(body, &wr); err != nil {
 		return nil, fmt.Errorf("dash: decoding weights: %w", err)
 	}
 	if wr.Video != v.Name {
 		return nil, fmt.Errorf("dash: weights are for %q, session streams %q", wr.Video, v.Name)
 	}
-	if wr.Weights == nil && wr.Epoch > 0 {
-		// A weightless payload can only be the epoch-0 placeholder; at a
-		// positive epoch it would silently downgrade a profiled session to
-		// unweighted planning under a fresh-looking epoch stamp.
-		return nil, fmt.Errorf("dash: origin sent epoch %d without weights", wr.Epoch)
+	prof := &sensitivity.Profile{VideoName: wr.Video, Epoch: wr.Epoch, Weights: wr.Weights}
+	if err := checkProfile(prof, v); err != nil {
+		return nil, err
 	}
-	if wr.Weights != nil {
-		if len(wr.Weights) != v.NumChunks() {
-			return nil, fmt.Errorf("dash: origin sent %d weights for %d chunks", len(wr.Weights), v.NumChunks())
-		}
-		for i, w := range wr.Weights {
-			if !crowd.ValidWeight(w) {
-				return nil, fmt.Errorf("dash: origin sent weight %d = %v, want a value in (0, 10]", i, w)
-			}
-		}
-		if wr.Epoch == 0 {
-			return nil, fmt.Errorf("dash: origin sent weighted profile at epoch 0")
-		}
-	}
-	return &sensitivity.Profile{VideoName: wr.Video, Epoch: wr.Epoch, Weights: wr.Weights}, nil
+	return prof, nil
 }
 
 // ratingRequest / ratingResponse mirror the origin's POST /rating wire
@@ -842,61 +802,23 @@ func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating
 	if err != nil {
 		return false, 0, fmt.Errorf("dash: encoding rating: %w", err)
 	}
-	for attempt := 0; ; attempt++ {
-		accepted, respEpoch, transient, err := c.postRatingOnce(ctx, body)
-		if err == nil {
-			return accepted, respEpoch, nil
-		}
-		if !transient || ctx.Err() != nil {
-			return false, 0, err
-		}
-		c.fault(chaos.KindRating)
-		if attempt >= c.Retry.Budget() {
-			return false, 0, fmt.Errorf("dash: posting rating: retry budget exhausted after %d attempts: %w: %w", attempt+1, errWire, err)
-		}
-		c.retry()
-		if !c.backoff(ctx, attempt) {
-			return false, 0, fmt.Errorf("dash: posting rating: %w", ctx.Err())
-		}
-	}
-}
-
-// postRatingOnce issues one POST /rating.
-func (c *Client) postRatingOnce(ctx context.Context, body []byte) (accepted bool, respEpoch uint64, transient bool, err error) {
-	reqCtx, cancel := c.requestContext(ctx)
-	defer cancel()
 	// The sid rides in the query (the body already carries it) so a
 	// sid-routing front like the multi-origin router can steer the rating
 	// to the session's shard without reading the body.
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.BaseURL+"/rating?sid="+url.QueryEscape(c.sid), bytes.NewReader(body))
+	path := "/rating?sid=" + url.QueryEscape(c.sid)
+	err = c.retried(ctx, chaos.KindRating, func(int) (transient bool, err error) {
+		var rr ratingResponse
+		respEpoch, transient, err = c.postJSON(ctx, path, "posting rating", body, &rr)
+		if err == nil && rr.Status != "accepted" && rr.Status != "quarantined" {
+			err = fmt.Errorf("dash: origin returned rating status %q", rr.Status)
+		}
+		accepted = rr.Status == "accepted"
+		return transient, err
+	})
 	if err != nil {
-		return false, 0, false, fmt.Errorf("dash: rating request: %w", err)
+		return false, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	c.markChaosKey(req)
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return false, 0, true, fmt.Errorf("dash: posting rating: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return false, 0, resp.StatusCode >= 500, fmt.Errorf("dash: posting rating: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	if h := resp.Header.Get(WeightEpochHeader); h != "" {
-		respEpoch, _ = strconv.ParseUint(h, 10, 64)
-	}
-	var rr ratingResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return false, 0, false, fmt.Errorf("dash: decoding rating response: %w", err)
-	}
-	switch rr.Status {
-	case "accepted":
-		return true, respEpoch, false, nil
-	case "quarantined":
-		return false, respEpoch, false, nil
-	}
-	return false, 0, false, fmt.Errorf("dash: origin returned rating status %q", rr.Status)
+	return accepted, respEpoch, nil
 }
 
 // validateLadder checks the manifest ladder against the local video model.
@@ -994,6 +916,30 @@ func (c *Client) stall(sec float64) {
 	c.emit(qlog.Event{Kind: qlog.KindStallEnd, Virt: time.Duration(ns)})
 }
 
+// retried runs once under the retry budget of an endpoint of the given
+// kind. A transient failure is ledgered as a fault and retried after the
+// schedule's next backoff pause; a permanent one, or any failure once ctx
+// is dead, is returned as is. Budget exhaustion returns an errWire-marked
+// error — whether there is a degradation rung below it is the caller's
+// business. once's errors name the operation; retried adds only what
+// became of it.
+func (c *Client) retried(ctx context.Context, kind chaos.Kind, once func(attempt int) (transient bool, err error)) error {
+	for attempt := 0; ; attempt++ {
+		transient, err := once(attempt)
+		if err == nil || !transient || ctx.Err() != nil {
+			return err
+		}
+		c.fault(kind)
+		if attempt >= c.Retry.Budget() {
+			return fmt.Errorf("dash: retry budget exhausted after %d attempts: %w: %w", attempt+1, errWire, err)
+		}
+		c.retry()
+		if !c.backoff(ctx, attempt) {
+			return fmt.Errorf("dash: %w while backing off from: %w", ctx.Err(), err)
+		}
+	}
+}
+
 // backoff sleeps out the retry schedule's attempt-th pause on the client's
 // clock; false means ctx fired first.
 func (c *Client) backoff(ctx context.Context, attempt int) bool {
@@ -1012,9 +958,6 @@ func (c *Client) markChaosKey(req *http.Request) {
 // requestContext derives the per-request context with the client's
 // timeout applied.
 func (c *Client) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	timeout := c.RequestTimeout
 	if timeout == 0 {
 		timeout = DefaultRequestTimeout
@@ -1059,7 +1002,13 @@ type fetched struct {
 func (c *Client) fetch(ctx context.Context, path string, kind chaos.Kind, expected int64, discard bool) (*fetched, error) {
 	f := &fetched{}
 	clock := c.clk()
-	for attempt := 0; ; attempt++ {
+	err := c.retried(ctx, kind, func(attempt int) (bool, error) {
+		if attempt > 0 {
+			// The pause just slept is part of the acquisition. Summed as
+			// scheduled, not read off the clock: the result feeds stall
+			// seconds and must not pick up wall-clock jitter.
+			f.totalSec += c.Retry.Delay(attempt - 1).Seconds()
+		}
 		start := clock.Now()
 		body, n, epoch, clen, transient, err := c.getOnce(ctx, path, discard)
 		sec := (clock.Now() - start).Seconds()
@@ -1072,37 +1021,25 @@ func (c *Client) fetch(ctx context.Context, path string, kind chaos.Kind, expect
 				err = fmt.Errorf("dash: GET %s: body is %d bytes, expected %d", path, n, expected)
 			default:
 				f.body, f.bytes, f.epoch, f.sec = body, n, epoch, sec
-				return f, nil
+				return false, nil
 			}
-			// A complete-looking reply of the wrong length is a truncation:
-			// ledger the bytes that did arrive (the origin counted them
-			// served) and keep them out of the throughput history.
-			f.partialBytes += n
-			f.partialSec += sec
-			c.res.Truncations++
+			// A complete-looking reply of the wrong length is a truncation.
 			transient = true
-		} else if transient && ctx.Err() == nil && n > 0 {
-			// A mid-body hangup delivered a prefix before failing; same
-			// two-sided accounting as the length-mismatch case.
-			f.partialBytes += n
-			f.partialSec += sec
-			c.res.Truncations++
+		} else if !transient || ctx.Err() != nil || n == 0 {
+			return transient, err
 		}
-		if !transient || ctx.Err() != nil {
-			return nil, err
-		}
-		c.fault(kind)
-		if attempt >= c.Retry.Budget() {
-			return nil, fmt.Errorf("dash: GET %s: retry budget exhausted after %d attempts: %w: %w", path, attempt+1, errWire, err)
-		}
-		c.retry()
-		d := c.Retry.Delay(attempt)
-		f.totalSec += d.Seconds()
-		c.emit(qlog.Event{Kind: qlog.KindBackoff, Virt: d})
-		if !clock.Sleep(ctx, d) {
-			return nil, fmt.Errorf("dash: GET %s: %w", path, ctx.Err())
-		}
+		// A truncated reply, or a mid-body hangup that delivered a prefix
+		// before failing: ledger the bytes that did arrive (the origin
+		// counted them served) and keep them out of the throughput history.
+		f.partialBytes += n
+		f.partialSec += sec
+		c.res.Truncations++
+		return transient, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	return f, nil
 }
 
 // sinkBufs pools the segment sink's read buffers, sized to the origin's
@@ -1140,9 +1077,7 @@ func (c *Client) drain(r io.Reader) (n int64, err error) {
 
 // getOnce issues one GET and returns the body (nil with discard set), the
 // number of payload bytes read, the weight epoch the response advertised
-// (0 when the header is absent or malformed — an origin that does not
-// speak the extension simply never triggers a refresh), the declared
-// Content-Length (-1 when unknown), and whether a failure is transient. A
+// (see epochBeacon), the declared Content-Length (-1 when unknown), and whether a failure is transient. A
 // body-read failure returns the bytes read so far alongside the error.
 // With discard set the payload is drained through pooled buffers — segment
 // bodies are measured, never parsed, and buffering them would put the whole
@@ -1164,9 +1099,7 @@ func (c *Client) getOnce(ctx context.Context, path string, discard bool) (body [
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, 0, 0, -1, resp.StatusCode >= 500, fmt.Errorf("dash: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if h := resp.Header.Get(WeightEpochHeader); h != "" {
-		epoch, _ = strconv.ParseUint(h, 10, 64)
-	}
+	epoch = epochBeacon(resp)
 	if discard {
 		n, err = c.drain(resp.Body)
 		if err != nil {

@@ -100,7 +100,7 @@ func TestClientClampsPreStall(t *testing.T) {
 		maxCfg float64
 		want   float64
 	}{
-		{"default cap", 0, DefaultMaxPreStallSec},
+		{"default cap", 0, 2}, // player.Config's default
 		{"custom cap", 1.5, 1.5},
 	}
 	for _, tc := range cases {

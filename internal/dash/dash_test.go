@@ -9,7 +9,7 @@ import (
 	"sensei/internal/video"
 )
 
-func testVideo(t *testing.T) *video.Video {
+func testVideo(t testing.TB) *video.Video {
 	t.Helper()
 	full, err := video.ByName("Soccer1")
 	if err != nil {

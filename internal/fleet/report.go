@@ -702,7 +702,7 @@ func reconcile(outcomes []SessionOutcome, r *Report, st origin.Stats) Reconcilia
 			// publish. The slack covers everything one final segment can
 			// legitimately take after that decision: its buffer-full wait
 			// (at most one chunk duration of wall clock, since each chunk
-			// credits chunkDur) plus its download (bounded by the session's
+			// credits one) plus its download (bounded by the session's
 			// whole download wall time). A stale session finishing later
 			// than that provably decided after observing the new epoch and
 			// is a reach failure.

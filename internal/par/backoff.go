@@ -3,6 +3,8 @@ package par
 import (
 	"context"
 	"time"
+
+	"sensei/internal/hashx"
 )
 
 // Defaults for a zero-valued Backoff. The budget is sized against the chaos
@@ -73,7 +75,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	// Deterministic jitter: a splitmix64 draw keyed by (Seed, attempt)
 	// mapped to [0.5, 1.0) de-synchronizes retry storms across sessions
 	// while keeping each session's schedule replayable.
-	h := mix64(b.Seed ^ (uint64(attempt+1) * 0x9e3779b97f4a7c15))
+	h := hashx.Mix64(b.Seed ^ (uint64(attempt+1) * hashx.Gamma))
 	frac := 0.5 + 0.5*float64(h>>11)/(1<<53)
 	return time.Duration(frac * float64(d))
 }
@@ -82,13 +84,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // whether the full pause completed.
 func (b Backoff) Sleep(ctx context.Context, attempt int) bool {
 	return Sleep(ctx, b.Delay(attempt))
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed bijection
-// used wherever the package needs stateless per-index randomness.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

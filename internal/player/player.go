@@ -1,12 +1,12 @@
-// Package player simulates DASH video playback: chunk downloads against a
-// throughput trace, buffer dynamics, rebuffering, and SENSEI's proactive
-// rebuffering action. A Session drives an ABR Algorithm chunk by chunk and
-// produces the qoe.Rendering that the QoE models and user studies consume.
-//
-// The simulator follows the standard discrete-event model used by the ABR
-// literature (and by the paper's own emulation methodology, §2.2): playback
-// drains the buffer while each chunk downloads; an empty buffer stalls
-// playback until the in-flight chunk lands; a full buffer pauses downloads.
+// Package player models DASH video playback: buffer dynamics, rebuffering,
+// and SENSEI's proactive rebuffering action. Playback (playback.go) is the
+// model — the standard discrete-event one used by the ABR literature and by
+// the paper's own emulation methodology (§2.2): playback drains the buffer
+// while each chunk downloads; an empty buffer stalls playback until the
+// in-flight chunk lands; a full buffer pauses downloads. Play drives it
+// against a throughput trace and produces the qoe.Rendering that the QoE
+// models and user studies consume; dash.Client drives the same model over
+// HTTP.
 package player
 
 import (
@@ -136,9 +136,6 @@ type Result struct {
 // may be nil; when present it must have one entry per chunk. It is the
 // frozen-profile convenience wrapper over PlayWithSource.
 func Play(v *video.Video, tr *trace.Trace, alg Algorithm, weights []float64, cfg Config) (*Result, error) {
-	if weights != nil && len(weights) != v.NumChunks() {
-		return nil, fmt.Errorf("player: %d weights for %d chunks", len(weights), v.NumChunks())
-	}
 	return PlayWithSource(v, tr, alg, sensitivity.Freeze(v.Name, weights), cfg)
 }
 
@@ -148,117 +145,30 @@ func Play(v *video.Video, tr *trace.Trace, alg Algorithm, weights []float64, cfg
 // or scripted source lets the profile change mid-session, with each
 // decision seeing one immutable snapshot.
 func PlayWithSource(v *video.Video, tr *trace.Trace, alg Algorithm, src sensitivity.Source, cfg Config) (*Result, error) {
-	cfg.defaults()
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("player: %w", err)
 	}
-	if v.NumChunks() == 0 {
-		return nil, fmt.Errorf("player: video %q has no chunks", v.Name)
+	pb, err := NewPlayback(v, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if src == nil {
 		src = sensitivity.Freeze(v.Name, nil)
 	}
 
+	// The simulator's delivery: time passes on the trace cursor, and a
+	// chunk's acquisition is exactly its download.
 	cur := trace.NewCursor(tr)
-	n := v.NumChunks()
-	rendering := &qoe.Rendering{
-		Video:    v,
-		Rungs:    make([]int, n),
-		StallSec: make([]float64, n),
-	}
-	res := &Result{Rendering: rendering, ChunkEpochs: make([]uint64, n)}
-
-	chunkDur := video.ChunkDuration.Seconds()
-	buffer := 0.0
-	lastRung := -1
-	var thrHist, dlHist []float64
-
-	for i := 0; i < n; i++ {
-		// One immutable snapshot per decision: the profile in force for
-		// this chunk, however the source behind it refreshes.
-		prof, epoch := src.Snapshot()
-		if prof.Weights != nil && len(prof.Weights) != n {
-			return nil, fmt.Errorf("player: epoch %d profile has %d weights for %d chunks", epoch, len(prof.Weights), n)
+	for i := 0; i < v.NumChunks(); i++ {
+		prof, _ := src.Snapshot()
+		d, wait, err := pb.Decide(alg, prof, cur.Now())
+		if err != nil {
+			return nil, err
 		}
-		res.ChunkEpochs[i] = epoch
-		st := &State{
-			Video:         v,
-			ChunkIndex:    i,
-			BufferSec:     buffer,
-			LastRung:      lastRung,
-			ThroughputBps: thrHist,
-			DownloadSec:   dlHist,
-			Weights:       prof.Weights,
-			Sensitivity:   prof,
-			TraceTimeSec:  cur.Now(),
-		}
-		d := alg.Decide(st)
-		if d.Rung < 0 || d.Rung >= len(v.Ladder) {
-			return nil, fmt.Errorf("player: %s chose rung %d for chunk %d (ladder size %d)", alg.Name(), d.Rung, i, len(v.Ladder))
-		}
-		if d.PreStallSec < 0 {
-			return nil, fmt.Errorf("player: %s chose negative proactive stall %v", alg.Name(), d.PreStallSec)
-		}
-		if d.PreStallSec > cfg.MaxPreStallSec {
-			d.PreStallSec = cfg.MaxPreStallSec
-		}
-
-		// Proactive rebuffering (SENSEI action): playback pauses for the
-		// chosen duration while downloading continues, so the buffer level
-		// rises by the stall length (§5.2: "increment the buffer state by
-		// the chosen rebuffering time"). The stall lands in front of the
-		// chunk the decision is for.
-		if d.PreStallSec > 0 && i > 0 {
-			buffer += d.PreStallSec
-			rendering.StallSec[i] += d.PreStallSec
-			res.RebufferSec += d.PreStallSec
-			res.ProactiveStallSec += d.PreStallSec
-		}
-
-		// Wait out a full buffer before starting the download.
-		if buffer+chunkDur > cfg.MaxBufferSec {
-			wait := buffer + chunkDur - cfg.MaxBufferSec
-			cur.Advance(wait)
-			buffer -= wait
-		}
-
+		cur.Advance(wait)
 		size := v.ChunkSizeBits(i, d.Rung)
 		dl := cur.Download(size)
-		res.BitsDownloaded += size
-
-		if i == 0 {
-			// Join delay: playback has not started yet.
-			res.StartupSec = dl
-		} else if dl > buffer {
-			// Buffer ran dry mid-download: playback stalls until the
-			// chunk lands. The stall precedes this chunk's playback.
-			stall := dl - buffer
-			rendering.StallSec[i] += stall
-			res.RebufferSec += stall
-			buffer = 0
-		} else {
-			buffer -= dl
-		}
-		buffer += chunkDur
-
-		rendering.Rungs[i] = d.Rung
-		lastRung = d.Rung
-		thrHist = appendBounded(thrHist, size/dl, cfg.HistoryLen)
-		dlHist = appendBounded(dlHist, dl, cfg.HistoryLen)
+		pb.Deliver(d.Rung, size, dl, dl)
 	}
-
-	res.WallClockSec = cur.Now() + buffer // drain the final buffer
-	if err := rendering.Validate(); err != nil {
-		return nil, fmt.Errorf("player: produced invalid rendering: %w", err)
-	}
-	return res, nil
-}
-
-// appendBounded appends v keeping at most n most-recent entries.
-func appendBounded(xs []float64, v float64, n int) []float64 {
-	xs = append(xs, v)
-	if len(xs) > n {
-		xs = xs[len(xs)-n:]
-	}
-	return xs
+	return pb.Finish(cur.Now())
 }

@@ -326,3 +326,41 @@ func TestPlayRejectsWrongLengthSnapshot(t *testing.T) {
 		t.Fatal("wrong-length snapshot accepted")
 	}
 }
+
+// TestPlayAllocBudget pins the allocation contract: what Play allocates is
+// a per-session constant — the result's per-chunk ledgers, the profile
+// snapshot, the trace cursor and Playback with its two fixed-capacity
+// histories — independent of how many chunks are played. A count, so it
+// repeats exactly on any machine. (Before Playback the loop allocated one
+// State per chunk and regrew both histories as they slid: 27 allocations
+// for 10 chunks, 77 for 50.)
+func TestPlayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	full, err := video.ByName("Soccer1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := flatTrace(3e6, 3600)
+	alg := &fixedAlg{rung: 2}
+	allocs := func(chunks int) float64 {
+		v, err := full.Excerpt(0, chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Play(v, tr, alg, nil, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(50)
+	t.Logf("allocations per Play: %.0f at 10 chunks, %.0f at 50", short, long)
+	if short != long {
+		t.Fatalf("Play allocates per chunk: %.0f allocations for 10 chunks, %.0f for 50", short, long)
+	}
+	if long > 12 {
+		t.Fatalf("%.0f allocations per session exceeds the budget of 12", long)
+	}
+}

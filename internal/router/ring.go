@@ -3,6 +3,8 @@ package router
 import (
 	"fmt"
 	"sort"
+
+	"sensei/internal/hashx"
 )
 
 // ringVnodes is how many virtual points each shard owns on the hash ring.
@@ -35,10 +37,10 @@ func newRing(shards int) *ring {
 		// FNV over near-identical vnode labels clusters; derive the
 		// shard's vnode positions from a splitmix64 sequence instead so
 		// the points scatter uniformly however few shards there are.
-		x := fnv64(fmt.Sprintf("shard-%d", s))
+		x := hashx.FNV1a(fmt.Sprintf("shard-%d", s))
 		for v := 0; v < ringVnodes; v++ {
-			x += 0x9E3779B97F4A7C15
-			points = append(points, point{splitmix64(x), s})
+			points = append(points, point{hashx.Mix64(x), s})
+			x += hashx.Gamma
 		}
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].hash < points[j].hash })
@@ -53,7 +55,7 @@ func newRing(shards int) *ring {
 // from the key's hash. Zero allocations — it sits on the per-segment
 // routing path.
 func (r *ring) Owner(key string) int {
-	h := fnv64(key)
+	h := hashx.FNV1a(key)
 	// First point with hash >= h, wrapping to 0.
 	lo, hi := 0, len(r.hashes)
 	for lo < hi {
@@ -68,25 +70,4 @@ func (r *ring) Owner(key string) int {
 		lo = 0
 	}
 	return r.owners[lo]
-}
-
-// splitmix64 is the finalizer of the splitmix64 PRNG — a cheap, strong
-// 64-bit mix used to scatter vnode points.
-func splitmix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-// fnv64 is inline FNV-1a (no hasher allocation).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -7,7 +7,11 @@
 // experiment harness regenerates the same tables and figures on every run.
 package stats
 
-import "math"
+import (
+	"math"
+
+	"sensei/internal/hashx"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator based on
 // splitmix64. The zero value is usable and equivalent to NewRNG(0).
@@ -27,16 +31,14 @@ func NewRNG(seed uint64) *RNG {
 // stream is decorrelated from the parent by a fixed odd multiplier, so
 // subsystems can fork per-video or per-rater generators without aliasing.
 func (r *RNG) Fork() *RNG {
-	return &RNG{state: r.Uint64()*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019}
+	return &RNG{state: r.Uint64()*hashx.Gamma + 0x632be59bd9b4e019}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := hashx.Mix64(r.state)
+	r.state += hashx.Gamma
+	return z
 }
 
 // Float64 returns a uniform sample in [0, 1).
