@@ -2,572 +2,26 @@
 //
 // Usage:
 //
-//	senseibench [-mode quick|full] [-benchjson file]
-//	            [-check] [-baseline BENCH_baseline.json] [-checktol 4]
-//	            [experiment ...]
+//	senseibench [-mode quick|full] [experiment ...]
 //
 // With no arguments it runs every experiment. Experiment ids: table1, fig1,
 // fig2, fig3, fig4, fig5, fig6, fig12a, fig12b, fig12c, fig13, fig14,
-// fig15, fig16, fig17, fig18, fig20, sanity.
+// fig15, fig16, fig17, fig18, fig20, sanity, appendixb.
 //
-// With -benchjson, per-experiment wall-clock and the subsystem
-// micro-benchmarks (planner tree search vs brute-force oracle, origin
-// segment path, fleet throughput on the wall and virtual clocks,
-// weight-refresh latencies, ingest ratings/sec) are written as JSON, giving CI a perf trajectory across PRs
-// (BENCH_baseline.json holds the committed baseline).
-//
-// With -check the same micro-benchmarks run and are compared against the
-// committed baseline within a tolerance factor (-checktol, default 4x —
-// generous because CI machines vary); any metric regressing past it exits
-// non-zero. Throughput metrics may not drop below baseline/tol, latency
-// metrics may not exceed baseline*tol; baseline fields that are zero or
-// absent are skipped, so older baselines stay checkable.
+// Performance is measured by bench/ (see bench/README.md), not here.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"slices"
 	"time"
 
-	"sensei/internal/abr"
-	"sensei/internal/chaos"
 	"sensei/internal/experiments"
-	"sensei/internal/fleet"
-	"sensei/internal/ingest"
-	"sensei/internal/origin"
-	"sensei/internal/par"
-	"sensei/internal/player"
-	"sensei/internal/qlog"
-	"sensei/internal/router"
-	"sensei/internal/trace"
-	"sensei/internal/vclock"
-	"sensei/internal/video"
 )
-
-// renderer is anything an experiment runner returns.
-type renderer interface{ Render() string }
-
-// benchReport is the -benchjson wire format.
-type benchReport struct {
-	Mode           string             `json:"mode"`
-	GoVersion      string             `json:"go_version"`
-	GOMAXPROCS     int                `json:"gomaxprocs"`
-	Planner        plannerBench       `json:"planner"`
-	Origin         originBench        `json:"origin"`
-	Router         routerBench        `json:"router"`
-	Fleet          fleetBench         `json:"fleet"`
-	Refresh        refreshBench       `json:"refresh"`
-	Ingest         ingestBench        `json:"ingest"`
-	Qlog           qlogBench          `json:"qlog"`
-	ExperimentSec  map[string]float64 `json:"experiment_sec"`
-	TotalSec       float64            `json:"total_sec"`
-	ExperimentList []string           `json:"experiment_list"`
-}
-
-// plannerBench compares one horizon-5 SENSEI-Fugu decision under the tree
-// search and the brute-force oracle.
-type plannerBench struct {
-	TreeNsPerDecision  float64 `json:"tree_ns_per_decision"`
-	BruteNsPerDecision float64 `json:"brute_ns_per_decision"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// timeDecide measures the mean cost of one planning decision.
-func timeDecide(m player.Algorithm, s *player.State, iters int) float64 {
-	m.Decide(s) // warm caches
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		m.Decide(s)
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters)
-}
-
-// plannerMicroBench runs the MPC planner comparison.
-func plannerMicroBench() plannerBench {
-	v := video.TestSet()[0]
-	s := &player.State{
-		Video:         v,
-		ChunkIndex:    12,
-		BufferSec:     7.5,
-		LastRung:      2,
-		ThroughputBps: []float64{1.9e6, 2.4e6, 1.6e6, 2.1e6, 2.8e6},
-		DownloadSec:   []float64{3.8, 3.1, 4.4, 3.5, 2.7},
-		Weights:       v.TrueSensitivity(),
-	}
-	tree := abr.NewSenseiFugu()
-	brute := abr.NewSenseiFugu()
-	brute.BruteForce = true
-	out := plannerBench{
-		TreeNsPerDecision:  timeDecide(tree, s, 2000),
-		BruteNsPerDecision: timeDecide(brute, s, 50),
-	}
-	out.Speedup = out.BruteNsPerDecision / out.TreeNsPerDecision
-	return out
-}
-
-// originBench measures the multi-tenant origin's segment hot path over
-// real TCP with shaping effectively disabled (a near-infinite-rate
-// trace): routing, session lookup and the shared-pattern streaming loop.
-type originBench struct {
-	SegmentsPerSec float64 `json:"segments_per_sec"`
-	MBPerSec       float64 `json:"mb_per_sec"`
-	// SegmentsPerSecParallel is the aggregate rate with 8 sessions streaming
-	// bottom-rung segments concurrently against one origin — the
-	// striped-registry scaling metric (single origin arm; the router bench
-	// is the sharded arm).
-	SegmentsPerSecParallel float64 `json:"segments_per_sec_parallel"`
-	// ChaosIdleSegmentsPerSec re-measures the same path with the chaos
-	// middleware mounted at rate 0 — present but never firing — and
-	// ChaosIdleOverheadPct is the relative cost of that presence. The
-	// contract is "chaos off the hot path": a disabled-but-mounted fault
-	// plane must be effectively free.
-	ChaosIdleSegmentsPerSec float64 `json:"chaos_idle_segments_per_sec"`
-	ChaosIdleOverheadPct    float64 `json:"chaos_idle_overhead_pct"`
-}
-
-// benchSessions is how many concurrent sessions the parallel origin and
-// router micro-benchmarks stream.
-const benchSessions = 8
-
-// parallelSegmentsPerSec drives perSession fetches per joined session with
-// one worker per session and returns the aggregate segment rate.
-func parallelSegmentsPerSec(c *origin.SegmentBenchClient, perSession int) (float64, error) {
-	n := c.Sessions() * perSession
-	start := time.Now()
-	if err := par.ForEachN(n, c.Sessions(), func(i int) error {
-		return c.FetchSession(i % c.Sessions())
-	}); err != nil {
-		return 0, err
-	}
-	return float64(n) / time.Since(start).Seconds(), nil
-}
-
-// originMicroBench serves one session a top-rung segment in a tight loop
-// via the harness shared with BenchmarkOriginSegment, measures the parallel
-// bottom-rung rate with benchSessions concurrent streams, and prices the
-// chaos middleware's mere presence with an idle (zero-rate) policy.
-//
-// The chaos-idle comparison interleaves warmed, paired measurement blocks
-// on both harnesses and takes each side's best block: early baselines
-// measured two cold harnesses back to back, and scheduler noise routinely
-// exceeded the effect being measured, producing a nonsense negative
-// overhead. Best-of-paired-blocks is the standard way to compare two rates
-// whose difference is below the noise floor; the overhead is clamped at 0
-// because the middleware cannot make serving faster.
-func originMicroBench() (originBench, error) {
-	const (
-		warmup = 40
-		block  = 100
-		rounds = 3
-	)
-	plain, err := origin.NewSegmentBenchHarnessWithChaos(nil)
-	if err != nil {
-		return originBench{}, err
-	}
-	defer plain.Close()
-	idlePolicy := chaos.Uniform(1, 0)
-	idle, err := origin.NewSegmentBenchHarnessWithChaos(&idlePolicy)
-	if err != nil {
-		return originBench{}, err
-	}
-	defer idle.Close()
-
-	measure := func(h *origin.SegmentBenchHarness, n int) (float64, error) {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := h.Fetch(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(n) / time.Since(start).Seconds(), nil
-	}
-	if _, err := measure(plain, warmup); err != nil {
-		return originBench{}, err
-	}
-	if _, err := measure(idle, warmup); err != nil {
-		return originBench{}, err
-	}
-	var bestPlain, bestIdle float64
-	for r := 0; r < rounds; r++ {
-		p, err := measure(plain, block)
-		if err != nil {
-			return originBench{}, err
-		}
-		c, err := measure(idle, block)
-		if err != nil {
-			return originBench{}, err
-		}
-		bestPlain = max(bestPlain, p)
-		bestIdle = max(bestIdle, c)
-	}
-	overhead := (bestPlain - bestIdle) / bestPlain * 100
-	if overhead < 0 {
-		overhead = 0
-	}
-
-	pc, err := origin.NewParallelSegmentBenchHarness(benchSessions)
-	if err != nil {
-		return originBench{}, err
-	}
-	defer pc.Close()
-	parallel, err := parallelSegmentsPerSec(pc, 100)
-	if err != nil {
-		return originBench{}, err
-	}
-
-	return originBench{
-		SegmentsPerSec:          bestPlain,
-		MBPerSec:                bestPlain * float64(plain.SegmentBytes) / 1e6,
-		SegmentsPerSecParallel:  parallel,
-		ChaosIdleSegmentsPerSec: bestIdle,
-		ChaosIdleOverheadPct:    overhead,
-	}, nil
-}
-
-// routerBench measures the multi-origin router's parallel segment rate:
-// benchSessions sessions spread by consistent hash across Shards origin
-// shards behind one listener, streaming bottom-rung segments concurrently.
-// Comparable to originBench.SegmentsPerSecParallel — same client, same
-// payload, sharded serving plane.
-type routerBench struct {
-	Shards         int     `json:"shards"`
-	SegmentsPerSec float64 `json:"segments_per_sec"`
-}
-
-// routerMicroBench mirrors BenchmarkRouterSegment.
-func routerMicroBench() (routerBench, error) {
-	const shards = 4
-	c, err := router.NewSegmentBenchHarness(shards, benchSessions)
-	if err != nil {
-		return routerBench{}, err
-	}
-	defer c.Close()
-	rate, err := parallelSegmentsPerSec(c, 100)
-	if err != nil {
-		return routerBench{}, err
-	}
-	return routerBench{Shards: shards, SegmentsPerSec: rate}, nil
-}
-
-// refreshBench measures the live sensitivity plane's control-plane
-// latencies: publishing a new profile epoch on a warm weight service
-// (atomic swap + waiter release + disk persist) and taking a reader-side
-// snapshot — the per-decision cost every ABR consumer pays.
-type refreshBench struct {
-	PublishNsPerOp  float64 `json:"publish_ns_per_op"`
-	SnapshotNsPerOp float64 `json:"snapshot_ns_per_op"`
-}
-
-// refreshMicroBench exercises origin.WeightService directly, persistence
-// included, mirroring BenchmarkWeightRefresh.
-func refreshMicroBench() (refreshBench, error) {
-	dir, err := os.MkdirTemp("", "sensei-refresh-bench-")
-	if err != nil {
-		return refreshBench{}, err
-	}
-	defer os.RemoveAll(dir)
-	full, err := video.ByName("Soccer1")
-	if err != nil {
-		return refreshBench{}, err
-	}
-	v, err := full.Excerpt(0, 8)
-	if err != nil {
-		return refreshBench{}, err
-	}
-	svc := origin.NewWeightService(dir, func(vv *video.Video) ([]float64, error) {
-		return vv.TrueSensitivity(), nil
-	}, nil)
-	if _, err := svc.Get(v); err != nil {
-		return refreshBench{}, err
-	}
-	w := v.TrueSensitivity()
-
-	const publishes = 200
-	start := time.Now()
-	for i := 0; i < publishes; i++ {
-		if _, err := svc.Publish(v, w); err != nil {
-			return refreshBench{}, err
-		}
-	}
-	out := refreshBench{
-		PublishNsPerOp: float64(time.Since(start).Nanoseconds()) / publishes,
-	}
-
-	const snapshots = 200000
-	start = time.Now()
-	for i := 0; i < snapshots; i++ {
-		if _, err := svc.Get(v); err != nil {
-			return refreshBench{}, err
-		}
-	}
-	out.SnapshotNsPerOp = float64(time.Since(start).Nanoseconds()) / snapshots
-	return out, nil
-}
-
-// ingestBench measures the feedback plane's rating hot path: one shard
-// lock, a window fold and a gate check per call (internal/ingest), with the
-// gate pinned shut so no campaign runs.
-type ingestBench struct {
-	RatingsPerSec float64 `json:"ratings_per_sec"`
-}
-
-// benchEpoch1 is the constant weight plane the ingest bench runs against.
-type benchEpoch1 struct{}
-
-func (benchEpoch1) EpochOf(string) uint64 { return 1 }
-func (benchEpoch1) RefreshWindow(string, int, int) (uint64, error) {
-	return 0, fmt.Errorf("bench: gate must never pass")
-}
-
-// ingestMicroBench mirrors BenchmarkIngest.
-func ingestMicroBench() (ingestBench, error) {
-	full, err := video.ByName("Soccer1")
-	if err != nil {
-		return ingestBench{}, err
-	}
-	v, err := full.Excerpt(0, 8)
-	if err != nil {
-		return ingestBench{}, err
-	}
-	plane, err := ingest.New(ingest.Config{MinWeightDelta: 1e9}, benchEpoch1{}, nil)
-	if err != nil {
-		return ingestBench{}, err
-	}
-	defer plane.Close()
-	const ratings = 200000
-	start := time.Now()
-	for i := 0; i < ratings; i++ {
-		if _, err := plane.Ingest(v, i%v.NumChunks(), 1, 1+i%5); err != nil {
-			return ingestBench{}, err
-		}
-	}
-	return ingestBench{RatingsPerSec: ratings / time.Since(start).Seconds()}, nil
-}
-
-// qlogBench prices the event plane. AppendNs is the cost of one hot-path
-// emit — a ring push plus the registry bump — measured in a tight loop with
-// the ring drained every lap so every push takes the success path.
-// EventsSegmentsPerSec re-measures the origin segment path with the event
-// plane on (per-segment ring mirror + three registry observations), and
-// OverheadPct is the relative cost of that presence versus the plain
-// harness — the "observability never blocks the hot path" contract,
-// measured the same warmed paired-block best-of way as the chaos-idle
-// comparison and clamped at 0.
-type qlogBench struct {
-	AppendNs             float64 `json:"append_ns"`
-	EventsSegmentsPerSec float64 `json:"events_segments_per_sec"`
-	OverheadPct          float64 `json:"overhead_pct"`
-}
-
-// qlogMicroBench measures the emit hot path and the end-to-end serving tax.
-func qlogMicroBench() (qlogBench, error) {
-	// Emit micro-bench: push through the ring in full-capacity laps,
-	// draining between laps so no push ever takes the drop path. The drain
-	// is outside the timed region.
-	ring := qlog.NewRing(qlog.DefaultRingCapacity)
-	metrics := &qlog.Metrics{}
-	ev := qlog.Event{Kind: qlog.KindChunkDone, Chunk: 3, Rung: 2, Bytes: 1 << 20}
-	const laps = 512
-	var buf []qlog.Event
-	var emitNs time.Duration
-	for lap := 0; lap < laps; lap++ {
-		start := time.Now()
-		for i := 0; i < qlog.DefaultRingCapacity; i++ {
-			qlog.Emit(ring, metrics, ev)
-		}
-		emitNs += time.Since(start)
-		buf = ring.Drain(buf[:0])
-	}
-	out := qlogBench{
-		AppendNs: float64(emitNs.Nanoseconds()) / float64(laps*qlog.DefaultRingCapacity),
-	}
-	if ring.Drops() != 0 {
-		return out, fmt.Errorf("qlog bench: %d drops on a drained ring", ring.Drops())
-	}
-
-	// Serving tax: warmed paired blocks on a plain and an events-on origin,
-	// best of each side (see originMicroBench for why paired-best).
-	const (
-		warmup = 40
-		block  = 100
-		rounds = 3
-	)
-	plain, err := origin.NewSegmentBenchHarnessWithChaos(nil)
-	if err != nil {
-		return out, err
-	}
-	defer plain.Close()
-	events, err := origin.NewSegmentBenchHarnessWithEvents()
-	if err != nil {
-		return out, err
-	}
-	defer events.Close()
-	measure := func(h *origin.SegmentBenchHarness, n int) (float64, error) {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := h.Fetch(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(n) / time.Since(start).Seconds(), nil
-	}
-	if _, err := measure(plain, warmup); err != nil {
-		return out, err
-	}
-	if _, err := measure(events, warmup); err != nil {
-		return out, err
-	}
-	var bestPlain, bestEvents float64
-	for r := 0; r < rounds; r++ {
-		p, err := measure(plain, block)
-		if err != nil {
-			return out, err
-		}
-		e, err := measure(events, block)
-		if err != nil {
-			return out, err
-		}
-		bestPlain = max(bestPlain, p)
-		bestEvents = max(bestEvents, e)
-	}
-	out.EventsSegmentsPerSec = bestEvents
-	out.OverheadPct = (bestPlain - bestEvents) / bestPlain * 100
-	if out.OverheadPct < 0 {
-		out.OverheadPct = 0
-	}
-	return out, nil
-}
-
-// fleetBench summarizes one end-to-end fleet run (internal/fleet): a
-// 16-session mixed-ABR fleet over 4 videos with shaping effectively
-// disabled, so sessions/sec tracks harness + client + origin overhead
-// rather than trace replay. Mirrors BenchmarkFleet.
-type fleetBench struct {
-	Sessions       int     `json:"sessions"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	SegmentsPerSec float64 `json:"segments_per_sec"`
-	Reconciled     bool    `json:"reconciled"`
-	// VclockSessionsPerSec runs the same-sized fleet on the discrete-event
-	// virtual clock, paced at timescale 1 over a realistic trace — a
-	// workload the wall clock would have to serve in real stream time —
-	// and reports sessions completed per wall second. VclockSpeedup is
-	// simulated seconds per wall second for that run.
-	VclockSessionsPerSec float64 `json:"vclock_sessions_per_sec"`
-	VclockSpeedup        float64 `json:"vclock_speedup"`
-}
-
-// fleetMicroBench runs the fleet harness once and reports its throughput.
-func fleetMicroBench() (fleetBench, error) {
-	catalog := make([]*video.Video, 0, 4)
-	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
-		full, err := video.ByName(name)
-		if err != nil {
-			return fleetBench{}, err
-		}
-		v, err := full.Excerpt(0, 4)
-		if err != nil {
-			return fleetBench{}, err
-		}
-		catalog = append(catalog, v)
-	}
-	report, err := fleet.Run(context.Background(), fleet.Config{
-		Sessions:   16,
-		Videos:     catalog,
-		Traces:     map[string]*trace.Trace{"wire": {Name: "wire", BitsPerSecond: []float64{1e9}}},
-		TimeScales: []float64{0.001},
-	})
-	if err != nil {
-		return fleetBench{}, err
-	}
-	if report.Failed > 0 || !report.Reconciliation.Ok {
-		return fleetBench{}, fmt.Errorf("fleet bench did not reconcile:\n%s", report.Render())
-	}
-	// The virtual-clock arm: real-time pacing (timescale 1) on a flat
-	// 32 Mbps trace, which the wall clock would serve in stream time; on
-	// the virtual clock the run is CPU-bound, so sessions/sec measures the
-	// discrete-event engine, not the trace.
-	vreport, err := fleet.Run(context.Background(), fleet.Config{
-		Sessions:   16,
-		Videos:     catalog,
-		Traces:     map[string]*trace.Trace{"flat": {Name: "flat", BitsPerSecond: []float64{3.2e7}}},
-		TimeScales: []float64{1},
-		Clock:      vclock.NewVirtual(),
-	})
-	if err != nil {
-		return fleetBench{}, err
-	}
-	if vreport.Failed > 0 || !vreport.Reconciliation.Ok {
-		return fleetBench{}, fmt.Errorf("vclock fleet bench did not reconcile:\n%s", vreport.Render())
-	}
-	return fleetBench{
-		Sessions:             report.Sessions,
-		SessionsPerSec:       report.SessionsPerSec,
-		SegmentsPerSec:       float64(report.SegmentsDownloaded) / report.ElapsedSec,
-		Reconciled:           report.Reconciliation.Ok,
-		VclockSessionsPerSec: vreport.SessionsPerSec,
-		VclockSpeedup:        vreport.Speedup,
-	}, nil
-}
-
-// checkAgainstBaseline compares a fresh report to the committed baseline
-// within a tolerance factor and returns the list of regressions. Baseline
-// fields that are zero (absent in an older file) are skipped.
-func checkAgainstBaseline(cur, base benchReport, tol float64) []string {
-	var regressions []string
-	// Throughput-shaped metrics must not drop below baseline/tol.
-	higher := func(name string, got, want float64) {
-		if want > 0 && got < want/tol {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.1f vs baseline %.1f (floor %.1f at %.1fx tolerance)", name, got, want, want/tol, tol))
-		}
-	}
-	// Latency-shaped metrics must not exceed baseline*tol.
-	lower := func(name string, got, want float64) {
-		if want > 0 && got > want*tol {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.1f vs baseline %.1f (ceiling %.1f at %.1fx tolerance)", name, got, want, want*tol, tol))
-		}
-	}
-	higher("planner speedup", cur.Planner.Speedup, base.Planner.Speedup)
-	higher("origin segments/s", cur.Origin.SegmentsPerSec, base.Origin.SegmentsPerSec)
-	higher("origin parallel segments/s", cur.Origin.SegmentsPerSecParallel, base.Origin.SegmentsPerSecParallel)
-	higher("origin chaos-idle segments/s", cur.Origin.ChaosIdleSegmentsPerSec, base.Origin.ChaosIdleSegmentsPerSec)
-	higher("router segments/s", cur.Router.SegmentsPerSec, base.Router.SegmentsPerSec)
-	higher("fleet sessions/s", cur.Fleet.SessionsPerSec, base.Fleet.SessionsPerSec)
-	higher("fleet vclock sessions/s", cur.Fleet.VclockSessionsPerSec, base.Fleet.VclockSessionsPerSec)
-	higher("ingest ratings/s", cur.Ingest.RatingsPerSec, base.Ingest.RatingsPerSec)
-	higher("qlog events-on segments/s", cur.Qlog.EventsSegmentsPerSec, base.Qlog.EventsSegmentsPerSec)
-	lower("refresh publish ns/op", cur.Refresh.PublishNsPerOp, base.Refresh.PublishNsPerOp)
-	lower("refresh snapshot ns/op", cur.Refresh.SnapshotNsPerOp, base.Refresh.SnapshotNsPerOp)
-	lower("qlog append ns/op", cur.Qlog.AppendNs, base.Qlog.AppendNs)
-	// The event plane's serving tax is gated absolutely, not against the
-	// baseline: the contract is "observability never blocks the hot path",
-	// and a ≤5% paired-best overhead is that contract's number.
-	if cur.Qlog.OverheadPct > 5 {
-		regressions = append(regressions,
-			fmt.Sprintf("qlog overhead: %.1f%% vs the 5%% absolute ceiling", cur.Qlog.OverheadPct))
-	}
-	// The experiment wall-clock is only comparable when this run covered
-	// the same experiments at the same mode as the baseline: a subset run
-	// would trivially pass (masking a slowdown), a -mode full run against
-	// a quick baseline would spuriously fail.
-	if cur.Mode == base.Mode && slices.Equal(cur.ExperimentList, base.ExperimentList) {
-		lower("experiments total sec", cur.TotalSec, base.TotalSec)
-	}
-	return regressions
-}
 
 func main() {
 	mode := flag.String("mode", "quick", "experiment scale: quick or full")
-	benchJSON := flag.String("benchjson", "", "write a JSON perf baseline to this file")
-	check := flag.Bool("check", false, "compare this run against -baseline and exit non-zero on regression")
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline for -check")
-	checkTol := flag.Float64("checktol", 4, "regression tolerance factor for -check")
 	flag.Parse()
 
 	var labMode experiments.Mode
@@ -582,44 +36,15 @@ func main() {
 	}
 	lab := experiments.NewLab(labMode)
 
-	runners := map[string]func() (renderer, error){
-		"table1":    func() (renderer, error) { return lab.Table1(), nil },
-		"fig1":      func() (renderer, error) { return lab.Fig1() },
-		"fig2":      func() (renderer, error) { return lab.Fig2() },
-		"fig3":      func() (renderer, error) { return lab.Fig3() },
-		"fig4":      func() (renderer, error) { return lab.Fig4() },
-		"fig5":      func() (renderer, error) { return lab.Fig5() },
-		"fig6":      func() (renderer, error) { return lab.Fig6() },
-		"fig12a":    func() (renderer, error) { return lab.Fig12a() },
-		"fig12b":    func() (renderer, error) { return lab.Fig12b() },
-		"fig12c":    func() (renderer, error) { return lab.Fig12c() },
-		"fig13":     func() (renderer, error) { return lab.Fig13() },
-		"fig14":     func() (renderer, error) { return lab.Fig14() },
-		"fig15":     func() (renderer, error) { return lab.Fig15() },
-		"fig16":     func() (renderer, error) { return lab.Fig16() },
-		"fig17":     func() (renderer, error) { return lab.Fig17() },
-		"fig18":     func() (renderer, error) { return lab.Fig18() },
-		"fig20":     func() (renderer, error) { return lab.Fig20() },
-		"sanity":    func() (renderer, error) { return lab.Sanity() },
-		"appendixb": func() (renderer, error) { return lab.AppendixB() },
+	runners := make(map[string]func(*experiments.Lab) (string, error), len(experiments.All))
+	var ids []string
+	for _, e := range experiments.All {
+		runners[e.ID] = e.Run
+		ids = append(ids, e.ID)
 	}
-	order := []string{
-		"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15",
-		"fig16", "fig17", "fig18", "fig20", "sanity", "appendixb",
+	if flag.NArg() > 0 {
+		ids = flag.Args()
 	}
-
-	ids := flag.Args()
-	if len(ids) == 0 {
-		ids = order
-	}
-	report := benchReport{
-		Mode:          *mode,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		ExperimentSec: map[string]float64{},
-	}
-	total := time.Now()
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
@@ -627,101 +52,12 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		res, err := run()
+		out, err := run(lab)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "senseibench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start).Seconds()
-		fmt.Println(res.Render())
-		fmt.Printf("[%s completed in %.1fs]\n\n", id, elapsed)
-		report.ExperimentSec[id] = elapsed
-		report.ExperimentList = append(report.ExperimentList, id)
-	}
-	report.TotalSec = time.Since(total).Seconds()
-
-	if *benchJSON != "" || *check {
-		report.Planner = plannerMicroBench()
-		ob, err := originMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: origin bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Origin = ob
-		rtb, err := routerMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: router bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Router = rtb
-		fb, err := fleetMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: fleet bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Fleet = fb
-		rb, err := refreshMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: refresh bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Refresh = rb
-		ib, err := ingestMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: ingest bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Ingest = ib
-		qb, err := qlogMicroBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: qlog bench: %v\n", err)
-			os.Exit(1)
-		}
-		report.Qlog = qb
-		fmt.Printf("[perf: planner %.0fx, origin %.0f seg/s serial / %.0f parallel (chaos-idle %.0f, %+.1f%%), router×%d %.0f seg/s, fleet %.0f sess/s (vclock %.0f, %.0fx real time), refresh publish %.0fµs / snapshot %.0fns, ingest %.0f ratings/s, qlog emit %.0fns (events-on %.0f seg/s, %+.1f%%), total %.1fs]\n",
-			report.Planner.Speedup, report.Origin.SegmentsPerSec, report.Origin.SegmentsPerSecParallel,
-			report.Origin.ChaosIdleSegmentsPerSec, report.Origin.ChaosIdleOverheadPct,
-			report.Router.Shards, report.Router.SegmentsPerSec,
-			report.Fleet.SessionsPerSec, report.Fleet.VclockSessionsPerSec, report.Fleet.VclockSpeedup,
-			report.Refresh.PublishNsPerOp/1e3, report.Refresh.SnapshotNsPerOp, report.Ingest.RatingsPerSec,
-			report.Qlog.AppendNs, report.Qlog.EventsSegmentsPerSec, report.Qlog.OverheadPct, report.TotalSec)
-	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: writing %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: closing %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[perf baseline written to %s]\n", *benchJSON)
-	}
-	if *check {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: reading baseline: %v\n", err)
-			os.Exit(1)
-		}
-		var base benchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "senseibench: decoding %s: %v\n", *baselinePath, err)
-			os.Exit(1)
-		}
-		if regressions := checkAgainstBaseline(report, base, *checkTol); len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "senseibench: PERF REGRESSION vs %s:\n", *baselinePath)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  - %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("[perf check passed against %s at %.1fx tolerance]\n", *baselinePath, *checkTol)
+		fmt.Println(out)
+		fmt.Printf("[%s completed in %.1fs]\n\n", id, time.Since(start).Seconds())
 	}
 }

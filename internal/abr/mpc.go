@@ -1,12 +1,10 @@
 package abr
 
 import (
-	"math"
 	"sync"
 
 	"sensei/internal/player"
 	"sensei/internal/qoe"
-	"sensei/internal/trace"
 	"sensei/internal/video"
 )
 
@@ -42,12 +40,6 @@ type MPC struct {
 	RiskAversion float64
 	// Quality configures the per-chunk kernel q(b, t).
 	Quality qoe.QualityParams
-	// BruteForce selects the original flat base-nRungs plan enumeration
-	// instead of the pruned tree search. The two planners return
-	// byte-identical decisions (TestTreePlannerMatchesBruteForce); the flag
-	// exists so the slow exhaustive planner remains available as the
-	// correctness oracle for tests and benchmarks.
-	BruteForce bool
 
 	// vmafCache memoizes per-video VMAF tables. Keyed per video so one
 	// algorithm instance can serve many sessions — concurrently and across
@@ -142,8 +134,8 @@ func (m *MPC) decide(t *treeSearch, s *player.State) player.Decision {
 	}
 	tbl := m.table(s.Video)
 
-	// One sensitivity snapshot per decision: both planners receive this
-	// slice explicitly and never re-read the state, so a live profile
+	// One sensitivity snapshot per decision: the planner receives this
+	// slice explicitly and never re-reads the state, so a live profile
 	// refresh lands between plans, never inside one.
 	weights := s.SensitivityWeights()
 
@@ -151,119 +143,7 @@ func (m *MPC) decide(t *treeSearch, s *player.State) player.Decision {
 	if m.Sensitivity && len(m.PreStallChoices) > 0 && s.ChunkIndex > 0 {
 		preStalls = m.PreStallChoices
 	}
-	if m.BruteForce {
-		return m.decideBrute(s, tbl, horizon, preStalls, pred.Predict(s.ThroughputBps), weights)
-	}
 	return m.decideTree(t, s, tbl, horizon, preStalls, pred, weights)
-}
-
-// decideBrute is the exhaustive planner: every base-nRungs rung sequence
-// over the horizon is simulated from scratch under every scenario. It is
-// kept verbatim as the correctness oracle for the tree search.
-func (m *MPC) decideBrute(s *player.State, tbl *vmafTable, horizon int, preStalls []float64, scenarios []Scenario, weights []float64) player.Decision {
-	nRungs := len(s.Video.Ladder)
-	bestScore := math.Inf(-1)
-	bestNoStall := math.Inf(-1)
-	best := player.Decision{Rung: 0}
-	var bestStallDecision player.Decision
-	bestStallScore := math.Inf(-1)
-
-	// Enumerate plans: a proactive stall for the immediate chunk times a
-	// rung sequence over the horizon. Sequences are enumerated in base
-	// nRungs; the first element is the acted-on decision.
-	plan := make([]int, horizon)
-	total := 1
-	for i := 0; i < horizon; i++ {
-		total *= nRungs
-	}
-	for _, pre := range preStalls {
-		for code := 0; code < total; code++ {
-			c := code
-			for i := 0; i < horizon; i++ {
-				plan[i] = c % nRungs
-				c /= nRungs
-			}
-			score := m.scorePlan(s, tbl, plan, pre, scenarios, weights)
-			if pre == 0 && score > bestNoStall {
-				bestNoStall = score
-				best = player.Decision{Rung: plan[0]}
-			}
-			if pre > 0 && score > bestStallScore {
-				bestStallScore = score
-				bestStallDecision = player.Decision{Rung: plan[0], PreStallSec: pre}
-			}
-			if score > bestScore {
-				bestScore = score
-			}
-		}
-	}
-	// Proactive stalls must clear the margin over the best stall-free plan.
-	if bestStallScore > bestNoStall+m.PreStallMargin {
-		return bestStallDecision
-	}
-	return best
-}
-
-// scorePlan simulates the plan under each scenario and returns the
-// risk-adjusted score: (1−λ)·expected + λ·worst-scenario.
-func (m *MPC) scorePlan(s *player.State, tbl *vmafTable, plan []int, pre float64, scenarios []Scenario, weights []float64) float64 {
-	stallScale := math.Sqrt(float64(s.Video.NumChunks())) / 1.75
-	chunkDur := video.ChunkDuration.Seconds()
-	var expected float64
-	worst := math.Inf(1)
-	for _, sc := range scenarios {
-		var cur *trace.Cursor
-		if sc.Exact != nil {
-			cur = trace.NewCursor(sc.Exact)
-			cur.Advance(sc.StartSec)
-		}
-		buffer := s.BufferSec + pre
-		prev := s.LastRung
-		var totalQ float64
-		// Proactive stall cost applies to the immediate chunk under every
-		// scenario.
-		stall := pre
-		for k, rung := range plan {
-			i := s.ChunkIndex + k
-			var dl float64
-			if cur != nil {
-				dl = cur.Download(s.Video.ChunkSizeBits(i, rung))
-			} else {
-				dl = s.Video.ChunkSizeBits(i, rung) / sc.Bps
-			}
-			if dl > buffer {
-				stall += dl - buffer
-				buffer = 0
-			} else {
-				buffer -= dl
-			}
-			buffer += chunkDur
-
-			q := tbl.v[i][rung]
-			// The conversions round each product before it is subtracted,
-			// as the tree search's tabulated switch cost is rounded, so the
-			// two planners agree bit for bit even where the compiler may
-			// fuse a multiply into the subtraction.
-			q -= float64(stallScale * m.Quality.StallCost(stall))
-			if prev >= 0 {
-				q -= float64(m.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, prev)))
-			}
-			if m.Sensitivity && weights != nil {
-				q *= weights[i]
-			}
-			totalQ += q
-			prev = rung
-			stall = 0
-		}
-		expected += sc.P * totalQ
-		if totalQ < worst {
-			worst = totalQ
-		}
-	}
-	if len(scenarios) > 1 && m.RiskAversion > 0 {
-		return (1-m.RiskAversion)*expected + m.RiskAversion*worst
-	}
-	return expected
 }
 
 // prevVMAF returns the VMAF of the previous chunk at the given rung,

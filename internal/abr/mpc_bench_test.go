@@ -44,11 +44,7 @@ func BenchmarkMPCDecide(b *testing.B) {
 	}
 
 	b.Run("Tree/Harmonic", func(b *testing.B) { run(b, NewSenseiFugu()) })
-	b.Run("Brute/Harmonic", func(b *testing.B) {
-		m := NewSenseiFugu()
-		m.BruteForce = true
-		run(b, m)
-	})
+	b.Run("Brute/Harmonic", func(b *testing.B) { run(b, bruteOf(NewSenseiFugu())) })
 	b.Run("Tree/Oracle", func(b *testing.B) {
 		m := NewOracle(tr, true)
 		m.Horizon = 5
@@ -57,7 +53,6 @@ func BenchmarkMPCDecide(b *testing.B) {
 	b.Run("Brute/Oracle", func(b *testing.B) {
 		m := NewOracle(tr, true)
 		m.Horizon = 5
-		m.BruteForce = true
-		run(b, m)
+		run(b, bruteOracle(m))
 	})
 }

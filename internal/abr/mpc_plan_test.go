@@ -33,7 +33,7 @@ func (p *plannerPair) Decide(s *player.State) player.Decision {
 }
 
 // mpcVariant builds one planner configuration twice: the tree search and
-// the flagged brute-force oracle. MPC holds a sync.Map, so variants are
+// the brute-force oracle. MPC holds a sync.Map, so variants are
 // constructed twice rather than copied.
 type mpcVariant struct {
 	name  string
@@ -42,15 +42,14 @@ type mpcVariant struct {
 }
 
 // build returns (tree, brute) instances of the variant.
-func (v mpcVariant) build() (*MPC, *MPC) {
+func (v mpcVariant) build() (*MPC, player.Algorithm) {
 	tree := v.base()
 	brute := v.base()
 	if v.tweak != nil {
 		v.tweak(tree)
 		v.tweak(brute)
 	}
-	brute.BruteForce = true
-	return tree, brute
+	return tree, bruteOf(brute)
 }
 
 // TestTreePlannerMatchesBruteForce proves the tentpole invariant: across a
@@ -111,8 +110,7 @@ func TestTreePlannerMatchesBruteForceOracle(t *testing.T) {
 	for ti, tr := range []*trace.Trace{trace.TestSet()[1], trace.TestSet()[5]} {
 		for _, aware := range []bool{false, true} {
 			tree := NewOracle(tr, aware)
-			brute := NewOracle(tr, aware)
-			brute.BruteForce = true
+			brute := bruteOracle(NewOracle(tr, aware))
 			pair := &plannerPair{t: t, name: fmt.Sprintf("oracle-aware=%v/t%d", aware, ti), tree: tree, brute: brute}
 			var w []float64
 			if aware {
@@ -132,8 +130,7 @@ func TestTreePlannerMatchesBruteForceFuzz(t *testing.T) {
 	rng := stats.NewRNG(0x7ee5)
 	videos := video.TestSet()[:4]
 	tree := NewSenseiFugu()
-	brute := NewSenseiFugu()
-	brute.BruteForce = true
+	brute := bruteOf(NewSenseiFugu())
 	for trial := 0; trial < 200; trial++ {
 		v := videos[rng.Intn(len(videos))]
 		hist := make([]float64, rng.Intn(8))

@@ -28,7 +28,14 @@ type AppendixBResult struct {
 
 // AppendixB runs the survey-mechanics study.
 func (l *Lab) AppendixB() (*AppendixBResult, error) {
-	mturk, inlab, err := l.Populations()
+	_, inlab, err := l.Populations()
+	if err != nil {
+		return nil, err
+	}
+	// Surveys advance each rater's sequential stream, so the study runs on
+	// its own copy of the MTurk pool: its result must not depend on how
+	// often it already ran on this lab.
+	mturk, err := mos.NewPopulation(l.mturkConfig())
 	if err != nil {
 		return nil, err
 	}

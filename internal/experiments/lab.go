@@ -145,11 +145,7 @@ func (l *Lab) TestTraces() []*trace.Trace { return trace.TestSet() }
 // Populations returns the MTurk-like and in-lab rater pools.
 func (l *Lab) Populations() (mturk, inlab *mos.Population, err error) {
 	l.oncePop.Do(func() {
-		size := 60000
-		if l.Mode == Quick {
-			size = 20000
-		}
-		l.mturkPop, l.popErr = mos.NewPopulation(mos.PopulationConfig{Size: size, Seed: 0x717, MasterFraction: 1})
+		l.mturkPop, l.popErr = mos.NewPopulation(l.mturkConfig())
 		if l.popErr != nil {
 			return
 		}
@@ -159,6 +155,15 @@ func (l *Lab) Populations() (mturk, inlab *mos.Population, err error) {
 		l.inlabPop, l.popErr = mos.NewPopulation(mos.PopulationConfig{Size: 400, Seed: 0x1ab, MasterFraction: 1})
 	})
 	return l.mturkPop, l.inlabPop, l.popErr
+}
+
+// mturkConfig configures the MTurk-like rater pool.
+func (l *Lab) mturkConfig() mos.PopulationConfig {
+	size := 60000
+	if l.Mode == Quick {
+		size = 20000
+	}
+	return mos.PopulationConfig{Size: size, Seed: 0x717, MasterFraction: 1}
 }
 
 // trueMOS rates a rendering with the lab's standard rater budget.

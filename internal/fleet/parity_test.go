@@ -11,6 +11,7 @@ import (
 	"sensei/internal/origin"
 	"sensei/internal/player"
 	"sensei/internal/sensitivity"
+	"sensei/internal/stats"
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
@@ -200,13 +201,20 @@ func TestParityScriptedEpochFlip(t *testing.T) {
 
 // TestWallClockParitySmoke is the one proof left on the wall clock, over
 // loopback TCP like dashserver/dashclient: it asserts the tolerance
-// contract — measured throughput within ±20 % of the trace, stalls within
-// stallTolerance of the simulator's — and deliberately not the rung
+// contract — the shaper never delivers faster than the trace (every chunk
+// ≤ 1.2× its rate), pacing is real (the median chunk ≥ 0.8× it), stalls
+// within stallTolerance of the simulator's — and deliberately not the rung
 // sequence, which on a wall clock also records which side of a planner
 // boundary the scheduler's noise landed on.
+//
+// Only the upper bound holds per chunk. CPU contention can only lengthen a
+// download, and dash.Shaper.Throttle syncs its cursor forward to now, so
+// an overslept chunk earns no credit: one starved chunk reads slow (1.96
+// Mbps on this 2.5 Mbps trace under CPU contention) without the shaper
+// being wrong. The median still catches a shaper that paces too slowly.
 func TestWallClockParitySmoke(t *testing.T) {
 	// The shaped transfer must dwarf per-request protocol overhead (more so
-	// under the race detector) for the samples to stay inside ±20 %.
+	// under the race detector) for the samples to stay inside the bounds.
 	scale := 0.05
 	if raceEnabled {
 		scale = 0.15
@@ -229,9 +237,12 @@ func TestWallClockParitySmoke(t *testing.T) {
 	}
 
 	for i, bps := range sess.ThroughputBps {
-		if bps < parityRate*0.8 || bps > parityRate*1.2 {
+		if bps > parityRate*1.2 {
 			t.Fatalf("chunk %d measured %.2f Mbps on a flat %.1f Mbps trace", i, bps/1e6, parityRate/1e6)
 		}
+	}
+	if med := stats.Percentile(sess.ThroughputBps, 0.5); med < parityRate*0.8 {
+		t.Fatalf("median chunk measured %.2f Mbps on a flat %.1f Mbps trace", med/1e6, parityRate/1e6)
 	}
 	if d := math.Abs(simRes.RebufferSec - sess.RebufferVirtualSec); d > stallTolerance {
 		t.Fatalf("stall totals diverge by %.3fs (tolerance %.2f): simulator %.3f, client %.3f",

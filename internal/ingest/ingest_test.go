@@ -479,7 +479,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 // BenchmarkIngest measures the rating hot path: one shard lock, a window
-// fold and the gate check per call (the senseibench ratings/sec figure).
+// fold and the gate check per call.
 func BenchmarkIngest(b *testing.B) {
 	v := testVideo(b)
 	ref := &stubRefresher{epoch: 1}

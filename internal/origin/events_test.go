@@ -16,11 +16,7 @@ import (
 // newEventsOrigin builds an in-memory origin with the event plane on.
 func newEventsOrigin(t testing.TB) *Origin {
 	t.Helper()
-	cfg, err := BenchConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Profile = trueSensitivityProfile
+	cfg := hotPathConfig(t)
 	cfg.Events = &EventsConfig{RingCapacity: 1 << 12}
 	o, err := New(cfg)
 	if err != nil {
@@ -53,10 +49,10 @@ func TestSegmentSteadyStateZeroAllocEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, BenchRung, s.id), nil)
+		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, hotPathRung, s.id), nil)
 	req.SetPathValue("video", v.Name)
 	req.SetPathValue("chunk", "0")
-	req.SetPathValue("rung", fmt.Sprint(BenchRung))
+	req.SetPathValue("rung", fmt.Sprint(hotPathRung))
 	w := &nullResponseWriter{h: make(http.Header)}
 
 	o.handleSegment(w, req) // warm
@@ -147,7 +143,7 @@ func TestOriginEventsDrain(t *testing.T) {
 
 	const segments = 3
 	for c := 0; c < segments; c++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v/%s/segment/%d/%d?sid=%s", base, v.Name, c, BenchRung, sid))
+		resp, err := http.Get(fmt.Sprintf("%s/v/%s/segment/%d/%d?sid=%s", base, v.Name, c, hotPathRung, sid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +207,7 @@ func TestOriginEventsDrain(t *testing.T) {
 	}
 
 	// One more segment, drained incrementally from the cursor.
-	resp, err := http.Get(fmt.Sprintf("%s/v/%s/segment/%d/%d?sid=%s", base, v.Name, segments, BenchRung, sid))
+	resp, err := http.Get(fmt.Sprintf("%s/v/%s/segment/%d/%d?sid=%s", base, v.Name, segments, hotPathRung, sid))
 	if err != nil {
 		t.Fatal(err)
 	}

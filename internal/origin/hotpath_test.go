@@ -9,20 +9,36 @@ import (
 	"testing"
 	"time"
 
+	"sensei/internal/chaos"
 	"sensei/internal/dash"
+	"sensei/internal/trace"
+	"sensei/internal/video"
 )
 
-// newHotPathOrigin builds an in-memory origin on the bench catalog
-// (profiled, wire trace) without starting a TCP server — these tests
-// exercise the handlers and registry directly.
+// hotPathRung is the ladder rung the hot-path tests request.
+const hotPathRung = 0
+
+// hotPathConfig is the origin the hot-path tests serve: the first 6 chunks
+// of Soccer1, profiled, behind a near-infinite-rate trace, so shaping
+// sleeps vanish and what is left is routing, session resolve and the
+// streaming loop.
+func hotPathConfig(t testing.TB) Config {
+	t.Helper()
+	return Config{
+		Catalog:      []*video.Video{excerptOf(t, "Soccer1", 6)},
+		Profile:      trueSensitivityProfile,
+		Traces:       map[string]*trace.Trace{"wire": {Name: "wire", BitsPerSecond: []float64{1e15}}},
+		DefaultTrace: "wire",
+		TimeScale:    0.001,
+	}
+}
+
+// newHotPathOrigin builds an in-memory origin on hotPathConfig without
+// starting a TCP server — these tests exercise the handlers and registry
+// directly.
 func newHotPathOrigin(t testing.TB) *Origin {
 	t.Helper()
-	cfg, err := BenchConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Profile = trueSensitivityProfile
-	o, err := New(cfg)
+	o, err := New(hotPathConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +252,10 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	req := httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, BenchRung, s.id), nil)
+		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, hotPathRung, s.id), nil)
 	req.SetPathValue("video", v.Name)
 	req.SetPathValue("chunk", "0")
-	req.SetPathValue("rung", fmt.Sprint(BenchRung))
+	req.SetPathValue("rung", fmt.Sprint(hotPathRung))
 	w := &nullResponseWriter{h: make(http.Header)}
 
 	o.handleSegment(w, req) // warm: header map entries, epoch stamp
@@ -263,26 +279,58 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkOriginSegmentParallel measures bottom-rung segment throughput
-// with 8 sessions streaming concurrently against one origin — the striped
-// registry under real TCP load (compare router.BenchmarkRouterSegment for
-// the sharded arm).
-func BenchmarkOriginSegmentParallel(b *testing.B) {
-	h, err := NewParallelSegmentBenchHarness(8)
-	if err != nil {
-		b.Fatal(err)
+// TestSegmentChaosIdleAllocParity pins "chaos off the hot path" as a count:
+// a fault policy mounted at rate 0 is present on every request but never
+// fires, and must cost the segment request nothing. Two origins built from
+// the same config, one with the idle policy, serve the steady-state segment
+// request through ServeHTTP (mux and, on one side, the middleware
+// included); both must serve the same bytes with the same allocations.
+func TestSegmentChaosIdleAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	defer h.Close()
-	b.SetBytes(h.SegmentBytes)
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(next.Add(1)-1) % h.Sessions()
-		for pb.Next() {
-			if err := h.FetchSession(i); err != nil {
-				b.Error(err)
-				return
-			}
+	serve := func(p *chaos.Policy) (bytes int64, allocs float64, o *Origin) {
+		cfg := hotPathConfig(t)
+		cfg.Chaos = p
+		o, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		t.Cleanup(o.Close)
+		v := cfg.Catalog[0]
+		s := joinDirect(t, o)
+		if _, err := o.profileOf(o.videos[v.Name]); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, hotPathRung, s.id), nil)
+		w := &nullResponseWriter{h: make(http.Header)}
+		o.ServeHTTP(w, req) // warm
+		if w.n == 0 {
+			t.Fatal("warm-up request served no bytes")
+		}
+		bytes = w.n
+		allocs = testing.AllocsPerRun(200, func() {
+			w.n = 0
+			o.ServeHTTP(w, req)
+			if w.n != bytes {
+				t.Fatalf("served %d bytes, want %d", w.n, bytes)
+			}
+		})
+		return bytes, allocs, o
+	}
+
+	plainBytes, plainAllocs, _ := serve(nil)
+	idle := chaos.Uniform(1, 0)
+	idleBytes, idleAllocs, o := serve(&idle)
+	t.Logf("%d bytes, %.2f allocs/op without chaos, %.2f with an idle policy", plainBytes, plainAllocs, idleAllocs)
+	if idleBytes != plainBytes {
+		t.Fatalf("idle chaos served %d bytes, plain %d", idleBytes, plainBytes)
+	}
+	if idleAllocs != plainAllocs {
+		t.Fatalf("idle chaos allocates %.2f objects/op, plain %.2f", idleAllocs, plainAllocs)
+	}
+	if n := o.chaos.Stats().Total; n != 0 {
+		t.Fatalf("idle policy injected %d faults", n)
+	}
 }

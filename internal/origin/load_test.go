@@ -166,25 +166,3 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// BenchmarkOriginSegment measures the origin's segment hot path via the
-// shared SegmentBenchHarness (also behind senseibench's -benchjson
-// origin numbers), so the number is segments served per second of server
-// work, not trace replay.
-func BenchmarkOriginSegment(b *testing.B) {
-	h, err := NewSegmentBenchHarness()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	b.SetBytes(h.SegmentBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Fetch(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	segPerSec := float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(segPerSec, "segments/s")
-}

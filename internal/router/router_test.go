@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"sensei/internal/ingest"
@@ -16,7 +17,7 @@ import (
 
 // testConfig builds a small router config: 4 shards, one excerpt video,
 // near-infinite wire trace so tests are instant.
-func testConfig(t *testing.T, shards int) Config {
+func testConfig(t testing.TB, shards int) Config {
 	t.Helper()
 	full, err := video.ByName("Soccer1")
 	if err != nil {
@@ -39,7 +40,7 @@ func testConfig(t *testing.T, shards int) Config {
 }
 
 // startRouter boots a router server and tears it down with the test.
-func startRouter(t *testing.T, shards int) (*Server, string) {
+func startRouter(t testing.TB, shards int) (*Server, string) {
 	t.Helper()
 	rt, err := New(testConfig(t, shards))
 	if err != nil {
@@ -55,7 +56,7 @@ func startRouter(t *testing.T, shards int) (*Server, string) {
 	return srv, "http://" + addr
 }
 
-func joinSession(t *testing.T, base string) origin.JoinResponse {
+func joinSession(t testing.TB, base string) origin.JoinResponse {
 	t.Helper()
 	body, _ := json.Marshal(origin.JoinRequest{Video: "Soccer1[0:6]"})
 	resp, err := http.Post(base+"/session", "application/json", bytes.NewReader(body))
@@ -290,21 +291,44 @@ func TestRouterRejectsIngest(t *testing.T) {
 }
 
 // BenchmarkRouterSegment measures parallel bottom-rung segment throughput
-// through the 4-shard router (compare BenchmarkOriginSegmentParallel).
+// through a 4-shard router: 8 sessions, spread across the shards by the
+// consistent hash, each streamed by its own worker over keep-alive
+// connections — sid hash, shard dispatch, striped registry and serving.
 func BenchmarkRouterSegment(b *testing.B) {
-	h, err := NewSegmentBenchHarness(4, 8)
+	const sessions = 8
+	_, base := startRouter(b, 4)
+	httpc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2*sessions + 8}}
+	defer httpc.CloseIdleConnections()
+	fetch := func(url string) (int64, error) {
+		resp, err := httpc.Get(url)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("segment: %s", resp.Status)
+		}
+		return io.Copy(io.Discard, resp.Body)
+	}
+	urls := make([]string, sessions)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("%s/v/Soccer1[0:6]/segment/0/0?sid=%s", base, joinSession(b, base).SessionID)
+	}
+	segBytes, err := fetch(urls[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer h.Close()
-	b.SetBytes(h.SegmentBytes)
-	var next int64
+	b.SetBytes(segBytes)
+	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		i := int(next) % h.Sessions()
-		next++
+		url := urls[int(next.Add(1)-1)%sessions]
 		for pb.Next() {
-			if err := h.FetchSession(i); err != nil {
+			n, err := fetch(url)
+			if err == nil && n != segBytes {
+				err = fmt.Errorf("segment of %d bytes, want %d", n, segBytes)
+			}
+			if err != nil {
 				b.Error(err)
 				return
 			}
