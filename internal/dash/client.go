@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -150,7 +151,16 @@ type Client struct {
 	sid          string
 	videoName    string
 	sessionScale float64
-	res          Resilience
+	// videoURL (BaseURL + "/v/<video>/") and sidQuery ("?sid=<sid>") are
+	// the session's URL parts, built at Join; segURL holds videoURL +
+	// "segment/" followed by the last segment URL's tail, so a segment URL
+	// costs one string.
+	videoURL string
+	sidQuery string
+	segURL   []byte
+	// chaosKey is ChaosKey as a header value, shared by every request.
+	chaosKey []string
+	res      Resilience
 	// streamedBytes / streamedChunks remember the last Stream's ledger so
 	// Leave's session_leave event can carry the session totals.
 	streamedBytes  int64
@@ -311,7 +321,7 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 	}
 	var jr joinResponse
 	err = c.retried(ctx, chaos.KindSession, func(int) (transient bool, err error) {
-		_, transient, err = c.postJSON(ctx, "/session", "joining session", body, &jr)
+		_, transient, err = c.postJSON(ctx, c.BaseURL+"/session", "joining session", body, &jr)
 		if err == nil && (jr.SessionID == "" || jr.TimeScale <= 0) {
 			err = fmt.Errorf("dash: origin returned invalid session %+v", jr)
 		}
@@ -321,21 +331,29 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 		return err
 	}
 	c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
+	c.videoURL = c.BaseURL + "/v/" + url.PathEscape(c.videoName) + "/"
+	c.sidQuery = "?sid=" + url.QueryEscape(c.sid)
+	c.segURL = append(append(c.segURL[:0], c.videoURL...), "segment/"...)
 	c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
 	return nil
 }
 
-// postJSON issues one POST of a JSON body and decodes the 200 reply into
-// out, returning the weight-epoch beacon the reply carried. transient
-// reports whether a failure is worth retrying (5xx or transport-level).
-func (c *Client) postJSON(ctx context.Context, path, what string, body []byte, out any) (epoch uint64, transient bool, err error) {
+// jsonContentType is the Content-Type value of every POST, shared by all of
+// them; see markChaosKey for why sharing a header value is safe.
+var jsonContentType = []string{"application/json"}
+
+// postJSON issues one POST of a JSON body to target (a URL) and decodes the
+// 200 reply into out, returning the weight-epoch beacon the reply carried.
+// transient reports whether a failure is worth retrying (5xx or
+// transport-level).
+func (c *Client) postJSON(ctx context.Context, target, what string, body []byte, out any) (epoch uint64, transient bool, err error) {
 	reqCtx, cancel := c.requestContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return 0, false, fmt.Errorf("dash: %s: %w", what, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = jsonContentType
 	c.markChaosKey(req)
 	resp, err := c.httpc().Do(req)
 	if err != nil {
@@ -588,7 +606,7 @@ type weightView struct {
 // bootstrap fetches the manifest and returns the session's starting view
 // of the weight plane.
 func (c *Client) bootstrap(ctx context.Context, v *video.Video) (*weightView, error) {
-	mf, err := c.fetch(ctx, c.videoPath(v.Name, "manifest.mpd"), chaos.KindManifest, -1, false)
+	mf, err := c.fetch(ctx, c.videoURL+"manifest.mpd"+c.sidQuery, chaos.KindManifest, -1, false)
 	if err != nil {
 		return nil, fmt.Errorf("dash: fetching manifest: %w", err)
 	}
@@ -701,7 +719,16 @@ func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (*fet
 func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) (*fetched, error) {
 	size := int64(v.ChunkSizeBits(i, rung) / 8)
 	c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i), Rung: int32(rung), Bytes: size})
-	return c.fetch(ctx, c.videoPath(v.Name, fmt.Sprintf("segment/%d/%d", i, rung)), chaos.KindSegment, size, true)
+	return c.fetch(ctx, c.segmentURL(i, rung), chaos.KindSegment, size, true)
+}
+
+// segmentURL is chunk i's URL at rung in the joined session.
+func (c *Client) segmentURL(i, rung int) string {
+	b := strconv.AppendInt(c.segURL[:len(c.videoURL)+len("segment/")], int64(i), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(rung), 10)
+	c.segURL = append(b, c.sidQuery...)
+	return string(c.segURL)
 }
 
 // rate closes the loop for chunk i: the Rater scores the chunk that just
@@ -753,7 +780,7 @@ type weightsResponse struct {
 // origin. Wire failures carry errWire (the caller may degrade to its last
 // snapshot); validation failures never do.
 func (c *Client) fetchWeights(ctx context.Context, v *video.Video) (*sensitivity.Profile, error) {
-	f, err := c.fetch(ctx, "/weights?sid="+url.QueryEscape(c.sid), chaos.KindWeights, -1, false)
+	f, err := c.fetch(ctx, c.BaseURL+"/weights"+c.sidQuery, chaos.KindWeights, -1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -805,10 +832,10 @@ func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating
 	// The sid rides in the query (the body already carries it) so a
 	// sid-routing front like the multi-origin router can steer the rating
 	// to the session's shard without reading the body.
-	path := "/rating?sid=" + url.QueryEscape(c.sid)
+	target := c.BaseURL + "/rating" + c.sidQuery
 	err = c.retried(ctx, chaos.KindRating, func(int) (transient bool, err error) {
 		var rr ratingResponse
-		respEpoch, transient, err = c.postJSON(ctx, path, "posting rating", body, &rr)
+		respEpoch, transient, err = c.postJSON(ctx, target, "posting rating", body, &rr)
 		if err == nil && rr.Status != "accepted" && rr.Status != "quarantined" {
 			err = fmt.Errorf("dash: origin returned rating status %q", rr.Status)
 		}
@@ -832,15 +859,6 @@ func validateLadder(v *video.Video, ladder []int) error {
 		}
 	}
 	return nil
-}
-
-// videoPath builds /v/<video>/<rest> with the session ID attached.
-func (c *Client) videoPath(videoName, rest string) string {
-	p := "/v/" + url.PathEscape(videoName) + "/" + rest
-	if c.sid != "" {
-		p += "?sid=" + url.QueryEscape(c.sid)
-	}
-	return p
 }
 
 func (c *Client) httpc() *http.Client {
@@ -948,11 +966,19 @@ func (c *Client) backoff(ctx context.Context, attempt int) bool {
 	return c.clk().Sleep(ctx, d)
 }
 
-// markChaosKey stamps the request with the client's chaos stream key.
+// markChaosKey stamps the request with the client's chaos stream key. The
+// value slice is the client's, shared by all its requests, which is safe
+// because no handler ever sees it: the in-process transport hands the
+// handler a copy of the request's headers, and over TCP they are
+// serialised.
 func (c *Client) markChaosKey(req *http.Request) {
-	if c.ChaosKey != "" {
-		req.Header.Set(chaos.KeyHeader, c.ChaosKey)
+	if c.ChaosKey == "" {
+		return
 	}
+	if len(c.chaosKey) == 0 || c.chaosKey[0] != c.ChaosKey {
+		c.chaosKey = []string{c.ChaosKey}
+	}
+	req.Header[chaos.KeyHeader] = c.chaosKey
 }
 
 // requestContext derives the per-request context with the client's
@@ -991,16 +1017,17 @@ type fetched struct {
 	partialSec   float64
 }
 
-// fetch GETs path under the retry budget, classifying every failure:
-// transport errors and 5xx replies are transient and retried with backoff;
-// 4xx are permanent; a 200 whose body length disagrees with Content-Length
-// (or with the caller's expected size, when expected >= 0) is a truncation
-// fault — retried, with the partial payload ledgered. Budget exhaustion
-// returns an errWire-marked error; degradation is the caller's choice.
-// With discard set the body is streamed to a counting sink instead of
-// buffered, and only fetched.bytes is populated.
-func (c *Client) fetch(ctx context.Context, path string, kind chaos.Kind, expected int64, discard bool) (*fetched, error) {
+// fetch GETs target (a URL under BaseURL) under the retry budget,
+// classifying every failure: transport errors and 5xx replies are transient
+// and retried with backoff; 4xx are permanent; a 200 whose body length
+// disagrees with Content-Length (or with the caller's expected size, when
+// expected >= 0) is a truncation fault — retried, with the partial payload
+// ledgered. Budget exhaustion returns an errWire-marked error; degradation
+// is the caller's choice. With discard set the body is streamed to a
+// counting sink instead of buffered, and only fetched.bytes is populated.
+func (c *Client) fetch(ctx context.Context, target string, kind chaos.Kind, expected int64, discard bool) (*fetched, error) {
 	f := &fetched{}
+	path := strings.TrimPrefix(target, c.BaseURL) // what errors name
 	clock := c.clk()
 	err := c.retried(ctx, kind, func(attempt int) (bool, error) {
 		if attempt > 0 {
@@ -1010,7 +1037,7 @@ func (c *Client) fetch(ctx context.Context, path string, kind chaos.Kind, expect
 			f.totalSec += c.Retry.Delay(attempt - 1).Seconds()
 		}
 		start := clock.Now()
-		body, n, epoch, clen, transient, err := c.getOnce(ctx, path, discard)
+		body, n, epoch, clen, transient, err := c.getOnce(ctx, target, discard)
 		sec := (clock.Now() - start).Seconds()
 		f.totalSec += sec
 		if err == nil {
@@ -1075,17 +1102,20 @@ func (c *Client) drain(r io.Reader) (n int64, err error) {
 	return n, err
 }
 
-// getOnce issues one GET and returns the body (nil with discard set), the
-// number of payload bytes read, the weight epoch the response advertised
-// (see epochBeacon), the declared Content-Length (-1 when unknown), and whether a failure is transient. A
-// body-read failure returns the bytes read so far alongside the error.
-// With discard set the payload is drained through pooled buffers — segment
-// bodies are measured, never parsed, and buffering them would put the whole
-// catalog's bitrate through the allocator at fleet scale.
-func (c *Client) getOnce(ctx context.Context, path string, discard bool) (body []byte, n int64, epoch uint64, clen int64, transient bool, err error) {
+// getOnce issues one GET of target, which its errors name by its path, and
+// returns the body (nil with discard set), the number of payload bytes
+// read, the weight epoch the response advertised (see epochBeacon), the
+// declared Content-Length (-1 when unknown), and whether a failure is
+// transient. A body-read failure returns the bytes read so far alongside
+// the error. With discard set the payload is drained through pooled
+// buffers — segment bodies are measured, never parsed, and buffering them
+// would put the whole catalog's bitrate through the allocator at fleet
+// scale.
+func (c *Client) getOnce(ctx context.Context, target string, discard bool) (body []byte, n int64, epoch uint64, clen int64, transient bool, err error) {
+	path := strings.TrimPrefix(target, c.BaseURL)
 	reqCtx, cancel := c.requestContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, c.BaseURL+path, nil)
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, target, nil)
 	if err != nil {
 		return nil, 0, 0, -1, false, err
 	}

@@ -468,7 +468,8 @@ type reach func(h http.Handler) (base string, rt http.RoundTripper, done func())
 // origin's handler as a coroutine of the session that issued it (DESIGN.md
 // "In-process request plane").
 func inProcess(h http.Handler) (string, http.RoundTripper, func()) {
-	return "http://origin.inproc", &inproc.Transport{Handler: h}, func() {}
+	tr := &inproc.Transport{Handler: h}
+	return "http://origin.inproc", tr, tr.CloseIdleConnections
 }
 
 // Run executes the fleet against a freshly built origin (or router) and

@@ -75,7 +75,8 @@ func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock,
 func streamVirtual(t *testing.T, v *video.Video, w []float64, c *dash.Client) *dash.Session {
 	t.Helper()
 	clock := vclock.NewVirtual()
-	base, rt, _ := inProcess(parityOrigin(t, v, w, clock, 1).Origin())
+	base, rt, done := inProcess(parityOrigin(t, v, w, clock, 1).Origin())
+	defer done()
 
 	c.BaseURL = base
 	c.HTTP = &http.Client{Transport: rt}

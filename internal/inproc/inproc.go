@@ -1,15 +1,24 @@
 // Package inproc is an http.RoundTripper that serves each request by
 // running an http.Handler in the caller's own thread of control: the
-// handler is an iter.Pull coroutine of the goroutine that called RoundTrip,
-// so a request costs no connection, no framing and no scheduler hand-off.
+// handler runs on an iter.Pull coroutine that only the goroutine that
+// called RoundTrip resumes, so a request costs no connection, no framing
+// and no scheduler hand-off.
+//
+// The coroutines are kept like keep-alive connections. Each one serves one
+// exchange after another; when its handler returns it goes back on the
+// Transport's idle list, and the next RoundTrip with nothing else idle
+// takes it. CloseIdleConnections (which http.Client.CloseIdleConnections
+// calls) stops the idle ones.
 //
 // The handler's Write(p) yields p to the client and returns once the
 // client has consumed it — io.Writer's no-retention rule holds exactly as
 // it does over a net.Pipe, and a WriterTo-aware client counts the handler's
 // own slices without copying them. RoundTrip resumes the handler until its
-// first body byte (or its return) and builds the response from the headers
-// as they stood when the handler committed them; the body's Read resumes
-// the handler again; Close runs it to its end.
+// first body byte (or its return) and hands the client the headers as they
+// stood when the handler committed them; the body's Read resumes the
+// handler again; Close runs it to its end. While it serves a request,
+// the coroutine carries the pprof labels of the request's context, so a
+// profile charges the handler to the session that issued the request.
 //
 // What a client of net/http's transport can observe is reproduced:
 //
@@ -21,7 +30,8 @@
 //     io.ErrUnexpectedEOF too;
 //   - a handler that returns because the request context is done surfaces
 //     ctx.Err();
-//   - any other panic propagates to whoever resumed the handler.
+//   - any other panic propagates to whoever resumed the handler, and the
+//     coroutine it killed is not reused.
 //
 // A handler that blocks (a shaped sleep, a chaos stall) blocks its caller,
 // which is the point: under vclock the client's registration covers the
@@ -34,7 +44,9 @@ import (
 	"iter"
 	"net/http"
 	"net/url"
+	"runtime/pprof"
 	"strconv"
+	"sync"
 )
 
 // ErrAborted is RoundTrip's error for a handler that aborted
@@ -48,37 +60,109 @@ var errBodyGone = errors.New("inproc: client closed the response body")
 
 // Transport serves every request with Handler. The zero value with a
 // Handler set is ready to use, and it is safe for concurrent use: each
-// round trip owns its state.
+// round trip owns its state, and only the idle list is shared.
 type Transport struct {
 	Handler http.Handler
+
+	mu   sync.Mutex
+	idle []*server // parked coroutines, the most recently parked last
+}
+
+// server is one serving coroutine. Its sequence runs the handler for x,
+// then yields nothing to report the exchange over, and serves whatever x
+// is when it is resumed again.
+type server struct {
+	next func() ([]byte, bool)
+	stop func()
+	x    *exchange
+}
+
+func (s *server) run(yield func([]byte) bool) {
+	for {
+		x := s.x
+		x.yield = yield
+		// A coroutine is created with its creator's labels; a parked one
+		// still has its previous user's.
+		pprof.SetGoroutineLabels(x.callers.Context())
+		x.serve()
+		if !yield(nil) {
+			return // retired by CloseIdleConnections
+		}
+	}
+}
+
+// take returns an idle coroutine, or a new one when none is idle.
+func (t *Transport) take() *server {
+	t.mu.Lock()
+	if n := len(t.idle); n > 0 {
+		s := t.idle[n-1]
+		t.idle[n-1] = nil
+		t.idle = t.idle[:n-1]
+		t.mu.Unlock()
+		return s
+	}
+	t.mu.Unlock()
+	s := &server{}
+	s.next, s.stop = iter.Pull(s.run)
+	return s
+}
+
+func (t *Transport) park(s *server) {
+	s.x = nil
+	t.mu.Lock()
+	t.idle = append(t.idle, s)
+	t.mu.Unlock()
+}
+
+// CloseIdleConnections stops every coroutine that is not serving an
+// exchange. One that is serving goes back on the idle list when its
+// handler returns.
+func (t *Transport) CloseIdleConnections() {
+	t.mu.Lock()
+	idle := t.idle
+	t.idle = nil
+	t.mu.Unlock()
+	for _, s := range idle {
+		s.stop()
+	}
 }
 
 // exchange is one round trip: the handler's view of the request, its
 // response writer (as *responseWriter) and the client's response and body
 // (as *body), in one allocation.
 type exchange struct {
-	handler http.Handler
+	t       *Transport
+	srv     *server       // nil while pull resumes it and once the handler has ended
 	callers *http.Request // closed, never written
 	req     http.Request  // the handler's copy
 	url     url.URL
 	resp    http.Response
 
-	next  func() ([]byte, bool)
-	stop  func()
 	yield func([]byte) bool
 
-	header    http.Header // the handler's map
-	committed http.Header // its snapshot at commit: the response's
-	status    int         // 0 until committed
-	declared  int64       // Content-Length at commit, -1 when absent
-	written   int64       // body bytes the handler has written
-	replied   bool        // the client can have the headers: flushed, or the handler ended cleanly
-	aborted   bool        // the handler panicked with http.ErrAbortHandler
-	pending   []byte      // the handler's slice the client has yet to consume
-	err       error       // sticky result of the handler's end
+	// header is the handler's map until the commit and the response's
+	// after it; late is the copy Header returns from then on, made on first
+	// use. asCommitted records header's entries at the commit, so a write
+	// through a map the handler kept from before can be undone when the
+	// response is handed over.
+	header      http.Header
+	late        http.Header
+	asCommitted [8]committedValue
+	nCommitted  int // -1: header was cloned at the commit instead
+
+	status    int    // 0 until committed
+	declared  int64  // Content-Length at commit, -1 when absent
+	written   int64  // body bytes the handler has written
+	replied   bool   // the client can have the headers: flushed, or the handler ended cleanly
+	aborted   bool   // the handler panicked with http.ErrAbortHandler
+	pending   []byte // the handler's slice the client has yet to consume
+	err       error  // sticky result of the handler's end
 	closed    bool
 	reqClosed bool
 }
+
+// committedValue is one single-valued header entry as committed.
+type committedValue struct{ key, value string }
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -90,7 +174,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, err
 	}
-	x := &exchange{handler: t.Handler, callers: req, header: make(http.Header, 4), declared: -1}
+	x := &exchange{t: t, callers: req, header: make(http.Header, 4), declared: -1}
 	// ServeMux records its match in the request it routes and handlers may
 	// set headers on theirs, so the handler gets its own copy of the
 	// request, its URL and its header map, filled in the way a server
@@ -110,7 +194,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if x.req.Body == nil {
 		x.req.Body = http.NoBody
 	}
-	x.next, x.stop = iter.Pull(x.serve)
+	x.srv = t.take()
+	x.srv.x = x
 
 	// Resume the handler until there is something to hand back: its first
 	// body byte, or its end. An error behind headers that were already out
@@ -124,7 +209,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        x.committed,
+		Header:        x.committedHeader(),
 		ContentLength: x.declared,
 		Body:          (*body)(x),
 		Request:       req,
@@ -132,32 +217,40 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &x.resp, nil
 }
 
-// serve is the coroutine: the handler runs here, suspended inside yield
-// whenever the client holds one of its slices.
-func (x *exchange) serve(yield func([]byte) bool) {
-	x.yield = yield
+// serve runs the handler, suspended inside yield whenever the client holds
+// one of its slices.
+func (x *exchange) serve() {
 	defer func() {
 		if p := recover(); p != nil {
 			if p != http.ErrAbortHandler {
-				panic(p) // iter.Pull re-raises it from next or stop
+				panic(p) // iter.Pull re-raises it from next, and the coroutine is gone
 			}
 			x.aborted = true
 		}
 	}()
-	x.handler.ServeHTTP((*responseWriter)(x), &x.req)
+	x.t.Handler.ServeHTTP((*responseWriter)(x), &x.req)
 }
 
 // pull resumes the handler until it yields a slice (left in x.pending) or
-// ends; at its end pull returns, then and on every later call, how the
-// stream ended: io.EOF, or the error that cut it short.
+// ends; at its end pull parks the coroutine and returns, then and on every
+// later call, how the stream ended: io.EOF, or the error that cut it short.
 func (x *exchange) pull() error {
 	if x.err != nil {
 		return x.err
 	}
-	p, ok := x.next()
-	if ok {
-		x.pending = p
-		return nil
+	// x.srv is nil while the handler runs, so a panic unwinding through
+	// next drops the coroutine it killed; a later pull just ends the stream.
+	if s := x.srv; s != nil {
+		x.srv = nil
+		p, ok := s.next()
+		if len(p) > 0 {
+			x.srv = s
+			x.pending = p
+			return nil
+		}
+		if ok {
+			x.t.park(s)
+		}
 	}
 	x.closeRequestBody()
 	x.commit(http.StatusOK) // a handler that returns silently has replied 200
@@ -180,19 +273,66 @@ func (x *exchange) pull() error {
 	return x.err
 }
 
-// commit fixes the status and snapshots the headers; later changes to the
-// handler's map are not seen by the client, as with net/http.
+// commit fixes the status and the headers. The handler's map becomes the
+// response's without a copy: from here on Header hands the handler a
+// private copy, so its later writes are not seen by the client, as with
+// net/http. A write through a map kept from before the commit is undone by
+// committedHeader if it lands before the response is handed over; one made
+// later, while the client holds the response, would be seen.
 func (x *exchange) commit(status int) {
 	if x.status != 0 {
 		return
 	}
 	x.status = status
-	x.committed = x.header.Clone()
+	x.nCommitted = -1
+	if len(x.header) <= len(x.asCommitted) {
+		x.nCommitted = 0
+		for k, v := range x.header {
+			if len(v) != 1 {
+				x.nCommitted = -1
+				break
+			}
+			x.asCommitted[x.nCommitted] = committedValue{k, v[0]}
+			x.nCommitted++
+		}
+	}
+	if x.nCommitted < 0 {
+		x.header = x.header.Clone()
+	}
 	if cl := x.header["Content-Length"]; len(cl) == 1 {
 		if n, err := strconv.ParseInt(cl[0], 10, 64); err == nil && n >= 0 {
 			x.declared = n
 		}
 	}
+}
+
+// committedHeader is the response's header map: the handler's own, unless
+// it was written to since the commit, in which case the committed entries
+// are rebuilt.
+func (x *exchange) committedHeader() http.Header {
+	if x.nCommitted < 0 || x.unchanged() {
+		return x.header
+	}
+	h := make(http.Header, x.nCommitted)
+	for _, e := range x.asCommitted[:x.nCommitted] {
+		h[e.key] = []string{e.value}
+	}
+	return h
+}
+
+// unchanged reports whether the handler's map still holds exactly the
+// entries it held at the commit.
+func (x *exchange) unchanged() bool {
+	if len(x.header) != x.nCommitted {
+		return false
+	}
+	for _, e := range x.asCommitted[:x.nCommitted] {
+		v := x.header[e.key]
+		if len(v) != 1 || v[0] != e.value {
+			return false
+		}
+	}
+	return true
 }
 
 func (x *exchange) closeRequestBody() {
@@ -212,7 +352,15 @@ func statusLine(code int) string {
 // responseWriter is the handler's side of an exchange.
 type responseWriter exchange
 
-func (w *responseWriter) Header() http.Header { return w.header }
+func (w *responseWriter) Header() http.Header {
+	if w.status == 0 {
+		return w.header
+	}
+	if w.late == nil {
+		w.late = w.header.Clone()
+	}
+	return w.late
+}
 
 func (w *responseWriter) WriteHeader(status int) { (*exchange)(w).commit(status) }
 
@@ -232,9 +380,13 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	x.replied = true
-	if !x.yield(p) {
+	if x.closed {
 		return 0, errBodyGone
+	}
+	x.replied = true
+	x.yield(p) // a serving coroutine is never stopped, so yield returns true
+	if x.closed {
+		return 0, errBodyGone // Close resumed the handler to run it to its end
 	}
 	x.written += int64(len(p))
 	return len(p), nil
@@ -283,9 +435,9 @@ func (b *body) WriteTo(w io.Writer) (n int64, err error) {
 	}
 }
 
-// Close runs the handler to its end — its Writes fail from here on — and
-// releases the coroutine. A handler panic other than http.ErrAbortHandler
-// surfaces here if the handler had not finished.
+// Close runs the handler to its end — its Writes fail from here on, without
+// suspending it — and parks the coroutine. A handler panic other than
+// http.ErrAbortHandler surfaces here if the handler had not finished.
 func (b *body) Close() error {
 	x := (*exchange)(b)
 	if x.closed {
@@ -294,6 +446,8 @@ func (b *body) Close() error {
 	x.closed = true
 	x.pending = nil
 	defer x.closeRequestBody()
-	x.stop()
+	for x.srv != nil {
+		_ = x.pull()
+	}
 	return nil
 }

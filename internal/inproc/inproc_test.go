@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,14 @@ func conformanceCases() []*conformanceCase {
 			h.Set("X-Sensei-Weight-Epoch", "8") // after the commit: never seen
 			time.Sleep(5 * time.Millisecond)
 			_, _ = io.WriteString(w, payload)
+			_, _ = io.WriteString(w, payload)
+		}},
+		{name: "headers set after the commit", handler: func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Sensei-Weight-Epoch", "4")
+			w.WriteHeader(http.StatusOK)
+			_, _ = io.WriteString(w, payload)
+			w.Header().Set("X-Sensei-Weight-Epoch", "5") // never seen
+			w.Header().Set("X-Sensei-Chaos", "error")
 			_, _ = io.WriteString(w, payload)
 		}},
 		{name: "declared length, short write, abort", declares: true, handler: func(w http.ResponseWriter, r *http.Request) {
@@ -173,11 +182,6 @@ func observe(t *testing.T, client *http.Client, base string, c *conformanceCase)
 	if c.declares {
 		o.ContentLength = resp.ContentLength
 	}
-	for k, v := range resp.Header {
-		if strings.HasPrefix(k, "X-Sensei-") {
-			o.Sensei[k] = v
-		}
-	}
 	var got []byte
 	if c.readThenClose > 0 {
 		got = make([]byte, c.readThenClose)
@@ -188,13 +192,25 @@ func observe(t *testing.T, client *http.Client, base string, c *conformanceCase)
 		got, err = io.ReadAll(resp.Body)
 	}
 	o.Body, o.Class = string(got), classify(err, "body error: "+fmt.Sprint(err))
+	// Read last, so a handler writing to the headers mid-body would show.
+	for k, v := range resp.Header {
+		if strings.HasPrefix(k, "X-Sensei-") {
+			o.Sensei[k] = append([]string(nil), v...)
+		}
+	}
 	return o
 }
 
 // TestConformsToHTTPServer: the same handlers served in-process and by an
 // http.Server over loopback TCP look the same to the client, in every
-// field the fleet's client reads.
+// field the fleet's client reads. Every row runs twice in-process, through
+// one Transport for the whole table, so each also runs on a coroutine that
+// has served other exchanges before.
 func TestConformsToHTTPServer(t *testing.T) {
+	var current http.HandlerFunc
+	shared := &Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { current(w, r) })}
+	defer shared.CloseIdleConnections()
+	inProcess := &http.Client{Transport: shared}
 	for _, c := range conformanceCases() {
 		t.Run(c.name, func(t *testing.T) {
 			afterClose := func(transport string) {
@@ -216,13 +232,20 @@ func TestConformsToHTTPServer(t *testing.T) {
 			want := observe(t, srv.Client(), srv.URL, c)
 			afterClose("tcp")
 
-			got := observe(t, &http.Client{Transport: &Transport{Handler: c.handler}}, "http://origin.inproc", c)
-			afterClose("in-process")
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("in-process and TCP disagree\n in-process: %+v\n tcp:        %+v", abbreviated(got), abbreviated(want))
+			current = c.handler
+			for pass := 0; pass < 2; pass++ {
+				got := observe(t, inProcess, "http://origin.inproc", c)
+				afterClose("in-process")
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("pass %d: in-process and TCP disagree\n in-process: %+v\n tcp:        %+v", pass, abbreviated(got), abbreviated(want))
+				}
 			}
 			t.Logf("%+v", abbreviated(want))
 		})
+	}
+	// One caller at a time: the whole table ran on a single coroutine.
+	if n := len(shared.idle); n != 1 {
+		t.Errorf("%d idle coroutines after a sequential table, want 1", n)
 	}
 }
 
@@ -235,21 +258,30 @@ func abbreviated(o observed) observed {
 
 // TestOtherPanicsPropagate: only http.ErrAbortHandler is a protocol event;
 // a handler bug must surface in the goroutine that drove it, from RoundTrip
-// or from whichever body call resumed the handler.
+// or from whichever body call resumed the handler. The coroutine it killed
+// is not reused: the next request on the same Transport is served.
 func TestOtherPanicsPropagate(t *testing.T) {
 	caught := func(f func()) (p any) {
 		defer func() { p = recover() }()
 		f()
 		return nil
 	}
-	early := &Transport{Handler: http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") })}
+	panicking := true
+	early := &Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if panicking {
+			panic("boom")
+		}
+		_, _ = io.WriteString(w, payload)
+	})}
 	req, _ := http.NewRequest(http.MethodGet, "http://origin.inproc/", nil)
 	if p := caught(func() { _, _ = early.RoundTrip(req) }); p != "boom" {
 		t.Fatalf("RoundTrip recovered %v, want the handler's panic", p)
 	}
 	late := &Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, payload)
-		panic("late boom")
+		if panicking {
+			panic("late boom")
+		}
 	})}
 	for name, resume := range map[string]func(io.ReadCloser){
 		"Read":  func(b io.ReadCloser) { _, _ = io.ReadAll(b) },
@@ -263,6 +295,19 @@ func TestOtherPanicsPropagate(t *testing.T) {
 			t.Fatalf("%s recovered %v, want the handler's panic", name, p)
 		}
 		_ = resp.Body.Close()
+	}
+	panicking = false
+	for name, tr := range map[string]*Transport{"early": early, "late": late} {
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("%s: request after the panic: %v", name, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || string(got) != payload {
+			t.Fatalf("%s: request after the panic read %d bytes, %v", name, len(got), err)
+		}
+		tr.CloseIdleConnections()
 	}
 }
 
@@ -372,6 +417,10 @@ func TestCloseMidBodyLeavesNoGoroutine(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if n := len(tr.idle); n > 64 {
+		t.Errorf("%d idle coroutines after 64 concurrent callers", n)
+	}
+	client.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
@@ -379,5 +428,77 @@ func TestCloseMidBodyLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRoundTripAllocBudget pins what a steady-state GET of a handler that
+// writes its body once costs through http.Client: 20.00 allocations when
+// every request made its own coroutine and cloned the committed headers,
+// 6.00 with parked coroutines reused and the headers handed over. What is
+// left is the exchange, the handler's header map and its copy of the
+// request's, and http.Client's own two.
+func TestRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const budget = 6
+	body := []byte(payload)
+	tr := &Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(body)
+	})}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	req, _ := http.NewRequest(http.MethodGet, "http://origin.inproc/", nil)
+	get := func() {
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := resp.Body.(io.WriterTo).WriteTo(io.Discard); err != nil || n != int64(len(body)) {
+			t.Fatalf("WriteTo = %d, %v", n, err)
+		}
+		resp.Body.Close()
+	}
+	get()
+	allocs := testing.AllocsPerRun(200, get)
+	t.Logf("%.2f allocations per round trip (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("%.2f allocations per round trip exceeds the budget of %d", allocs, budget)
+	}
+}
+
+// TestHandlerCarriesTheRequestsLabels: a profile charges the handler to
+// whoever issued the request, though the coroutine running it last served
+// someone else.
+func TestHandlerCarriesTheRequestsLabels(t *testing.T) {
+	var profile bytes.Buffer
+	tr := &Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		profile.Reset()
+		_ = pprof.Lookup("goroutine").WriteTo(&profile, 1)
+	})}
+	defer tr.CloseIdleConnections()
+	for _, slot := range []string{"s0001", "s0002"} {
+		ctx := pprof.WithLabels(context.Background(), pprof.Labels("slot", slot))
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://origin.inproc/", nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		// debug=1 prints one record per distinct stack and label set.
+		var labels string
+		for _, rec := range strings.Split(profile.String(), "\n\n") {
+			if strings.Contains(rec, "TestHandlerCarriesTheRequestsLabels.func1") {
+				if _, rest, ok := strings.Cut(rec, "# labels: "); ok {
+					labels, _, _ = strings.Cut(rest, "\n")
+				}
+			}
+		}
+		if want := `{"slot":"` + slot + `"}`; labels != want {
+			t.Errorf("handler ran with labels %q, want %q", labels, want)
+		}
+	}
+	if n := len(tr.idle); n != 1 {
+		t.Fatalf("%d idle coroutines, want the one both requests ran on", n)
 	}
 }

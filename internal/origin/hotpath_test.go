@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,8 +236,9 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 
 // TestSegmentSteadyStateZeroAlloc pins the hot-path contract: after the
 // first request warms the per-video caches (epoch stamp, profile holder),
-// serving a segment allocates nothing. Any regression here is a
-// per-segment GC tax at production rates.
+// serving a segment allocates nothing, routing included — the request is a
+// plain one through ServeHTTP, as a client's arrives. Any regression here
+// is a per-segment GC tax at production rates.
 func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -252,13 +254,10 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	req := httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, hotPathRung, s.id), nil)
-	req.SetPathValue("video", v.Name)
-	req.SetPathValue("chunk", "0")
-	req.SetPathValue("rung", fmt.Sprint(hotPathRung))
+		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", url.PathEscape(v.Name), hotPathRung, s.id), nil)
 	w := &nullResponseWriter{h: make(http.Header)}
 
-	o.handleSegment(w, req) // warm: header map entries, epoch stamp
+	o.ServeHTTP(w, req) // warm: header map entries, epoch stamp
 	if w.n == 0 {
 		t.Fatal("warm-up request served no bytes")
 	}
@@ -266,7 +265,7 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(200, func() {
 		w.n = 0
-		o.handleSegment(w, req)
+		o.ServeHTTP(w, req)
 		if w.n != wantBytes {
 			t.Fatalf("served %d bytes, want %d", w.n, wantBytes)
 		}
@@ -283,7 +282,7 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 // a fault policy mounted at rate 0 is present on every request but never
 // fires, and must cost the segment request nothing. Two origins built from
 // the same config, one with the idle policy, serve the steady-state segment
-// request through ServeHTTP (mux and, on one side, the middleware
+// request through ServeHTTP (routing and, on one side, the middleware
 // included); both must serve the same bytes with the same allocations.
 func TestSegmentChaosIdleAllocParity(t *testing.T) {
 	if raceEnabled {
@@ -303,7 +302,7 @@ func TestSegmentChaosIdleAllocParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := httptest.NewRequest(http.MethodGet,
-			fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", v.Name, hotPathRung, s.id), nil)
+			fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", url.PathEscape(v.Name), hotPathRung, s.id), nil)
 		w := &nullResponseWriter{h: make(http.Header)}
 		o.ServeHTTP(w, req) // warm
 		if w.n == 0 {

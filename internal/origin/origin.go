@@ -219,7 +219,7 @@ type Origin struct {
 	feedback *ingest.Plane   // nil when the closed loop is disabled
 	chaos    *chaos.Injector // nil when fault injection is disabled
 	mux      *http.ServeMux
-	handler  http.Handler // mux, possibly behind the chaos middleware
+	handler  http.Handler // route, possibly behind the chaos middleware
 
 	// Event plane (nil/zero when disabled): aggregate registry, per-session
 	// ring capacity, the process-level ring for non-session events
@@ -337,7 +337,7 @@ func New(cfg Config) (*Origin, error) {
 		mux.HandleFunc("GET /metrics", o.handleMetrics)
 	}
 	o.mux = mux
-	o.handler = mux
+	o.handler = http.HandlerFunc(o.route)
 	if cfg.Chaos != nil {
 		inj, err := chaos.NewInjector(*cfg.Chaos)
 		if err != nil {
@@ -348,7 +348,7 @@ func New(cfg Config) (*Origin, error) {
 			inj.SetObserver(o.observeChaos)
 		}
 		o.chaos = inj
-		o.handler = inj.Middleware(mux, classifyChaos)
+		o.handler = inj.Middleware(o.handler, classifyChaos)
 	}
 	if cfg.ExternalClients {
 		// Outermost wrapper, so chaos stalls and shaped throttles inside run
@@ -475,6 +475,55 @@ func (o *Origin) RefreshWeights(videoName string, lo, hi int) (*sensitivity.Prof
 
 // ServeHTTP implements http.Handler.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) { o.handler.ServeHTTP(w, r) }
+
+// route serves a segment GET that segmentRoute accepts directly and hands
+// every other request to the mux.
+func (o *Origin) route(w http.ResponseWriter, r *http.Request) {
+	if ce, chunk, rung, ok := o.segmentRoute(r); ok {
+		o.serveSegment(w, r, ce, chunk, rung)
+		return
+	}
+	o.mux.ServeHTTP(w, r)
+}
+
+// segmentRoute parses GET /v/<video>/segment/<chunk>/<rung> in one pass,
+// without the mux's wildcard captures, which allocate. It accepts only
+// what the mux's segment pattern would route to the same video, chunk and
+// rung: a plain GET of an unescaped, clean path naming a catalog video,
+// with both numbers plain decimal digits. Anything else — HEAD, an escaped
+// path, a sign or an overlong number, a trailing slash — is left to the
+// mux, which answers it as it always has.
+func (o *Origin) segmentRoute(r *http.Request) (ce *catalogEntry, chunk, rung int, ok bool) {
+	if r.Method != http.MethodGet || r.URL.RawPath != "" {
+		return nil, 0, 0, false
+	}
+	rest, ok := strings.CutPrefix(r.URL.Path, "/v/")
+	if !ok {
+		return nil, 0, 0, false
+	}
+	name, rest, ok := strings.Cut(rest, "/segment/")
+	if !ok || name == "" || name == "." || name == ".." || strings.IndexByte(name, '/') >= 0 {
+		return nil, 0, 0, false
+	}
+	if chunk, rest, ok = leadingDecimal(rest); !ok || !strings.HasPrefix(rest, "/") {
+		return nil, 0, 0, false
+	}
+	if rung, rest, ok = leadingDecimal(rest[1:]); !ok || rest != "" {
+		return nil, 0, 0, false
+	}
+	ce, ok = o.videos[name]
+	return ce, chunk, rung, ok
+}
+
+// leadingDecimal parses the one to nine decimal digits s starts with.
+func leadingDecimal(s string) (n int, rest string, ok bool) {
+	i := 0
+	for i < len(s) && i < 10 && '0' <= s[i] && s[i] <= '9' {
+		n = n*10 + int(s[i]-'0')
+		i++
+	}
+	return n, s[i:], i > 0 && i < 10
+}
 
 // ChaosJournal returns the injected-fault replay journal (nil when fault
 // injection is disabled). Harnesses replay it against the policy seed to
@@ -899,8 +948,9 @@ func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	cur := o.store.EpochOf(ce.v.Name)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(WeightEpochHeader, strconv.FormatUint(cur, 10))
+	h := w.Header()
+	h["Content-Type"] = hdrJSON
+	h.Set(WeightEpochHeader, strconv.FormatUint(cur, 10))
 	_ = json.NewEncoder(w).Encode(RatingResponse{
 		Video:  ce.v.Name,
 		Chunk:  req.Chunk,
@@ -922,17 +972,30 @@ var segmentPattern = func() []byte {
 	return b
 }()
 
-// handleSegment is the zero-allocation steady-state hot path (pinned by
-// TestSegmentSteadyStateZeroAlloc): a striped-registry lookup, three
-// preformatted header assignments, one batched throttle sleep, per-stripe
-// atomic accounting and shared-pattern writes. Error and chaos paths may
-// allocate freely.
+// handleSegment is the mux's segment route, for the requests segmentRoute
+// leaves to it: the captures are parsed as they always were, and a number
+// that does not parse is refused as out of range, after the session
+// checks, like one that does.
 func (o *Origin) handleSegment(w http.ResponseWriter, r *http.Request) {
 	ce, ok := o.videos[r.PathValue("video")]
 	if !ok {
 		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", r.PathValue("video")), http.StatusNotFound)
 		return
 	}
+	chunk, err1 := strconv.Atoi(r.PathValue("chunk"))
+	rung, err2 := strconv.Atoi(r.PathValue("rung"))
+	if err1 != nil || err2 != nil {
+		chunk = -1
+	}
+	o.serveSegment(w, r, ce, chunk, rung)
+}
+
+// serveSegment is the zero-allocation steady-state hot path (pinned by
+// TestSegmentSteadyStateZeroAlloc): a striped-registry lookup, three
+// preformatted header assignments, one batched throttle sleep, per-stripe
+// atomic accounting and shared-pattern writes. chunk and rung are range
+// checked here. Error and chaos paths may allocate freely.
+func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalogEntry, chunk, rung int) {
 	sid := QueryParam(r.URL.RawQuery, "sid")
 	if sid == "" {
 		http.Error(w, "origin: segment request without sid (join via POST /session)", http.StatusBadRequest)
@@ -960,9 +1023,7 @@ func (o *Origin) handleSegment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("origin: session %s is pinned to %q, not %q", sid, sess.videoName, ce.v.Name), http.StatusConflict)
 		return
 	}
-	chunk, err1 := strconv.Atoi(r.PathValue("chunk"))
-	rung, err2 := strconv.Atoi(r.PathValue("rung"))
-	if err1 != nil || err2 != nil || chunk < 0 || chunk >= len(ce.sizes) || rung < 0 || rung >= len(ce.v.Ladder) {
+	if chunk < 0 || chunk >= len(ce.sizes) || rung < 0 || rung >= len(ce.v.Ladder) {
 		http.Error(w, "origin: segment out of range", http.StatusNotFound)
 		return
 	}
