@@ -1,3 +1,8 @@
+// Package dash is SENSEI's streaming client (§6 of the paper): it drives
+// any player.Algorithm over HTTP against the multi-tenant origin, reads the
+// SenseiWeights manifest extension and the live weight plane through the
+// protocol in internal/wire, and implements the MSE-style delayed
+// source-buffer sink that realizes SENSEI's proactive rebuffering.
 package dash
 
 import (
@@ -22,6 +27,7 @@ import (
 	"sensei/internal/sensitivity"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // defaultClock is the wall clock shared by every Client without an
@@ -29,12 +35,6 @@ import (
 // Now() readings from different call sites on one epoch, so durations
 // computed as differences stay coherent.
 var defaultClock = vclock.NewReal()
-
-// WeightEpochHeader is the origin response header advertising the current
-// sensitivity-profile epoch of the video being served. It rides on
-// manifest, segment and weight responses; the client compares it against
-// its snapshot's epoch to detect a mid-stream refresh without polling.
-const WeightEpochHeader = "X-Sensei-Weight-Epoch"
 
 // DefaultRequestTimeout bounds each HTTP request the client issues when
 // Client.RequestTimeout is zero. It is generous because a request can
@@ -119,7 +119,7 @@ type Client struct {
 	// with a caller-injected source: one snapshot is taken before every
 	// chunk decision, exactly as player.PlayWithSource does. The parity
 	// suite scripts epoch flips through it; when nil (the normal case) the
-	// client follows the manifest + X-Sensei-Weight-Epoch + GET /weights
+	// client follows the manifest + wire.WeightEpochHeader + GET /weights
 	// refresh protocol instead.
 	Sensitivity sensitivity.Source
 	// Rater optionally closes the feedback loop: after each rendered chunk
@@ -151,10 +151,10 @@ type Client struct {
 	sid          string
 	videoName    string
 	sessionScale float64
-	// videoURL (BaseURL + "/v/<video>/") and sidQuery ("?sid=<sid>") are
-	// the session's URL parts, built at Join; segURL holds videoURL +
-	// "segment/" followed by the last segment URL's tail, so a segment URL
-	// costs one string.
+	// videoURL (BaseURL + wire.VideoPath) and sidQuery ("?sid=<sid>") are
+	// the session's URL parts, built at Join; segURL holds videoURL
+	// followed by the last segment URL's tail, so a segment URL costs one
+	// string.
 	videoURL string
 	sidQuery string
 	segURL   []byte
@@ -288,21 +288,6 @@ type Session struct {
 	Resilience Resilience
 }
 
-// joinRequest and joinResponse mirror the origin's POST /session wire
-// format (see internal/origin).
-type joinRequest struct {
-	Video     string  `json:"video"`
-	Trace     string  `json:"trace,omitempty"`
-	TimeScale float64 `json:"timescale,omitempty"`
-}
-
-type joinResponse struct {
-	SessionID string  `json:"session_id"`
-	Video     string  `json:"video"`
-	Trace     string  `json:"trace"`
-	TimeScale float64 `json:"timescale"`
-}
-
 // SessionID returns the joined session's ID ("" before Join).
 func (c *Client) SessionID() string { return c.sid }
 
@@ -315,11 +300,11 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	body, err := json.Marshal(joinRequest{Video: videoName, Trace: c.Trace, TimeScale: c.TimeScale})
+	body, err := json.Marshal(wire.JoinRequest{Video: videoName, Trace: c.Trace, TimeScale: c.TimeScale})
 	if err != nil {
 		return fmt.Errorf("dash: encoding join request: %w", err)
 	}
-	var jr joinResponse
+	var jr wire.JoinResponse
 	err = c.retried(ctx, chaos.KindSession, func(int) (transient bool, err error) {
 		_, transient, err = c.postJSON(ctx, c.BaseURL+"/session", "joining session", body, &jr)
 		if err == nil && (jr.SessionID == "" || jr.TimeScale <= 0) {
@@ -331,9 +316,9 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 		return err
 	}
 	c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
-	c.videoURL = c.BaseURL + "/v/" + url.PathEscape(c.videoName) + "/"
+	c.videoURL = c.BaseURL + wire.VideoPath(c.videoName)
 	c.sidQuery = "?sid=" + url.QueryEscape(c.sid)
-	c.segURL = append(append(c.segURL[:0], c.videoURL...), "segment/"...)
+	c.segURL = append(c.segURL[:0], c.videoURL...)
 	c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
 	return nil
 }
@@ -374,7 +359,7 @@ func (c *Client) postJSON(ctx context.Context, target, what string, body []byte,
 // header is absent or malformed — an origin that does not speak the
 // extension simply never triggers a refresh.
 func epochBeacon(resp *http.Response) uint64 {
-	epoch, _ := strconv.ParseUint(resp.Header.Get(WeightEpochHeader), 10, 64)
+	epoch, _ := strconv.ParseUint(resp.Header.Get(wire.WeightEpochHeader), 10, 64)
 	return epoch
 }
 
@@ -620,7 +605,7 @@ func (c *Client) bootstrap(ctx context.Context, v *video.Video) (*weightView, er
 // parseManifest decodes a manifest and validates it against the local
 // video model, returning the profile snapshot the session starts on.
 func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
-	mpd, err := ParseMPD(body)
+	mpd, err := wire.ParseMPD(body)
 	if err != nil {
 		return nil, err
 	}
@@ -724,9 +709,7 @@ func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) 
 
 // segmentURL is chunk i's URL at rung in the joined session.
 func (c *Client) segmentURL(i, rung int) string {
-	b := strconv.AppendInt(c.segURL[:len(c.videoURL)+len("segment/")], int64(i), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(rung), 10)
+	b := wire.AppendSegment(c.segURL[:len(c.videoURL)], i, rung)
 	c.segURL = append(b, c.sidQuery...)
 	return string(c.segURL)
 }
@@ -769,13 +752,6 @@ func (c *Client) rate(ctx context.Context, sess *Session, i int, wv *weightView)
 	return nil
 }
 
-// weightsResponse mirrors the origin's GET /weights wire format.
-type weightsResponse struct {
-	Video   string    `json:"video"`
-	Epoch   uint64    `json:"epoch"`
-	Weights []float64 `json:"weights,omitempty"`
-}
-
 // fetchWeights pulls the session video's current profile snapshot from the
 // origin. Wire failures carry errWire (the caller may degrade to its last
 // snapshot); validation failures never do.
@@ -789,7 +765,7 @@ func (c *Client) fetchWeights(ctx context.Context, v *video.Video) (*sensitivity
 
 // parseWeights decodes and validates a GET /weights body.
 func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
-	var wr weightsResponse
+	var wr wire.WeightsResponse
 	if err := json.Unmarshal(body, &wr); err != nil {
 		return nil, fmt.Errorf("dash: decoding weights: %w", err)
 	}
@@ -803,29 +779,13 @@ func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 	return prof, nil
 }
 
-// ratingRequest / ratingResponse mirror the origin's POST /rating wire
-// format (see internal/origin).
-type ratingRequest struct {
-	SessionID string `json:"session_id"`
-	Chunk     int    `json:"chunk"`
-	Epoch     uint64 `json:"epoch"`
-	Rating    int    `json:"rating"`
-}
-
-type ratingResponse struct {
-	Video  string `json:"video"`
-	Chunk  int    `json:"chunk"`
-	Status string `json:"status"`
-	Epoch  uint64 `json:"epoch"`
-}
-
 // postRating submits one chunk rating and returns the origin's verdict
 // (accepted vs quarantined) plus the current-epoch beacon the response
 // carries. Transient failures retry on the backoff schedule; budget
 // exhaustion returns an errWire-marked error so the caller can drop the
 // rating instead of tearing playback down.
 func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating int) (accepted bool, respEpoch uint64, err error) {
-	body, err := json.Marshal(ratingRequest{SessionID: c.sid, Chunk: chunk, Epoch: epoch, Rating: rating})
+	body, err := json.Marshal(wire.RatingRequest{SessionID: c.sid, Chunk: chunk, Epoch: epoch, Rating: rating})
 	if err != nil {
 		return false, 0, fmt.Errorf("dash: encoding rating: %w", err)
 	}
@@ -834,12 +794,12 @@ func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating
 	// to the session's shard without reading the body.
 	target := c.BaseURL + "/rating" + c.sidQuery
 	err = c.retried(ctx, chaos.KindRating, func(int) (transient bool, err error) {
-		var rr ratingResponse
+		var rr wire.RatingResponse
 		respEpoch, transient, err = c.postJSON(ctx, target, "posting rating", body, &rr)
-		if err == nil && rr.Status != "accepted" && rr.Status != "quarantined" {
+		if err == nil && rr.Status != wire.StatusAccepted && rr.Status != wire.StatusQuarantined {
 			err = fmt.Errorf("dash: origin returned rating status %q", rr.Status)
 		}
-		accepted = rr.Status == "accepted"
+		accepted = rr.Status == wire.StatusAccepted
 		return transient, err
 	})
 	if err != nil {

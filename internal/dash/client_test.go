@@ -17,6 +17,7 @@ import (
 	"sensei/internal/abr"
 	"sensei/internal/player"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // startStubOrigin serves a minimal slice of the origin wire protocol —
@@ -25,7 +26,7 @@ import (
 // imports this package; importing it back would be a cycle.
 func startStubOrigin(t *testing.T, v *video.Video, weights []float64, timeScale float64, segmentDelay time.Duration) string {
 	t.Helper()
-	mpd, err := BuildMPD(v, weights)
+	mpd, err := wire.BuildMPD(v, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 func testVideo(t testing.TB) *video.Video {
@@ -22,10 +22,13 @@ func testVideo(t testing.TB) *video.Video {
 	return v
 }
 
+// The manifest tests check wire's MPD codec from the side that consumes
+// it: what the origin builds, this client parses back.
+
 func TestMPDRoundTrip(t *testing.T) {
 	v := testVideo(t)
 	w := v.TrueSensitivity()
-	mpd, err := BuildMPD(v, w)
+	mpd, err := wire.BuildMPD(v, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestMPDRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), "SenseiWeights") {
 		t.Fatal("manifest missing SENSEI extension")
 	}
-	parsed, err := ParseMPD(data)
+	parsed, err := wire.ParseMPD(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestMPDRoundTrip(t *testing.T) {
 
 func TestMPDWithoutWeights(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestMPDWithoutWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseMPD(data)
+	parsed, err := wire.ParseMPD(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +88,13 @@ func TestMPDWithoutWeights(t *testing.T) {
 
 func TestMPDValidatesWeights(t *testing.T) {
 	v := testVideo(t)
-	if _, err := BuildMPD(v, []float64{1, 2}); err == nil {
+	if _, err := wire.BuildMPD(v, []float64{1, 2}); err == nil {
 		t.Fatal("wrong-length weights accepted")
 	}
 	bad := `<?xml version="1.0"?><MPD><Period><AdaptationSet>
 	  <Representation id="0" bandwidth="300000"><SenseiWeights>1.0 -0.5</SenseiWeights></Representation>
 	</AdaptationSet></Period></MPD>`
-	m, err := ParseMPD([]byte(bad))
+	m, err := wire.ParseMPD([]byte(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestMPDValidatesWeights(t *testing.T) {
 		t.Fatal("negative weight accepted")
 	}
 	garbled := strings.Replace(bad, "-0.5", "abc", 1)
-	m2, err := ParseMPD([]byte(garbled))
+	m2, err := wire.ParseMPD([]byte(garbled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,32 +113,12 @@ func TestMPDValidatesWeights(t *testing.T) {
 
 func TestISODuration(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mpd.MediaPresentation != "PT0M24S" {
 		t.Fatalf("duration %q", mpd.MediaPresentation)
-	}
-}
-
-func TestShaperThrottleRate(t *testing.T) {
-	tr := &trace.Trace{Name: "flat", BitsPerSecond: []float64{8e6}} // 1 MB/s
-	s, err := NewShaper(tr, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 KB at 1 MB/s = 0.1 virtual seconds = 1 ms wall at scale 0.01.
-	d := s.Throttle(100 * 1024)
-	wallMs := d.Seconds() * 1000
-	if wallMs < 0.5 || wallMs > 2.5 {
-		t.Fatalf("throttle %v ms for 100KB at 1MB/s scale 0.01", wallMs)
-	}
-}
-
-func TestShaperValidates(t *testing.T) {
-	if _, err := NewShaper(&trace.Trace{Name: "bad"}, 0.01); err == nil {
-		t.Fatal("invalid trace accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sensei/internal/crowd"
 	"sensei/internal/sensitivity"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // The client's trust boundary: a manifest and a GET /weights body are the
@@ -19,7 +20,7 @@ import (
 func FuzzParseMPD(f *testing.F) {
 	v := testVideo(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if mpd, err := ParseMPD(data); err == nil {
+		if mpd, err := wire.ParseMPD(data); err == nil {
 			// The accessors the client calls on any manifest that parses.
 			_ = validateLadder(v, mpd.Ladder())
 			_, _ = mpd.Weights()

@@ -16,6 +16,7 @@ import (
 	"sensei/internal/player"
 	"sensei/internal/qoe"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // fixedRater rates every chunk the same score; skipEvery>0 skips every
@@ -42,14 +43,14 @@ type ratingStub struct {
 
 	mu       sync.Mutex
 	epoch    uint64 // current epoch advertised everywhere
-	ratings  []ratingRequest
+	ratings  []wire.RatingRequest
 	beacon   uint64 // epoch stamped on rating responses (0 = use epoch)
 	failWith int    // non-zero: /rating answers this HTTP status
 }
 
 func (s *ratingStub) start(t *testing.T) string {
 	t.Helper()
-	mpd, err := BuildMPDProfile(s.v, s.w, 1)
+	mpd, err := wire.BuildMPDProfile(s.v, s.w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func (s *ratingStub) start(t *testing.T) string {
 	})
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/dash+xml")
-		w.Header().Set(WeightEpochHeader, "1")
+		w.Header().Set(wire.WeightEpochHeader, "1")
 		_, _ = w.Write(manifest)
 	})
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", func(w http.ResponseWriter, r *http.Request) {
@@ -81,7 +82,7 @@ func (s *ratingStub) start(t *testing.T) string {
 		epoch := s.epoch
 		s.mu.Unlock()
 		size := int(s.v.ChunkSizeBits(chunk, rung) / 8)
-		w.Header().Set(WeightEpochHeader, strconv.FormatUint(epoch, 10))
+		w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(epoch, 10))
 		w.Header().Set("Content-Length", strconv.Itoa(size))
 		_, _ = w.Write(make([]byte, size))
 	})
@@ -90,11 +91,11 @@ func (s *ratingStub) start(t *testing.T) string {
 		epoch := s.epoch
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(WeightEpochHeader, strconv.FormatUint(epoch, 10))
-		_ = json.NewEncoder(w).Encode(weightsResponse{Video: s.v.Name, Epoch: epoch, Weights: s.w})
+		w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(epoch, 10))
+		_ = json.NewEncoder(w).Encode(wire.WeightsResponse{Video: s.v.Name, Epoch: epoch, Weights: s.w})
 	})
 	mux.HandleFunc("POST /rating", func(w http.ResponseWriter, r *http.Request) {
-		var req ratingRequest
+		var req wire.RatingRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -112,13 +113,13 @@ func (s *ratingStub) start(t *testing.T) string {
 		if beacon == 0 {
 			beacon = epoch
 		}
-		status := "accepted"
+		status := wire.StatusAccepted
 		if req.Epoch != epoch {
-			status = "quarantined"
+			status = wire.StatusQuarantined
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(WeightEpochHeader, strconv.FormatUint(beacon, 10))
-		_ = json.NewEncoder(w).Encode(ratingResponse{Video: s.v.Name, Chunk: req.Chunk, Status: status, Epoch: beacon})
+		w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(beacon, 10))
+		_ = json.NewEncoder(w).Encode(wire.RatingResponse{Video: s.v.Name, Chunk: req.Chunk, Status: status, Epoch: beacon})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

@@ -13,10 +13,11 @@ import (
 	"sensei/internal/player"
 	"sensei/internal/sensitivity"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // refreshStub is a stub origin speaking the live-weight-plane protocol:
-// manifest with epoch, segments stamped with X-Sensei-Weight-Epoch, and
+// manifest with epoch, segments stamped with wire.WeightEpochHeader, and
 // GET /weights serving the current snapshot. The epoch flips from 1 to 2
 // after a scripted number of segment responses, so the flip lands on a
 // known chunk deterministically.
@@ -48,7 +49,7 @@ func (s *refreshStub) weights() []float64 {
 
 func (s *refreshStub) start(t *testing.T) string {
 	t.Helper()
-	mpd, err := BuildMPDProfile(s.v, s.w1, 1)
+	mpd, err := wire.BuildMPDProfile(s.v, s.w1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func (s *refreshStub) start(t *testing.T) string {
 	})
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/dash+xml")
-		w.Header().Set(WeightEpochHeader, "1")
+		w.Header().Set(wire.WeightEpochHeader, "1")
 		_, _ = w.Write(manifest)
 	})
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", func(w http.ResponseWriter, r *http.Request) {
@@ -80,14 +81,14 @@ func (s *refreshStub) start(t *testing.T) string {
 		if served >= s.flipAfter {
 			epoch = 2
 		}
-		w.Header().Set(WeightEpochHeader, strconv.FormatUint(epoch, 10))
+		w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(epoch, 10))
 		_, _ = w.Write(make([]byte, int(s.v.ChunkSizeBits(chunk, rung)/8)))
 	})
 	mux.HandleFunc("GET /weights", func(w http.ResponseWriter, r *http.Request) {
 		s.fetches.Add(1)
 		epoch := s.epoch()
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(WeightEpochHeader, strconv.FormatUint(epoch, 10))
+		w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(epoch, 10))
 		if s.weightsBody != nil {
 			fmt.Fprint(w, s.weightsBody(epoch))
 			return
@@ -270,13 +271,13 @@ func TestClientInjectedSourceMatchesSimulatorPolling(t *testing.T) {
 // straight through to the ABR.
 func TestMPDRejectsPoisonedWeights(t *testing.T) {
 	v := testVideo(t)
-	good, err := BuildMPD(v, uniformW(v.NumChunks(), 1))
+	good, err := wire.BuildMPD(v, uniformW(v.NumChunks(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := func(weights string) *MPD {
+	poison := func(weights string) *wire.MPD {
 		m := *good
-		reps := append([]Representation(nil), good.Period.AdaptationSet.Representations...)
+		reps := append([]wire.Representation(nil), good.Period.AdaptationSet.Representations...)
 		for i := range reps {
 			reps[i].SenseiWeights = weights
 		}
@@ -304,14 +305,14 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseMPD(encoded)
+	parsed, err := wire.ParseMPD(encoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parsed.WeightEpoch() != 1 {
 		t.Fatalf("epoch %d after round-trip", parsed.WeightEpoch())
 	}
-	withEpoch, err := BuildMPDProfile(v, uniformW(v.NumChunks(), 1), 7)
+	withEpoch, err := wire.BuildMPDProfile(v, uniformW(v.NumChunks(), 1), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,14 +320,14 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err = ParseMPD(encoded)
+	parsed, err = wire.ParseMPD(encoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parsed.WeightEpoch() != 7 {
 		t.Fatalf("epoch %d after round-trip, want 7", parsed.WeightEpoch())
 	}
-	if _, err := BuildMPDProfile(v, nil, 3); err == nil {
+	if _, err := wire.BuildMPDProfile(v, nil, 3); err == nil {
 		t.Fatal("weightless epoch-3 manifest accepted")
 	}
 }
@@ -371,7 +372,7 @@ func TestClientStaleWeightsEndpointNoPolling(t *testing.T) {
 // origin publishes up to that epoch.
 func TestClientRejectsWeightlessEpochManifest(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"sensei/internal/chaos"
 	"sensei/internal/par"
 	"sensei/internal/player"
+	"sensei/internal/wire"
 )
 
 // fastRetry keeps resilience tests quick: real backoff shape, tiny delays.
@@ -138,7 +139,7 @@ func TestClientRejectsTruncatedSegment(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestClientRejectsWrongSizeSegment(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestClientSegmentFallbackLadder(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := wire.BuildMPD(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestClientStaleWeightsDegradation(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1
 	}
-	mpd, err := BuildMPDProfile(v, weights, 1)
+	mpd, err := wire.BuildMPDProfile(v, weights, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestClientStaleWeightsDegradation(t *testing.T) {
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(WeightEpochHeader, "1")
+		w.Header().Set(wire.WeightEpochHeader, "1")
 		_, _ = w.Write(manifest)
 	})
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", func(w http.ResponseWriter, r *http.Request) {
@@ -322,9 +323,9 @@ func TestClientStaleWeightsDegradation(t *testing.T) {
 		rung, _ := strconv.Atoi(r.PathValue("rung"))
 		// The epoch beacon advertises a refresh after the first chunk …
 		if chunk >= 1 {
-			w.Header().Set(WeightEpochHeader, "2")
+			w.Header().Set(wire.WeightEpochHeader, "2")
 		} else {
-			w.Header().Set(WeightEpochHeader, "1")
+			w.Header().Set(wire.WeightEpochHeader, "1")
 		}
 		_, _ = w.Write(make([]byte, int(v.ChunkSizeBits(chunk, rung)/8)))
 	})

@@ -863,15 +863,12 @@ func runSession(ctx context.Context, base string, httpc *http.Client, clock vclo
 // fetchStats reads the serving plane's /stats ledger over HTTP. The caller's
 // cancellation is stripped — a fleet that timed out still needs its report —
 // but the detached request gets its own bound so a wedged origin (the class
-// of bug this harness hunts) cannot hang Run forever. The decode target is a
-// superset of origin.Stats: a router additionally reports the per-shard
-// ledgers behind its merge, which reconciliation cross-checks; a single
-// origin simply leaves them empty.
+// of bug this harness hunts) cannot hang Run forever. The decode target is
+// the router's payload, a superset of origin.Stats: a router additionally
+// reports the per-shard ledgers behind its merge, which reconciliation
+// cross-checks; a single origin simply leaves them empty.
 func fetchStats(ctx context.Context, httpc *http.Client, base string) (origin.Stats, []origin.Stats, error) {
-	var st struct {
-		origin.Stats
-		Shards []origin.Stats `json:"shards"`
-	}
+	var st router.Stats
 	reqCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, base+"/stats", nil)

@@ -209,7 +209,7 @@ func TestParityScriptedEpochFlip(t *testing.T) {
 // boundary the scheduler's noise landed on.
 //
 // Only the upper bound holds per chunk. CPU contention can only lengthen a
-// download, and dash.Shaper.Throttle syncs its cursor forward to now, so
+// download, and origin.Shaper.Throttle syncs its cursor forward to now, so
 // an overslept chunk earns no credit: one starved chunk reads slow (1.96
 // Mbps on this 2.5 Mbps trace under CPU contention) without the shaper
 // being wrong. The median still catches a shaper that paces too slowly.

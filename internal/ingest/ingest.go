@@ -166,14 +166,6 @@ const (
 	Quarantined
 )
 
-// String renders the outcome as the wire status token.
-func (o Outcome) String() string {
-	if o == Quarantined {
-		return "quarantined"
-	}
-	return "accepted"
-}
-
 // Stats is the plane's counter snapshot — the origin embeds it in /stats,
 // and the fleet's ingest ledger reconciles against it exactly.
 type Stats struct {

@@ -6,6 +6,7 @@ import (
 
 	"sensei/internal/chaos"
 	"sensei/internal/qlog"
+	"sensei/internal/wire"
 )
 
 // EventsConfig enables the qlog session event plane on an origin: every
@@ -94,11 +95,6 @@ var (
 	hdrPromText = []string{"text/plain; version=0.0.4"}
 )
 
-// RingDropsHeader carries the drained ring's cumulative drop count on
-// every /events response, so a drainer can tell a complete trace from one
-// with holes without a second request.
-const RingDropsHeader = "X-Sensei-Ring-Drops"
-
 // handleEvents is the incremental JSON-lines drain: GET /events?sid=&since=
 // consumes the session's server-side ring (or the process ring when sid is
 // omitted) and streams every event with Seq > since, one JSON object per
@@ -107,9 +103,9 @@ const RingDropsHeader = "X-Sensei-Ring-Drops"
 // /stats, this endpoint is never chaos-faulted: observability stays
 // reachable no matter how unhealthy the data plane is.
 func (o *Origin) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sid := QueryParam(r.URL.RawQuery, "sid")
+	sid := wire.QueryParam(r.URL.RawQuery, "sid")
 	var since uint64
-	if raw := QueryParam(r.URL.RawQuery, "since"); raw != "" {
+	if raw := wire.QueryParam(r.URL.RawQuery, "since"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			http.Error(w, "origin: bad since cursor: "+err.Error(), http.StatusBadRequest)
@@ -130,7 +126,7 @@ func (o *Origin) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h["Content-Type"] = hdrNDJSON
-	h.Set(RingDropsHeader, strconv.FormatInt(ring.Drops(), 10))
+	h.Set(wire.RingDropsHeader, strconv.FormatInt(ring.Drops(), 10))
 	_, _ = w.Write(buf)
 }
 

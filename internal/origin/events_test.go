@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sensei/internal/qlog"
+	"sensei/internal/wire"
 )
 
 // newEventsOrigin builds an in-memory origin with the event plane on.
@@ -134,7 +135,7 @@ func TestOriginEventsDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var join JoinResponse
+	var join wire.JoinResponse
 	if err := json.NewDecoder(jr.Body).Decode(&join); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestOriginEventsDrain(t *testing.T) {
 				Chunk: raw.Chunk, Bytes: raw.Bytes,
 			})
 		}
-		return out, resp.Header.Get(RingDropsHeader)
+		return out, resp.Header.Get(wire.RingDropsHeader)
 	}
 
 	events, drops := drain(0)

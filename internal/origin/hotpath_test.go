@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"sensei/internal/chaos"
-	"sensei/internal/dash"
 	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // hotPathRung is the ladder rung the hot-path tests request.
@@ -64,12 +64,12 @@ func joinDirect(t testing.TB, o *Origin) *session {
 // newTestSession builds a registrable session on the origin's default
 // trace.
 func newTestSession(o *Origin, videoName string) (*session, error) {
-	shaper, err := dash.NewShaper(o.cfg.Traces[o.cfg.DefaultTrace], o.cfg.TimeScale)
+	shaper, err := NewShaper(o.cfg.Traces[o.cfg.DefaultTrace], o.cfg.TimeScale, o.cfg.Clock)
 	if err != nil {
 		return nil, err
 	}
 	s := &session{
-		id:        newSessionID(),
+		id:        NewSessionID(),
 		videoName: videoName,
 		traceName: o.cfg.DefaultTrace,
 		timeScale: o.cfg.TimeScale,
@@ -273,7 +273,7 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state segment path allocates %.1f objects/op, want 0", allocs)
 	}
-	if got := w.h.Get(WeightEpochHeader); got == "" || got == "0" {
+	if got := w.h.Get(wire.WeightEpochHeader); got == "" || got == "0" {
 		t.Fatalf("epoch beacon %q; want a live epoch (holder cache not engaged)", got)
 	}
 }

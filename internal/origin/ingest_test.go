@@ -12,6 +12,7 @@ import (
 
 	"sensei/internal/ingest"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // ingestOrigin starts an origin with the closed loop enabled and aggressive
@@ -52,7 +53,7 @@ func ingestOrigin(t *testing.T, mutate func(*ingest.Config)) (*Origin, string, *
 
 // postRating posts one rating over the wire and returns the HTTP status,
 // decoded response and the epoch header.
-func postRating(t *testing.T, base string, req RatingRequest) (int, RatingResponse, uint64) {
+func postRating(t *testing.T, base string, req wire.RatingRequest) (int, wire.RatingResponse, uint64) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(base+"/rating", "application/json", bytes.NewReader(body))
@@ -60,7 +61,7 @@ func postRating(t *testing.T, base string, req RatingRequest) (int, RatingRespon
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr RatingResponse
+	var rr wire.RatingResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 			t.Fatal(err)
@@ -69,7 +70,7 @@ func postRating(t *testing.T, base string, req RatingRequest) (int, RatingRespon
 		_, _ = io.Copy(io.Discard, resp.Body)
 	}
 	var epoch uint64
-	fmt.Sscanf(resp.Header.Get(WeightEpochHeader), "%d", &epoch)
+	fmt.Sscanf(resp.Header.Get(wire.WeightEpochHeader), "%d", &epoch)
 	return resp.StatusCode, rr, epoch
 }
 
@@ -84,7 +85,7 @@ func TestOriginRatingEndpoint(t *testing.T) {
 
 	// The video is cold until its manifest is requested: every rating
 	// quarantines against epoch 0.
-	status, rr, _ := postRating(t, base, RatingRequest{SessionID: sid, Chunk: 0, Epoch: 1, Rating: 5})
+	status, rr, _ := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 0, Epoch: 1, Rating: 5})
 	if status != http.StatusOK || rr.Status != "quarantined" {
 		t.Fatalf("cold-video rating: status %d %+v", status, rr)
 	}
@@ -94,7 +95,7 @@ func TestOriginRatingEndpoint(t *testing.T) {
 	if _, err := o.Weights().Get(v); err != nil {
 		t.Fatal(err)
 	}
-	status, rr, epoch := postRating(t, base, RatingRequest{SessionID: sid, Chunk: 3, Epoch: 1, Rating: 4})
+	status, rr, epoch := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 3, Epoch: 1, Rating: 4})
 	if status != http.StatusOK || rr.Status != "accepted" || rr.Video != v.Name || epoch != 1 || rr.Epoch != 1 {
 		t.Fatalf("warm rating: status %d %+v epoch %d", status, rr, epoch)
 	}
@@ -104,19 +105,19 @@ func TestOriginRatingEndpoint(t *testing.T) {
 	if _, err := o.RefreshWeights(v.Name, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	status, rr, epoch = postRating(t, base, RatingRequest{SessionID: sid, Chunk: 3, Epoch: 1, Rating: 4})
+	status, rr, epoch = postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 3, Epoch: 1, Rating: 4})
 	if status != http.StatusOK || rr.Status != "quarantined" || epoch != 2 || rr.Epoch != 2 {
 		t.Fatalf("stale rating: status %d %+v epoch %d", status, rr, epoch)
 	}
 
 	// Unknown session → 404; malformed rating → 400.
-	if status, _, _ := postRating(t, base, RatingRequest{SessionID: "nope", Chunk: 0, Epoch: 2, Rating: 3}); status != http.StatusNotFound {
+	if status, _, _ := postRating(t, base, wire.RatingRequest{SessionID: "nope", Chunk: 0, Epoch: 2, Rating: 3}); status != http.StatusNotFound {
 		t.Fatalf("unknown session: status %d", status)
 	}
-	if status, _, _ := postRating(t, base, RatingRequest{SessionID: sid, Chunk: 99, Epoch: 2, Rating: 3}); status != http.StatusBadRequest {
+	if status, _, _ := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 99, Epoch: 2, Rating: 3}); status != http.StatusBadRequest {
 		t.Fatalf("bad chunk: status %d", status)
 	}
-	if status, _, _ := postRating(t, base, RatingRequest{SessionID: sid, Chunk: 0, Epoch: 2, Rating: 9}); status != http.StatusBadRequest {
+	if status, _, _ := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 0, Epoch: 2, Rating: 9}); status != http.StatusBadRequest {
 		t.Fatalf("bad rating: status %d", status)
 	}
 
@@ -142,10 +143,10 @@ func TestOriginAutonomousRefresh(t *testing.T) {
 
 	// Window 0 (chunks 0–3) delights, window 1 (chunks 4–7) disappoints.
 	for i := 0; i < 8; i++ {
-		if status, _, _ := postRating(t, base, RatingRequest{SessionID: sid, Chunk: i % 4, Epoch: 1, Rating: 5}); status != http.StatusOK {
+		if status, _, _ := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: i % 4, Epoch: 1, Rating: 5}); status != http.StatusOK {
 			t.Fatalf("rating %d: status %d", i, status)
 		}
-		if status, _, _ := postRating(t, base, RatingRequest{SessionID: sid, Chunk: 4 + i%4, Epoch: 1, Rating: 2}); status != http.StatusOK {
+		if status, _, _ := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 4 + i%4, Epoch: 1, Rating: 2}); status != http.StatusOK {
 			t.Fatalf("rating %d: status %d", i, status)
 		}
 	}
@@ -180,7 +181,7 @@ func TestOriginIngestDisabled(t *testing.T) {
 		DefaultTrace: "wire",
 		TimeScale:    0.001,
 	})
-	body, _ := json.Marshal(RatingRequest{SessionID: "x", Chunk: 0, Epoch: 1, Rating: 3})
+	body, _ := json.Marshal(wire.RatingRequest{SessionID: "x", Chunk: 0, Epoch: 1, Rating: 3})
 	resp, err := http.Post(base+"/rating", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -14,12 +14,13 @@ import (
 	"sensei/internal/dash"
 	"sensei/internal/player"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // joinSession creates a session over the wire and returns its ID.
 func joinSession(t *testing.T, base string, videoName string) string {
 	t.Helper()
-	body, _ := json.Marshal(JoinRequest{Video: videoName})
+	body, _ := json.Marshal(wire.JoinRequest{Video: videoName})
 	resp, err := http.Post(base+"/session", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func joinSession(t *testing.T, base string, videoName string) string {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s", resp.Status)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	}
 	mpdBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(WeightEpochHeader); got != "1" {
+	if got := resp.Header.Get(wire.WeightEpochHeader); got != "1" {
 		t.Fatalf("manifest epoch header %q", got)
 	}
-	mpd, err := dash.ParseMPD(mpdBody)
+	mpd, err := wire.ParseMPD(mpdBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(WeightEpochHeader); got != "1" {
+	if got := resp.Header.Get(wire.WeightEpochHeader); got != "1" {
 		t.Fatalf("segment epoch header %q", got)
 	}
 
@@ -87,7 +88,7 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wr WeightsResponse
+	var wr wire.WeightsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +113,12 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	}
 
 	// POST /refresh re-profiles a window and bumps the epoch.
-	refresh, _ := json.Marshal(RefreshRequest{Video: v.Name, From: 2, To: 6})
+	refresh, _ := json.Marshal(wire.RefreshRequest{Video: v.Name, From: 2, To: 6})
 	resp, err = http.Post(base+"/refresh", "application/json", bytes.NewReader(refresh))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rr RefreshResponse
+	var rr wire.RefreshResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(WeightEpochHeader); got != "2" {
+	if got := resp.Header.Get(wire.WeightEpochHeader); got != "2" {
 		t.Fatalf("post-refresh segment epoch header %q", got)
 	}
 
 	// Refreshing an unknown video is a 404.
-	bad, _ := json.Marshal(RefreshRequest{Video: "nope", From: 0, To: 1})
+	bad, _ := json.Marshal(wire.RefreshRequest{Video: "nope", From: 0, To: 1})
 	if resp, err = http.Post(base+"/refresh", "application/json", bytes.NewReader(bad)); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 //     singleflight), and persisted so restarts are instant
 //   - GET  /v/{video}/segment/{chunk}/{rung}?sid=... — synthetic segment
 //     bytes shaped by the *session's own* trace cursor; the response carries
-//     X-Sensei-Weight-Epoch so clients detect profile staleness for free
+//     wire.WeightEpochHeader so clients detect profile staleness for free
 //   - GET  /weights?sid=...              — the session's video's current
 //     profile snapshot (epoch + weights); clients re-fetch it when a
 //     segment response advertises a newer epoch
@@ -20,7 +20,8 @@
 //   - GET  /stats                        — active sessions, bytes served,
 //     per-video hit counts and weight epochs
 //
-// Each session owns a dash.Shaper replaying its own trace from its own
+// The request and response bodies, header names and paths are internal/
+// wire's. Each session owns a Shaper replaying its own trace from its own
 // start time, so concurrent sessions observe independent bottlenecks — the
 // substrate per-user QoE personalization builds on — instead of contending
 // on one global cursor. Idle sessions are reaped by a janitor. Server
@@ -49,7 +50,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -59,13 +59,13 @@ import (
 	"time"
 
 	"sensei/internal/chaos"
-	"sensei/internal/dash"
 	"sensei/internal/ingest"
 	"sensei/internal/qlog"
 	"sensei/internal/sensitivity"
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // DefaultSessionIdleTimeout reaps sessions that stop issuing requests.
@@ -150,20 +150,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// WeightEpochHeader is the response header advertising the serving
-// video's current sensitivity-profile epoch. It rides on manifest, segment
-// and weight responses; a client comparing it against its own snapshot's
-// epoch detects staleness without polling. The name is defined on the
-// client side (dash) so the protocol has one source of truth.
-const WeightEpochHeader = dash.WeightEpochHeader
-
-// SessionIDHeader, when present on POST /session, names the session ID the
-// origin must assign instead of minting one. The multi-origin router uses
-// it to keep routing stateless: it mints the ID, picks the owning shard by
-// consistent hash, and every later request for that sid hashes back to the
-// same shard with no router-side session table.
-const SessionIDHeader = "X-Sensei-Session-Id"
-
 // Preformatted single-value response headers, assigned directly into the
 // header map so the steady-state data plane never formats or allocates
 // header values. net/http only ever reads them, and the keys are already
@@ -175,7 +161,7 @@ var (
 	zeroEpochHeader = []string{"0"}
 )
 
-// epochStamp is a preformatted X-Sensei-Weight-Epoch value, rebuilt only
+// epochStamp is a preformatted wire.WeightEpochHeader value, rebuilt only
 // when the epoch actually changes so the per-segment stamp is two atomic
 // loads, not a FormatUint.
 type epochStamp struct {
@@ -486,43 +472,21 @@ func (o *Origin) route(w http.ResponseWriter, r *http.Request) {
 	o.mux.ServeHTTP(w, r)
 }
 
-// segmentRoute parses GET /v/<video>/segment/<chunk>/<rung> in one pass,
-// without the mux's wildcard captures, which allocate. It accepts only
-// what the mux's segment pattern would route to the same video, chunk and
-// rung: a plain GET of an unescaped, clean path naming a catalog video,
-// with both numbers plain decimal digits. Anything else — HEAD, an escaped
-// path, a sign or an overlong number, a trailing slash — is left to the
-// mux, which answers it as it always has.
+// segmentRoute takes a segment GET past the mux, whose wildcard captures
+// allocate: a plain GET of an unescaped path that wire.ParseSegmentPath
+// accepts and that names a catalog video. Anything else — HEAD, an escaped
+// path, a path the parser refuses — is left to the mux, which answers it
+// as it always has.
 func (o *Origin) segmentRoute(r *http.Request) (ce *catalogEntry, chunk, rung int, ok bool) {
 	if r.Method != http.MethodGet || r.URL.RawPath != "" {
 		return nil, 0, 0, false
 	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v/")
+	name, chunk, rung, ok := wire.ParseSegmentPath(r.URL.Path)
 	if !ok {
-		return nil, 0, 0, false
-	}
-	name, rest, ok := strings.Cut(rest, "/segment/")
-	if !ok || name == "" || name == "." || name == ".." || strings.IndexByte(name, '/') >= 0 {
-		return nil, 0, 0, false
-	}
-	if chunk, rest, ok = leadingDecimal(rest); !ok || !strings.HasPrefix(rest, "/") {
-		return nil, 0, 0, false
-	}
-	if rung, rest, ok = leadingDecimal(rest[1:]); !ok || rest != "" {
 		return nil, 0, 0, false
 	}
 	ce, ok = o.videos[name]
 	return ce, chunk, rung, ok
-}
-
-// leadingDecimal parses the one to nine decimal digits s starts with.
-func leadingDecimal(s string) (n int, rest string, ok bool) {
-	i := 0
-	for i < len(s) && i < 10 && '0' <= s[i] && s[i] <= '9' {
-		n = n*10 + int(s[i]-'0')
-		i++
-	}
-	return n, s[i:], i > 0 && i < 10
 }
 
 // ChaosJournal returns the injected-fault replay journal (nil when fault
@@ -559,36 +523,9 @@ func classifyChaos(r *http.Request) (chaos.Kind, string, bool) {
 	}
 	key := r.Header.Get(chaos.KeyHeader)
 	if key == "" {
-		key = QueryParam(r.URL.RawQuery, "sid")
+		key = wire.QueryParam(r.URL.RawQuery, "sid")
 	}
 	return kind, key, true
-}
-
-// QueryParam extracts one query parameter without materializing a
-// url.Values map — r.URL.Query() allocates on every call, which the
-// zero-alloc segment path cannot afford. Unescaping is only attempted when
-// the raw value actually contains an escape, which session IDs (hex) never
-// do.
-func QueryParam(rawQuery, key string) string {
-	for rawQuery != "" {
-		var pair string
-		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
-			pair, rawQuery = rawQuery[:i], rawQuery[i+1:]
-		} else {
-			pair, rawQuery = rawQuery, ""
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		if k != key {
-			continue
-		}
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u
-			}
-		}
-		return v
-	}
-	return ""
 }
 
 func (o *Origin) logf(format string, args ...any) {
@@ -615,7 +552,7 @@ func (o *Origin) profileOf(ce *catalogEntry) (*sensitivity.Profile, error) {
 	return p, nil
 }
 
-// epochHeader returns the preformatted X-Sensei-Weight-Epoch value for ce.
+// epochHeader returns the preformatted wire.WeightEpochHeader value for ce.
 // It never triggers profiling: a cold video advertises 0. Steady state is
 // three atomic loads and zero allocations; the stamp string is rebuilt
 // only when a refresh bumps the epoch.
@@ -638,27 +575,15 @@ func (o *Origin) epochHeader(ce *catalogEntry) []string {
 
 // --- control plane ---
 
-// JoinRequest is the POST /session body.
-type JoinRequest struct {
-	// Video names the catalog video the session will stream.
-	Video string `json:"video"`
-	// Trace optionally names the throughput trace to replay (defaults to
-	// the origin's DefaultTrace).
-	Trace string `json:"trace,omitempty"`
-	// TimeScale optionally overrides the origin's default compression.
-	TimeScale float64 `json:"timescale,omitempty"`
-}
-
-// JoinResponse is the POST /session reply.
-type JoinResponse struct {
-	SessionID string  `json:"session_id"`
-	Video     string  `json:"video"`
-	Trace     string  `json:"trace"`
-	TimeScale float64 `json:"timescale"`
-}
+// JoinRequest and JoinResponse name wire's POST /session bodies for
+// bench/origin_wire.go, which predates package wire.
+type (
+	JoinRequest  = wire.JoinRequest
+	JoinResponse = wire.JoinResponse
+)
 
 func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
+	var req wire.JoinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
 		http.Error(w, "origin: bad join body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -685,14 +610,14 @@ func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("origin: invalid timescale %v", req.TimeScale), http.StatusBadRequest)
 		return
 	}
-	shaper, err := dash.NewShaperClock(tr, scale, o.cfg.Clock)
+	shaper, err := NewShaper(tr, scale, o.cfg.Clock)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	id := r.Header.Get(SessionIDHeader)
+	id := r.Header.Get(wire.SessionIDHeader)
 	if id == "" {
-		id = newSessionID()
+		id = NewSessionID()
 	}
 	s := &session{
 		id:        id,
@@ -718,7 +643,7 @@ func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	o.logf("origin: session %s joined: video=%q trace=%q timescale=%g", s.id, ce.v.Name, traceName, scale)
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(JoinResponse{
+	_ = json.NewEncoder(w).Encode(wire.JoinResponse{
 		SessionID: s.id,
 		Video:     ce.v.Name,
 		Trace:     traceName,
@@ -765,7 +690,7 @@ func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", r.PathValue("video")), http.StatusNotFound)
 		return
 	}
-	if sid := QueryParam(r.URL.RawQuery, "sid"); sid != "" {
+	if sid := wire.QueryParam(r.URL.RawQuery, "sid"); sid != "" {
 		o.lookupSession(sid) // refresh the idle clock; manifests work without a session too
 	}
 	p, err := o.profileOf(ce)
@@ -776,7 +701,7 @@ func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 	mb := ce.manifest.Load()
 	if mb == nil || mb.epoch != p.Epoch {
-		mpd, err := dash.BuildMPDProfile(ce.v, p.Weights, p.Epoch)
+		mpd, err := wire.BuildMPDProfile(ce.v, p.Weights, p.Epoch)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -796,16 +721,8 @@ func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
 	o.manifestsServed.Add(1)
 	h := w.Header()
 	h["Content-Type"] = hdrDashXML
-	h[WeightEpochHeader] = mb.epochHdr
+	h[wire.WeightEpochHeader] = mb.epochHdr
 	_, _ = w.Write(mb.body)
-}
-
-// WeightsResponse is the GET /weights payload: the current epoch-stamped
-// profile of the session's video.
-type WeightsResponse struct {
-	Video   string    `json:"video"`
-	Epoch   uint64    `json:"epoch"`
-	Weights []float64 `json:"weights,omitempty"`
 }
 
 // handleWeights serves the current profile snapshot for the session named
@@ -814,7 +731,7 @@ type WeightsResponse struct {
 // epoch on a segment response fetches the new vector here before its next
 // decision. The response body is serialized once per epoch and cached.
 func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
-	sid := QueryParam(r.URL.RawQuery, "sid")
+	sid := wire.QueryParam(r.URL.RawQuery, "sid")
 	if sid == "" {
 		http.Error(w, "origin: weights request without sid (join via POST /session)", http.StatusBadRequest)
 		return
@@ -836,7 +753,7 @@ func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
 	}
 	wb := ce.weights.Load()
 	if wb == nil || wb.epoch != p.Epoch {
-		body, err := json.Marshal(WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights})
+		body, err := json.Marshal(wire.WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -851,26 +768,12 @@ func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
 	o.weightsServed.Add(1)
 	h := w.Header()
 	h["Content-Type"] = hdrJSON
-	h[WeightEpochHeader] = wb.epochHdr
+	h[wire.WeightEpochHeader] = wb.epochHdr
 	_, _ = w.Write(wb.body)
 }
 
-// RefreshRequest is the POST /refresh body: re-profile chunks [From, To)
-// of Video and publish the result as the next epoch.
-type RefreshRequest struct {
-	Video string `json:"video"`
-	From  int    `json:"from"`
-	To    int    `json:"to"`
-}
-
-// RefreshResponse is the POST /refresh reply.
-type RefreshResponse struct {
-	Video string `json:"video"`
-	Epoch uint64 `json:"epoch"`
-}
-
 func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	var req RefreshRequest
+	var req wire.RefreshRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
 		http.Error(w, "origin: bad refresh body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -885,28 +788,8 @@ func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(WeightEpochHeader, strconv.FormatUint(p.Epoch, 10))
-	_ = json.NewEncoder(w).Encode(RefreshResponse{Video: p.VideoName, Epoch: p.Epoch})
-}
-
-// RatingRequest is the POST /rating body: one 1–5 in-player score for a
-// rendered chunk, stamped with the weight epoch the chunk's ABR decision
-// ran under (the quarantine key).
-type RatingRequest struct {
-	SessionID string `json:"session_id"`
-	Chunk     int    `json:"chunk"`
-	Epoch     uint64 `json:"epoch"`
-	Rating    int    `json:"rating"`
-}
-
-// RatingResponse is the POST /rating reply. Status is "accepted" or
-// "quarantined"; Epoch is the video's CURRENT profile epoch, so a rating
-// response doubles as a staleness beacon exactly like a segment response.
-type RatingResponse struct {
-	Video  string `json:"video"`
-	Chunk  int    `json:"chunk"`
-	Status string `json:"status"`
-	Epoch  uint64 `json:"epoch"`
+	w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(p.Epoch, 10))
+	_ = json.NewEncoder(w).Encode(wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch})
 }
 
 // handleRating feeds one client rating into the ingest plane (registered
@@ -914,7 +797,7 @@ type RatingResponse struct {
 // the session — clients never name videos directly on this path — and a
 // rating is activity for the idle janitor, like any other request.
 func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
-	var req RatingRequest
+	var req wire.RatingRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
 		http.Error(w, "origin: bad rating body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -934,6 +817,10 @@ func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	status := wire.StatusAccepted
+	if outcome == ingest.Quarantined {
+		status = wire.StatusQuarantined
+	}
 	if o.events != nil {
 		kind := qlog.KindOriginRatingAccepted
 		if outcome == ingest.Quarantined {
@@ -950,11 +837,11 @@ func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
 	cur := o.store.EpochOf(ce.v.Name)
 	h := w.Header()
 	h["Content-Type"] = hdrJSON
-	h.Set(WeightEpochHeader, strconv.FormatUint(cur, 10))
-	_ = json.NewEncoder(w).Encode(RatingResponse{
+	h.Set(wire.WeightEpochHeader, strconv.FormatUint(cur, 10))
+	_ = json.NewEncoder(w).Encode(wire.RatingResponse{
 		Video:  ce.v.Name,
 		Chunk:  req.Chunk,
-		Status: outcome.String(),
+		Status: status,
 		Epoch:  cur,
 	})
 }
@@ -996,7 +883,7 @@ func (o *Origin) handleSegment(w http.ResponseWriter, r *http.Request) {
 // atomic accounting and shared-pattern writes. chunk and rung are range
 // checked here. Error and chaos paths may allocate freely.
 func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalogEntry, chunk, rung int) {
-	sid := QueryParam(r.URL.RawQuery, "sid")
+	sid := wire.QueryParam(r.URL.RawQuery, "sid")
 	if sid == "" {
 		http.Error(w, "origin: segment request without sid (join via POST /session)", http.StatusBadRequest)
 		return
@@ -1034,7 +921,7 @@ func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalo
 	// Staleness beacon: the video's current profile epoch rides on every
 	// segment so clients detect a refresh without polling. The stamp is a
 	// lock-free peek, never a campaign — a cold video simply advertises 0.
-	h[WeightEpochHeader] = o.epochHeader(ce)
+	h[wire.WeightEpochHeader] = o.epochHeader(ce)
 
 	// Injected truncation (the chaos middleware planted a plan in the
 	// request context): declare the full Content-Length above but deliver

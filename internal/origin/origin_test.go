@@ -15,6 +15,7 @@ import (
 	"sensei/internal/player"
 	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // testScale is the emulation's wall-clock compression; the race detector's
@@ -202,11 +203,11 @@ func TestSessionControlPlane(t *testing.T) {
 	})
 
 	// Join with explicit trace.
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name, Trace: "slow"})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name, Trace: "slow"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +216,13 @@ func TestSessionControlPlane(t *testing.T) {
 	}
 
 	// Unknown video and unknown trace are rejected.
-	if resp, _ := postJSON(t, base+"/session", JoinRequest{Video: "NoSuch"}); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := postJSON(t, base+"/session", wire.JoinRequest{Video: "NoSuch"}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown video: %s", resp.Status)
 	}
-	if resp, _ := postJSON(t, base+"/session", JoinRequest{Video: v.Name, Trace: "nope"}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name, Trace: "nope"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown trace: %s", resp.Status)
 	}
-	if resp, _ := postJSON(t, base+"/session", JoinRequest{Video: v.Name, TimeScale: -1}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name, TimeScale: -1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative timescale: %s", resp.Status)
 	}
 
@@ -277,11 +278,11 @@ func TestSegmentPinnedToSessionVideo(t *testing.T) {
 		DefaultTrace: "f",
 		TimeScale:    0.001,
 	})
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: va.Name})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: va.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +300,11 @@ func TestSessionIdleExpiry(t *testing.T) {
 		TimeScale:          0.001,
 		SessionIdleTimeout: 40 * time.Millisecond,
 	})
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +333,11 @@ func TestSessionCap(t *testing.T) {
 		MaxSessions:  2,
 	})
 	for i := 0; i < 2; i++ {
-		if resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name}); resp.StatusCode != http.StatusOK {
+		if resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("join %d: %s: %s", i, resp.Status, body)
 		}
 	}
-	if resp, _ := postJSON(t, base+"/session", JoinRequest{Video: v.Name}); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("join beyond cap: %s", resp.Status)
 	}
 }
@@ -365,11 +366,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +424,11 @@ func TestServerSurvivesClientAbort(t *testing.T) {
 		DefaultTrace: "slow",
 		TimeScale:    0.01,
 	})
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +473,11 @@ func TestDeleteSessionMidStream(t *testing.T) {
 		DefaultTrace: "f",
 		TimeScale:    0.05,
 	})
-	resp, body := postJSON(t, base+"/session", JoinRequest{Video: v.Name})
+	resp, body := postJSON(t, base+"/session", wire.JoinRequest{Video: v.Name})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s: %s", resp.Status, body)
 	}
-	var jr JoinResponse
+	var jr wire.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sensei/internal/dash"
 	"sensei/internal/qlog"
 )
 
@@ -43,7 +42,7 @@ type session struct {
 	videoName string
 	traceName string
 	timeScale float64
-	shaper    *dash.Shaper
+	shaper    *Shaper
 	shard     *sessionShard // the registry stripe holding this session
 
 	created  time.Duration // origin clock reading at join
@@ -57,9 +56,10 @@ type session struct {
 	ring *qlog.Ring
 }
 
-// newSessionID returns a 16-hex-char random identifier, unique for all
-// practical purposes within one origin process.
-func newSessionID() string {
+// NewSessionID returns a 16-hex-char random identifier, unique for all
+// practical purposes within one process. The origin mints one per join;
+// the multi-origin router mints them for its shards.
+func NewSessionID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is effectively fatal everywhere else in the

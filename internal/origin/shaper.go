@@ -1,4 +1,4 @@
-package dash
+package origin
 
 import (
 	"fmt"
@@ -12,11 +12,11 @@ import (
 // Shaper throttles egress to follow a throughput trace. It is the offline
 // stand-in for the paper's Mahimahi-style trace replay: every connection
 // sharing one shaper contends on one bottleneck whose capacity at virtual
-// time t is the trace sample at t. The multi-tenant origin gives each
-// session its own Shaper, so sessions replay independent trace cursors
-// instead of contending on a global one. Virtual time advances TimeScale
-// times faster than wall-clock time, so a 15-minute session can run in
-// seconds without changing any of the throughput arithmetic.
+// time t is the trace sample at t. The origin gives each session its own
+// Shaper, so sessions replay independent trace cursors instead of
+// contending on a global one. Virtual time advances TimeScale times faster
+// than wall-clock time, so a 15-minute session can run in seconds without
+// changing any of the throughput arithmetic.
 //
 // The shaper reads time from a vclock.Clock, so the same arithmetic runs
 // against the wall clock or the discrete-event simulated one: under a
@@ -36,17 +36,11 @@ type Shaper struct {
 	epoch  time.Duration // clock reading at construction
 }
 
-// NewShaper starts a shaper replaying tr from virtual time zero on the
-// wall clock.
-func NewShaper(tr *trace.Trace, timeScale float64) (*Shaper, error) {
-	return NewShaperClock(tr, timeScale, vclock.NewReal())
-}
-
-// NewShaperClock starts a shaper replaying tr from virtual time zero,
-// reading time from clock.
-func NewShaperClock(tr *trace.Trace, timeScale float64, clock vclock.Clock) (*Shaper, error) {
+// NewShaper starts a shaper replaying tr from virtual time zero, reading
+// time from clock.
+func NewShaper(tr *trace.Trace, timeScale float64, clock vclock.Clock) (*Shaper, error) {
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("dash: shaper: %w", err)
+		return nil, fmt.Errorf("origin: shaper: %w", err)
 	}
 	if timeScale <= 0 {
 		timeScale = 1
@@ -73,7 +67,7 @@ func (s *Shaper) VirtualNow() float64 {
 // bytes, so callers may batch: one Throttle(n) for a whole segment sleeps
 // the same total wall time as one call per write slice (the trace
 // integral is linear in delivered bits), just with one timer wakeup
-// instead of many. The origin's segment path relies on this.
+// instead of many. The segment path relies on this.
 func (s *Shaper) Throttle(n int) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()

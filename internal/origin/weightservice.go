@@ -146,7 +146,7 @@ func (s *WeightService) HolderOf(v *video.Video) (*sensitivity.Versioned, error)
 
 // EpochOf peeks at a video's current epoch without triggering profiling:
 // 0 when the video is unresolved or unprofiled. Control-plane callers use
-// it to stamp X-Sensei-Weight-Epoch without ever paying a campaign (the
+// it to stamp wire.WeightEpochHeader without ever paying a campaign (the
 // segment path goes further and caches the Holder).
 func (s *WeightService) EpochOf(videoName string) uint64 {
 	h := s.Holder(videoName)

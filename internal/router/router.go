@@ -4,7 +4,7 @@
 //
 // Sessions are sticky: POST /session mints the session ID in the router,
 // picks the owning shard by consistent hash (ring.go) and forwards the
-// join with origin.SessionIDHeader set, so the shard registers exactly
+// join with wire.SessionIDHeader set, so the shard registers exactly
 // that ID. Every later request carrying the sid — segments, weights,
 // manifests, DELETE, ratings — hashes the sid back to the same shard with
 // no router-side session table: routing is stateless, in-process (the
@@ -14,7 +14,7 @@
 // The sensitivity plane stays global: all shards share one
 // origin.WeightService, so a video profiles at most once per process,
 // POST /refresh (routed to shard 0) bumps the epoch for every shard at
-// once, and the X-Sensei-Weight-Epoch beacon is consistent no matter
+// once, and the wire.WeightEpochHeader beacon is consistent no matter
 // which shard stamps it.
 //
 // GET /stats fans out and merges: the response is the familiar
@@ -25,19 +25,17 @@ package router
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"time"
 
 	"sensei/internal/chaos"
 	"sensei/internal/origin"
 	"sensei/internal/qlog"
 	"sensei/internal/sensitivity"
+	"sensei/internal/wire"
 )
 
 // DefaultShards is the shard count used when Config.Shards is 0.
@@ -156,21 +154,12 @@ func (rt *Router) Owner(sid string) int { return rt.ring.Owner(sid) }
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// newSessionID mints a 16-hex-char session ID, like the origin's own.
-func newSessionID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "r" + hex.EncodeToString([]byte(time.Now().Format("150405.000000000")))
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // handleJoin assigns the session its shard: mint the ID here, pick the
 // owner by hash, and let the shard register exactly that ID via
-// origin.SessionIDHeader. Clients keep the protocol they already speak.
+// wire.SessionIDHeader. Clients keep the protocol they already speak.
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	id := newSessionID()
-	r.Header.Set(origin.SessionIDHeader, id)
+	id := origin.NewSessionID()
+	r.Header.Set(wire.SessionIDHeader, id)
 	rt.shards[rt.ring.Owner(id)].ServeHTTP(w, r)
 }
 
@@ -183,7 +172,7 @@ func (rt *Router) routeBySessionID(w http.ResponseWriter, r *http.Request) {
 // Requests without a sid (a manifest fetched before joining) go to shard
 // 0 — any shard can serve them, the weight plane is shared.
 func (rt *Router) routeBySID(w http.ResponseWriter, r *http.Request) {
-	rt.shards[rt.ring.Owner(origin.QueryParam(r.URL.RawQuery, "sid"))].ServeHTTP(w, r)
+	rt.shards[rt.ring.Owner(wire.QueryParam(r.URL.RawQuery, "sid"))].ServeHTTP(w, r)
 }
 
 // routeToShard0 routes epoch-bumping control traffic to shard 0: the
@@ -199,12 +188,12 @@ func (rt *Router) routeToShard0(w http.ResponseWriter, r *http.Request) {
 // across every shard — each shard's chaos injector mirrors into its own
 // process ring — and merges the JSON lines, summing the drop header.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if sid := origin.QueryParam(r.URL.RawQuery, "sid"); sid != "" {
+	if sid := wire.QueryParam(r.URL.RawQuery, "sid"); sid != "" {
 		rt.shards[rt.ring.Owner(sid)].ServeHTTP(w, r)
 		return
 	}
 	var since uint64
-	if raw := origin.QueryParam(r.URL.RawQuery, "since"); raw != "" {
+	if raw := wire.QueryParam(r.URL.RawQuery, "since"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			http.Error(w, "router: bad since cursor: "+err.Error(), http.StatusBadRequest)
@@ -234,7 +223,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
-	h.Set(origin.RingDropsHeader, strconv.FormatInt(drops, 10))
+	h.Set(wire.RingDropsHeader, strconv.FormatInt(drops, 10))
 	_, _ = w.Write(buf)
 }
 

@@ -13,6 +13,7 @@ import (
 	"sensei/internal/origin"
 	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // testConfig builds a small router config: 4 shards, one excerpt video,
@@ -56,9 +57,9 @@ func startRouter(t testing.TB, shards int) (*Server, string) {
 	return srv, "http://" + addr
 }
 
-func joinSession(t testing.TB, base string) origin.JoinResponse {
+func joinSession(t testing.TB, base string) wire.JoinResponse {
 	t.Helper()
-	body, _ := json.Marshal(origin.JoinRequest{Video: "Soccer1[0:6]"})
+	body, _ := json.Marshal(wire.JoinRequest{Video: "Soccer1[0:6]"})
 	resp, err := http.Post(base+"/session", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func joinSession(t testing.TB, base string) origin.JoinResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %s", resp.Status)
 	}
-	var jr origin.JoinResponse
+	var jr wire.JoinResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +256,13 @@ func TestSharedEpochAcrossShards(t *testing.T) {
 			t.Fatalf("segment: %s", resp.Status)
 		}
 		io.Copy(io.Discard, resp.Body)
-		return resp.Header.Get(origin.WeightEpochHeader)
+		return resp.Header.Get(wire.WeightEpochHeader)
 	}
 	before := map[string]string{}
 	for _, sid := range shardOf {
 		before[sid] = epochOn(sid)
 	}
-	body, _ := json.Marshal(origin.RefreshRequest{Video: "Soccer1[0:6]", From: 0, To: 3})
+	body, _ := json.Marshal(wire.RefreshRequest{Video: "Soccer1[0:6]", From: 0, To: 3})
 	resp, err := http.Post(base+"/refresh", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sensei/internal/origin"
+	"sensei/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/routing.golden from this run")
@@ -56,7 +57,7 @@ func TestRouterRoutingGolden(t *testing.T) {
 
 	name := cfg.Origin.Catalog[0].Name // an excerpt: "Soccer1[0:6]"
 	join := httptest.NewRequest(http.MethodPost, "/session", strings.NewReader(`{"video":"`+name+`"}`))
-	join.Header.Set(origin.SessionIDHeader, routingSID)
+	join.Header.Set(wire.SessionIDHeader, routingSID)
 	rec := httptest.NewRecorder()
 	rt.Shards()[rt.Owner(routingSID)].ServeHTTP(rec, join)
 	if rec.Code != http.StatusOK {

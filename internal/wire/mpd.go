@@ -1,10 +1,4 @@
-// Package dash is SENSEI's integration substrate (§6 of the paper): a DASH
-// manifest (MPD) extended with per-chunk sensitivity weights, a segment
-// server whose egress is shaped by a throughput trace, and a streaming
-// client that drives any player.Algorithm over real TCP — including the
-// MSE-style delayed source-buffer sink that implements SENSEI's proactive
-// rebuffering.
-package dash
+package wire
 
 import (
 	"encoding/xml"
@@ -39,8 +33,8 @@ type AdaptationSet struct {
 	SegmentSeconds int    `xml:"senseiSegmentSeconds,attr"`
 	// WeightEpoch is the sensitivity-profile epoch the embedded weights
 	// were published at (0 = unprofiled legacy manifest). Clients compare
-	// it against the X-Sensei-Weight-Epoch header on segment responses to
-	// detect mid-stream refreshes.
+	// it against WeightEpochHeader on segment responses to detect
+	// mid-stream refreshes.
 	WeightEpoch     uint64           `xml:"senseiWeightEpoch,attr,omitempty"`
 	Representations []Representation `xml:"Representation"`
 }
@@ -71,10 +65,10 @@ func BuildMPD(v *video.Video, weights []float64) (*MPD, error) {
 // epoch-stamped weight snapshot.
 func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, error) {
 	if weights != nil && len(weights) != v.NumChunks() {
-		return nil, fmt.Errorf("dash: %d weights for %d chunks", len(weights), v.NumChunks())
+		return nil, fmt.Errorf("wire: %d weights for %d chunks", len(weights), v.NumChunks())
 	}
 	if weights == nil && epoch != 0 {
-		return nil, fmt.Errorf("dash: weightless manifest at epoch %d", epoch)
+		return nil, fmt.Errorf("wire: weightless manifest at epoch %d", epoch)
 	}
 	var wAttr string
 	if weights != nil {
@@ -92,8 +86,9 @@ func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, err
 			SenseiWeights: wAttr,
 		}
 	}
+	total := int(v.Duration() / time.Second)
 	return &MPD{
-		MediaPresentation: formatISODuration(v.Duration()),
+		MediaPresentation: fmt.Sprintf("PT%dM%dS", total/60, total%60), // ISO 8601
 		Period: Period{
 			AdaptationSet: AdaptationSet{
 				MimeType:        "video/mp4",
@@ -113,7 +108,7 @@ func (m *MPD) WeightEpoch() uint64 { return m.Period.AdaptationSet.WeightEpoch }
 func (m *MPD) Encode() ([]byte, error) {
 	out, err := xml.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("dash: encoding MPD: %w", err)
+		return nil, fmt.Errorf("wire: encoding MPD: %w", err)
 	}
 	return append([]byte(xml.Header), out...), nil
 }
@@ -122,7 +117,7 @@ func (m *MPD) Encode() ([]byte, error) {
 func ParseMPD(data []byte) (*MPD, error) {
 	var m MPD
 	if err := xml.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("dash: parsing MPD: %w", err)
+		return nil, fmt.Errorf("wire: parsing MPD: %w", err)
 	}
 	return &m, nil
 }
@@ -139,7 +134,7 @@ func (m *MPD) Weights() ([]float64, error) {
 	for i, f := range fields {
 		w, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dash: weight %d: %w", i, err)
+			return nil, fmt.Errorf("wire: weight %d: %w", i, err)
 		}
 		// The decode path is the trust boundary for wire-carried weights:
 		// a NaN, non-positive or absurdly large value would flow straight
@@ -147,7 +142,7 @@ func (m *MPD) Weights() ([]float64, error) {
 		// manifest is rejected with the same contract every persistence
 		// codec enforces (crowd.ValidWeight).
 		if !crowd.ValidWeight(w) {
-			return nil, fmt.Errorf("dash: weight %d is %v, want a value in (0, 10]", i, w)
+			return nil, fmt.Errorf("wire: weight %d is %v, want a value in (0, 10]", i, w)
 		}
 		out[i] = w
 	}
@@ -162,12 +157,4 @@ func (m *MPD) Ladder() []int {
 		out[i] = r.Bandwidth / 1000
 	}
 	return out
-}
-
-// formatISODuration renders an ISO-8601 duration like PT3M40S.
-func formatISODuration(d time.Duration) string {
-	total := int(d / time.Second)
-	m := total / 60
-	s := total % 60
-	return fmt.Sprintf("PT%dM%dS", m, s)
 }
