@@ -2,7 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -149,10 +150,9 @@ type Cohort struct {
 	MeanThroughputMbps float64 `json:"mean_throughput_mbps"`
 }
 
-// Reconciliation is the cross-check of the fleet's client-side ledgers
-// against the origin's /stats. Ok demands exact equality — any streamed
-// byte the two sides disagree about is an accounting bug, which is exactly
-// what this harness exists to catch.
+// Reconciliation is the exact cross-check of the fleet's ledgers (DESIGN.md,
+// "Reconciliation invariants"): Ok when every row holds, otherwise one
+// problem per broken row, beginning with the row's name.
 type Reconciliation struct {
 	Ok       bool     `json:"ok"`
 	Problems []string `json:"problems,omitempty"`
@@ -190,25 +190,19 @@ type Report struct {
 	// configured.
 	Refresh *RefreshOutcome `json:"refresh,omitempty"`
 	// Ingest is the fleet-side closed-loop ledger (nil unless rater
-	// cohorts ran): the client-summed rating counts reconciliation matches
-	// exactly against the origin's /stats ingest counters.
+	// cohorts ran).
 	Ingest *IngestLedger `json:"ingest,omitempty"`
 	// Chaos is the two-sided fault ledger (nil unless the fleet ran under
-	// chaos): what the origin injected versus what the clients survived,
-	// reconciled exactly per endpoint kind.
+	// chaos).
 	Chaos *ChaosLedger `json:"chaos,omitempty"`
 	// Events is the event-plane ledger (nil unless the fleet ran with
-	// Config.Events): the per-kind sums of every completed session's trace
-	// plus the shared registry's self-accounting. Reconciliation requires
-	// the traced byte ledger to equal the client ledger (which already
-	// equals origin /stats) and zero ring drops anywhere — three
-	// independently produced accounts of one run, in exact agreement.
+	// Config.Events).
 	Events *EventsLedger `json:"events,omitempty"`
 	// Origin is the server's /stats snapshot after the fleet drained.
 	Origin origin.Stats `json:"origin"`
 	// ShardStats holds the per-shard ledgers behind Origin when the fleet
 	// ran against a multi-origin router (Config.OriginShards > 1); empty for
-	// a single origin. Reconciliation proves Origin is exactly their sum.
+	// a single origin.
 	ShardStats []origin.Stats `json:"origin_shards,omitempty"`
 	// Reconciliation cross-checks the two ledgers.
 	Reconciliation Reconciliation `json:"reconciliation"`
@@ -216,10 +210,8 @@ type Report struct {
 	Outcomes []SessionOutcome `json:"outcomes,omitempty"`
 }
 
-// IngestLedger sums the fleet's client-side rating counters. Reconciliation
-// demands it matches the origin's ingest stats exactly: every rating a
-// client posted was either accepted into a window's evidence or
-// quarantined for epoch staleness, and nothing else reached the aggregator.
+// IngestLedger sums the fleet's client-side rating counters, which
+// reconciliation holds against the origin's ingest stats.
 type IngestLedger struct {
 	RatingsPosted      int64 `json:"ratings_posted"`
 	RatingsAccepted    int64 `json:"ratings_accepted"`
@@ -228,10 +220,8 @@ type IngestLedger struct {
 	SessionsRated int `json:"sessions_rated"`
 }
 
-// ChaosLedger is the fleet's two-sided fault ledger. Reconciliation
-// demands Injected and Survived agree exactly per endpoint kind: every
-// fault the origin injected was observed by exactly one client request,
-// and no client counted a fault the origin never threw.
+// ChaosLedger is the fleet's two-sided fault ledger: what the origin
+// injected and what the clients observed, per endpoint kind.
 type ChaosLedger struct {
 	// Seed is the policy seed the whole fault schedule replays from.
 	Seed uint64 `json:"seed"`
@@ -320,12 +310,57 @@ func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.St
 	byABR := map[string]*cohortAcc{}
 	byTrace := map[string]*cohortAcc{}
 	byEpoch := map[string]*cohortAcc{}
+	// A closed-loop run (the origin reports ingest counters) gets the
+	// client-side rating ledger, and a chaos run (it reports injector
+	// counters) the summed fault ledger, failed sessions included: whatever
+	// a session posted or observed before dying still reached the origin.
+	if st.Ingest != nil {
+		r.Ingest = &IngestLedger{}
+	}
+	if st.Chaos != nil {
+		r.Chaos = &ChaosLedger{Injected: map[string]int64{}, InjectedByMode: map[string]int64{}, Survived: map[string]int64{}}
+		maps.Copy(r.Chaos.Injected, st.Chaos.ByKind)
+		maps.Copy(r.Chaos.InjectedByMode, st.Chaos.ByMode)
+	}
+	if metrics != nil {
+		r.Events = &EventsLedger{
+			ByKind:         map[string]int64{},
+			Emitted:        metrics.EventsEmitted.Load(),
+			Drops:          metrics.RingDrops.Load(),
+			FaultsMirrored: faultEvents,
+		}
+	}
+	landed := refresh != nil && refresh.Err == "" && refresh.Applied
 	for i := range outcomes {
 		o := &outcomes[i]
 		accumulate(byABR, o.ABR, o)
 		accumulate(byTrace, o.Trace, o)
 		accumulate(byEpoch, o.EpochKey(), o)
+		if led := r.Ingest; led != nil {
+			led.RatingsPosted += int64(o.RatingsPosted)
+			led.RatingsAccepted += int64(o.RatingsAccepted)
+			led.RatingsQuarantined += int64(o.RatingsQuarantined)
+			if o.RatingsPosted > 0 {
+				led.SessionsRated++
+			}
+		}
+		if cl, res := r.Chaos, o.Resilience; cl != nil && res != nil {
+			for k, n := range res.FaultsByKind {
+				cl.Survived[k] += n
+			}
+			cl.Retries += res.Retries
+			cl.Truncations += res.Truncations
+			cl.SegmentFallbacks += res.SegmentFallbacks
+			cl.StaleWeightsKept += res.StaleWeightsKept
+			cl.RatingsDropped += res.RatingsDropped
+			cl.Degradations += res.Degradations()
+		}
+		if r.Events != nil && o.Events != nil {
+			r.Events.SessionsTraced++
+		}
 		if o.Err != "" {
+			// A failed session's partial trace stays on its row but, like
+			// its byte ledger, out of the sums.
 			r.Failed++
 			continue
 		}
@@ -335,6 +370,19 @@ func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.St
 		thrMbps = append(thrMbps, o.ThroughputBps/1e6)
 		qoes = append(qoes, o.QoE)
 		trueQoEs = append(trueQoEs, o.TrueQoE)
+		if el := r.Events; el != nil && o.Events != nil {
+			el.Bytes += o.Events.Bytes
+			for k, n := range o.Events.ByKind {
+				el.ByKind[k] += n
+			}
+		}
+		if landed {
+			if reached, early := refresh.reached(o); reached {
+				refresh.SessionsConverged++
+			} else if early {
+				refresh.SessionsFinishedEarly++
+			}
+		}
 	}
 	finish := func(m map[string]*cohortAcc, dst map[string]Cohort) {
 		for key, a := range m {
@@ -351,405 +399,241 @@ func buildReport(outcomes []SessionOutcome, st origin.Stats, shardSt []origin.St
 	finish(byABR, r.ByABR)
 	finish(byTrace, r.ByTrace)
 	finish(byEpoch, r.ByEpoch)
-	// A closed-loop run (the origin reports ingest counters) gets the
-	// client-side rating ledger, failed sessions included: whatever a
-	// session posted before dying was still counted by the origin.
-	if st.Ingest != nil {
-		led := &IngestLedger{}
-		for i := range outcomes {
-			o := &outcomes[i]
-			led.RatingsPosted += int64(o.RatingsPosted)
-			led.RatingsAccepted += int64(o.RatingsAccepted)
-			led.RatingsQuarantined += int64(o.RatingsQuarantined)
-			if o.RatingsPosted > 0 {
-				led.SessionsRated++
-			}
-		}
-		r.Ingest = led
-	}
-	// A chaos run (the origin reports injector counters) gets the summed
-	// client-side fault ledger, failed sessions included: whatever a dying
-	// session observed was still injected by the origin.
-	if st.Chaos != nil {
-		cl := &ChaosLedger{
-			Injected:       map[string]int64{},
-			InjectedByMode: map[string]int64{},
-			Survived:       map[string]int64{},
-		}
-		for k, n := range st.Chaos.ByKind {
-			cl.Injected[k] = n
-		}
-		for m, n := range st.Chaos.ByMode {
-			cl.InjectedByMode[m] = n
-		}
-		for i := range outcomes {
-			res := outcomes[i].Resilience
-			if res == nil {
-				continue
-			}
-			for k, n := range res.FaultsByKind {
-				cl.Survived[k] += n
-			}
-			cl.Retries += res.Retries
-			cl.Truncations += res.Truncations
-			cl.SegmentFallbacks += res.SegmentFallbacks
-			cl.StaleWeightsKept += res.StaleWeightsKept
-			cl.RatingsDropped += res.RatingsDropped
-			cl.Degradations += res.Degradations()
-		}
-		r.Chaos = cl
-	}
-	if metrics != nil {
-		el := &EventsLedger{
-			ByKind:         map[string]int64{},
-			Emitted:        metrics.EventsEmitted.Load(),
-			Drops:          metrics.RingDrops.Load(),
-			FaultsMirrored: faultEvents,
-		}
-		for i := range outcomes {
-			o := &outcomes[i]
-			if o.Events == nil {
-				continue
-			}
-			el.SessionsTraced++
-			if o.Err != "" {
-				// A failed session's partial trace stays on its row but is
-				// excluded from the sums, exactly like its byte ledger.
-				continue
-			}
-			el.Bytes += o.Events.Bytes
-			for k, n := range o.Events.ByKind {
-				el.ByKind[k] += n
-			}
-		}
-		r.Events = el
-	}
 	r.RebufferSec = percentilesOf(rebuf)
 	r.ThroughputMbps = percentilesOf(thrMbps)
 	r.MeanQoE = stats.Mean(qoes)
 	r.MeanTrueQoE = stats.Mean(trueQoEs)
-	r.Reconciliation = reconcile(outcomes, r, st)
+	r.Reconciliation = reconcile(outcomes, r)
 	if keepOutcomes {
 		r.Outcomes = outcomes
 	}
 	return r
 }
 
-// reconcile asserts the client-side and origin-side ledgers agree exactly.
-func reconcile(outcomes []SessionOutcome, r *Report, st origin.Stats) Reconciliation {
-	var rec Reconciliation
-	problem := func(format string, args ...any) {
-		rec.Problems = append(rec.Problems, fmt.Sprintf(format, args...))
+// reached reports whether a landed refresh reached a completed session (it
+// ended on its video's refreshed epoch or past it) and, if not, whether it
+// finished early: within the slack one final segment may take after its
+// decision (a buffer-full wait of one chunk plus its download), since the
+// epoch beacon bounds adoption at one segment download.
+func (rf *RefreshOutcome) reached(o *SessionOutcome) (reached, early bool) {
+	if o.WeightEpoch >= rf.Epochs[o.Video] {
+		return true, false
 	}
-	for i := range outcomes {
-		if outcomes[i].Err != "" {
-			problem("session %d (%s/%s/%s) failed: %s",
-				outcomes[i].Index, outcomes[i].Video, outcomes[i].Trace, outcomes[i].ABR, outcomes[i].Err)
+	slack := o.DownloadSec*o.TimeScale + video.ChunkDuration.Seconds()*o.TimeScale
+	return false, o.FinishedSec <= rf.AppliedSec+slack
+}
+
+// invariant is one row of the reconciliation table (DESIGN.md,
+// "Reconciliation invariants"): its name, what the run measured, and what
+// that must equal.
+type invariant struct {
+	name      string
+	got, want int64
+}
+
+// audit collects a reconciliation's problems. fail is the only place it
+// formats a string, so a passing run formats none.
+type audit []string
+
+func (a *audit) fail(name, format string, args ...any) {
+	*a = append(*a, name+": "+fmt.Sprintf(format, args...))
+}
+
+func (a *audit) hold(rows ...invariant) {
+	for _, in := range rows {
+		if in.got != in.want {
+			a.fail(in.name, "got %d, want %d", in.got, in.want)
 		}
 	}
-	if st.BytesServed != r.BytesDownloaded {
-		problem("origin served %d bytes, fleet downloaded %d", st.BytesServed, r.BytesDownloaded)
-	}
-	if st.SegmentsServed != r.SegmentsDownloaded {
-		problem("origin served %d segments, fleet downloaded %d", st.SegmentsServed, r.SegmentsDownloaded)
-	}
-	if st.SessionsCreated != int64(r.Sessions) {
-		problem("origin created %d sessions for a fleet of %d", st.SessionsCreated, r.Sessions)
-	}
-	if st.SessionsClosed != int64(r.Sessions) {
-		problem("origin closed %d sessions of %d (leaks or early expiry)", st.SessionsClosed, r.Sessions)
-	}
-	if st.ActiveSessions != 0 {
-		problem("%d sessions still active after the fleet drained", st.ActiveSessions)
-	}
-	var hitSum int64
+}
+
+// shardCounters are the counters a router's merged /stats must report as
+// exactly the sum of its shards'.
+var shardCounters = []struct {
+	name string
+	of   func(*origin.Stats) int64
+}{
+	{"shards.bytes_served", func(s *origin.Stats) int64 { return s.BytesServed }},
+	{"shards.segments_served", func(s *origin.Stats) int64 { return s.SegmentsServed }},
+	{"shards.sessions_created", func(s *origin.Stats) int64 { return s.SessionsCreated }},
+	{"shards.sessions_closed", func(s *origin.Stats) int64 { return s.SessionsClosed }},
+	{"shards.sessions_expired", func(s *origin.Stats) int64 { return s.SessionsExpired }},
+	{"shards.active_sessions", func(s *origin.Stats) int64 { return int64(s.ActiveSessions) }},
+}
+
+// traceWitness pairs each event kind a completed session's trace counts
+// with the session ledger that count must equal (row "trace.<kind>").
+// Resilience rows apply only to sessions that carry a fault ledger.
+var traceWitness = []struct {
+	kind       qlog.Kind
+	resilience bool
+	want       func(o *SessionOutcome) int64
+}{
+	{qlog.KindSessionJoin, false, func(*SessionOutcome) int64 { return 1 }},
+	{qlog.KindSessionLeave, false, func(*SessionOutcome) int64 { return 1 }},
+	{qlog.KindDecision, false, func(o *SessionOutcome) int64 { return int64(o.Segments) }},
+	{qlog.KindChunkDone, false, func(o *SessionOutcome) int64 { return int64(o.Segments) }},
+	{qlog.KindChunkStart, false, func(o *SessionOutcome) int64 {
+		if o.Resilience == nil {
+			return int64(o.Segments)
+		}
+		return int64(o.Segments) + o.Resilience.SegmentFallbacks // a fallback restarts its chunk
+	}},
+	{qlog.KindStallBegin, false, func(o *SessionOutcome) int64 { return o.Events.count(qlog.KindStallEnd) }},
+	{qlog.KindEpochAdopted, false, func(o *SessionOutcome) int64 { return int64(o.WeightRefreshes) }},
+	{qlog.KindRatingPosted, false, func(o *SessionOutcome) int64 { return int64(o.RatingsPosted) }},
+	{qlog.KindRatingAccepted, false, func(o *SessionOutcome) int64 { return int64(o.RatingsAccepted) }},
+	{qlog.KindRatingQuarantined, false, func(o *SessionOutcome) int64 { return int64(o.RatingsQuarantined) }},
+	{qlog.KindRetry, true, func(o *SessionOutcome) int64 { return o.Resilience.Retries }},
+	{qlog.KindFaultSurvived, true, func(o *SessionOutcome) int64 { return o.Resilience.Faults() }},
+	{qlog.KindDegradation, true, func(o *SessionOutcome) int64 { return o.Resilience.Degradations() }},
+}
+
+// reconcile checks a built report against every row of the reconciliation
+// table: client ledgers, origin /stats, the shard ledgers behind it and the
+// event traces must agree exactly. It reads its inputs and never writes.
+func reconcile(outcomes []SessionOutcome, r *Report) Reconciliation {
+	var a audit
+	st := &r.Origin
+	var hits, epochSessions int64
 	for _, n := range st.VideoHits {
-		hitSum += n
+		hits += n
 	}
-	if hitSum != r.SegmentsDownloaded {
-		problem("per-video hits sum to %d, fleet downloaded %d segments", hitSum, r.SegmentsDownloaded)
-	}
-
-	// Sharded runs: the router's merged ledger must be exactly the sum of
-	// the per-shard ledgers it reports, and no individual shard may leak a
-	// session — session stickiness means every lifecycle event of a session
-	// lands on one shard, so per-shard active counts drain to zero just like
-	// a single origin's.
-	if len(r.ShardStats) > 0 {
-		var bytes, segs, created, closed, expired int64
-		var active int
-		hits := map[string]int64{}
-		for i, s := range r.ShardStats {
-			bytes += s.BytesServed
-			segs += s.SegmentsServed
-			created += s.SessionsCreated
-			closed += s.SessionsClosed
-			expired += s.SessionsExpired
-			active += s.ActiveSessions
-			for name, n := range s.VideoHits {
-				hits[name] += n
-			}
-			if s.ActiveSessions != 0 {
-				problem("shard %d still holds %d active sessions after the fleet drained", i, s.ActiveSessions)
-			}
-		}
-		if bytes != st.BytesServed || segs != st.SegmentsServed {
-			problem("shard ledgers sum to %d bytes / %d segments, merged /stats reports %d / %d",
-				bytes, segs, st.BytesServed, st.SegmentsServed)
-		}
-		if created != st.SessionsCreated || closed != st.SessionsClosed || expired != st.SessionsExpired || active != st.ActiveSessions {
-			problem("shard session counters sum to %d created / %d closed / %d expired / %d active, merged /stats reports %d / %d / %d / %d",
-				created, closed, expired, active, st.SessionsCreated, st.SessionsClosed, st.SessionsExpired, st.ActiveSessions)
-		}
-		for name, n := range hits {
-			if st.VideoHits[name] != n {
-				problem("shard hits for %q sum to %d, merged /stats reports %d", name, n, st.VideoHits[name])
-			}
-		}
-	}
-
-	// Epoch accounting: every epoch cohort must be made of real sessions
-	// (the counts partition the fleet), no session may claim an epoch the
-	// origin never published, and a scheduled refresh must have landed and
-	// be reflected in /stats exactly.
-	var epochSessions int
 	for _, c := range r.ByEpoch {
-		epochSessions += c.Sessions
+		epochSessions += int64(c.Sessions)
 	}
-	if epochSessions != r.Sessions {
-		problem("epoch cohorts cover %d sessions of %d", epochSessions, r.Sessions)
+	sessions := int64(r.Sessions)
+	a.hold(
+		invariant{"lifecycle.bytes", st.BytesServed, r.BytesDownloaded},
+		invariant{"lifecycle.segments", st.SegmentsServed, r.SegmentsDownloaded},
+		invariant{"lifecycle.created", st.SessionsCreated, sessions},
+		invariant{"lifecycle.closed", st.SessionsClosed, sessions},
+		invariant{"lifecycle.video_hits", hits, r.SegmentsDownloaded},
+		invariant{"epoch.cohorts", epochSessions, sessions},
+	)
+	// Sticky sessions drain each shard like a single origin; the merged
+	// count is their sum (shards.active_sessions).
+	origins := r.ShardStats
+	if len(origins) == 0 {
+		origins = []origin.Stats{r.Origin}
+	}
+	for i := range origins {
+		if n := origins[i].ActiveSessions; n != 0 {
+			a.fail("lifecycle.active", "origin %d still holds %d sessions after the fleet drained", i, n)
+		}
+	}
+	if len(r.ShardStats) > 0 {
+		shardHits := map[string]int64{}
+		for i := range r.ShardStats {
+			for name, n := range r.ShardStats[i].VideoHits {
+				shardHits[name] += n
+			}
+		}
+		for _, name := range slices.Sorted(maps.Keys(shardHits)) {
+			if n := shardHits[name]; n != st.VideoHits[name] {
+				a.fail("shards.video_hits", "%q: shards sum to %d, merged /stats reports %d", name, n, st.VideoHits[name])
+			}
+		}
+		for _, c := range shardCounters {
+			var sum int64
+			for i := range r.ShardStats {
+				sum += c.of(&r.ShardStats[i])
+			}
+			a.hold(invariant{c.name, sum, c.of(st)})
+		}
+	}
+	if ing, led := st.Ingest, r.Ingest; ing != nil {
+		attributable := ing.RefreshesApplied // every epoch bump is the autopilot's or the operator's
+		if r.Refresh != nil && r.Refresh.Applied {
+			attributable += int64(len(r.Refresh.Epochs))
+		}
+		a.hold(
+			invariant{"ingest.posted", led.RatingsPosted, led.RatingsAccepted + led.RatingsQuarantined},
+			invariant{"ingest.accepted", led.RatingsAccepted, ing.RatingsAccepted},
+			invariant{"ingest.quarantined", led.RatingsQuarantined, ing.RatingsQuarantined},
+			invariant{"ingest.rejected", ing.RatingsRejected, 0},
+			invariant{"ingest.refresh_errors", ing.RefreshErrors, 0},
+			invariant{"ingest.settled", ing.RefreshesApplied, ing.RefreshesTriggered},
+			invariant{"ingest.attributable", st.ProfilesRefreshed, attributable},
+		)
+	}
+	if ch := st.Chaos; ch != nil {
+		a.hold(invariant{"chaos.journal_dropped", ch.JournalDropped, 0})
+		kinds := make([]string, 0, len(r.Chaos.Injected)+len(r.Chaos.Survived))
+		kinds = slices.AppendSeq(slices.AppendSeq(kinds, maps.Keys(r.Chaos.Injected)), maps.Keys(r.Chaos.Survived))
+		slices.Sort(kinds)
+		for _, k := range slices.Compact(kinds) {
+			if inj, srv := r.Chaos.Injected[k], r.Chaos.Survived[k]; inj != srv {
+				a.fail("chaos.survived", "origin injected %d %s faults, clients observed %d", inj, k, srv)
+			}
+		}
+	}
+	if ev := r.Events; ev != nil {
+		a.hold(invariant{"events.drops", ev.Drops, 0}, invariant{"events.bytes", ev.Bytes, r.BytesDownloaded})
+		if ch := st.Chaos; ch != nil {
+			a.hold(invariant{"events.faults_mirrored", ev.FaultsMirrored, ch.Total - ch.JournalDropped})
+		}
+	}
+	rf := r.Refresh
+	landed := rf != nil && rf.Err == "" && rf.Applied
+	switch {
+	case rf == nil:
+	case !landed:
+		a.fail("refresh.applied", "scheduled refresh never applied (err %q)", rf.Err)
+	default:
+		// The autopilot may bump past the operator refresh, so /stats must
+		// be at least the published epoch; lower means the publish was lost.
+		for name, epoch := range rf.Epochs {
+			if st.WeightEpochs[name] < epoch {
+				a.fail("refresh.stats_epoch", "refresh published epoch %d for %q, /stats reports %d", epoch, name, st.WeightEpochs[name])
+			}
+		}
+		if st.ProfilesRefreshed < int64(len(rf.Epochs)) {
+			a.fail("refresh.stats_bumps", "/stats counts %d refreshes for %d published", st.ProfilesRefreshed, len(rf.Epochs))
+		}
 	}
 	for i := range outcomes {
-		o := &outcomes[i]
-		if o.Err != "" {
+		o, ev := &outcomes[i], outcomes[i].Events
+		switch {
+		case r.Events == nil:
+		case ev == nil && o.Err == "":
+			a.fail("trace.present", "session %d completed without an event trace", o.Index)
+		case ev != nil && ev.Drops != 0: // a trace with holes proves nothing
+			a.fail("trace.drops", "session %d event ring dropped %d events", o.Index, ev.Drops)
+		}
+		if o.Err != "" { // its trace is legitimately partial
+			a.fail("lifecycle.failed", "session %d (%s/%s/%s) failed: %s", o.Index, o.Video, o.Trace, o.ABR, o.Err)
 			continue
 		}
-		// WeightEpochs omits never-published videos, so the map's zero
-		// value is exactly the origin's epoch for them — a session
-		// claiming any positive epoch on a weightless catalog is flagged
-		// too.
-		if originEpoch := st.WeightEpochs[o.Video]; o.WeightEpoch > originEpoch {
-			problem("session %d ended on epoch %d of %q, origin only published %d",
-				o.Index, o.WeightEpoch, o.Video, originEpoch)
+		// WeightEpochs omits never-published videos: its zero value is the
+		// origin's epoch for them.
+		if published := st.WeightEpochs[o.Video]; o.WeightEpoch > published {
+			a.fail("epoch.published", "session %d ended on epoch %d of %q, origin only published %d", o.Index, o.WeightEpoch, o.Video, published)
 		}
-	}
-	// Closed-loop ingest ledger: the client-side rating sums and the
-	// origin's aggregator counters must agree exactly, the autopilot must
-	// have settled (every trigger applied, no errors), and every epoch bump
-	// the weight service counted must be attributable — an autonomous
-	// ingest refresh or the scheduled operator refresh, nothing else.
-	if st.Ingest != nil && r.Ingest != nil {
-		led, ing := r.Ingest, st.Ingest
-		if led.RatingsPosted != led.RatingsAccepted+led.RatingsQuarantined {
-			problem("fleet posted %d ratings but accounts for %d accepted + %d quarantined",
-				led.RatingsPosted, led.RatingsAccepted, led.RatingsQuarantined)
-		}
-		if led.RatingsAccepted != ing.RatingsAccepted {
-			problem("fleet counted %d accepted ratings, origin ingest %d", led.RatingsAccepted, ing.RatingsAccepted)
-		}
-		if led.RatingsQuarantined != ing.RatingsQuarantined {
-			problem("fleet counted %d quarantined ratings, origin ingest %d", led.RatingsQuarantined, ing.RatingsQuarantined)
-		}
-		if ing.RatingsRejected != 0 {
-			problem("origin rejected %d malformed ratings", ing.RatingsRejected)
-		}
-		if ing.RefreshErrors != 0 {
-			problem("%d autonomous refreshes errored", ing.RefreshErrors)
-		}
-		if ing.RefreshesTriggered != ing.RefreshesApplied {
-			problem("autopilot triggered %d refreshes but applied %d (unsettled at /stats time)",
-				ing.RefreshesTriggered, ing.RefreshesApplied)
-		}
-		expectedRefreshes := ing.RefreshesApplied
-		if r.Refresh != nil && r.Refresh.Applied {
-			expectedRefreshes += int64(len(r.Refresh.Epochs))
-		}
-		if st.ProfilesRefreshed != expectedRefreshes {
-			problem("/stats counts %d epoch bumps, %d are attributable (autonomy violated?)",
-				st.ProfilesRefreshed, expectedRefreshes)
-		}
-	}
-	// Chaos fault ledger: every fault the injector threw must have been
-	// observed by exactly one client request, per endpoint kind — a deficit
-	// means a fault vanished (e.g. the transport transparently retried over
-	// the clients' heads), a surplus means a client blamed chaos for a
-	// failure the origin never injected.
-	if st.Chaos != nil && r.Chaos != nil {
-		if st.Chaos.JournalDropped != 0 {
-			problem("chaos journal dropped %d events (run not replayable)", st.Chaos.JournalDropped)
-		}
-		kinds := map[string]bool{}
-		for k := range r.Chaos.Injected {
-			kinds[k] = true
-		}
-		for k := range r.Chaos.Survived {
-			kinds[k] = true
-		}
-		for _, k := range sortedKeys(kinds) {
-			if inj, srv := r.Chaos.Injected[k], r.Chaos.Survived[k]; inj != srv {
-				problem("origin injected %d %s faults, clients observed %d", inj, k, srv)
+		if landed {
+			if reached, early := rf.reached(o); !reached && !early {
+				a.fail("refresh.reach", "session %d (%s) streamed past the refresh (finished %.2fs, bump %.2fs) yet ended on epoch %d, not %d",
+					o.Index, o.Video, o.FinishedSec, rf.AppliedSec, o.WeightEpoch, rf.Epochs[o.Video])
 			}
 		}
-	}
-	// Event-plane witness: every completed session's trace tally must agree
-	// exactly with the session's own ledgers — which reconciliation has
-	// already tied to origin /stats above — making the traces a third
-	// independently produced account of the run. Any ring drop anywhere
-	// voids the witness: a trace with holes proves nothing.
-	if r.Events != nil {
-		if r.Events.Drops != 0 {
-			problem("event plane dropped %d events (rings undersized; traces are not a witness)", r.Events.Drops)
+		if r.Events == nil || ev == nil {
+			continue
 		}
-		if r.Events.Bytes != r.BytesDownloaded {
-			problem("event traces account %d payload bytes, client ledger %d", r.Events.Bytes, r.BytesDownloaded)
+		// The trace witness: a third account, held against the session's
+		// own ledgers, which the rows above tie to origin /stats.
+		if ev.Bytes != o.BytesDownloaded {
+			a.fail("trace.bytes", "session %d traced %d payload bytes, client ledger %d", o.Index, ev.Bytes, o.BytesDownloaded)
 		}
-		if st.Chaos != nil {
-			if journaled := st.Chaos.Total - st.Chaos.JournalDropped; r.Events.FaultsMirrored != journaled {
-				problem("process ring mirrored %d injected faults, the chaos journal holds %d", r.Events.FaultsMirrored, journaled)
-			}
-		}
-		for i := range outcomes {
-			o := &outcomes[i]
-			ev := o.Events
-			if ev == nil {
-				if o.Err == "" {
-					problem("session %d completed without an event trace", o.Index)
-				}
+		for _, w := range traceWitness {
+			if w.resilience && o.Resilience == nil {
 				continue
 			}
-			if ev.Drops != 0 {
-				problem("session %d event ring dropped %d events", o.Index, ev.Drops)
-			}
-			if o.Err != "" {
-				// A failed session's trace is legitimately partial; the
-				// failure itself is already a problem above.
-				continue
-			}
-			if n := ev.count(qlog.KindSessionJoin); n != 1 {
-				problem("session %d traced %d session_join events", o.Index, n)
-			}
-			if n := ev.count(qlog.KindSessionLeave); n != 1 {
-				problem("session %d traced %d session_leave events", o.Index, n)
-			}
-			if n := ev.count(qlog.KindDecision); n != int64(o.Segments) {
-				problem("session %d traced %d decisions for %d segments", o.Index, n, o.Segments)
-			}
-			if n := ev.count(qlog.KindChunkDone); n != int64(o.Segments) {
-				problem("session %d traced %d chunk_done events for %d segments", o.Index, n, o.Segments)
-			}
-			if ev.Bytes != o.BytesDownloaded {
-				problem("session %d traced %d payload bytes, client ledger %d", o.Index, ev.Bytes, o.BytesDownloaded)
-			}
-			var fallbacks int64
-			if o.Resilience != nil {
-				fallbacks = o.Resilience.SegmentFallbacks
-			}
-			if n := ev.count(qlog.KindChunkStart); n != int64(o.Segments)+fallbacks {
-				problem("session %d traced %d chunk_start events for %d segments + %d fallbacks",
-					o.Index, n, o.Segments, fallbacks)
-			}
-			if begin, end := ev.count(qlog.KindStallBegin), ev.count(qlog.KindStallEnd); begin != end {
-				problem("session %d traced %d stall_begin but %d stall_end events", o.Index, begin, end)
-			}
-			if n := ev.count(qlog.KindEpochAdopted); n != int64(o.WeightRefreshes) {
-				problem("session %d traced %d epoch adoptions, ledger says %d refreshes", o.Index, n, o.WeightRefreshes)
-			}
-			if n := ev.count(qlog.KindRatingPosted); n != int64(o.RatingsPosted) {
-				problem("session %d traced %d rating_posted events, ledger says %d", o.Index, n, o.RatingsPosted)
-			}
-			if n := ev.count(qlog.KindRatingAccepted); n != int64(o.RatingsAccepted) {
-				problem("session %d traced %d rating_accepted events, ledger says %d", o.Index, n, o.RatingsAccepted)
-			}
-			if n := ev.count(qlog.KindRatingQuarantined); n != int64(o.RatingsQuarantined) {
-				problem("session %d traced %d rating_quarantined events, ledger says %d", o.Index, n, o.RatingsQuarantined)
-			}
-			if res := o.Resilience; res != nil {
-				if n := ev.count(qlog.KindRetry); n != res.Retries {
-					problem("session %d traced %d retries, resilience ledger says %d", o.Index, n, res.Retries)
-				}
-				if n := ev.count(qlog.KindFaultSurvived); n != res.Faults() {
-					problem("session %d traced %d faults survived, resilience ledger says %d", o.Index, n, res.Faults())
-				}
-				if n := ev.count(qlog.KindDegradation); n != res.Degradations() {
-					problem("session %d traced %d degradations, resilience ledger says %d", o.Index, n, res.Degradations())
-				}
+			if got, want := ev.count(w.kind), w.want(o); got != want {
+				a.fail("trace."+w.kind.String(), "session %d traced %d, ledger says %d", o.Index, got, want)
 			}
 		}
 	}
-	if r.Refresh != nil {
-		switch {
-		case r.Refresh.Err != "":
-			problem("refresh failed: %s", r.Refresh.Err)
-		case !r.Refresh.Applied:
-			problem("scheduled refresh never applied")
-		default:
-			// The autopilot may legitimately bump past the operator refresh
-			// in a closed-loop run, so /stats must be at least the published
-			// epoch — anything lower means the publish was lost.
-			for videoName, epoch := range r.Refresh.Epochs {
-				if st.WeightEpochs[videoName] < epoch {
-					problem("refresh published epoch %d for %q, /stats reports %d",
-						epoch, videoName, st.WeightEpochs[videoName])
-				}
-			}
-			if st.ProfilesRefreshed < int64(len(r.Refresh.Epochs)) {
-				problem("/stats counts %d refreshes for %d published", st.ProfilesRefreshed, len(r.Refresh.Epochs))
-			}
-			// The reach proof: the per-segment epoch beacon bounds adoption
-			// at one segment download, so a session still on the old epoch
-			// is only legitimate if it finished around the bump — before
-			// it, or so soon after that its last decision predated the
-			// publish. The slack covers everything one final segment can
-			// legitimately take after that decision: its buffer-full wait
-			// (at most one chunk duration of wall clock, since each chunk
-			// credits one) plus its download (bounded by the session's
-			// whole download wall time). A stale session finishing later
-			// than that provably decided after observing the new epoch and
-			// is a reach failure.
-			for i := range outcomes {
-				o := &outcomes[i]
-				if o.Err != "" {
-					continue
-				}
-				want := r.Refresh.Epochs[o.Video]
-				if o.WeightEpoch >= want {
-					// On the refreshed epoch, or past it (an autonomous bump
-					// landed after the operator's): the refresh reached it.
-					r.Refresh.SessionsConverged++
-					continue
-				}
-				slack := o.DownloadSec*o.TimeScale + video.ChunkDuration.Seconds()*o.TimeScale
-				if o.FinishedSec > r.Refresh.AppliedSec+slack {
-					problem("session %d (%s) streamed past the refresh (finished %.2fs, bump %.2fs) yet ended on epoch %d, not %d",
-						o.Index, o.Video, o.FinishedSec, r.Refresh.AppliedSec, o.WeightEpoch, want)
-				} else {
-					r.Refresh.SessionsFinishedEarly++
-				}
-			}
-		}
-	}
-	rec.Ok = len(rec.Problems) == 0
-	return rec
-}
-
-// toSet lifts a counter map's keys into a set for sortedKeys.
-func toSet(m map[string]int64) map[string]bool {
-	set := make(map[string]bool, len(m))
-	for k := range m {
-		set[k] = true
-	}
-	return set
-}
-
-// sortedKeys returns a set's keys in deterministic order, so problem lists
-// and rendered sections are stable across runs.
-func sortedKeys(set map[string]bool) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return Reconciliation{Ok: len(a) == 0, Problems: a}
 }
 
 // Render formats the report as a human-readable summary.
@@ -770,13 +654,8 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "QoE: %.3f mean (kernel), %.3f mean (latent true)\n", r.MeanQoE, r.MeanTrueQoE)
 
 	section := func(title string, cohorts map[string]Cohort) {
-		keys := make([]string, 0, len(cohorts))
-		for k := range cohorts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintf(&b, "%s\n", title)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(cohorts)) {
 			c := cohorts[k]
 			fmt.Fprintf(&b, "  %-12s %3d sessions  qoe %6.3f  true %6.3f  rebuf %6.2fs  thr %7.2f Mbps",
 				k, c.Sessions, c.MeanQoE, c.MeanTrueQoE, c.MeanRebufferSec, c.MeanThroughputMbps)
@@ -826,7 +705,7 @@ func (r *Report) Render() string {
 		}
 		if len(r.Chaos.Injected) > 0 {
 			b.WriteString("\n  by kind:")
-			for _, k := range sortedKeys(toSet(r.Chaos.Injected)) {
+			for _, k := range slices.Sorted(maps.Keys(r.Chaos.Injected)) {
 				fmt.Fprintf(&b, " %s=%d", k, r.Chaos.Injected[k])
 			}
 		}
