@@ -19,9 +19,9 @@ import (
 // totals, and reconcile exactly against /stats in both modes.
 //
 // Wall-clock mode is the oracle, and it carries real measurement noise:
-// per-request HTTP overhead (a fresh connection per request — keep-alive
-// is off under chaos — plus scheduler latency, which on a single-core race
-// runner reaches tens of milliseconds during the session-start herd)
+// per-request overhead (the request exchange itself plus scheduler
+// latency, which on a single-core race runner reaches tens of
+// milliseconds during the session-start herd)
 // lands in each client's measured download time, where the virtual clock
 // measures the shaped duration exactly. A parity scenario therefore has
 // to keep every ABR decision deep inside a plateau of its decision
