@@ -10,7 +10,7 @@
 //
 //	fleetsim [-sessions 64] [-videos Soccer1,Tank,Mountain,Lava] [-excerpt 8]
 //	         [-abrs ratebased,bola,mpc,sensei-mpc] [-traces fast=32,slow=4]
-//	         [-timescales 0.05] [-vclock] [-workers 0] [-timeout 0]
+//	         [-timescales 0.05] [-workers 0] [-timeout 0]
 //	         [-refresh 0] [-shards 1] [-closedloop] [-chaos]
 //	         [-chaos-rate 0.08] [-chaos-seed N] [-noweights] [-json]
 //	         [-outcomes] [-events] [-events-dump slot] [-pprof addr] [-v]
@@ -23,17 +23,17 @@
 // autopilot is not shard-aware). -pprof serves net/http/pprof on a side
 // listener for profiling the harness under load.
 //
+// The fleet runs on a discrete-event virtual clock: every throttle,
+// backoff and buffer wait jumps straight to its deadline the moment all
+// sessions are asleep, so sessions/sec is bounded by CPU rather than by
+// stream time. The report's clock: line gives simulated seconds against
+// wall seconds.
+//
 // -traces lists flat traces as name=Mbps pairs; -timescales is the
-// wall-clock compression mix. Sessions walk the full video×trace×abr×
-// timescale cross product with a coprime stride, so every combination is
-// covered and cohorts are never confounded with each other.
-// -vclock runs the whole fleet on a discrete-event virtual clock: every
-// throttle, backoff and buffer wait jumps straight to its deadline the
-// moment all sessions are asleep, so sessions/sec is bounded by CPU rather
-// than by stream time — with ledgers still reconciled exactly. The report
-// gains a scale banner (simulated seconds vs wall seconds and the speedup
-// factor). Use -timescales 1 with -vclock to simulate real-time pacing;
-// compressing time further is free but no longer necessary.
+// session timescale mix (1 = real-time pacing; it scales simulated time
+// only). Sessions walk the full video×trace×abr×timescale cross product
+// with a coprime stride, so every combination is covered and cohorts are
+// never confounded with each other.
 // -workers bounds concurrently running sessions (0 = whole fleet at once).
 // -timeout bounds the whole run (0 = none). -refresh schedules a mid-run
 // catalog-wide sensitivity refresh (live-plane scenario): the report gains
@@ -80,8 +80,7 @@ func main() {
 	excerpt := flag.Int("excerpt", 8, "stream only the first N chunks of each video (0 = full)")
 	abrs := flag.String("abrs", "ratebased,bola,mpc,sensei-mpc", "comma-separated ABR mix")
 	traces := flag.String("traces", "fast=32,slow=4", "comma-separated name=Mbps flat traces")
-	timescales := flag.String("timescales", "0.05", "comma-separated wall-clock compression mix")
-	vclockOn := flag.Bool("vclock", false, "run on a discrete-event virtual clock: simulated time jumps to the next deadline whenever the whole fleet is asleep, so the run is CPU-bound instead of stream-time-bound")
+	timescales := flag.String("timescales", "0.05", "comma-separated session timescale mix (1 = real-time pacing, in simulated time)")
 	workers := flag.Int("workers", 0, "max concurrently running sessions (0 = all)")
 	timeout := flag.Duration("timeout", 0, "bound the whole run (0 = none)")
 	refresh := flag.Duration("refresh", 0, "publish a catalog-wide weight refresh this long after every session joined (0 = none); the run fails unless every session converges on the new epoch")
@@ -181,9 +180,6 @@ func main() {
 			cfg.KeepOutcomes = true
 		}
 	}
-	if *vclockOn {
-		cfg.Clock = sensei.NewVirtualClock()
-	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	}
@@ -208,11 +204,6 @@ func main() {
 		}
 	} else {
 		fmt.Println(report.Render())
-	}
-	if *vclockOn {
-		// The scale banner: how much stream time the virtual clock bought.
-		fmt.Fprintf(os.Stderr, "vclock: %d sessions spanned %.1f simulated s in %.2f wall s (%.0fx real time)\n",
-			report.Sessions, report.VirtualSec, report.ElapsedSec, report.Speedup)
 	}
 	if *eventsDump >= 0 {
 		dumpTrace(report, *eventsDump)

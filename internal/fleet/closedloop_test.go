@@ -22,7 +22,6 @@ func TestFleetClosedLoop(t *testing.T) {
 	if testing.Short() {
 		sessions = 16
 	}
-	scale := fleetScale()
 	// Tighter gate than even FleetIngestDefaults: a -short CI fleet posts
 	// ~an eighth of the full run's ratings, and the scenario needs the
 	// bump to fire while sessions are still mid-stream.
@@ -40,7 +39,7 @@ func TestFleetClosedLoop(t *testing.T) {
 			"med":  4e6,   // 4 Mbps
 			"slow": 1.5e6, // 1.5 Mbps
 		}),
-		TimeScales:   []float64{scale},
+		TimeScales:   []float64{0.05},
 		Profile:      func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
 		Raters:       &RaterSpec{Ingest: &icfg},
 		KeepOutcomes: true,

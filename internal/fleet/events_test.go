@@ -7,7 +7,6 @@ import (
 
 	"sensei/internal/chaos"
 	"sensei/internal/qlog"
-	"sensei/internal/vclock"
 	"sensei/internal/video"
 )
 
@@ -162,7 +161,7 @@ func TestFleetEventsSharded(t *testing.T) {
 			"fast": 3.2e7,
 			"slow": 2e6,
 		}),
-		TimeScales:   []float64{fleetScale()},
+		TimeScales:   []float64{0.05},
 		Profile:      func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
 		Events:       &EventsSpec{},
 		KeepOutcomes: true,
@@ -221,7 +220,6 @@ func TestFleetEventsOutlastTheProcessRing(t *testing.T) {
 				// stream, and at this rate would exhaust the retry budget.
 				Chaos:  &ChaosSpec{Endpoints: map[chaos.Kind]chaos.Spec{chaos.KindSegment: {Rate: 0.25}}},
 				Events: &EventsSpec{},
-				Clock:  vclock.NewVirtual(),
 			})
 			if err != nil {
 				t.Fatal(err)

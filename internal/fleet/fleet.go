@@ -11,7 +11,9 @@
 // evaluation (§7) sweeps and the ROADMAP's production-scale story needs.
 // Scheduling is bounded fork-join via internal/par; the mix assignment is a
 // pure function of the session index, so a fleet run's workload is
-// reproducible regardless of worker count.
+// reproducible regardless of worker count. The whole run shares one
+// discrete-event virtual clock, so a fleet spanning hours of stream time
+// takes as long as its CPU work.
 package fleet
 
 import (
@@ -90,12 +92,14 @@ type Config struct {
 	Traces map[string]*trace.Trace
 	// ABRs is the algorithm mix (default AllABRs()).
 	ABRs []ABR
-	// TimeScales is the wall-clock compression mix (default {0.02}).
+	// TimeScales is the session timescale mix (default {0.02}): a session
+	// replays its trace at that multiple of real-time pacing. It scales only
+	// simulated time — how much of it a session spans — not how long the
+	// run takes.
 	TimeScales []float64
 	// Workers bounds concurrently running sessions; 0 runs the whole fleet
-	// concurrently (sessions spend most wall time sleeping on shaped
-	// transfers, so the bound is about memory and scheduler pressure, not
-	// CPU).
+	// at once. A session beyond the bound starts, in simulated time, when a
+	// worker frees up; the bound is about memory and scheduler pressure.
 	Workers int
 	// MaxBufferSec caps each client's playback buffer (0 = dash default).
 	MaxBufferSec float64
@@ -143,14 +147,11 @@ type Config struct {
 	// SessionIdleTimeout overrides the origin's idle janitor (0 = origin
 	// default).
 	SessionIdleTimeout time.Duration
-	// Clock is the time source the whole run shares: the origin's shaped
-	// delivery, chaos stalls and idle accounting, every client's waits and
-	// download measurements, and the refresh watcher all read it. Nil
-	// selects the wall clock. A *vclock.Virtual runs the identical workload
-	// in discrete-event simulated time — sleeps complete instantly once
-	// every in-flight participant is parked — so a fleet that would take
-	// minutes of wall time finishes in however long the CPU work takes,
-	// with the same rung sequences and ledgers as the wall-clock run.
+	// Clock is the run's virtual clock, or an observer wrapping one; nil
+	// builds a fresh vclock.Virtual. The origin's shaped delivery, chaos
+	// stalls and idle accounting, every client's waits and download
+	// measurements, and the refresh watcher all read it. Sleeps complete
+	// the instant every in-flight participant is parked.
 	Clock vclock.Clock
 	// Logf receives origin log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -188,8 +189,8 @@ type RaterSpec struct {
 }
 
 // FleetIngestDefaults returns autopilot tuning matched to fleet harness
-// scales: runs last seconds of wall clock at aggressive timescales, so the
-// gate's sample floor, refresh interval and hysteresis are proportionally
+// scales: runs span seconds of simulated time at aggressive timescales, so
+// the gate's sample floor, refresh interval and hysteresis are proportionally
 // tighter than the production defaults — autonomous bumps must be able to
 // fire while the fleet is still mid-stream.
 func FleetIngestDefaults() ingest.Config {
@@ -288,9 +289,9 @@ type EventsSpec struct {
 
 // RefreshSpec schedules the fleet's mid-run weight refresh.
 type RefreshSpec struct {
-	// After is the wall-clock grace between the last session join and the
-	// refresh publish. Keep it short relative to session duration so every
-	// session is still mid-stream when the bump lands.
+	// After is the grace, in simulated time, between the last session join
+	// and the refresh publish. Keep it short relative to session duration so
+	// every session is still mid-stream when the bump lands.
 	After time.Duration
 	// Weights computes the refreshed vector for a video (required).
 	Weights func(v *video.Video) ([]float64, error)
@@ -540,7 +541,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual()
 	}
 	// The event plane: one shared registry for the whole run — clients
 	// observe their decision/download/stall families into the same padded
@@ -599,8 +600,8 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	startClock := clock.Now()
 	// The first wave starts together: no session (and not the refresh
 	// watcher) proceeds until every worker has registered its first
-	// session with the clock. Otherwise a virtual clock advances through
-	// the early starters' sleeps while a worker goroutine is still waiting
+	// session with the clock. Otherwise the clock advances through the
+	// early starters' sleeps while a worker goroutine is still waiting
 	// to be scheduled, and that worker's session starts late by however far
 	// the others had got — a different run every time.
 	var firstWave sync.WaitGroup
@@ -616,10 +617,10 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	refreshDone := make(chan struct{})
 	if cfg.Refresh != nil {
 		refreshOut = &RefreshOutcome{Epochs: map[string]uint64{}}
-		// The watcher waits on the run clock, so a virtual run schedules
-		// its bump in simulated time exactly like a wall-clock run does in
-		// real time. Its waits fold fleetDone into a context: the fleet
-		// draining (or the caller canceling) aborts the sleep in flight.
+		// The watcher waits on the run clock, so the bump lands at a
+		// simulated instant. Its waits fold fleetDone into a context: the
+		// fleet draining (or the caller canceling) aborts the sleep in
+		// flight.
 		watchCtx, cancelWatch := context.WithCancel(ctx)
 		go func() {
 			select {
@@ -629,8 +630,8 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 			cancelWatch()
 		}()
 		// The watcher is a registered clock participant: its sleeps park it
-		// like any session's shaped wait, so a virtual clock advances
-		// through the join poll and the grace window instead of deadlocking
+		// like any session's shaped wait, so the clock advances through
+		// the join poll and the grace window instead of deadlocking
 		// on a non-participant's timer. It registers here, before the first
 		// wave can be released, so that its polls tick from the run's first
 		// instant however late its goroutine is first scheduled.
@@ -709,9 +710,9 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	// Workers always return nil: a failed session is a data point the
 	// report must show, not a reason to abort the rest of the fleet.
 	_ = par.ForEachN(cfg.Sessions, workers, func(k int) error {
-		// Each session is one registered clock activity: under a virtual
-		// clock, simulated time advances only while every in-flight
-		// session (and the watcher) is parked in a clock sleep.
+		// Each session is one registered clock activity: simulated time
+		// advances only while every in-flight session (and the watcher) is
+		// parked in a clock sleep.
 		clock.Enter()
 		defer clock.Exit()
 		if k < workers {
@@ -742,7 +743,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	})
 	drainFaultEvents()
 	// Read the simulated span before teardown: the watcher's final polls
-	// would otherwise keep nudging a virtual clock after the last session
+	// would otherwise keep nudging the clock after the last session
 	// exits and inflate the figure.
 	virtualElapsed := clock.Now() - startClock
 	close(fleetDone)

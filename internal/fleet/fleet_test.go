@@ -3,10 +3,12 @@ package fleet
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sensei/internal/trace"
+	"sensei/internal/vclock"
 	"sensei/internal/video"
 )
 
@@ -43,19 +45,6 @@ func testCatalog(t testing.TB, chunks int) []*video.Video {
 	}
 }
 
-// fleetScale compresses wall-clock aggressively in normal runs and gently
-// under the race detector (instrumented HTTP overhead would otherwise
-// dominate the shaped transfer times). Per-request protocol overhead is
-// divided by the scale when it becomes virtual seconds, and a whole fleet
-// shares the scheduler, so the compression stays an order of magnitude
-// gentler than the single-session e2e tests use.
-func fleetScale() float64 {
-	if raceEnabled {
-		return 0.15
-	}
-	return 0.05
-}
-
 // TestFleetRun is the tentpole test: a mixed fleet — 4 videos × 2 traces ×
 // all 4 ABRs × 2 timescales — against one origin, fully concurrent, with
 // the aggregate report reconciling exactly against the origin's /stats
@@ -65,7 +54,6 @@ func TestFleetRun(t *testing.T) {
 	if testing.Short() {
 		sessions = 12
 	}
-	scale := fleetScale()
 	cfg := Config{
 		Sessions: sessions,
 		Videos:   testCatalog(t, 5),
@@ -73,7 +61,7 @@ func TestFleetRun(t *testing.T) {
 			"fast": 3.2e7, // 32 Mbps
 			"slow": 2e6,   // 2 Mbps
 		}),
-		TimeScales:   []float64{scale, scale * 2},
+		TimeScales:   []float64{0.05, 0.1},
 		Profile:      func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
 		KeepOutcomes: true,
 	}
@@ -178,18 +166,66 @@ func TestFleetMixAssignment(t *testing.T) {
 	}
 }
 
+// TestFleetRunsOnVirtualTimeByDefault pins the default clock: a fleet with
+// no Clock set, paced at real time, must span tens of simulated seconds in
+// a small fraction of that on the wall clock, and still reconcile.
+func TestFleetRunsOnVirtualTimeByDefault(t *testing.T) {
+	report, err := Run(context.Background(), Config{
+		Sessions: 8,
+		Videos:   testCatalog(t, 8),
+		Traces:   flatTraces(map[string]float64{"med": 4e6}),
+		// A 4 s buffer keeps every 32 s session within a chunk of playback,
+		// so each spans at least 24 s of simulated time.
+		MaxBufferSec: 4,
+		TimeScales:   []float64{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != 0 || !report.Reconciliation.Ok {
+		t.Fatalf("fleet did not reconcile:\n%s", report.Render())
+	}
+	t.Logf("%.2f simulated s in %.3f wall s", report.VirtualSec, report.ElapsedSec)
+	if report.VirtualSec < 20 {
+		t.Fatalf("fleet spanned %.2f simulated s, want at least 20", report.VirtualSec)
+	}
+	if report.Speedup <= 10 {
+		t.Fatalf("fleet ran at %.1fx real time (%.2f simulated s in %.2f wall s), want more than 10x",
+			report.Speedup, report.VirtualSec, report.ElapsedSec)
+	}
+}
+
+// cancelClock is a virtual clock that cancels the run on its nth Sleep, so
+// the deadline lands mid-run at the same point of the schedule every time.
+type cancelClock struct {
+	*vclock.Virtual
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelClock) Sleep(ctx context.Context, d time.Duration) bool {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Virtual.Sleep(ctx, d)
+}
+
 // TestFleetCanceledContext aborts a fleet mid-run; the harness must return
 // a report (not hang or error out) with the failures recorded and the
 // reconciliation honestly failing.
 func TestFleetCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	clock := &cancelClock{Virtual: vclock.NewVirtual(), cancel: cancel}
+	// Each of the 40 segments costs one shaper sleep, so after ten sleeps
+	// most sessions are still streaming.
+	clock.left.Store(10)
 	cfg := Config{
-		Sessions: 8,
-		Videos:   testCatalog(t, 5),
-		// Slow enough that no session completes within the context budget.
+		Sessions:   8,
+		Videos:     testCatalog(t, 5),
 		Traces:     flatTraces(map[string]float64{"slow": 1e6}),
 		TimeScales: []float64{0.5},
+		Clock:      clock,
 	}
 	report, err := Run(ctx, cfg)
 	if err != nil {
@@ -235,7 +271,7 @@ func TestFleetBoundedWorkers(t *testing.T) {
 		Workers:    3,
 		Videos:     testCatalog(t, 4),
 		Traces:     flatTraces(map[string]float64{"f": 2e7}),
-		TimeScales: []float64{fleetScale()},
+		TimeScales: []float64{0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +323,6 @@ func TestFleetWeightRefresh(t *testing.T) {
 	if testing.Short() {
 		sessions = 16
 	}
-	scale := fleetScale()
 	cfg := Config{
 		Sessions: sessions,
 		Videos:   testCatalog(t, 8),
@@ -298,7 +333,7 @@ func TestFleetWeightRefresh(t *testing.T) {
 			"med":  4e6,   // 4 Mbps
 			"slow": 1.5e6, // 1.5 Mbps
 		}),
-		TimeScales: []float64{scale},
+		TimeScales: []float64{0.05},
 		Profile:    func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
 		Refresh: &RefreshSpec{
 			After:   50 * time.Millisecond,

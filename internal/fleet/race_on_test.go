@@ -2,8 +2,8 @@
 
 package fleet
 
-// raceEnabled slows the emulated-time tests under the race detector: its
-// instrumentation overhead breaks the aggressive time compression used in
-// normal runs, so clients miss the shaper's schedule and measurements drown
-// in protocol noise.
+// raceEnabled gentles the one wall-clock test under the race detector (its
+// instrumentation overhead breaks aggressive time compression, so
+// measurements drown in protocol noise) and skips the allocation budget
+// (the detector allocates on the program's behalf).
 const raceEnabled = true

@@ -164,11 +164,9 @@ type Report struct {
 	Failed         int     `json:"failed"`
 	ElapsedSec     float64 `json:"elapsed_sec"`
 	SessionsPerSec float64 `json:"sessions_per_sec"`
-	// VirtualSec is the run's span on its own clock: wall time under the
-	// default clock (≈ ElapsedSec), simulated time under a virtual clock.
-	// Speedup is VirtualSec/ElapsedSec — how much faster than real time
-	// the run covered its workload (≈1 on the wall clock, potentially
-	// orders of magnitude under vclock).
+	// VirtualSec is the run's span in simulated time. Speedup is
+	// VirtualSec/ElapsedSec — how much faster than real time the run
+	// covered its workload.
 	VirtualSec float64 `json:"virtual_sec"`
 	Speedup    float64 `json:"speedup,omitempty"`
 	// BytesDownloaded / SegmentsDownloaded sum the client-side ledgers.

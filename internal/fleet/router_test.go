@@ -17,7 +17,6 @@ func TestFleetRouterShards(t *testing.T) {
 	if testing.Short() {
 		sessions = 16
 	}
-	scale := fleetScale()
 	cfg := Config{
 		Sessions:     sessions,
 		OriginShards: 4,
@@ -26,7 +25,7 @@ func TestFleetRouterShards(t *testing.T) {
 			"fast": 3.2e7,
 			"slow": 2e6,
 		}),
-		TimeScales:   []float64{scale},
+		TimeScales:   []float64{0.05},
 		Profile:      func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
 		KeepOutcomes: true,
 	}

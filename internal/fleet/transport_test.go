@@ -14,7 +14,6 @@ import (
 
 	"sensei/internal/chaos"
 	"sensei/internal/origin"
-	"sensei/internal/vclock"
 	"sensei/internal/video"
 )
 
@@ -65,7 +64,6 @@ func transportParityConfig(t testing.TB, spec *ChaosSpec) Config {
 		Chaos:        spec,
 		Events:       &EventsSpec{KeepTraces: true},
 		KeepOutcomes: true,
-		Clock:        vclock.NewVirtual(),
 	}
 }
 
@@ -180,7 +178,7 @@ func reportDiff(t *testing.T, a, b *Report) string {
 // handler coroutine must have ended with its response body, and the
 // backend's own goroutines (janitor, ingest workers) with Run.
 func TestFleetRunLeavesNoGoroutines(t *testing.T) {
-	for name, spec := range map[string]*ChaosSpec{"fault-free": nil, "chaos": parityChaos()} {
+	for name, spec := range map[string]*ChaosSpec{"fault-free": nil, "chaos": chaosFleetSpec()} {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			cfg := transportParityConfig(t, spec)
@@ -237,7 +235,6 @@ func TestFleetSegmentAllocBudget(t *testing.T) {
 			Traces:     flatTraces(map[string]float64{"med": 4e6, "slow": 1.5e6}),
 			TimeScales: []float64{1},
 			Profile:    func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
-			Clock:      vclock.NewVirtual(),
 		}
 	}
 	measure := func() float64 {

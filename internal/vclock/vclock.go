@@ -2,11 +2,10 @@
 // harness: a Clock interface with a wall-clock implementation (Real) and a
 // discrete-event simulated one (Virtual).
 //
-// Real is today's behavior — Now is monotonic wall time since the clock
-// was built and Sleep parks the goroutine for the requested duration — and
-// stays the parity oracle: a virtual run is correct exactly when it
-// reproduces the wall-clock run's rung sequences, stall ledgers and /stats
-// reconciliation from the same seeds.
+// Real is wall time — Now is monotonic wall time since the clock was built
+// and Sleep parks the goroutine for the requested duration. It is what an
+// origin or a client runs on unless told otherwise (cmd/dashserver,
+// cmd/dashclient, the e2e suites over TCP); a fleet always runs on Virtual.
 //
 // Virtual never waits. Sleepers park in a min-heap keyed by virtual
 // deadline, and the clock jumps straight to the earliest deadline — but

@@ -37,8 +37,8 @@
 // end: clients rate each rendered chunk, the origin's ingest plane
 // (IngestConfig) turns the ratings into autonomous refreshes. RunFleet
 // drives whole fleets of clients against an origin, with raters
-// (FleetRaterSpec), fault injection (FleetChaosSpec) and virtual time
-// (NewVirtualClock).
+// (FleetRaterSpec) and fault injection (FleetChaosSpec), always on virtual
+// time.
 package sensei
 
 import (
@@ -264,13 +264,13 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*fleet.Report, error) {
 // Clock is the time source threaded through the streaming stack: every
 // sleep and duration measurement in the origin, the DASH client, the chaos
 // injector and the fleet harness goes through one. Nil means the wall
-// clock.
+// clock for an origin or a client, and a fresh virtual clock for a fleet,
+// which always runs on virtual time.
 type Clock = vclock.Clock
 
 // NewVirtualClock returns a discrete-event simulated Clock that jumps
 // straight to the next deadline whenever every registered participant is
-// asleep, so a fleet spanning hours of stream time finishes in CPU-bound
-// wall time with byte-identical ledgers. Share one instance across every
-// component of a run; mixing clocks stalls the run, because quiescence is
-// judged per instance.
+// asleep, so hours of stream time finish in CPU-bound wall time. Share one
+// instance across every component of a run; mixing clocks stalls the run,
+// because quiescence is judged per instance.
 func NewVirtualClock() Clock { return vclock.NewVirtual() }
