@@ -25,7 +25,7 @@
 // Usage:
 //
 //	dashserver [-addr 127.0.0.1:8428] [-shards 1] [-videos all|Name1,Name2]
-//	           [-excerpt N] [-timescale 0.01] [-vclock] [-profile] [-pop 20000]
+//	           [-excerpt N] [-timescale 0.01] [-profile] [-pop 20000]
 //	           [-weightdir weights] [-idle 2m] [-autopilot] [-ap-window 4]
 //	           [-ap-samples 32] [-ap-interval 30s] [-ap-delta 0.25]
 //	           [-chaos-rate 0] [-chaos-seed N] [-chaos-max-consecutive 2]
@@ -50,16 +50,6 @@
 // the drain out across every shard), and GET /metrics exposes the
 // aggregate registry in Prometheus text — served lock-free from padded
 // atomics, shared across all shards.
-//
-// -vclock serves on a discrete-event virtual clock: every throttle sleep
-// jumps straight to its deadline the moment all in-flight requests are
-// asleep, so shaped egress runs at CPU speed instead of trace speed.
-// In-flight HTTP requests are the clock's only registered participants
-// (origin.Config.ExternalClients), which means simulated time advances
-// only while at least one request is being served — keep the origin under
-// steady load, or pair it with a -vclock-aware harness, for the speedup
-// to materialize. The shutdown stats gain a scale banner (sessions,
-// simulated seconds, wall seconds, speedup).
 //
 // -chaos-rate > 0 mounts seeded, replayable fault injection in front of the
 // data and control planes (never /stats or /refresh): 5xx errors,
@@ -114,7 +104,6 @@ func main() {
 	videos := flag.String("videos", "all", `catalog: "all" or comma-separated Table 1 names`)
 	excerpt := flag.Int("excerpt", 0, "serve only the first N chunks of each video (0 = full)")
 	timescale := flag.Float64("timescale", 0.01, "default session wall-clock compression (0.01 = 100x faster)")
-	vclockOn := flag.Bool("vclock", false, "serve on a discrete-event virtual clock: shaped egress jumps to the next deadline whenever every in-flight request is asleep (CPU-bound, not trace-bound)")
 	profile := flag.Bool("profile", true, "profile videos lazily and embed weights in manifests")
 	popSize := flag.Int("pop", 20000, "rater population size for profiling")
 	weightDir := flag.String("weightdir", "weights", "directory persisting profiled weights (\"\" = memory only)")
@@ -222,16 +211,6 @@ func main() {
 	if *eventsOn {
 		ocfg.Events = &sensei.DASHEventsConfig{}
 	}
-	var clk sensei.Clock
-	if *vclockOn {
-		// In-flight requests are the virtual clock's registered units:
-		// ExternalClients brackets each request with Enter/Exit, so time
-		// advances whenever every request being served is parked in a
-		// throttle sleep.
-		clk = sensei.NewVirtualClock()
-		ocfg.Clock = clk
-		ocfg.ExternalClients = true
-	}
 	// The serving plane: a single origin, or -shards origins behind a
 	// consistent-hash router. Both expose the same endpoints; the branches
 	// only differ in construction and where the final stats come from.
@@ -241,7 +220,6 @@ func main() {
 			Shutdown(ctx context.Context) error
 		}
 		finalStats func() any
-		sessions   func() int64
 	)
 	if *shards > 1 {
 		rt, err := sensei.NewDASHRouter(sensei.DASHRouterConfig{Shards: *shards, Origin: ocfg})
@@ -250,7 +228,6 @@ func main() {
 		}
 		srv = sensei.NewDASHRouterServer(rt)
 		finalStats = func() any { return rt.Stats() }
-		sessions = rt.SessionsCreated
 	} else {
 		o, err := sensei.NewDASHOrigin(ocfg)
 		if err != nil {
@@ -258,22 +235,13 @@ func main() {
 		}
 		srv = sensei.NewDASHServer(o)
 		finalStats = func() any { return o.Stats() }
-		sessions = o.SessionsCreated
 	}
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		fail(err)
 	}
-	startWall := time.Now()
-	var startClock time.Duration
-	if clk != nil {
-		startClock = clk.Now()
-	}
 	fmt.Printf("origin at http://%s serving %d videos (timescale %.3f, default trace %s)\n",
 		bound, len(catalog), *timescale, defaultTrace)
-	if clk != nil {
-		fmt.Println("vclock: shaped egress on a discrete-event virtual clock; time advances whenever every in-flight request is asleep")
-	}
 	if *shards > 1 {
 		fmt.Printf("scale-out: %d origin shards behind a consistent-hash router; sessions are sticky, /stats merges the shard ledgers\n", *shards)
 	}
@@ -308,16 +276,6 @@ func main() {
 	}
 	out, _ := json.MarshalIndent(finalStats(), "", "  ")
 	fmt.Printf("final stats:\n%s\n", out)
-	if clk != nil {
-		wall := time.Since(startWall).Seconds()
-		simulated := (clk.Now() - startClock).Seconds()
-		speedup := 0.0
-		if wall > 0 {
-			speedup = simulated / wall
-		}
-		fmt.Printf("vclock: %d sessions spanned %.1f simulated s in %.1f wall s (%.1fx real time)\n",
-			sessions(), simulated, wall, speedup)
-	}
 }
 
 func fail(err error) {

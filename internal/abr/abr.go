@@ -87,13 +87,14 @@ type ScenarioAppender interface {
 	AppendScenarios(historyBps []float64, dst []Scenario) []Scenario
 }
 
-// HarmonicPredictor predicts via the harmonic mean of recent samples — the
-// robust-MPC estimator — and spreads it into a three-point distribution
-// whose width follows the history's relative variability.
-type HarmonicPredictor struct {
-	// Window bounds how many recent samples are used (default 5).
-	Window int
-}
+// harmonicWindow bounds how many recent samples HarmonicPredictor uses.
+const harmonicWindow = 5
+
+// HarmonicPredictor predicts via the harmonic mean of the last
+// harmonicWindow samples — the robust-MPC estimator — and spreads it into a
+// three-point distribution whose width follows the history's relative
+// variability.
+type HarmonicPredictor struct{}
 
 // Predict implements Predictor. With no history it assumes a conservative
 // 1 Mbps.
@@ -103,12 +104,8 @@ func (h *HarmonicPredictor) Predict(history []float64) []Scenario {
 
 // AppendScenarios implements ScenarioAppender.
 func (h *HarmonicPredictor) AppendScenarios(history []float64, dst []Scenario) []Scenario {
-	w := h.Window
-	if w <= 0 {
-		w = 5
-	}
-	if len(history) > w {
-		history = history[len(history)-w:]
+	if len(history) > harmonicWindow {
+		history = history[len(history)-harmonicWindow:]
 	}
 	mean := 1e6
 	if len(history) > 0 {
@@ -128,7 +125,7 @@ func (h *HarmonicPredictor) AppendScenarios(history []float64, dst []Scenario) [
 	// the window the estimate is unreliable, so uncertainty stays maximal —
 	// early-session gambles are how stalls land on the wrong chunks.
 	spread := 0.15
-	if len(history) < w {
+	if len(history) < harmonicWindow {
 		spread = 0.5
 	}
 	for _, v := range history {

@@ -15,12 +15,6 @@ import (
 // BOLA ignores content and throughput history entirely (like BBA), but its
 // utility shaping makes it climb the ladder faster at moderate buffers.
 type BOLA struct {
-	// GP is the Lyapunov gamma·p term steering toward the buffer target
-	// (default derives from MaxBufferSec).
-	GP float64
-	// V is the Lyapunov control parameter (default derives from
-	// MaxBufferSec).
-	V float64
 	// MaxBufferSec is the buffer the parameters are derived for
 	// (default 60, matching the player's cap).
 	MaxBufferSec float64
@@ -45,17 +39,13 @@ func (b *BOLA) Decide(s *player.State) player.Decision {
 	if maxBuf <= 0 {
 		maxBuf = 60
 	}
-	gp := b.GP
-	v := b.V
-	if gp <= 0 || v <= 0 {
-		// Standard derivation (Spiteri et al. §IV): choose V and gp so the
-		// lowest rung is picked at one chunk of buffer and the highest at
-		// the buffer cap.
-		chunkSec := 4.0
-		uMax := utilities[n-1]
-		gp = (uMax*chunkSec/(maxBuf-chunkSec) + uMax) / 2
-		v = (maxBuf - chunkSec) / (uMax + gp) / chunkSec
-	}
+	// Standard derivation (Spiteri et al. §IV): choose the Lyapunov control
+	// parameter V and the gamma·p term gp so the lowest rung is picked at
+	// one chunk of buffer and the highest at the buffer cap.
+	chunkSec := 4.0
+	uMax := utilities[n-1]
+	gp := (uMax*chunkSec/(maxBuf-chunkSec) + uMax) / 2
+	v := (maxBuf - chunkSec) / (uMax + gp) / chunkSec
 
 	best := 0
 	bestScore := math.Inf(-1)

@@ -6,6 +6,10 @@ import (
 	"sensei/internal/trace"
 )
 
+// oracleHorizonSec is how far ahead OraclePredictor takes the trace's mean:
+// roughly the MPC horizon of 5 four-second chunks.
+const oracleHorizonSec = 20
+
 // OraclePredictor "predicts" throughput by reading the actual future of the
 // trace — the idealized setting of §2.4, where both ABRs receive the entire
 // throughput trace in advance to eliminate prediction error as a
@@ -14,9 +18,6 @@ import (
 type OraclePredictor struct {
 	// Trace is the trace the session replays.
 	Trace *trace.Trace
-	// HorizonSec is how far ahead the mean is taken (default 20s, roughly
-	// the MPC horizon of 5 four-second chunks).
-	HorizonSec float64
 
 	// nowSec is refreshed by the owning oracle MPC before each prediction.
 	nowSec float64
@@ -31,14 +32,10 @@ func (o *OraclePredictor) Predict(history []float64) []Scenario {
 
 // AppendScenarios implements ScenarioAppender.
 func (o *OraclePredictor) AppendScenarios(_ []float64, dst []Scenario) []Scenario {
-	h := o.HorizonSec
-	if h <= 0 {
-		h = 20
-	}
 	cur := trace.NewCursor(o.Trace)
 	cur.Advance(o.nowSec)
 	return append(dst, Scenario{
-		Bps:      cur.MeanAhead(h),
+		Bps:      cur.MeanAhead(oracleHorizonSec),
 		P:        1,
 		Exact:    o.Trace,
 		StartSec: o.nowSec,

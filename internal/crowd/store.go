@@ -6,86 +6,15 @@ import (
 	"io"
 )
 
-// This file persists profiles as JSON so a content provider can run the
-// campaign once per video and ship the weights with the catalog (the
-// paper's video-management-system integration, Fig 7).
-
-// profileJSON is the stable wire form of a Profile.
-type profileJSON struct {
-	Version          int       `json:"version"`
-	VideoName        string    `json:"video"`
-	Weights          []float64 `json:"weights"`
-	CostUSD          float64   `json:"cost_usd"`
-	CostPerMinuteUSD float64   `json:"cost_per_minute_usd"`
-	DelayMinutes     float64   `json:"delay_minutes"`
-	Participants     int       `json:"participants"`
-	RatedRenderings  int       `json:"rated_renderings"`
-	RejectedRaters   int       `json:"rejected_raters"`
-	StepTwoChunks    []int     `json:"step_two_chunks,omitempty"`
-}
-
-// profileVersion guards against incompatible future layouts.
-const profileVersion = 1
+// This file persists profiled weights as a JSON weight library so a content
+// provider can run the campaign once per video and ship the weights with
+// the catalog (the paper's video-management-system integration, Fig 7).
 
 // ValidWeight reports whether w is a plausible per-chunk sensitivity
-// weight. Every persistence codec (the profile store here, the origin's
+// weight. Every persistence codec (the weight library here, the origin's
 // per-video weight cache) enforces this same contract, so a change to the
 // valid range happens in exactly one place.
 func ValidWeight(w float64) bool { return w > 0 && w <= 10 }
-
-// WriteTo serializes the profile as JSON.
-func (p *Profile) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(profileJSON{
-		Version:          profileVersion,
-		VideoName:        p.VideoName,
-		Weights:          p.Weights,
-		CostUSD:          p.CostUSD,
-		CostPerMinuteUSD: p.CostPerMinuteUSD,
-		DelayMinutes:     p.DelayMinutes,
-		Participants:     p.Participants,
-		RatedRenderings:  p.RatedRenderings,
-		RejectedRaters:   p.RejectedRaters,
-		StepTwoChunks:    p.StepTwoChunks,
-	}); err != nil {
-		return fmt.Errorf("crowd: encoding profile: %w", err)
-	}
-	return nil
-}
-
-// ReadProfile parses a profile written by Save, validating the weights.
-func ReadProfile(r io.Reader) (*Profile, error) {
-	var pj profileJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
-		return nil, fmt.Errorf("crowd: decoding profile: %w", err)
-	}
-	if pj.Version != profileVersion {
-		return nil, fmt.Errorf("crowd: profile version %d, want %d", pj.Version, profileVersion)
-	}
-	if pj.VideoName == "" {
-		return nil, fmt.Errorf("crowd: profile missing video name")
-	}
-	if len(pj.Weights) == 0 {
-		return nil, fmt.Errorf("crowd: profile for %q has no weights", pj.VideoName)
-	}
-	for i, w := range pj.Weights {
-		if !ValidWeight(w) {
-			return nil, fmt.Errorf("crowd: profile weight %d is %v", i, w)
-		}
-	}
-	return &Profile{
-		VideoName:        pj.VideoName,
-		Weights:          pj.Weights,
-		CostUSD:          pj.CostUSD,
-		CostPerMinuteUSD: pj.CostPerMinuteUSD,
-		DelayMinutes:     pj.DelayMinutes,
-		Participants:     pj.Participants,
-		RatedRenderings:  pj.RatedRenderings,
-		RejectedRaters:   pj.RejectedRaters,
-		StepTwoChunks:    pj.StepTwoChunks,
-	}, nil
-}
 
 // WeightLibraryVersion is the current library layout: version 2 carries a
 // per-video profile epoch next to the weights. Version-0/1 files (the
@@ -150,7 +79,7 @@ func (l *WeightLibrary) Set(name string, weights []float64) error {
 	return nil
 }
 
-// WriteTo serializes the library as JSON in the current layout.
+// Save serializes the library as JSON in the current layout.
 func (l *WeightLibrary) Save(w io.Writer) error {
 	out := *l
 	out.Version = WeightLibraryVersion

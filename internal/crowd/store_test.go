@@ -6,50 +6,6 @@ import (
 	"testing"
 )
 
-func TestProfileRoundTrip(t *testing.T) {
-	v := shortVideo(t)
-	pr := NewProfiler(population(t, 3000, 71))
-	p, err := pr.Profile(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VideoName != p.VideoName || got.CostUSD != p.CostUSD || got.Participants != p.Participants {
-		t.Fatalf("metadata mismatch: %+v vs %+v", got, p)
-	}
-	if len(got.Weights) != len(p.Weights) {
-		t.Fatal("weight count mismatch")
-	}
-	for i := range p.Weights {
-		if got.Weights[i] != p.Weights[i] {
-			t.Fatalf("weight %d: %v vs %v", i, got.Weights[i], p.Weights[i])
-		}
-	}
-}
-
-func TestReadProfileRejectsCorruption(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"version": 99, "video": "x", "weights": [1]}`,
-		`{"version": 1, "video": "", "weights": [1]}`,
-		`{"version": 1, "video": "x", "weights": []}`,
-		`{"version": 1, "video": "x", "weights": [-2]}`,
-		`{"version": 1, "video": "x", "weights": [99]}`,
-	}
-	for i, c := range cases {
-		if _, err := ReadProfile(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted: %s", i, c)
-		}
-	}
-}
-
 func TestWeightLibraryRoundTrip(t *testing.T) {
 	lib := &WeightLibrary{Weights: map[string][]float64{
 		"Soccer1": {0.8, 1.2, 1.5},

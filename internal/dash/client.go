@@ -97,11 +97,10 @@ type Client struct {
 	TimeScale float64
 	// HTTP is the client used for requests; http.DefaultClient when nil.
 	HTTP *http.Client
-	// MaxBufferSec caps the client buffer in virtual seconds and
-	// MaxPreStallSec a single proactive stall; they are player.Config's
-	// fields of the same names, and zero selects its defaults.
-	MaxBufferSec   float64
-	MaxPreStallSec float64
+	// MaxBufferSec caps the client buffer in virtual seconds; it is
+	// player.Config's field of the same name, and zero selects its default.
+	// A single proactive stall is clamped to player.Config's default cap.
+	MaxBufferSec float64
 	// RequestTimeout bounds each HTTP request (default
 	// DefaultRequestTimeout; negative disables the timeout).
 	RequestTimeout time.Duration
@@ -459,7 +458,7 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	pb, err := player.NewPlayback(v, player.Config{MaxBufferSec: c.MaxBufferSec, MaxPreStallSec: c.MaxPreStallSec})
+	pb, err := player.NewPlayback(v, player.Config{MaxBufferSec: c.MaxBufferSec})
 	if err != nil {
 		return nil, fmt.Errorf("dash: %w", err)
 	}

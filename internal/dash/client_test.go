@@ -92,24 +92,23 @@ func TestClientRejectsNegativePreStall(t *testing.T) {
 	}
 }
 
-// TestClientClampsPreStall asserts the MaxPreStallSec clamp matches the
-// simulator's: a 7-second request lands as the configured cap, never more.
+// TestClientClampsPreStall asserts the proactive-stall clamp matches the
+// simulator's: a 7-second request lands as player.Config's default cap,
+// never more. A custom cap is player.Config's business, tested by
+// player's TestProactiveStallCapped.
 func TestClientClampsPreStall(t *testing.T) {
 	v := testVideo(t)
 	cases := []struct {
-		name   string
-		maxCfg float64
-		want   float64
+		name string
+		want float64
 	}{
-		{"default cap", 0, 2}, // player.Config's default
-		{"custom cap", 1.5, 1.5},
+		{"default cap", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := startStubOrigin(t, v, nil, 1, 0)
 			c := &Client{
-				BaseURL:        base,
-				MaxPreStallSec: tc.maxCfg,
+				BaseURL: base,
 				Algorithm: scriptedABR{decide: func(s *player.State) player.Decision {
 					if s.ChunkIndex == 2 {
 						return player.Decision{Rung: 0, PreStallSec: 7}

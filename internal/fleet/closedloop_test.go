@@ -140,9 +140,6 @@ func TestFleetClosedLoopConfigValidation(t *testing.T) {
 	}{
 		{"raters without profile", Config{Sessions: 1, Videos: videos, Traces: traces,
 			Raters: &RaterSpec{}}},
-		{"negative population", Config{Sessions: 1, Videos: videos, Traces: traces,
-			Profile: func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
-			Raters:  &RaterSpec{PopulationSize: -1}}},
 	}
 	for _, c := range cases {
 		if _, err := Run(context.Background(), c.cfg); err == nil {

@@ -144,9 +144,6 @@ type Config struct {
 	// shard leaks a session. 0 or 1 runs the classic single origin. Raters
 	// require a single origin (the ingest autopilot is not shard-aware).
 	OriginShards int
-	// SessionIdleTimeout overrides the origin's idle janitor (0 = origin
-	// default).
-	SessionIdleTimeout time.Duration
 	// Clock is the run's virtual clock, or an observer wrapping one; nil
 	// builds a fresh vclock.Virtual. The origin's shaped delivery, chaos
 	// stalls and idle accounting, every client's waits and download
@@ -174,14 +171,15 @@ func ReversedSensitivity(v *video.Video) ([]float64, error) {
 	return out, nil
 }
 
+// raterPoolSize sizes the shared rater pool sessions draw their personas
+// from.
+const raterPoolSize = 512
+
 // RaterSpec configures the closed-loop scenario's rater cohorts and the
 // origin's ingest autopilot.
 type RaterSpec struct {
-	// PopulationSize sizes the shared rater pool sessions draw their
-	// personas from (default 512).
-	PopulationSize int
-	// Seed keys the pool (default 0x5e11). The whole fleet's ratings are a
-	// pure function of (seed, session index, playback).
+	// Seed keys the shared rater pool (default 0x5e11). The whole fleet's
+	// ratings are a pure function of (seed, session index, playback).
 	Seed uint64
 	// Ingest overrides the origin's autopilot tuning; nil uses
 	// FleetIngestDefaults().
@@ -275,12 +273,6 @@ func (s *ChaosSpec) retryFor(k int) par.Backoff {
 
 // EventsSpec configures the fleet's qlog event plane.
 type EventsSpec struct {
-	// RingCapacity sizes every event ring — each client's trace ring and
-	// the origin's per-session mirror rings (rounded up to a power of two;
-	// 0 = qlog.DefaultRingCapacity). Size it to hold a whole session's
-	// event volume: a drop voids the trace's witness status and fails
-	// reconciliation.
-	RingCapacity int `json:"ring_capacity,omitempty"`
 	// KeepTraces retains each session's full drained event list on its
 	// outcome row (the per-kind tally is always kept). Large fleets may not
 	// want N full traces in a JSON report.
@@ -384,9 +376,6 @@ func (c *Config) validate() error {
 			// Autonomous refreshes re-profile chunk windows with the profile
 			// function; a weightless catalog has nothing to refresh.
 			return fmt.Errorf("fleet: rater cohorts scheduled without a profile function")
-		}
-		if c.Raters.PopulationSize < 0 {
-			return fmt.Errorf("fleet: negative rater population %d", c.Raters.PopulationSize)
 		}
 	}
 	return nil
@@ -515,15 +504,11 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 			ic = *cfg.Raters.Ingest
 		}
 		ingestCfg = &ic
-		size := cfg.Raters.PopulationSize
-		if size == 0 {
-			size = 512
-		}
 		seed := cfg.Raters.Seed
 		if seed == 0 {
 			seed = 0x5e11
 		}
-		pop, err := mos.NewPopulation(mos.PopulationConfig{Size: size, Seed: seed})
+		pop, err := mos.NewPopulation(mos.PopulationConfig{Size: raterPoolSize, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: rater pool: %w", err)
 		}
@@ -552,20 +537,19 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		metrics = &qlog.Metrics{}
 	}
 	ocfg := origin.Config{
-		Clock:              clock,
-		Catalog:            cfg.Videos,
-		Profile:            cfg.Profile,
-		Traces:             cfg.Traces,
-		DefaultTrace:       traceNames[0],
-		TimeScale:          scales[0],
-		SessionIdleTimeout: cfg.SessionIdleTimeout,
-		MaxSessions:        maxSessions,
-		Ingest:             ingestCfg,
-		Chaos:              chaosPolicy,
-		Logf:               cfg.Logf,
+		Clock:        clock,
+		Catalog:      cfg.Videos,
+		Profile:      cfg.Profile,
+		Traces:       cfg.Traces,
+		DefaultTrace: traceNames[0],
+		TimeScale:    scales[0],
+		MaxSessions:  maxSessions,
+		Ingest:       ingestCfg,
+		Chaos:        chaosPolicy,
+		Logf:         cfg.Logf,
 	}
 	if cfg.Events != nil {
-		ocfg.Events = &origin.EventsConfig{RingCapacity: cfg.Events.RingCapacity, Metrics: metrics}
+		ocfg.Events = &origin.EventsConfig{Metrics: metrics}
 	}
 	// The serving plane under test: a single origin, or — when the run
 	// proves scale-out — a consistent-hash router fronting OriginShards
@@ -726,7 +710,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		}
 		var ring *qlog.Ring
 		if cfg.Events != nil {
-			ring = qlog.NewRing(cfg.Events.RingCapacity)
+			ring = qlog.NewRing(qlog.DefaultRingCapacity)
 		}
 		// The session goroutine carries pprof labels (slot, algorithm,
 		// video) so a CPU or block profile of a large fleet breaks down by

@@ -124,8 +124,7 @@ type Config struct {
 	// janitor's expiry decisions and ingest refresh accounting. Nil selects
 	// the wall clock (vclock.NewReal), which is the historical behavior.
 	// Under a virtual clock, requests must arrive from registered vclock
-	// participants (the fleet harness's sessions) unless ExternalClients is
-	// set.
+	// participants (the fleet harness's sessions).
 	Clock vclock.Clock
 	// Events, when non-nil, enables the qlog session event plane: every
 	// session carries a server-side event ring drained via GET /events,
@@ -137,15 +136,6 @@ type Config struct {
 	// to label the origin's background goroutines for pprof cohorting
 	// (0 for a standalone origin).
 	Shard int
-	// ExternalClients marks deployments whose clients are outside the
-	// process (cmd/dashserver -vclock): the origin brackets every request
-	// with its own Enter/Exit so unregistered callers can drive a virtual
-	// clock — each request runs at a frozen instant and its shaped delivery
-	// advances simulated time the moment the server is otherwise idle. The
-	// caveat: with no registered long-lived participants, sessions rack up
-	// simulated idle time only while requests sleep, so idle expiry is
-	// effectively disabled. Ignored on a wall clock.
-	ExternalClients bool
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -336,17 +326,6 @@ func New(cfg Config) (*Origin, error) {
 		o.chaos = inj
 		o.handler = inj.Middleware(o.handler, classifyChaos)
 	}
-	if cfg.ExternalClients {
-		// Outermost wrapper, so chaos stalls and shaped throttles inside run
-		// under the request's activity unit.
-		inner, clock := o.handler, cfg.Clock
-		o.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			clock.Enter()
-			defer clock.Exit()
-			inner.ServeHTTP(w, r)
-		})
-	}
-
 	interval := cfg.SessionIdleTimeout / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond

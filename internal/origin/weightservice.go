@@ -97,18 +97,6 @@ func (s *WeightService) Get(v *video.Video) (*sensitivity.Profile, error) {
 	return p, nil
 }
 
-// Source returns v's live profile holder as a sensitivity.Source, resolving
-// the first epoch if needed. Consumers that want change notification (the
-// fleet's refresh watchers, a push-capable origin) hold on to it instead of
-// polling Get.
-func (s *WeightService) Source(v *video.Video) (sensitivity.Source, error) {
-	e, err := s.entry(v)
-	if err != nil {
-		return nil, err
-	}
-	return e.holder, nil
-}
-
 // Holder peeks at a video's live profile holder without triggering
 // profiling: nil when the video is unresolved, still resolving, or failed.
 // The origin caches a successful peek per catalog video, after which epoch

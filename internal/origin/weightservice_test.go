@@ -461,7 +461,7 @@ func TestWeightServiceRefreshWindow(t *testing.T) {
 
 func mustSource(t *testing.T, s *WeightService, v *video.Video) sensitivity.Source {
 	t.Helper()
-	src, err := s.Source(v)
+	src, err := s.HolderOf(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,12 +125,12 @@ func TestProactiveStall(t *testing.T) {
 func TestProactiveStallCapped(t *testing.T) {
 	v := testVideo(t)
 	alg := &fixedAlg{rung: 2, preStall: map[int]float64{2: 99}}
-	res, err := Play(v, flatTrace(10e6, 3600), alg, nil, Config{MaxPreStallSec: 2})
+	res, err := Play(v, flatTrace(10e6, 3600), alg, nil, Config{MaxPreStallSec: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProactiveStallSec != 2 {
-		t.Fatalf("stall %v, want capped at 2", res.ProactiveStallSec)
+	if res.ProactiveStallSec != 1.5 {
+		t.Fatalf("stall %v, want capped at 1.5", res.ProactiveStallSec)
 	}
 }
 

@@ -131,13 +131,16 @@ func TestVirtualZeroAndCanceled(t *testing.T) {
 // TestVirtualCoincidentWake parks several sleepers on the same deadline
 // plus one later; the coincident group wakes together at its instant and
 // the straggler only after, with time stepping exactly deadline-to-
-// deadline.
+// deadline. Every participant enters before any starts, so no sleeper can
+// run its sleeps alone on the clock while the others are unregistered.
 func TestVirtualCoincidentWake(t *testing.T) {
 	v := NewVirtual()
 	var wg sync.WaitGroup
 	var atTen, atTwenty atomic.Int32
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		v.Enter()
+	}
+	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -158,7 +161,6 @@ func TestVirtualCoincidentWake(t *testing.T) {
 			v.Exit()
 		}()
 	}
-	v.Enter()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -62,11 +62,11 @@ func ByName(name string) (*Video, error) {
 	return nil, fmt.Errorf("video: %q not in catalog", name)
 }
 
-// defaultStory returns the genre archetype. The numeric ranges were chosen so
+// genreStory returns the genre archetype. The numeric ranges were chosen so
 // that (a) attention varies substantially within every video, (b) motion and
 // attention decorrelate in the specific ways the paper describes, and (c)
 // nature videos have long low-attention scenic stretches.
-func defaultStory(g Genre, rng *stats.RNG) []segment {
+func genreStory(g Genre, rng *stats.RNG) []segment {
 	switch g {
 	case GenreSports:
 		return []segment{

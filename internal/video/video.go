@@ -179,9 +179,6 @@ type Spec struct {
 	Minutes, Seconds int
 	// Seed makes generation deterministic per title.
 	Seed uint64
-	// Story describes the storyline archetype; when empty a genre-default
-	// archetype is used.
-	Story []segment
 }
 
 // durationChunks converts the spec runtime to a chunk count (rounded up).
@@ -201,10 +198,7 @@ func (s Spec) durationChunks() int {
 func Generate(spec Spec) *Video {
 	rng := stats.NewRNG(spec.Seed ^ 0x5ea5e1)
 	n := spec.durationChunks()
-	story := spec.Story
-	if len(story) == 0 {
-		story = defaultStory(spec.Genre, rng.Fork())
-	}
+	story := genreStory(spec.Genre, rng.Fork())
 	chunks := make([]Chunk, 0, n)
 	for len(chunks) < n {
 		for _, seg := range story {

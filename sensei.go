@@ -57,7 +57,6 @@ import (
 	"sensei/internal/router"
 	"sensei/internal/sensitivity"
 	"sensei/internal/trace"
-	"sensei/internal/vclock"
 	"sensei/internal/video"
 	"sensei/internal/wire"
 )
@@ -170,8 +169,8 @@ func WeightedSessionQoE(r *qoe.Rendering, weights []float64) float64 {
 // extension over real TCP.
 type (
 	// DASHOriginConfig assembles an origin. Set Events for the /events and
-	// /metrics plane, Ingest for the closed feedback loop, Chaos for
-	// seeded fault injection and Clock for virtual time.
+	// /metrics plane, Ingest for the closed feedback loop and Chaos for
+	// seeded fault injection.
 	DASHOriginConfig = origin.Config
 	// DASHProfileFunc computes weights for a video on first manifest
 	// request (e.g. wrapping a profiler's Profile).
@@ -260,17 +259,3 @@ const (
 func RunFleet(ctx context.Context, cfg FleetConfig) (*fleet.Report, error) {
 	return fleet.Run(ctx, cfg)
 }
-
-// Clock is the time source threaded through the streaming stack: every
-// sleep and duration measurement in the origin, the DASH client, the chaos
-// injector and the fleet harness goes through one. Nil means the wall
-// clock for an origin or a client, and a fresh virtual clock for a fleet,
-// which always runs on virtual time.
-type Clock = vclock.Clock
-
-// NewVirtualClock returns a discrete-event simulated Clock that jumps
-// straight to the next deadline whenever every registered participant is
-// asleep, so hours of stream time finish in CPU-bound wall time. Share one
-// instance across every component of a run; mixing clocks stalls the run,
-// because quiescence is judged per instance.
-func NewVirtualClock() Clock { return vclock.NewVirtual() }
