@@ -8,10 +8,10 @@ package dash
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -150,13 +150,19 @@ type Client struct {
 	sid          string
 	videoName    string
 	sessionScale float64
-	// videoURL (BaseURL + wire.VideoPath) and sidQuery ("?sid=<sid>") are
-	// the session's URL parts, built at Join; segURL holds videoURL
-	// followed by the last segment URL's tail, so a segment URL costs one
-	// string.
-	videoURL string
-	sidQuery string
-	segURL   []byte
+	// videoURL (BaseURL + wire.VideoPath), sidQuery ("?sid=<sid>") and
+	// ratingURL are the session's URL parts, built at Join; segURL holds
+	// videoURL followed by the last segment URL's tail, so a segment URL
+	// costs one string.
+	videoURL  string
+	sidQuery  string
+	ratingURL string
+	segURL    []byte
+	// body is the JSON body of the current POST, encoded once and resent by
+	// its retries. reply holds the last control-plane reply read (a POST's
+	// JSON, a manifest, a weights document) until the next one replaces it.
+	body  []byte
+	reply []byte
 	// chaosKey is ChaosKey as a header value, shared by every request.
 	chaosKey []string
 	res      Resilience
@@ -299,17 +305,23 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	body, err := json.Marshal(wire.JoinRequest{Video: videoName, Trace: c.Trace, TimeScale: c.TimeScale})
-	if err != nil {
-		return fmt.Errorf("dash: encoding join request: %w", err)
+	if math.IsNaN(c.TimeScale) || math.IsInf(c.TimeScale, 0) {
+		return fmt.Errorf("dash: encoding join request: timescale %v is not a JSON number", c.TimeScale)
 	}
+	c.body = (&wire.JoinRequest{Video: videoName, Trace: c.Trace, TimeScale: c.TimeScale}).AppendJSON(c.body[:0])
 	var jr wire.JoinResponse
-	err = c.retried(ctx, chaos.KindSession, func(int) (transient bool, err error) {
-		_, transient, err = c.postJSON(ctx, c.BaseURL+"/session", "joining session", body, &jr)
-		if err == nil && (jr.SessionID == "" || jr.TimeScale <= 0) {
-			err = fmt.Errorf("dash: origin returned invalid session %+v", jr)
+	err := c.retried(ctx, chaos.KindSession, func(int) (bool, error) {
+		reply, _, transient, err := c.postJSON(ctx, c.BaseURL+"/session", "joining session")
+		if err != nil {
+			return transient, err
 		}
-		return transient, err
+		if err := jr.Parse(reply); err != nil {
+			return false, fmt.Errorf("dash: joining session: decoding reply: %w", err)
+		}
+		if jr.SessionID == "" || jr.TimeScale <= 0 {
+			return false, fmt.Errorf("dash: origin returned invalid session %+v", jr)
+		}
+		return false, nil
 	})
 	if err != nil {
 		return err
@@ -317,6 +329,10 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 	c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
 	c.videoURL = c.BaseURL + wire.VideoPath(c.videoName)
 	c.sidQuery = "?sid=" + url.QueryEscape(c.sid)
+	// The sid rides in the rating query as well as in its body, so a
+	// sid-routing front like the multi-origin router can steer a rating to
+	// the session's shard without reading the body.
+	c.ratingURL = c.BaseURL + "/rating" + c.sidQuery
 	c.segURL = append(c.segURL[:0], c.videoURL...)
 	c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
 	return nil
@@ -326,32 +342,56 @@ func (c *Client) Join(ctx context.Context, videoName string) error {
 // them; see markChaosKey for why sharing a header value is safe.
 var jsonContentType = []string{"application/json"}
 
-// postJSON issues one POST of a JSON body to target (a URL) and decodes the
-// 200 reply into out, returning the weight-epoch beacon the reply carried.
+// postJSON issues one POST of c.body to target (a URL) and returns the 200
+// reply, read into c.reply, with the weight-epoch beacon it carried.
 // transient reports whether a failure is worth retrying (5xx or
 // transport-level).
-func (c *Client) postJSON(ctx context.Context, target, what string, body []byte, out any) (epoch uint64, transient bool, err error) {
+//
+// c.body is rewritten by the next POST only: a body this small goes out in
+// the transport's first flush with the request's headers, so it has been
+// read in full before the origin can answer.
+func (c *Client) postJSON(ctx context.Context, target, what string) (reply []byte, epoch uint64, transient bool, err error) {
 	reqCtx, cancel := c.requestContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, target, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, target, bytes.NewReader(c.body))
 	if err != nil {
-		return 0, false, fmt.Errorf("dash: %s: %w", what, err)
+		return nil, 0, false, fmt.Errorf("dash: %s: %w", what, err)
 	}
 	req.Header["Content-Type"] = jsonContentType
 	c.markChaosKey(req)
 	resp, err := c.httpc().Do(req)
 	if err != nil {
-		return 0, true, fmt.Errorf("dash: %s: %w", what, err)
+		return nil, 0, true, fmt.Errorf("dash: %s: %w", what, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return 0, resp.StatusCode >= 500, fmt.Errorf("dash: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
+		return nil, 0, resp.StatusCode >= 500, fmt.Errorf("dash: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return 0, false, fmt.Errorf("dash: %s: decoding reply: %w", what, err)
+	if c.reply, err = readAll(c.reply[:0], resp.Body); err != nil {
+		return nil, 0, false, fmt.Errorf("dash: %s: reading reply: %w", what, err)
 	}
-	return epochBeacon(resp), false, nil
+	return c.reply, epochBeacon(resp), false, nil
+}
+
+// readAll appends what r holds to b, as io.ReadAll does into a new buffer.
+func readAll(b []byte, r io.Reader) ([]byte, error) {
+	if b == nil {
+		b = make([]byte, 0, 512)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
 }
 
 // epochBeacon reads the weight epoch a response advertised: 0 when the
@@ -765,7 +805,7 @@ func (c *Client) fetchWeights(ctx context.Context, v *video.Video) (*sensitivity
 // parseWeights decodes and validates a GET /weights body.
 func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 	var wr wire.WeightsResponse
-	if err := json.Unmarshal(body, &wr); err != nil {
+	if err := wr.Parse(body); err != nil {
 		return nil, fmt.Errorf("dash: decoding weights: %w", err)
 	}
 	if wr.Video != v.Name {
@@ -784,22 +824,21 @@ func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 // exhaustion returns an errWire-marked error so the caller can drop the
 // rating instead of tearing playback down.
 func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating int) (accepted bool, respEpoch uint64, err error) {
-	body, err := json.Marshal(wire.RatingRequest{SessionID: c.sid, Chunk: chunk, Epoch: epoch, Rating: rating})
-	if err != nil {
-		return false, 0, fmt.Errorf("dash: encoding rating: %w", err)
-	}
-	// The sid rides in the query (the body already carries it) so a
-	// sid-routing front like the multi-origin router can steer the rating
-	// to the session's shard without reading the body.
-	target := c.BaseURL + "/rating" + c.sidQuery
-	err = c.retried(ctx, chaos.KindRating, func(int) (transient bool, err error) {
-		var rr wire.RatingResponse
-		respEpoch, transient, err = c.postJSON(ctx, target, "posting rating", body, &rr)
-		if err == nil && rr.Status != wire.StatusAccepted && rr.Status != wire.StatusQuarantined {
-			err = fmt.Errorf("dash: origin returned rating status %q", rr.Status)
+	c.body = (&wire.RatingRequest{SessionID: c.sid, Chunk: chunk, Epoch: epoch, Rating: rating}).AppendJSON(c.body[:0])
+	err = c.retried(ctx, chaos.KindRating, func(int) (bool, error) {
+		reply, beacon, transient, err := c.postJSON(ctx, c.ratingURL, "posting rating")
+		if err != nil {
+			return transient, err
 		}
-		accepted = rr.Status == wire.StatusAccepted
-		return transient, err
+		var rr wire.RatingResponse
+		if err := rr.Parse(reply); err != nil {
+			return false, fmt.Errorf("dash: posting rating: decoding reply: %w", err)
+		}
+		if rr.Status != wire.StatusAccepted && rr.Status != wire.StatusQuarantined {
+			return false, fmt.Errorf("dash: origin returned rating status %q", rr.Status)
+		}
+		accepted, respEpoch = rr.Status == wire.StatusAccepted, beacon
+		return false, nil
 	})
 	if err != nil {
 		return false, 0, err
@@ -956,9 +995,10 @@ func (c *Client) requestContext(ctx context.Context) (context.Context, context.C
 // fetched is one retried GET's outcome: the successful body and its timing,
 // plus the partial payloads truncated attempts delivered along the way.
 type fetched struct {
-	// body holds the payload for control-plane fetches; segment fetches
-	// discard the stream as it arrives and report only bytes, so a
-	// 10k-session fleet doesn't buffer terabytes of video it never parses.
+	// body holds the payload for control-plane fetches, in the client's
+	// reply buffer until its next request; segment fetches discard the
+	// stream as it arrives and report only bytes, so a 10k-session fleet
+	// doesn't buffer terabytes of video it never parses.
 	body  []byte
 	bytes int64
 	epoch uint64
@@ -1096,7 +1136,8 @@ func (c *Client) getOnce(ctx context.Context, target string, discard bool) (body
 		}
 		return nil, n, epoch, resp.ContentLength, false, nil
 	}
-	body, err = io.ReadAll(resp.Body)
+	c.reply, err = readAll(c.reply[:0], resp.Body)
+	body = c.reply
 	if err != nil {
 		return body, int64(len(body)), epoch, resp.ContentLength, true, fmt.Errorf("dash: GET %s: reading body: %w", path, err)
 	}

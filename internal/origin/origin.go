@@ -49,6 +49,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/pprof"
 	"sort"
@@ -158,6 +159,9 @@ type epochStamp struct {
 	epoch  uint64
 	header []string
 }
+
+// zeroStamp is what a video advertises before it is profiled.
+var zeroStamp = &epochStamp{header: zeroEpochHeader}
 
 // cachedBody is an epoch-stamped preserialized response body (manifest or
 // weights JSON). Bodies are immutable once built; a refresh publishes a
@@ -531,15 +535,15 @@ func (o *Origin) profileOf(ce *catalogEntry) (*sensitivity.Profile, error) {
 	return p, nil
 }
 
-// epochHeader returns the preformatted wire.WeightEpochHeader value for ce.
-// It never triggers profiling: a cold video advertises 0. Steady state is
-// three atomic loads and zero allocations; the stamp string is rebuilt
-// only when a refresh bumps the epoch.
-func (o *Origin) epochHeader(ce *catalogEntry) []string {
+// currentStamp returns ce's current weight epoch with its preformatted
+// wire.WeightEpochHeader value. It never triggers profiling: a cold video
+// advertises 0. Steady state is three atomic loads and zero allocations;
+// the stamp is rebuilt only when a refresh bumps the epoch.
+func (o *Origin) currentStamp(ce *catalogEntry) *epochStamp {
 	h := ce.holder.Load()
 	if h == nil {
 		if h = o.store.Holder(ce.v.Name); h == nil {
-			return zeroEpochHeader
+			return zeroStamp
 		}
 		ce.holder.Store(h)
 	}
@@ -549,7 +553,35 @@ func (o *Origin) epochHeader(ce *catalogEntry) []string {
 		st = &epochStamp{epoch: epoch, header: []string{strconv.FormatUint(epoch, 10)}}
 		ce.stamp.Store(st)
 	}
-	return st.header
+	return st
+}
+
+// maxBodyBytes caps a control-plane request body.
+const maxBodyBytes = 4096
+
+// bodyBuf holds one control-plane request body, read whole and parsed in
+// place, and then the reply, encoded over it. The handlers share a pool of
+// them.
+type bodyBuf [maxBodyBytes + 1]byte
+
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// readBody reads r's body into buf. A body over maxBodyBytes is refused
+// with http.MaxBytesReader's error, which also closes the connection after
+// the reply.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bodyBuf) ([]byte, error) {
+	n, err := io.ReadFull(http.MaxBytesReader(w, r.Body, maxBodyBytes), buf[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return buf[:n], err
+}
+
+// writeReply sends an encoded JSON reply followed by a newline, the bytes
+// json.Encoder used to write.
+func writeReply(w http.ResponseWriter, reply []byte) {
+	w.Header()["Content-Type"] = hdrJSON
+	_, _ = w.Write(append(reply, '\n'))
 }
 
 // --- control plane ---
@@ -562,8 +594,14 @@ type (
 )
 
 func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req wire.JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
+	body, err := readBody(w, r, buf)
+	if err == nil {
+		err = req.Parse(body)
+	}
+	if err != nil {
 		http.Error(w, "origin: bad join body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -621,13 +659,12 @@ func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	o.logf("origin: session %s joined: video=%q trace=%q timescale=%g", s.id, ce.v.Name, traceName, scale)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(wire.JoinResponse{
+	writeReply(w, (&wire.JoinResponse{
 		SessionID: s.id,
 		Video:     ce.v.Name,
 		Trace:     traceName,
 		TimeScale: scale,
-	})
+	}).AppendJSON(buf[:0]))
 }
 
 func (o *Origin) handleLeave(w http.ResponseWriter, r *http.Request) {
@@ -732,11 +769,9 @@ func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
 	}
 	wb := ce.weights.Load()
 	if wb == nil || wb.epoch != p.Epoch {
-		body, err := json.Marshal(wire.WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		// Room for any float as json writes it, and its comma, per weight.
+		buf := make([]byte, 0, 64+len(p.VideoName)+26*len(p.Weights))
+		body := (&wire.WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights}).AppendJSON(buf)
 		wb = &cachedBody{
 			epoch:    p.Epoch,
 			epochHdr: []string{strconv.FormatUint(p.Epoch, 10)},
@@ -752,8 +787,14 @@ func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req wire.RefreshRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
+	body, err := readBody(w, r, buf)
+	if err == nil {
+		err = req.Parse(body)
+	}
+	if err != nil {
 		http.Error(w, "origin: bad refresh body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -766,9 +807,8 @@ func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(p.Epoch, 10))
-	_ = json.NewEncoder(w).Encode(wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch})
+	writeReply(w, (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(buf[:0]))
 }
 
 // handleRating feeds one client rating into the ingest plane (registered
@@ -776,8 +816,14 @@ func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // the session — clients never name videos directly on this path — and a
 // rating is activity for the idle janitor, like any other request.
 func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
 	var req wire.RatingRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
+	body, err := readBody(w, r, buf)
+	if err == nil {
+		err = req.Parse(body)
+	}
+	if err != nil {
 		http.Error(w, "origin: bad rating body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -813,16 +859,14 @@ func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
 			Chunk: int32(req.Chunk), Epoch: req.Epoch, Extra: int64(req.Rating),
 		})
 	}
-	cur := o.store.EpochOf(ce.v.Name)
-	h := w.Header()
-	h["Content-Type"] = hdrJSON
-	h.Set(wire.WeightEpochHeader, strconv.FormatUint(cur, 10))
-	_ = json.NewEncoder(w).Encode(wire.RatingResponse{
+	cur := o.currentStamp(ce)
+	w.Header()[wire.WeightEpochHeader] = cur.header
+	writeReply(w, (&wire.RatingResponse{
 		Video:  ce.v.Name,
 		Chunk:  req.Chunk,
 		Status: status,
-		Epoch:  cur,
-	})
+		Epoch:  cur.epoch,
+	}).AppendJSON(buf[:0]))
 }
 
 // segmentPattern is the shared read-only payload source: handlers slice it
@@ -900,7 +944,7 @@ func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalo
 	// Staleness beacon: the video's current profile epoch rides on every
 	// segment so clients detect a refresh without polling. The stamp is a
 	// lock-free peek, never a campaign — a cold video simply advertises 0.
-	h[wire.WeightEpochHeader] = o.epochHeader(ce)
+	h[wire.WeightEpochHeader] = o.currentStamp(ce).header
 
 	// Injected truncation (the chaos middleware planted a plan in the
 	// request context): declare the full Content-Length above but deliver

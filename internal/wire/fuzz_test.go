@@ -1,18 +1,24 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// The origin's two hand-written parsers sit on every request: the ?sid=
-// scanner and the segment path parser that keeps segment GETs off the
-// mux. Seeds are committed under testdata/fuzz/.
+// The origin's hand-written parsers sit on every request: the ?sid=
+// scanner, the segment path parser that keeps segment GETs off the mux,
+// and the JSON bodies' codec on both sides of the control plane. Seeds are
+// committed under testdata/fuzz/.
 
 // FuzzQueryParam checks the scanner against the standard library: for any
 // query url.ParseQuery accepts whose keys need no unescaping, QueryParam
@@ -96,5 +102,90 @@ func checkAccepted(t *testing.T, p string) {
 	g, err2 := strconv.Atoi(got[2])
 	if got[0] != video || err1 != nil || err2 != nil || c != chunk || g != rung {
 		t.Fatalf("%q parsed as %q, %d, %d; the mux routes it as %q", p, video, chunk, rung, got)
+	}
+}
+
+// FuzzBodies holds every body's codec to encoding/json. Parse must accept
+// exactly the documents json.Unmarshal accepts for the same type, starting
+// from a zero and from a filled-in value, and leave the same value behind.
+// AppendJSON must write json.Marshal's bytes for any value Marshal
+// encodes (it refuses NaN and ±Inf), and Parse must read them back as
+// Unmarshal does.
+func FuzzBodies(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, s string, n int64, u uint64, x float64) {
+		ws := floatsOf(data, x)
+		checkBody(t, data, JoinRequest{Video: s, Trace: string(data), TimeScale: x},
+			func() JoinRequest { return JoinRequest{Video: "v", Trace: "t", TimeScale: 2} })
+		checkBody(t, data, JoinResponse{SessionID: string(data), Video: s, Trace: s, TimeScale: x},
+			func() JoinResponse { return JoinResponse{SessionID: "s", Video: "v", Trace: "t", TimeScale: 2} })
+		checkBody(t, data, WeightsResponse{Video: s, Epoch: u, Weights: ws},
+			// Two stale slots past len: encoding/json decodes into them.
+			func() WeightsResponse {
+				return WeightsResponse{Video: "v", Epoch: 7, Weights: []float64{1, 2, 3, 4}[:2]}
+			})
+		checkBody(t, data, RefreshRequest{Video: s, From: int(n), To: int(u)},
+			func() RefreshRequest { return RefreshRequest{Video: "v", From: 1, To: 2} })
+		checkBody(t, data, RefreshResponse{Video: s, Epoch: u},
+			func() RefreshResponse { return RefreshResponse{Video: "v", Epoch: 7} })
+		checkBody(t, data, RatingRequest{SessionID: s, Chunk: int(n), Epoch: u, Rating: int(int32(n >> 32))},
+			func() RatingRequest { return RatingRequest{SessionID: "s", Chunk: 1, Epoch: 7, Rating: 3} })
+		checkBody(t, data, RatingResponse{Video: string(data), Chunk: int(n), Status: s, Epoch: u},
+			func() RatingResponse { return RatingResponse{Video: "v", Chunk: 1, Status: StatusAccepted, Epoch: 7} })
+	})
+}
+
+// floatsOf reads data as little-endian float64s after x; no data is a nil
+// slice.
+func floatsOf(data []byte, x float64) []float64 {
+	if len(data) == 0 {
+		return nil
+	}
+	ws := []float64{x}
+	for ; len(data) >= 8; data = data[8:] {
+		ws = append(ws, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+	}
+	return ws
+}
+
+// body is what every wire body implements.
+type body[T any] interface {
+	*T
+	AppendJSON([]byte) []byte
+	Parse([]byte) error
+}
+
+// checkBody parses data into a zero T and into a filled-in one, against
+// json.Unmarshal, then encodes v against json.Marshal.
+func checkBody[T any, P body[T]](t *testing.T, data []byte, v T, filled func() T) {
+	t.Helper()
+	for _, start := range []func() T{func() T { var z T; return z }, filled} {
+		got, want := start(), start()
+		gotErr, wantErr := P(&got).Parse(data), json.Unmarshal(data, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%T.Parse(%q) = %v, json.Unmarshal says %v", got, data, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T.Parse(%q) = %#v, json.Unmarshal says %#v", got, data, got, want)
+		}
+	}
+
+	want, err := json.Marshal(v)
+	if err != nil {
+		return // NaN or ±Inf: not JSON
+	}
+	prefix := []byte("prefix")
+	got := P(&v).AppendJSON(prefix)
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%T.AppendJSON = %q, json.Marshal says %q", v, got, want)
+	}
+	var back, ref T
+	if err := P(&back).Parse(want); err != nil {
+		t.Fatalf("%T.Parse(%q): %v", back, want, err)
+	}
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, ref) {
+		t.Fatalf("%T.Parse(%q) = %#v, json.Unmarshal says %#v", back, want, back, ref)
 	}
 }

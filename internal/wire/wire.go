@@ -15,6 +15,17 @@
 //
 // Manifest, segment, weights, refresh and rating responses carry
 // WeightEpochHeader.
+//
+// The JSON bodies carry their own codec, so neither side reflects on the
+// request path. AppendJSON appends exactly the bytes json.Marshal writes
+// for the body. Parse accepts exactly the documents json.Unmarshal accepts
+// for that type and leaves the same value behind: keys matched under
+// bytes.EqualFold, unknown keys skipped, a repeated key's last value kept,
+// null as a no-op, escapes and surrogates decoded alike, numbers refused
+// where the field cannot hold them. Like Unmarshal, Parse refuses anything
+// after the top-level value but white space. FuzzBodies holds both methods
+// to encoding/json as the oracle; encoding/json stays the reference, not a
+// dependency of the request path.
 package wire
 
 // WeightEpochHeader advertises the serving video's current
