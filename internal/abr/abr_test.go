@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sensei/internal/player"
-	"sensei/internal/stats"
 	"sensei/internal/trace"
 	"sensei/internal/video"
 )
@@ -378,14 +377,25 @@ func TestValidateWeights(t *testing.T) {
 	}
 }
 
+// TestVMAFTableMatchesProxy: the table the planners read off the video is
+// the proxy formula bit for bit, on a generated video and on an excerpt.
 func TestVMAFTableMatchesProxy(t *testing.T) {
-	v := testVideo(t)
-	tbl := newVMAFTable(v)
-	for i := 0; i < v.NumChunks(); i += 3 {
-		for r := range v.Ladder {
-			want := stats.Clamp(tbl.v[i][r], 0, 1)
-			if tbl.v[i][r] != want {
-				t.Fatalf("table value out of range at (%d,%d)", i, r)
+	full := testVideo(t)
+	clip, err := full.Excerpt(4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*video.Video{full, clip} {
+		top := float64(v.HighestBitrate())
+		for i := 0; i < v.NumChunks(); i++ {
+			for r, kbps := range v.Ladder {
+				got := v.VMAF(i, r)
+				if want := video.VMAFProxy(float64(kbps), top, v.Chunks[i].Complexity); got != want {
+					t.Fatalf("%s: VMAF(%d,%d) = %v, proxy %v", v.Name, i, r, got, want)
+				}
+				if got < 0 || got > 1 {
+					t.Fatalf("%s: VMAF(%d,%d) = %v out of range", v.Name, i, r, got)
+				}
 			}
 		}
 	}

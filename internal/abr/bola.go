@@ -29,12 +29,9 @@ func (b *BOLA) Name() string { return "BOLA" }
 // Decide implements player.Algorithm.
 func (b *BOLA) Decide(s *player.State) player.Decision {
 	ladder := s.Video.Ladder
-	n := len(ladder)
 	// Log utilities normalized so the lowest rung has utility 0.
-	utilities := make([]float64, n)
-	for i, kbps := range ladder {
-		utilities[i] = math.Log(float64(kbps) / float64(ladder[0]))
-	}
+	lowest := float64(ladder[0])
+	utility := func(kbps int) float64 { return math.Log(float64(kbps) / lowest) }
 	maxBuf := b.MaxBufferSec
 	if maxBuf <= 0 {
 		maxBuf = 60
@@ -43,17 +40,17 @@ func (b *BOLA) Decide(s *player.State) player.Decision {
 	// parameter V and the gamma·p term gp so the lowest rung is picked at
 	// one chunk of buffer and the highest at the buffer cap.
 	chunkSec := 4.0
-	uMax := utilities[n-1]
+	uMax := utility(ladder[len(ladder)-1])
 	gp := (uMax*chunkSec/(maxBuf-chunkSec) + uMax) / 2
 	v := (maxBuf - chunkSec) / (uMax + gp) / chunkSec
 
 	best := 0
 	bestScore := math.Inf(-1)
-	for i := range ladder {
+	for i, kbps := range ladder {
 		// Score in buffer-time units; size proxy is the nominal bitrate
 		// (BOLA's formulation uses segment sizes; nominal bitrate keeps
 		// the decision content-agnostic, as the published algorithm is).
-		score := (v*4.0*(utilities[i]+gp) - s.BufferSec) / float64(ladder[i])
+		score := (v*4.0*(utility(kbps)+gp) - s.BufferSec) / float64(kbps)
 		if score > bestScore {
 			bestScore = score
 			best = i

@@ -1,11 +1,8 @@
 package abr
 
 import (
-	"sync"
-
 	"sensei/internal/player"
 	"sensei/internal/qoe"
-	"sensei/internal/video"
 )
 
 // MPC is a Fugu-style model-predictive ABR: before each chunk it simulates
@@ -40,11 +37,6 @@ type MPC struct {
 	RiskAversion float64
 	// Quality configures the per-chunk kernel q(b, t).
 	Quality qoe.QualityParams
-
-	// vmafCache memoizes per-video VMAF tables. Keyed per video so one
-	// algorithm instance can serve many sessions — concurrently and across
-	// alternating videos — without thrashing or racing.
-	vmafCache sync.Map // *video.Video -> *vmafTable
 }
 
 // NewFugu returns the baseline MPC (unweighted Eq. 3 objective, no
@@ -80,34 +72,6 @@ func (m *MPC) Name() string {
 	return "Fugu"
 }
 
-// vmafTable memoizes per-(chunk, rung) VMAF proxies for one video: the MPC
-// inner loop evaluates them millions of times per session.
-type vmafTable struct {
-	video *video.Video
-	v     [][]float64
-}
-
-func newVMAFTable(vd *video.Video) *vmafTable {
-	t := &vmafTable{video: vd, v: make([][]float64, vd.NumChunks())}
-	top := float64(vd.HighestBitrate())
-	for i := range t.v {
-		row := make([]float64, len(vd.Ladder))
-		for r, kbps := range vd.Ladder {
-			row[r] = qoe.VMAFProxy(float64(kbps), top, vd.Chunks[i].Complexity)
-		}
-		t.v[i] = row
-	}
-	return t
-}
-
-func (m *MPC) table(v *video.Video) *vmafTable {
-	if t, ok := m.vmafCache.Load(v); ok {
-		return t.(*vmafTable)
-	}
-	t, _ := m.vmafCache.LoadOrStore(v, newVMAFTable(v))
-	return t.(*vmafTable)
-}
-
 // noStallOnly is the pre-stall action space of the baseline MPC.
 var noStallOnly = []float64{0}
 
@@ -132,7 +96,6 @@ func (m *MPC) decide(t *treeSearch, s *player.State) player.Decision {
 	if pred == nil {
 		pred = &HarmonicPredictor{}
 	}
-	tbl := m.table(s.Video)
 
 	// One sensitivity snapshot per decision: the planner receives this
 	// slice explicitly and never re-reads the state, so a live profile
@@ -143,16 +106,7 @@ func (m *MPC) decide(t *treeSearch, s *player.State) player.Decision {
 	if m.Sensitivity && len(m.PreStallChoices) > 0 && s.ChunkIndex > 0 {
 		preStalls = m.PreStallChoices
 	}
-	return m.decideTree(t, s, tbl, horizon, preStalls, pred, weights)
-}
-
-// prevVMAF returns the VMAF of the previous chunk at the given rung,
-// guarding the first chunk.
-func prevVMAF(tbl *vmafTable, i, prevRung int) float64 {
-	if i == 0 {
-		return tbl.v[0][prevRung]
-	}
-	return tbl.v[i-1][prevRung]
+	return m.decideTree(t, s, horizon, preStalls, pred, weights)
 }
 
 // Compile-time interface check.

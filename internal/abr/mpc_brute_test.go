@@ -46,13 +46,13 @@ func (b bruteForce) Decide(s *player.State) player.Decision {
 	if m.Sensitivity && len(m.PreStallChoices) > 0 && s.ChunkIndex > 0 {
 		preStalls = m.PreStallChoices
 	}
-	return m.decideBrute(s, m.table(s.Video), horizon, preStalls, pred.Predict(s.ThroughputBps), s.SensitivityWeights())
+	return m.decideBrute(s, horizon, preStalls, pred.Predict(s.ThroughputBps), s.SensitivityWeights())
 }
 
 // decideBrute is the exhaustive planner: every base-nRungs rung sequence
 // over the horizon is simulated from scratch under every scenario. It is
 // kept verbatim as the correctness oracle for the tree search.
-func (m *MPC) decideBrute(s *player.State, tbl *vmafTable, horizon int, preStalls []float64, scenarios []Scenario, weights []float64) player.Decision {
+func (m *MPC) decideBrute(s *player.State, horizon int, preStalls []float64, scenarios []Scenario, weights []float64) player.Decision {
 	nRungs := len(s.Video.Ladder)
 	bestScore := math.Inf(-1)
 	bestNoStall := math.Inf(-1)
@@ -75,7 +75,7 @@ func (m *MPC) decideBrute(s *player.State, tbl *vmafTable, horizon int, preStall
 				plan[i] = c % nRungs
 				c /= nRungs
 			}
-			score := m.scorePlan(s, tbl, plan, pre, scenarios, weights)
+			score := m.scorePlan(s, plan, pre, scenarios, weights)
 			if pre == 0 && score > bestNoStall {
 				bestNoStall = score
 				best = player.Decision{Rung: plan[0]}
@@ -98,7 +98,7 @@ func (m *MPC) decideBrute(s *player.State, tbl *vmafTable, horizon int, preStall
 
 // scorePlan simulates the plan under each scenario and returns the
 // risk-adjusted score: (1−λ)·expected + λ·worst-scenario.
-func (m *MPC) scorePlan(s *player.State, tbl *vmafTable, plan []int, pre float64, scenarios []Scenario, weights []float64) float64 {
+func (m *MPC) scorePlan(s *player.State, plan []int, pre float64, scenarios []Scenario, weights []float64) float64 {
 	stallScale := math.Sqrt(float64(s.Video.NumChunks())) / 1.75
 	chunkDur := video.ChunkDuration.Seconds()
 	var expected float64
@@ -131,14 +131,14 @@ func (m *MPC) scorePlan(s *player.State, tbl *vmafTable, plan []int, pre float64
 			}
 			buffer += chunkDur
 
-			q := tbl.v[i][rung]
+			q := s.Video.VMAF(i, rung)
 			// The conversions round each product before it is subtracted,
 			// as the tree search's tabulated switch cost is rounded, so the
 			// two planners agree bit for bit even where the compiler may
 			// fuse a multiply into the subtraction.
 			q -= float64(stallScale * m.Quality.StallCost(stall))
 			if prev >= 0 {
-				q -= float64(m.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, prev)))
+				q -= float64(m.Quality.SwitchPenalty * math.Abs(s.Video.VMAF(i, rung)-prevVMAF(s.Video, i, prev)))
 			}
 			if m.Sensitivity && weights != nil {
 				q *= weights[i]
@@ -156,4 +156,13 @@ func (m *MPC) scorePlan(s *player.State, tbl *vmafTable, plan []int, pre float64
 		return (1-m.RiskAversion)*expected + m.RiskAversion*worst
 	}
 	return expected
+}
+
+// prevVMAF returns the VMAF of the previous chunk at the given rung,
+// guarding the first chunk.
+func prevVMAF(v *video.Video, i, prevRung int) float64 {
+	if i == 0 {
+		return v.VMAF(0, prevRung)
+	}
+	return v.VMAF(i-1, prevRung)
 }

@@ -59,7 +59,7 @@ type treeSearch struct {
 
 	// Per-decision tables, indexed by horizon step k, rung r and previous
 	// rung p; kr abbreviates k*nRungs+r.
-	vm   []float64 // [kr] VMAF
+	vm   []float64 // [kr] VMAF, plus row horizon: what step 0 switches against
 	bits []float64 // [kr] chunk size
 	sw   []float64 // [kr*nRungs+p] switch cost; step 0 reads slot p = first
 	wt   []float64 // [k] sensitivity weight, 1 when unweighted
@@ -109,20 +109,23 @@ func (t *treeSearch) release() {
 	treePool.Put(t)
 }
 
+// predict returns pred's scenarios for history, appended to the scratch's
+// reused buffer when pred is a ScenarioAppender.
+func (t *treeSearch) predict(pred Predictor, history []float64) []Scenario {
+	if sa, ok := pred.(ScenarioAppender); ok {
+		t.scenBuf = sa.AppendScenarios(history, t.scenBuf[:0])
+		return t.scenBuf
+	}
+	return pred.Predict(history)
+}
+
 // decideTree runs the tree-search planner on scratch t. It mirrors
 // decideBrute's decision logic exactly: per pre-stall pass the best plan is
 // tracked with the brute force's first-in-enumeration-order tie-break, and a
 // nonzero proactive stall must clear PreStallMargin over the best
 // stall-free plan.
-func (m *MPC) decideTree(t *treeSearch, s *player.State, tbl *vmafTable, horizon int, preStalls []float64, pred Predictor, weights []float64) player.Decision {
-	var scenarios []Scenario
-	if sa, ok := pred.(ScenarioAppender); ok {
-		t.scenBuf = sa.AppendScenarios(s.ThroughputBps, t.scenBuf[:0])
-		scenarios = t.scenBuf
-	} else {
-		scenarios = pred.Predict(s.ThroughputBps)
-	}
-	t.reset(m, s, tbl, horizon, scenarios, weights)
+func (m *MPC) decideTree(t *treeSearch, s *player.State, horizon int, preStalls []float64, pred Predictor, weights []float64) player.Decision {
+	t.reset(m, s, horizon, t.predict(pred, s.ThroughputBps), weights)
 
 	bestNoStall := math.Inf(-1)
 	best := player.Decision{Rung: 0}
@@ -158,19 +161,20 @@ func (m *MPC) decideTree(t *treeSearch, s *player.State, tbl *vmafTable, horizon
 }
 
 // reset prepares the scratch for one decision, reusing prior capacity.
-func (t *treeSearch) reset(m *MPC, s *player.State, tbl *vmafTable, horizon int, scenarios []Scenario, weights []float64) {
-	nR, nSc := len(s.Video.Ladder), len(scenarios)
+func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Scenario, weights []float64) {
+	v := s.Video
+	nR, nSc := len(v.Ladder), len(scenarios)
 	t.scenarios = scenarios
 	t.horizon, t.nRungs, t.nSc = horizon, nR, nSc
 	t.bufferSec = s.BufferSec
 	t.chunkDur = video.ChunkDuration.Seconds()
-	t.stallScale = math.Sqrt(float64(s.Video.NumChunks())) / 1.75
+	t.stallScale = math.Sqrt(float64(v.NumChunks())) / 1.75
 	t.quality = m.Quality
 	t.risk = m.RiskAversion
 	t.blend = nSc > 1 && t.risk > 0
 	t.nodes = 0
 
-	t.vm = grow(t.vm, horizon*nR)
+	t.vm = grow(t.vm, (horizon+1)*nR)
 	t.bits = grow(t.bits, horizon*nR)
 	t.sw = grow(t.sw, horizon*nR*nR)
 	t.wt = grow(t.wt, horizon)
@@ -198,6 +202,18 @@ func (t *treeSearch) reset(m *MPC, s *player.State, tbl *vmafTable, horizon int,
 		}
 	}
 
+	// The VMAF rows of the plan's chunks, then of the chunk before the
+	// plan (prevVMAF: chunk 0 switches against its own row).
+	for k := 0; k <= horizon; k++ {
+		i := s.ChunkIndex + k
+		if k == horizon {
+			i = max(s.ChunkIndex-1, 0)
+		}
+		for r := 0; r < nR; r++ {
+			t.vm[k*nR+r] = v.VMAF(i, r)
+		}
+	}
+
 	weighted := m.Sensitivity && weights != nil
 	t.ubTail[horizon] = 0
 	for k := horizon - 1; k >= 0; k-- {
@@ -212,16 +228,15 @@ func (t *treeSearch) reset(m *MPC, s *player.State, tbl *vmafTable, horizon int,
 			}
 		}
 		t.wt[k] = w
-		vmaf := tbl.v[i]
-		prev := vmaf // prevVMAF: chunk 0 switches against its own row
-		if i > 0 {
-			prev = tbl.v[i-1]
+		vmaf := t.vm[k*nR : (k+1)*nR]
+		prev := t.vm[horizon*nR:]
+		if k > 0 {
+			prev = t.vm[(k-1)*nR : k*nR]
 		}
 		stepUB := math.Inf(-1)
 		for r := 0; r < nR; r++ {
 			kr := k*nR + r
-			t.vm[kr] = vmaf[r]
-			t.bits[kr] = s.Video.ChunkSizeBits(i, r)
+			t.bits[kr] = v.ChunkSizeBits(i, r)
 			// The explicit conversion rounds the product as a table entry
 			// is rounded, so scorePlan (which converts likewise) agrees on
 			// architectures that would otherwise fuse the multiply into

@@ -204,10 +204,20 @@ func TestTreeScratchReleasesSession(t *testing.T) {
 }
 
 // TestMPCConcurrentDecide exercises one shared MPC instance across
-// goroutines and alternating videos; run with -race it proves the vmaf
-// cache and the pooled planner scratch are goroutine-safe.
+// goroutines and alternating videos; run with -race it proves the videos'
+// VMAF tables and the pooled planner scratch are goroutine-safe. The last
+// video is hand-assembled, so it has no precomputed table and the planner
+// reads VMAF values computed on demand.
 func TestMPCConcurrentDecide(t *testing.T) {
 	videos := video.TestSet()[:4]
+	src := videos[0]
+	videos = append(videos, &video.Video{Name: "hand", Genre: src.Genre, Ladder: src.Ladder, Chunks: src.Chunks})
+	weights := make([][]float64, len(videos))
+	for i, v := range videos {
+		// Fills a hand-assembled video's sensitivity cache before any
+		// goroutine reads it.
+		weights[i] = v.TrueSensitivity()
+	}
 	m := NewSenseiFugu()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -216,14 +226,15 @@ func TestMPCConcurrentDecide(t *testing.T) {
 			defer wg.Done()
 			rng := stats.NewRNG(uint64(0xca5e + g))
 			for trial := 0; trial < 30; trial++ {
-				v := videos[(g+trial)%len(videos)]
+				k := (g + trial) % len(videos)
+				v := videos[k]
 				s := &player.State{
 					Video:         v,
 					ChunkIndex:    rng.Intn(v.NumChunks()),
 					BufferSec:     rng.Range(0, 25),
 					LastRung:      rng.Intn(len(v.Ladder)),
 					ThroughputBps: []float64{rng.Range(5e5, 4e6), rng.Range(5e5, 4e6)},
-					Weights:       v.TrueSensitivity(),
+					Weights:       weights[k],
 				}
 				d := m.Decide(s)
 				if d.Rung < 0 || d.Rung >= len(v.Ladder) {

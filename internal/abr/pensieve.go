@@ -40,10 +40,21 @@ type Pensieve struct {
 	// on a zero-value agent stay safe; initErr records its outcome.
 	initOnce sync.Once
 	initErr  error
-	// scratch pools per-goroutine activation buffers: one trained agent can
-	// serve any number of concurrent sessions allocation-free.
-	scratch sync.Pool
 }
+
+// pensieveScratch is one decision's working memory: the feature vector and
+// the policy's activations. It points at no agent and no network.
+type pensieveScratch struct {
+	x  []float64
+	nn nn.Scratch
+}
+
+// pensievePool recycles decision scratch across agents and goroutines, so
+// one trained agent serves any number of concurrent sessions
+// allocation-free. It is package-level, like treePool: a sync.Pool inside
+// each agent would sit on the runtime's list of pools and keep every
+// finished agent and its policy reachable through one more GC.
+var pensievePool = sync.Pool{New: func() any { return new(pensieveScratch) }}
 
 const (
 	// pensieveHistLen is both the feature window and the history length
@@ -99,10 +110,9 @@ func (p *Pensieve) actionCount() int {
 	return pensieveRungs
 }
 
-// features encodes the player state. All inputs are scaled to roughly
-// [0, 1] so a fresh network starts in a sane regime.
-func (p *Pensieve) features(s *player.State) []float64 {
-	out := make([]float64, 0, p.featureSize())
+// appendFeatures appends the encoded player state to out. All inputs are
+// scaled to roughly [0, 1] so a fresh network starts in a sane regime.
+func (p *Pensieve) appendFeatures(out []float64, s *player.State) []float64 {
 	// Throughput history, most recent last, padded at the front.
 	for i := 0; i < pensieveHistLen; i++ {
 		idx := len(s.ThroughputBps) - pensieveHistLen + i
@@ -211,13 +221,10 @@ func (p *Pensieve) Decide(s *player.State) player.Decision {
 	if err := p.ensurePolicy(); err != nil {
 		return player.Decision{Rung: 0}
 	}
-	sc, _ := p.scratch.Get().(*nn.Scratch)
-	if sc == nil {
-		sc = p.policy.NewScratch()
-	}
-	logits := p.policy.ForwardWith(sc, p.features(s))
-	d := p.decodeAction(nn.Argmax(logits), s)
-	p.scratch.Put(sc)
+	sc := pensievePool.Get().(*pensieveScratch)
+	sc.x = p.appendFeatures(sc.x[:0], s)
+	d := p.decodeAction(nn.Argmax(p.policy.ForwardWith(&sc.nn, sc.x)), s)
+	pensievePool.Put(sc)
 	return d
 }
 
@@ -451,7 +458,7 @@ type sampler struct {
 func (s *sampler) Name() string { return s.p.Name() }
 
 func (s *sampler) Decide(st *player.State) player.Decision {
-	x := s.p.features(st)
+	x := s.p.appendFeatures(make([]float64, 0, s.p.featureSize()), st)
 	a := nn.SampleCategorical(nn.Softmax(s.p.policy.Forward(x), nil), s.rng)
 	s.ep.states = append(s.ep.states, x)
 	s.ep.actions = append(s.ep.actions, a)
@@ -467,14 +474,14 @@ func (p *Pensieve) rollout(v *video.Video, tr *trace.Trace, w []float64, rng *st
 	if err != nil {
 		return &episode{}
 	}
-	tbl := newVMAFTable(v)
 	r := res.Rendering
 	var qSum float64
 	for i, rung := range r.Rungs {
-		q := tbl.v[i][rung]
+		vmaf := v.VMAF(i, rung)
+		q := vmaf
 		q -= stallScale * p.Quality.StallCost(r.StallSec[i])
 		if i > 0 {
-			q -= p.Quality.SwitchPenalty * math.Abs(tbl.v[i][rung]-prevVMAF(tbl, i, r.Rungs[i-1]))
+			q -= p.Quality.SwitchPenalty * math.Abs(vmaf-v.VMAF(i-1, r.Rungs[i-1]))
 		}
 		if p.Sensitivity && w != nil {
 			q *= w[i]

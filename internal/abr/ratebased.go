@@ -44,12 +44,15 @@ func (r *RateRule) Decide(s *player.State) player.Decision {
 	if pred == nil {
 		pred = &HarmonicPredictor{}
 	}
-	scenarios := pred.Predict(s.ThroughputBps)
+	// The scenarios borrow pooled planner scratch, as the MPC's do, so a
+	// decision allocates nothing.
+	t := treePool.Get().(*treeSearch)
 	// Point estimate: the probability-weighted mean.
 	var estimate float64
-	for _, sc := range scenarios {
+	for _, sc := range t.predict(pred, s.ThroughputBps) {
 		estimate += sc.P * sc.Bps
 	}
+	t.release()
 	budget := estimate * safety
 
 	best := 0

@@ -57,7 +57,8 @@ func (a Activation) derivative(y float64) float64 {
 	}
 }
 
-// layer is one dense layer: out = act(W x + b).
+// layer is one dense layer: out = act(W x + b). Its slices are windows
+// into the MLP's one backing array.
 type layer struct {
 	in, out int
 	act     Activation
@@ -66,22 +67,12 @@ type layer struct {
 
 	// Adam moments.
 	mw, vw, mb, vb []float64
-}
+	// accumulated gradients (same shapes as w and b).
+	gw, gb []float64
 
-func newLayer(in, out int, act Activation, rng *stats.RNG) *layer {
-	l := &layer{in: in, out: out, act: act}
-	l.w = make([]float64, in*out)
-	l.b = make([]float64, out)
-	l.mw = make([]float64, in*out)
-	l.vw = make([]float64, in*out)
-	l.mb = make([]float64, out)
-	l.vb = make([]float64, out)
-	// Xavier-style initialization keeps activations well scaled.
-	scale := math.Sqrt(2.0 / float64(in+out))
-	for i := range l.w {
-		l.w[i] = scale * rng.Norm()
-	}
-	return l
+	// at is the offset of the layer's input in an activation buffer; its
+	// output follows at at+in.
+	at int
 }
 
 func (l *layer) forward(x []float64, out []float64) {
@@ -97,55 +88,72 @@ func (l *layer) forward(x []float64, out []float64) {
 
 // MLP is a feed-forward network with dense layers.
 type MLP struct {
-	layers []*layer
-	sizes  []int
+	layers []layer
 
-	// scratch buffers reused across calls; indexed per layer.
-	acts [][]float64
-	// accumulated gradients (same shapes as weights).
-	gw, gb [][]float64
-	step   int
+	// acts is the activation scratch Forward reuses: the inputs, then each
+	// layer's outputs, laid out as layer.at describes.
+	acts []float64
+	step int
 }
 
 // NewMLP builds a network with the given layer sizes, e.g. sizes
 // [12, 32, 5] is a 12-input, one-hidden-layer (32 ReLU units), 5-output
 // network. The final layer is linear; hidden layers use ReLU.
 func NewMLP(seed uint64, sizes ...int) (*MLP, error) {
+	// The error paths print a copy, so sizes does not escape and a
+	// variadic call costs its caller no allocation.
 	if len(sizes) < 2 {
-		return nil, fmt.Errorf("nn: MLP needs at least 2 sizes, got %v", sizes)
+		return nil, fmt.Errorf("nn: MLP needs at least 2 sizes, got %v", append([]int(nil), sizes...))
 	}
-	for _, s := range sizes {
+	nActs := 0
+	nParams := 0
+	for i, s := range sizes {
 		if s < 1 {
-			return nil, fmt.Errorf("nn: invalid layer size in %v", sizes)
+			return nil, fmt.Errorf("nn: invalid layer size in %v", append([]int(nil), sizes...))
 		}
+		nActs += s
+		if i > 0 {
+			nParams += sizes[i-1]*s + s
+		}
+	}
+	// Weights, biases, two Adam moments and the gradient of each, then the
+	// activations: one allocation for the whole network.
+	buf := make([]float64, 4*nParams+nActs)
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
 	}
 	rng := stats.NewRNG(seed ^ 0x11e7)
-	m := &MLP{sizes: append([]int(nil), sizes...)}
-	for i := 0; i+1 < len(sizes); i++ {
+	m := &MLP{layers: make([]layer, len(sizes)-1)}
+	at := 0
+	for i := range m.layers {
+		in, out := sizes[i], sizes[i+1]
 		act := ReLU
-		if i == len(sizes)-2 {
+		if i == len(m.layers)-1 {
 			act = Linear
 		}
-		m.layers = append(m.layers, newLayer(sizes[i], sizes[i+1], act, rng))
+		l := &m.layers[i]
+		*l = layer{in: in, out: out, act: act, at: at,
+			w: take(in * out), b: take(out),
+			mw: take(in * out), vw: take(in * out), mb: take(out), vb: take(out),
+			gw: take(in * out), gb: take(out)}
+		at += in
+		// Xavier-style initialization keeps activations well scaled.
+		scale := math.Sqrt(2.0 / float64(in+out))
+		for j := range l.w {
+			l.w[j] = scale * rng.Norm()
+		}
 	}
-	m.acts = make([][]float64, len(sizes))
-	for i, s := range sizes {
-		m.acts[i] = make([]float64, s)
-	}
-	m.gw = make([][]float64, len(m.layers))
-	m.gb = make([][]float64, len(m.layers))
-	for i, l := range m.layers {
-		m.gw[i] = make([]float64, len(l.w))
-		m.gb[i] = make([]float64, len(l.b))
-	}
+	m.acts = buf
 	return m, nil
 }
 
 // InputSize returns the expected input width.
-func (m *MLP) InputSize() int { return m.sizes[0] }
+func (m *MLP) InputSize() int { return m.layers[0].in }
 
 // OutputSize returns the output width.
-func (m *MLP) OutputSize() int { return m.sizes[len(m.sizes)-1] }
+func (m *MLP) OutputSize() int { return m.layers[len(m.layers)-1].out }
 
 // Forward runs the network and returns the output activations. The returned
 // slice is owned by the MLP and overwritten by the next call; callers that
@@ -156,37 +164,36 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return m.forwardInto(m.acts, x)
 }
 
-// Scratch holds per-goroutine activation buffers for concurrent inference.
+// Scratch holds activation buffers for concurrent inference. The zero value
+// is ready to use; it keeps no reference to any network, so one Scratch can
+// serve networks of any shape in turn.
 type Scratch struct {
-	acts [][]float64
-}
-
-// NewScratch returns activation buffers shaped for this network.
-func (m *MLP) NewScratch() *Scratch {
-	s := &Scratch{acts: make([][]float64, len(m.sizes))}
-	for i, size := range m.sizes {
-		s.acts[i] = make([]float64, size)
-	}
-	return s
+	acts []float64
 }
 
 // ForwardWith runs the network through caller-owned scratch, so any number
 // of goroutines can share one trained MLP (weights are read-only here).
-// The returned slice is owned by the scratch and overwritten by its next
-// use.
+// The scratch grows to the network's shape, reusing its capacity. The
+// returned slice is owned by the scratch and overwritten by its next use.
 func (m *MLP) ForwardWith(s *Scratch, x []float64) []float64 {
+	if n := len(m.acts); cap(s.acts) < n {
+		s.acts = make([]float64, n)
+	} else {
+		s.acts = s.acts[:n]
+	}
 	return m.forwardInto(s.acts, x)
 }
 
-func (m *MLP) forwardInto(acts [][]float64, x []float64) []float64 {
-	if len(x) != m.sizes[0] {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.sizes[0]))
+func (m *MLP) forwardInto(acts []float64, x []float64) []float64 {
+	if len(x) != m.InputSize() {
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InputSize()))
 	}
-	copy(acts[0], x)
-	for i, l := range m.layers {
-		l.forward(acts[i], acts[i+1])
+	copy(acts, x)
+	for i := range m.layers {
+		l := &m.layers[i]
+		l.forward(acts[l.at:l.at+l.in], acts[l.at+l.in:l.at+l.in+l.out])
 	}
-	return acts[len(acts)-1]
+	return acts[len(acts)-m.OutputSize():]
 }
 
 // Backward accumulates gradients for one example given dLoss/dOutput. It
@@ -197,19 +204,19 @@ func (m *MLP) Backward(dOut []float64) {
 	}
 	delta := append([]float64(nil), dOut...)
 	for li := len(m.layers) - 1; li >= 0; li-- {
-		l := m.layers[li]
-		in := m.acts[li]
-		out := m.acts[li+1]
+		l := &m.layers[li]
+		in := m.acts[l.at : l.at+l.in]
+		out := m.acts[l.at+l.in : l.at+l.in+l.out]
 		// Chain through activation.
 		for o := 0; o < l.out; o++ {
 			delta[o] *= l.act.derivative(out[o])
 		}
 		// Accumulate gradients.
 		for o := 0; o < l.out; o++ {
-			m.gb[li][o] += delta[o]
+			l.gb[o] += delta[o]
 			base := o * l.in
 			for i := 0; i < l.in; i++ {
-				m.gw[li][base+i] += delta[o] * in[i]
+				l.gw[base+i] += delta[o] * in[i]
 			}
 		}
 		// Propagate to previous layer.
@@ -246,10 +253,10 @@ func (m *MLP) Step(lr float64, batch int, clip float64) {
 	if clip > 0 {
 		var norm float64
 		for li := range m.layers {
-			for _, g := range m.gw[li] {
+			for _, g := range m.layers[li].gw {
 				norm += g * g * inv * inv
 			}
-			for _, g := range m.gb[li] {
+			for _, g := range m.layers[li].gb {
 				norm += g * g * inv * inv
 			}
 		}
@@ -261,20 +268,21 @@ func (m *MLP) Step(lr float64, batch int, clip float64) {
 	m.step++
 	bc1 := 1 - math.Pow(adamBeta1, float64(m.step))
 	bc2 := 1 - math.Pow(adamBeta2, float64(m.step))
-	for li, l := range m.layers {
+	for li := range m.layers {
+		l := &m.layers[li]
 		for i := range l.w {
-			g := m.gw[li][i] * inv
+			g := l.gw[i] * inv
 			l.mw[i] = adamBeta1*l.mw[i] + (1-adamBeta1)*g
 			l.vw[i] = adamBeta2*l.vw[i] + (1-adamBeta2)*g*g
 			l.w[i] -= lr * (l.mw[i] / bc1) / (math.Sqrt(l.vw[i]/bc2) + adamEps)
-			m.gw[li][i] = 0
+			l.gw[i] = 0
 		}
 		for i := range l.b {
-			g := m.gb[li][i] * inv
+			g := l.gb[i] * inv
 			l.mb[i] = adamBeta1*l.mb[i] + (1-adamBeta1)*g
 			l.vb[i] = adamBeta2*l.vb[i] + (1-adamBeta2)*g*g
 			l.b[i] -= lr * (l.mb[i] / bc1) / (math.Sqrt(l.vb[i]/bc2) + adamEps)
-			m.gb[li][i] = 0
+			l.gb[i] = 0
 		}
 	}
 }

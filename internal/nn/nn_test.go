@@ -63,7 +63,7 @@ func TestMLPGradientCheck(t *testing.T) {
 	in := []float64{0.5, -0.3}
 	out := m.Forward(in)
 	m.Backward([]float64{out[0]})
-	analytic := m.gw[0][0] // d loss / d w[0][0] of layer 0
+	analytic := m.layers[0].gw[0] // d loss / d w[0][0] of layer 0
 
 	const eps = 1e-6
 	l := m.layers[0]

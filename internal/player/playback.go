@@ -22,11 +22,12 @@ type Playback struct {
 	cfg      Config
 	chunkDur float64
 	res      Result
+	rend     qoe.Rendering // res.Rendering points here
 
 	next     int     // the chunk the next Decide / Deliver is for
 	buffer   float64 // playback buffer, seconds
 	lastRung int
-	thr, dls []float64 // histories: cap cfg.HistoryLen, oldest first
+	thr, dls []float64 // histories: cap cfg.HistoryLen, oldest first, one backing array
 	st       State     // the one State every Decide reuses; aliases thr/dls
 }
 
@@ -37,21 +38,23 @@ func NewPlayback(v *video.Video, cfg Config) (*Playback, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("player: video %q has no chunks", v.Name)
 	}
-	return &Playback{
+	h := cfg.HistoryLen
+	hist := make([]float64, 2*h)
+	p := &Playback{
 		cfg:      cfg,
 		chunkDur: video.ChunkDuration.Seconds(),
-		res: Result{
-			Rendering: &qoe.Rendering{
-				Video:    v,
-				Rungs:    make([]int, n),
-				StallSec: make([]float64, n),
-			},
-			ChunkEpochs: make([]uint64, n),
+		res:      Result{ChunkEpochs: make([]uint64, n)},
+		rend: qoe.Rendering{
+			Video:    v,
+			Rungs:    make([]int, n),
+			StallSec: make([]float64, n),
 		},
 		lastRung: -1,
-		thr:      make([]float64, 0, cfg.HistoryLen),
-		dls:      make([]float64, 0, cfg.HistoryLen),
-	}, nil
+		thr:      hist[:0:h],
+		dls:      hist[h:h:2*h],
+	}
+	p.res.Rendering = &p.rend
+	return p, nil
 }
 
 // BufferSec is the current playback buffer level in seconds.

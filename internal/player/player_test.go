@@ -328,12 +328,13 @@ func TestPlayRejectsWrongLengthSnapshot(t *testing.T) {
 }
 
 // TestPlayAllocBudget pins the allocation contract: what Play allocates is
-// a per-session constant — the result's per-chunk ledgers, the profile
-// snapshot, the trace cursor and Playback with its two fixed-capacity
-// histories — independent of how many chunks are played. A count, so it
-// repeats exactly on any machine. (Before Playback the loop allocated one
-// State per chunk and regrew both histories as they slid: 27 allocations
-// for 10 chunks, 77 for 50.)
+// a per-session constant — the Playback (which holds the Rendering), the
+// result's three per-chunk ledgers, one array for both fixed-capacity
+// histories, and the frozen profile snapshot with its Profile —
+// independent of how many chunks are played. A count, so it repeats
+// exactly on any machine. (Before Playback the loop allocated one State
+// per chunk and regrew both histories as they slid: 27 allocations for 10
+// chunks, 77 for 50.)
 func TestPlayAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -360,7 +361,7 @@ func TestPlayAllocBudget(t *testing.T) {
 	if short != long {
 		t.Fatalf("Play allocates per chunk: %.0f allocations for 10 chunks, %.0f for 50", short, long)
 	}
-	if long > 12 {
-		t.Fatalf("%.0f allocations per session exceeds the budget of 12", long)
+	if long > 7 {
+		t.Fatalf("%.0f allocations per session exceeds the budget of 7", long)
 	}
 }

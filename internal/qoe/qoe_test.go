@@ -84,7 +84,7 @@ func TestVMAFProxyProperties(t *testing.T) {
 	for _, c := range []float64{0, 0.5, 1} {
 		prev := -1.0
 		for _, b := range []float64{300, 750, 1200, 1850, 2850} {
-			v := VMAFProxy(b, 2850, c)
+			v := video.VMAFProxy(b, 2850, c)
 			if v <= prev {
 				t.Fatalf("VMAF not increasing at b=%v c=%v", b, c)
 			}
@@ -93,21 +93,21 @@ func TestVMAFProxyProperties(t *testing.T) {
 			}
 			prev = v
 		}
-		if got := VMAFProxy(2850, 2850, c); math.Abs(got-1) > 1e-12 {
+		if got := video.VMAFProxy(2850, 2850, c); math.Abs(got-1) > 1e-12 {
 			t.Fatalf("top-rung VMAF %v, want 1", got)
 		}
 	}
-	if VMAFProxy(300, 2850, 0.9) >= VMAFProxy(300, 2850, 0.1) {
+	if video.VMAFProxy(300, 2850, 0.9) >= video.VMAFProxy(300, 2850, 0.1) {
 		t.Fatal("complex content should score lower at low bitrate")
 	}
-	if VMAFProxy(0, 2850, 0.5) != 0 || VMAFProxy(300, 0, 0.5) != 0 {
+	if video.VMAFProxy(0, 2850, 0.5) != 0 || video.VMAFProxy(300, 0, 0.5) != 0 {
 		t.Fatal("degenerate inputs should yield 0")
 	}
 }
 
 func TestQPProxyComplementsVMAF(t *testing.T) {
 	for _, b := range []float64{300, 1200, 2850} {
-		if math.Abs(QPProxy(b, 2850, 0.5)+VMAFProxy(b, 2850, 0.5)-1) > 1e-12 {
+		if math.Abs(QPProxy(b, 2850, 0.5)+video.VMAFProxy(b, 2850, 0.5)-1) > 1e-12 {
 			t.Fatal("QP + VMAF != 1")
 		}
 	}

@@ -12,36 +12,20 @@ import (
 // frames; the proxies are driven by the synthetic content model instead,
 // preserving the property that matters for the reproduction: they respond
 // to pixel-level complexity and motion, not to the latent attention signal.
+// The VMAF proxy itself is video.VMAFProxy, so each video can precompute
+// its table; the QP and STRRED proxies derive from it.
 
-// VMAFProxy returns a perceptual visual-quality score in [0,1] for a chunk
-// of spatial complexity c delivered at bitrateKbps on the given ladder. It
-// is monotone increasing in bitrate, reaches 1.0 at the ladder top, and
-// penalizes complex content harder at low bitrates (as VMAF does).
-func VMAFProxy(bitrateKbps, topKbps float64, complexity float64) float64 {
-	if bitrateKbps <= 0 || topKbps <= 0 {
-		return 0
-	}
-	ratio := bitrateKbps / topKbps
-	if ratio > 1 {
-		ratio = 1
-	}
-	// Exponent grows with complexity: complex chunks lose more quality when
-	// starved of bits.
-	exp := 0.30 + 0.45*complexity
-	return math.Pow(ratio, exp)
-}
-
-// ChunkVMAF returns the VMAF proxy of chunk i of rendering r.
+// ChunkVMAF returns the VMAF proxy (video.VMAFProxy) of chunk i of
+// rendering r.
 func ChunkVMAF(r *Rendering, i int) float64 {
-	v := r.Video
-	return VMAFProxy(float64(v.Ladder[r.Rungs[i]]), float64(v.HighestBitrate()), v.Chunks[i].Complexity)
+	return r.Video.VMAF(i, r.Rungs[i])
 }
 
 // QPProxy returns a quantization-parameter-like distortion indicator in
 // [0,1] (higher = more distortion), the signal P.1203's bitstream mode
 // consumes. It is the complement of the VMAF proxy with a mild floor.
 func QPProxy(bitrateKbps, topKbps float64, complexity float64) float64 {
-	return 1 - VMAFProxy(bitrateKbps, topKbps, complexity)
+	return 1 - video.VMAFProxy(bitrateKbps, topKbps, complexity)
 }
 
 // STRREDProxy returns a spatio-temporal distortion score in [0,1] (higher =
@@ -50,7 +34,7 @@ func QPProxy(bitrateKbps, topKbps float64, complexity float64) float64 {
 // is exactly the inductive bias §2.3 shows to be wrong: it treats dynamic
 // scenes as the sensitive ones.
 func STRREDProxy(bitrateKbps, topKbps float64, complexity, motion float64) float64 {
-	distortion := 1 - VMAFProxy(bitrateKbps, topKbps, complexity)
+	distortion := 1 - video.VMAFProxy(bitrateKbps, topKbps, complexity)
 	return distortion * (0.3 + 0.7*motion)
 }
 
@@ -124,12 +108,10 @@ func ChunkQuality(p QualityParams, r *Rendering, i int) float64 {
 // this to evaluate candidate futures without materializing renderings. It
 // agrees exactly with ChunkQuality on a materialized rendering.
 func ChunkQualityAt(p QualityParams, v *video.Video, i, rung, prevRung int, stallSec float64) float64 {
-	top := float64(v.HighestBitrate())
-	vmaf := VMAFProxy(float64(v.Ladder[rung]), top, v.Chunks[i].Complexity)
+	vmaf := v.VMAF(i, rung)
 	q := vmaf - stallLengthScale(v.NumChunks())*p.StallCost(stallSec)
 	if prevRung >= 0 && i > 0 {
-		prev := VMAFProxy(float64(v.Ladder[prevRung]), top, v.Chunks[i-1].Complexity)
-		q -= p.SwitchPenalty * math.Abs(vmaf-prev)
+		q -= p.SwitchPenalty * math.Abs(vmaf-v.VMAF(i-1, prevRung))
 	}
 	return q
 }

@@ -20,6 +20,7 @@ package video
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sensei/internal/stats"
@@ -75,7 +76,10 @@ type Video struct {
 	// Chunks holds the per-chunk content model.
 	Chunks []Chunk
 
+	// Caches derived from Ladder and Chunks, which must not change once
+	// Generate or Excerpt has filled them.
 	sensitivity []float64 // cached normalized weights
+	vmaf        []float64 // cached VMAF proxies, [chunk*len(Ladder)+rung]
 }
 
 // NumChunks returns the number of 4-second chunks.
@@ -139,6 +143,51 @@ func (v *Video) computeSensitivity() {
 	v.sensitivity = w
 }
 
+// VMAFProxy returns a perceptual visual-quality score in [0,1] for a chunk
+// of spatial complexity c delivered at bitrateKbps on the given ladder. It
+// is monotone increasing in bitrate, reaches 1.0 at the ladder top, and
+// penalizes complex content harder at low bitrates (as VMAF does).
+func VMAFProxy(bitrateKbps, topKbps float64, complexity float64) float64 {
+	if bitrateKbps <= 0 || topKbps <= 0 {
+		return 0
+	}
+	ratio := bitrateKbps / topKbps
+	if ratio > 1 {
+		ratio = 1
+	}
+	// Exponent grows with complexity: complex chunks lose more quality when
+	// starved of bits.
+	exp := 0.30 + 0.45*complexity
+	return math.Pow(ratio, exp)
+}
+
+// VMAF returns the VMAF proxy of chunk i at ladder rung r. ABR planners
+// read it millions of times per session, so Generate and Excerpt
+// precompute the whole table; a hand-assembled video computes each value
+// on demand instead of filling a cache, so concurrent readers never write.
+func (v *Video) VMAF(i, r int) float64 {
+	if v.vmaf != nil {
+		return v.vmaf[i*len(v.Ladder)+r]
+	}
+	return v.vmafAt(i, r)
+}
+
+func (v *Video) vmafAt(i, r int) float64 {
+	return VMAFProxy(float64(v.Ladder[r]), float64(v.HighestBitrate()), v.Chunks[i].Complexity)
+}
+
+// computeVMAF fills the VMAF table from the ladder and chunk complexity.
+func (v *Video) computeVMAF() {
+	nR := len(v.Ladder)
+	t := make([]float64, len(v.Chunks)*nR)
+	for i := range v.Chunks {
+		for r := range v.Ladder {
+			t[i*nR+r] = v.vmafAt(i, r)
+		}
+	}
+	v.vmaf = t
+}
+
 // Excerpt returns a new Video covering chunks [from, to). The content model
 // is shared (chunks are copied by value); sensitivity is renormalized over
 // the excerpt. It returns an error for an empty or out-of-bounds range.
@@ -156,6 +205,7 @@ func (v *Video) Excerpt(from, to int) (*Video, error) {
 		out.Chunks[i].Index = i
 	}
 	out.computeSensitivity()
+	out.computeVMAF()
 	return out, nil
 }
 
@@ -226,6 +276,7 @@ func Generate(spec Spec) *Video {
 	v := &Video{Name: spec.Name, Genre: spec.Genre, Ladder: DefaultLadder, Chunks: chunks}
 	fillSizes(v, rng.Fork())
 	v.computeSensitivity()
+	v.computeVMAF()
 	return v
 }
 
