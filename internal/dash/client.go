@@ -653,6 +653,14 @@ func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 	if err := validateLadder(v, mpd.Ladder()); err != nil {
 		return nil, err
 	}
+	// Weights reads rung 0's vector; rungs that disagree leave no way to
+	// tell which one the origin meant.
+	reps := mpd.Period.AdaptationSet.Representations
+	for i := 1; i < len(reps); i++ {
+		if reps[i].SenseiWeights != reps[0].SenseiWeights {
+			return nil, fmt.Errorf("dash: manifest rung %d carries other weights than rung 0", i)
+		}
+	}
 	weights, err := mpd.Weights()
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package dash
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -22,106 +21,6 @@ func testVideo(t testing.TB) *video.Video {
 	return v
 }
 
-// The manifest tests check wire's MPD codec from the side that consumes
-// it: what the origin builds, this client parses back.
-
-func TestMPDRoundTrip(t *testing.T) {
-	v := testVideo(t)
-	w := v.TrueSensitivity()
-	mpd, err := wire.BuildMPD(v, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "SenseiWeights") {
-		t.Fatal("manifest missing SENSEI extension")
-	}
-	parsed, err := wire.ParseMPD(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parsed.Weights()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(w) {
-		t.Fatalf("%d weights round-tripped of %d", len(got), len(w))
-	}
-	for i := range w {
-		if math.Abs(got[i]-w[i]) > 1e-5 {
-			t.Fatalf("weight %d: %v != %v", i, got[i], w[i])
-		}
-	}
-	ladder := parsed.Ladder()
-	for i, kbps := range v.Ladder {
-		if ladder[i] != kbps {
-			t.Fatalf("ladder mismatch: %v", ladder)
-		}
-	}
-}
-
-func TestMPDWithoutWeights(t *testing.T) {
-	v := testVideo(t)
-	mpd, err := wire.BuildMPD(v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := wire.ParseMPD(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := parsed.Weights()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != nil {
-		t.Fatal("legacy manifest should have nil weights")
-	}
-}
-
-func TestMPDValidatesWeights(t *testing.T) {
-	v := testVideo(t)
-	if _, err := wire.BuildMPD(v, []float64{1, 2}); err == nil {
-		t.Fatal("wrong-length weights accepted")
-	}
-	bad := `<?xml version="1.0"?><MPD><Period><AdaptationSet>
-	  <Representation id="0" bandwidth="300000"><SenseiWeights>1.0 -0.5</SenseiWeights></Representation>
-	</AdaptationSet></Period></MPD>`
-	m, err := wire.ParseMPD([]byte(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Weights(); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	garbled := strings.Replace(bad, "-0.5", "abc", 1)
-	m2, err := wire.ParseMPD([]byte(garbled))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Weights(); err == nil {
-		t.Fatal("non-numeric weight accepted")
-	}
-}
-
-func TestISODuration(t *testing.T) {
-	v := testVideo(t)
-	mpd, err := wire.BuildMPD(v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpd.MediaPresentation != "PT0M24S" {
-		t.Fatalf("duration %q", mpd.MediaPresentation)
-	}
-}
-
 func TestClientValidatesLadder(t *testing.T) {
 	v := testVideo(t)
 	if err := validateLadder(v, v.Ladder); err != nil {
@@ -134,5 +33,27 @@ func TestClientValidatesLadder(t *testing.T) {
 	wrong[0]++
 	if err := validateLadder(v, wrong); err == nil {
 		t.Fatal("mismatched ladder accepted")
+	}
+}
+
+// TestClientRejectsDisagreeingRungWeights: every rung of a manifest
+// carries the weight vector and Weights reads rung 0's, so a manifest
+// whose rungs disagree is refused rather than planned on whichever rung
+// comes first.
+func TestClientRejectsDisagreeingRungWeights(t *testing.T) {
+	v := testVideo(t)
+	mpd, err := wire.BuildMPD(v, v.TrueSensitivity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseManifest(mpd.AppendMPD(nil), v); err != nil {
+		t.Fatalf("consistent manifest refused: %v", err)
+	}
+	reps := mpd.Period.AdaptationSet.Representations
+	for _, other := range []string{strings.TrimSpace(strings.Repeat("1 ", v.NumChunks())), ""} {
+		reps[len(reps)-1].SenseiWeights = other
+		if _, err := parseManifest(mpd.AppendMPD(nil), v); err == nil {
+			t.Fatalf("manifest whose last rung carries %q accepted", other)
+		}
 	}
 }

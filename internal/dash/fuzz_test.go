@@ -14,8 +14,8 @@ import (
 // arrive, decoding must not panic, and anything it accepts must be a
 // profile the planners can use blindly. The seed corpus under
 // testdata/fuzz/ holds what the origin serves for the test video (weighted,
-// unweighted, epoch-stamped) plus the malformed cases dash_test.go and
-// refresh_test.go spell out.
+// unweighted, epoch-stamped) plus the malformed cases the manifest tests
+// spell out, and a manifest whose rungs carry different weights.
 
 func FuzzParseMPD(f *testing.F) {
 	v := testVideo(f)

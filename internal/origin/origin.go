@@ -722,15 +722,10 @@ func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		body, err := mpd.Encode()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		mb = &cachedBody{
 			epoch:    p.Epoch,
 			epochHdr: []string{strconv.FormatUint(p.Epoch, 10)},
-			body:     body,
+			body:     mpd.AppendMPD(nil),
 		}
 		ce.manifest.Store(mb)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"encoding/xml"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -17,8 +18,9 @@ import (
 
 // The origin's hand-written parsers sit on every request: the ?sid=
 // scanner, the segment path parser that keeps segment GETs off the mux,
-// and the JSON bodies' codec on both sides of the control plane. Seeds are
-// committed under testdata/fuzz/.
+// the JSON bodies' codec on both sides of the control plane, and the
+// manifest codec every session starts with. Seeds are committed under
+// testdata/fuzz/.
 
 // FuzzQueryParam checks the scanner against the standard library: for any
 // query url.ParseQuery accepts whose keys need no unescaping, QueryParam
@@ -187,5 +189,56 @@ func checkBody[T any, P body[T]](t *testing.T, data []byte, v T, filled func() T
 	}
 	if !reflect.DeepEqual(back, ref) {
 		t.Fatalf("%T.Parse(%q) = %#v, json.Unmarshal says %#v", back, want, back, ref)
+	}
+}
+
+// FuzzMPD holds the manifest codec to encoding/xml. Whatever ParseMPD
+// accepts, xml.Unmarshal accepts too, decoding a DeepEqual MPD; the reverse
+// need not hold (ParseMPD refuses CDATA, directives, processing
+// instructions, namespaces and repeated singletons). For any MPD Unmarshal
+// decodes, AppendMPD writes what MarshalIndent writes, and ParseMPD reads
+// it back as Unmarshal does.
+func FuzzMPD(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want MPD
+		wantErr := xml.Unmarshal(data, &want)
+		if got, err := ParseMPD(data); err == nil {
+			if wantErr != nil {
+				t.Fatalf("ParseMPD accepts %q, xml.Unmarshal says %v", data, wantErr)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Fatalf("ParseMPD(%q) = %#v, xml.Unmarshal says %#v", data, *got, want)
+			}
+		}
+		if wantErr == nil {
+			checkAppendMPD(t, &want)
+		}
+	})
+}
+
+// checkAppendMPD fails unless AppendMPD writes xml.Header and MarshalIndent's
+// bytes for m, and ParseMPD reads them back as xml.Unmarshal does.
+func checkAppendMPD(t *testing.T, m *MPD) {
+	t.Helper()
+	doc, err := xml.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(xml.Header), doc...)
+	prefix := []byte("prefix")
+	got := m.AppendMPD(prefix)
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("AppendMPD wrote\n%s\nMarshalIndent writes\n%s", got, want)
+	}
+	back, err := ParseMPD(want)
+	if err != nil {
+		t.Fatalf("ParseMPD refuses AppendMPD's %q: %v", want, err)
+	}
+	var ref MPD
+	if err := xml.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*back, ref) {
+		t.Fatalf("ParseMPD(%q) = %#v, xml.Unmarshal says %#v", want, *back, ref)
 	}
 }

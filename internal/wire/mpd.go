@@ -104,23 +104,9 @@ func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, err
 // legacy manifest without the extension).
 func (m *MPD) WeightEpoch() uint64 { return m.Period.AdaptationSet.WeightEpoch }
 
-// Encode serializes the MPD as XML.
-func (m *MPD) Encode() ([]byte, error) {
-	out, err := xml.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding MPD: %w", err)
-	}
-	return append([]byte(xml.Header), out...), nil
-}
-
-// ParseMPD decodes a manifest.
-func ParseMPD(data []byte) (*MPD, error) {
-	var m MPD
-	if err := xml.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("wire: parsing MPD: %w", err)
-	}
-	return &m, nil
-}
+// Encode serializes the MPD as XML: AppendMPD into a new slice. The error
+// is always nil.
+func (m *MPD) Encode() ([]byte, error) { return m.AppendMPD(nil), nil }
 
 // Weights extracts the SENSEI weight vector from the manifest; it returns
 // nil (no error) for a manifest without the extension — a legacy stream.

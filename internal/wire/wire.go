@@ -26,6 +26,8 @@
 // after the top-level value but white space. FuzzBodies holds both methods
 // to encoding/json as the oracle; encoding/json stays the reference, not a
 // dependency of the request path.
+// FuzzMPD holds the manifest's codec, AppendMPD and ParseMPD, to
+// encoding/xml the same way.
 package wire
 
 // WeightEpochHeader advertises the serving video's current
