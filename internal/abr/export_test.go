@@ -3,9 +3,10 @@ package abr
 import "sensei/internal/player"
 
 // decideCountingNodes is Decide on a private scratch, additionally
-// returning how many tree nodes (step calls) the decision expanded.
-func decideCountingNodes(m *MPC, s *player.State) (player.Decision, int) {
+// returning how many tree nodes (step calls) the decision expanded and how
+// many children the pre-check discarded without one.
+func decideCountingNodes(m *MPC, s *player.State) (d player.Decision, nodes, skips int) {
 	t := new(treeSearch)
-	d := m.decide(t, s)
-	return d, t.nodes
+	d = m.decide(t, s)
+	return d, t.nodes, t.skips
 }

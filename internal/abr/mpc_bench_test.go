@@ -1,7 +1,9 @@
 package abr
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"sensei/internal/player"
 	"sensei/internal/trace"
@@ -55,4 +57,73 @@ func BenchmarkMPCDecide(b *testing.B) {
 		m.Horizon = 5
 		run(b, bruteOracle(m))
 	})
+}
+
+// decideTimer records the latency of every Decide it forwards.
+type decideTimer struct {
+	player.Algorithm
+	ns *[]int64
+}
+
+func (d decideTimer) Decide(s *player.State) player.Decision {
+	t0 := time.Now()
+	dec := d.Algorithm.Decide(s)
+	*d.ns = append(*d.ns, int64(time.Since(t0)))
+	return dec
+}
+
+// BenchmarkSimPlanDecide times one Decide, the op whose percentiles the
+// benchmark's sim_plan workload reports, per planner: sim_plan's cells
+// (every 8th of the test videos × test traces × {Fugu, SENSEI-Fugu,
+// SENSEI-Pensieve}) are played in full, each Decide is timed, and p50_us and
+// p95_us are reported over all of a planner's decisions. The "all"
+// case pools the three planners' decisions as sim_plan does, so a shift in
+// the pooled percentiles can be traced to the planner that caused it.
+func BenchmarkSimPlanDecide(b *testing.B) {
+	planners := []struct {
+		name string
+		alg  func() player.Algorithm
+	}{
+		{"Fugu", func() player.Algorithm { return NewFugu() }},
+		{"SENSEI-Fugu", func() player.Algorithm { return NewSenseiFugu() }},
+		{"SENSEI-Pensieve", func() player.Algorithm { return NewSenseiPensieve(1) }},
+	}
+	type cell struct {
+		v       *video.Video
+		tr      *trace.Trace
+		planner int
+	}
+	var cells []cell
+	i := 0
+	for _, v := range video.TestSet() {
+		for _, tr := range trace.TestSet() {
+			for p := range planners {
+				if i%8 == 0 {
+					cells = append(cells, cell{v, tr, p})
+				}
+				i++
+			}
+		}
+	}
+	run := func(b *testing.B, only int) {
+		var ns []int64
+		for n := 0; n < b.N; n++ {
+			for _, c := range cells {
+				if only >= 0 && c.planner != only {
+					continue
+				}
+				alg := decideTimer{planners[c.planner].alg(), &ns}
+				if _, err := player.Play(c.v, c.tr, alg, c.v.TrueSensitivity(), player.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		slices.Sort(ns)
+		b.ReportMetric(float64(ns[len(ns)/2])/1e3, "p50_us")
+		b.ReportMetric(float64(ns[len(ns)*95/100])/1e3, "p95_us")
+	}
+	for p, pl := range planners {
+		b.Run(pl.name, func(b *testing.B) { run(b, p) })
+	}
+	b.Run("all", func(b *testing.B) { run(b, -1) })
 }

@@ -16,23 +16,27 @@ import (
 //  1. Per-decision tables: everything a node needs that does not depend on
 //     the scenario's buffer — the VMAF of (step, rung), the step's
 //     sensitivity weight, the switch cost SwitchPenalty·|Δvmaf| of
-//     (step, rung, previous rung), and for constant-throughput scenarios
-//     the download time of (step, rung) — is computed once per decision
-//     instead of once per node × scenario. Exact-replay scenarios (the §2.4
-//     oracles) depend on the prefix clock, so their download is evaluated
-//     once per distinct prefix, in the same loop.
+//     (step, rung, previous rung), the scenario probabilities and for
+//     constant-throughput scenarios the download time of (step, rung) — is
+//     computed once per decision instead of once per node × scenario.
+//     Exact-replay scenarios (the §2.4 oracles) depend on the prefix clock,
+//     so a pre-pass writes their download times into the same row once per
+//     distinct prefix, and one scenario loop serves both kinds.
 //  2. Prefix sharing: per-scenario simulation state (buffer level,
 //     accumulated quality, trace clock) lives on a depth-indexed stack, so
 //     the nRungs^h plans share the simulation of their common prefixes.
 //     Per-scenario quality is accumulated in the same order as the brute
 //     force, so leaf scores equal scorePlan's.
-//  3. Admissible pruning, fused into the step: the scenario loop that
-//     simulates a node also accumulates an upper bound on the best
-//     completion of its prefix (remaining steps at their weighted VMAF
-//     ceiling, penalties ignored). A branch is cut only when that bound
-//     falls strictly below the pruning threshold, with an epsilon guard
-//     covering the bound's own rounding. At full depth the tail is empty,
-//     so the bound of a leaf is its score and no second pass is needed.
+//  3. Admissible pruning: the bound of a prefix finishes each scenario
+//     with the best stall-free weighted completion of the remaining steps,
+//     switch costs included (a per-decision DP table over the previous
+//     rung). The scenario loop that simulates a node also accumulates the
+//     bound, and before a child is simulated at all an O(1) pre-check
+//     bounds it from its parent's aggregate, its own stall-free quality
+//     and the tail. A branch is cut only when a bound falls strictly below
+//     the pruning threshold, with an epsilon guard covering the bound's
+//     own rounding. At full depth the tail is empty, so the bound of a
+//     leaf is its score and no second pass is needed.
 //  4. Warm start: each pass first scores the nRungs constant-rung plans.
 //     The best of them is a plan of the pass, so its score is at most the
 //     pass's optimum: used as a pruning threshold it can cut neither an
@@ -56,16 +60,28 @@ type treeSearch struct {
 	quality    qoe.QualityParams
 	risk       float64
 	blend      bool // len(scenarios) > 1 && risk > 0
+	// p holds each scenario's probability; exact is set when any scenario
+	// is an exact replay. scale is what the pre-check multiplies a quality
+	// shared by every scenario with: (1−risk)·Σp + risk blended, else Σp.
+	p     []float64
+	exact bool
+	scale float64
 
 	// Per-decision tables, indexed by horizon step k, rung r and previous
 	// rung p; kr abbreviates k*nRungs+r.
 	vm   []float64 // [kr] VMAF, plus row horizon: what step 0 switches against
 	bits []float64 // [kr] chunk size
 	sw   []float64 // [kr*nRungs+p] switch cost; step 0 reads slot p = first
+	// gain[kr*nRungs+p] = wt[k]·(vm[kr] − sw[kr*nRungs+p]) + ubTail[k+1][r]:
+	// the most step k at rung r after rung p and its completion can add
+	// to any scenario's quality.
+	gain []float64
 	wt   []float64 // [k] sensitivity weight, 1 when unweighted
-	dl   []float64 // [kr*nSc+sc] download time, constant scenarios only
+	// [kr*nSc+sc] download time: constant scenarios' filled per decision,
+	// exact-replay scenarios' per prefix, by replay.
+	dl []float64
 	// first is the slot step 0 reads in sw: the session's last rung, or 0
-	// with a zeroed block when there is no previous chunk.
+	// when there is no previous chunk and the step-0 block is zero.
 	first int
 
 	// Depth-indexed per-scenario prefix state, [k*nSc+sc]; depth 0 is the
@@ -74,8 +90,10 @@ type treeSearch struct {
 	qsum []float64 // accumulated plan quality
 	now  []float64 // trace clock, exact-replay scenarios only
 
-	// ubTail[k] bounds the quality attainable by steps k..horizon-1 in any
-	// scenario; ubTail[horizon] = 0.
+	// ubTail[k*nRungs+p] = max_r gain[(k*nRungs+r)*nRungs+p] bounds the
+	// weighted quality steps k..horizon-1 can add after rung p at step
+	// k-1, in any scenario: the best completion with every stall at zero,
+	// switch costs included. Row horizon is zero; row 0 is not read.
 	ubTail   []float64
 	canPrune bool
 
@@ -93,6 +111,7 @@ type treeSearch struct {
 	haveBest  bool
 
 	nodes int // step calls of the current decision
+	skips int // children the pre-check discarded without a step call
 }
 
 // treePool recycles search scratch across decisions and goroutines: steady
@@ -172,17 +191,19 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 	t.quality = m.Quality
 	t.risk = m.RiskAversion
 	t.blend = nSc > 1 && t.risk > 0
-	t.nodes = 0
+	t.nodes, t.skips = 0, 0
 
 	t.vm = grow(t.vm, (horizon+1)*nR)
 	t.bits = grow(t.bits, horizon*nR)
 	t.sw = grow(t.sw, horizon*nR*nR)
+	t.gain = grow(t.gain, horizon*nR*nR)
 	t.wt = grow(t.wt, horizon)
 	t.dl = grow(t.dl, horizon*nR*nSc)
 	t.buf = grow(t.buf, (horizon+1)*nSc)
 	t.qsum = grow(t.qsum, (horizon+1)*nSc)
 	t.now = grow(t.now, (horizon+1)*nSc)
-	t.ubTail = grow(t.ubTail, horizon+1)
+	t.ubTail = grow(t.ubTail, (horizon+1)*nR)
+	t.p = grow(t.p, nSc)
 	t.order = growInt(t.order, nR)
 	t.plan = growInt(t.plan, horizon)
 	t.bestPlan = growInt(t.bestPlan, horizon)
@@ -196,10 +217,21 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 	// still wins through table reuse and prefix sharing alone.
 	t.canPrune = m.Quality.StallPenalty >= 0 && m.Quality.SwitchPenalty >= 0 &&
 		t.risk >= 0 && t.risk <= 1
-	for _, scen := range scenarios {
+	t.exact = false
+	sumP := 0.0
+	for sc, scen := range scenarios {
+		t.p[sc] = scen.P
+		sumP += scen.P
 		if scen.P < 0 {
 			t.canPrune = false
 		}
+		if scen.Exact != nil {
+			t.exact = true
+		}
+	}
+	t.scale = sumP
+	if t.blend {
+		t.scale = (1-t.risk)*sumP + t.risk
 	}
 
 	// The VMAF rows of the plan's chunks, then of the chunk before the
@@ -215,7 +247,10 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 	}
 
 	weighted := m.Sensitivity && weights != nil
-	t.ubTail[horizon] = 0
+	// Step 0 switches against the session's last rung; with none there is
+	// no switch term, and subtracting a zero entry is exact.
+	t.first = max(s.LastRung, 0)
+	clear(t.ubTail[horizon*nR:])
 	for k := horizon - 1; k >= 0; k-- {
 		i := s.ChunkIndex + k
 		// Multiplying by 1 is exact, so the unweighted objective shares the
@@ -233,19 +268,30 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 		if k > 0 {
 			prev = t.vm[(k-1)*nR : k*nR]
 		}
-		stepUB := math.Inf(-1)
+		switches := k > 0 || s.LastRung >= 0
+		// Stalls only subtract and w ≥ 0 whenever a bound is used, so the
+		// best stall-free completion after each previous rung bounds every
+		// completion.
+		tail, row := t.ubTail[(k+1)*nR:(k+2)*nR], t.ubTail[k*nR:(k+1)*nR]
+		for p := range row {
+			row[p] = math.Inf(-1)
+		}
 		for r := 0; r < nR; r++ {
 			kr := k*nR + r
 			t.bits[kr] = v.ChunkSizeBits(i, r)
-			// The explicit conversion rounds the product as a table entry
-			// is rounded, so scorePlan (which converts likewise) agrees on
-			// architectures that would otherwise fuse the multiply into
-			// the subtraction.
 			for p := 0; p < nR; p++ {
-				t.sw[kr*nR+p] = float64(m.Quality.SwitchPenalty * math.Abs(vmaf[r]-prev[p]))
-			}
-			if q := w * vmaf[r]; q > stepUB {
-				stepUB = q
+				// The explicit conversion rounds the product as a table
+				// entry is rounded, so scorePlan (which converts likewise)
+				// agrees on architectures that would otherwise fuse the
+				// multiply into the subtraction.
+				sw := 0.0
+				if switches {
+					sw = float64(m.Quality.SwitchPenalty * math.Abs(vmaf[r]-prev[p]))
+				}
+				t.sw[kr*nR+p] = sw
+				g := w*(vmaf[r]-sw) + tail[r]
+				t.gain[kr*nR+p] = g
+				row[p] = max(row[p], g)
 			}
 			// The division matches the brute force's inner-loop expression
 			// operand for operand, so download times are bit-identical.
@@ -255,14 +301,6 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 				}
 			}
 		}
-		t.ubTail[k] = stepUB + t.ubTail[k+1]
-	}
-	// Step 0 switches against the session's last rung; with none there is
-	// no switch term, and subtracting a zero entry is exact.
-	t.first = s.LastRung
-	if t.first < 0 {
-		t.first = 0
-		clear(t.sw[:nR*nR])
 	}
 }
 
@@ -341,10 +379,37 @@ func (t *treeSearch) warmStart() {
 }
 
 // dfs extends the plan prefix of depth k, whose last rung is prev, by every
-// rung choice.
+// rung choice. A child is first bounded in O(1). No scenario can gain more
+// from it than c = gain[kr*nRungs+prev], since its stall only subtracts,
+// and adding the same c to every scenario adds scale·c to the prefix's
+// aggregate A: the expectation and the minimum both shift with c, and the
+// blend is linear. Every coefficient is nonnegative whenever the cut is
+// finite, so A + scale·c bounds what step would return. A child it puts
+// below the cut may be dropped: step would have pruned it, or, at a leaf,
+// its score is under the threshold, so it is neither the pass's optimum
+// nor a score the caller's floor lets matter.
 func (t *treeSearch) dfs(k, prev int) {
+	nR, nSc := t.nRungs, t.nSc
 	leaf := k+1 == t.horizon
+
+	var a float64
+	worst := math.Inf(1)
+	for sc, q := range t.qsum[k*nSc : (k+1)*nSc] {
+		a += t.p[sc] * q
+		if q < worst {
+			worst = q
+		}
+	}
+	if t.blend {
+		a = (1-t.risk)*a + t.risk*worst
+	}
+	gain, scale := t.gain[k*nR*nR:(k+1)*nR*nR], t.scale
+
 	for _, r := range t.order {
+		if a+scale*gain[r*nR+prev] < t.cut {
+			t.skips++
+			continue
+		}
 		t.plan[k] = r
 		bound := t.step(k, r, prev)
 		switch {
@@ -361,38 +426,32 @@ func (t *treeSearch) dfs(k, prev int) {
 // step simulates horizon step k at rung r after rung prev under every
 // scenario, writing the depth-k+1 state, and returns the upper bound on
 // the score of any completion of the extended prefix: each scenario
-// finishes its remaining steps at the weighted VMAF ceiling with no stall
-// or switch penalties, aggregated exactly as scorePlan aggregates a score
-// (expected value, optionally blended with the worst case). At the last
-// step the tail is empty and the bound is the plan's score. The quality
-// arithmetic replicates scorePlan operation for operation so shared
-// prefixes accumulate bit-identical quality.
+// finishes its remaining steps with the tail bound ubTail after rung r,
+// aggregated exactly as scorePlan aggregates a score (expected value,
+// optionally blended with the worst case). At the last step the tail is
+// empty and the bound is the plan's score. The quality arithmetic
+// replicates scorePlan operation for operation so shared prefixes
+// accumulate bit-identical quality.
 func (t *treeSearch) step(k, r, prev int) float64 {
 	t.nodes++
-	nSc := t.nSc
-	kr := k*t.nRungs + r
-	vmaf, sw, wt, tail := t.vm[kr], t.sw[kr*t.nRungs+prev], t.wt[k], t.ubTail[k+1]
+	nR, nSc := t.nRungs, t.nSc
+	kr := k*nR + r
+	vmaf, sw, wt, tail := t.vm[kr], t.sw[kr*nR+prev], t.wt[k], t.ubTail[(k+1)*nR+r]
 	pre := 0.0
 	if k == 0 {
 		pre = t.pre
 	}
 	dls := t.dl[kr*nSc : kr*nSc+nSc]
-	buf0, buf1 := t.buf[k*nSc:k*nSc+nSc], t.buf[(k+1)*nSc:(k+1)*nSc+nSc]
-	q0, q1 := t.qsum[k*nSc:k*nSc+nSc], t.qsum[(k+1)*nSc:(k+1)*nSc+nSc]
+	if t.exact {
+		t.replay(k, kr, dls)
+	}
+	p := t.p[:len(dls)]
+	buf0, buf1 := t.buf[k*nSc:k*nSc+len(dls)], t.buf[(k+1)*nSc:(k+1)*nSc+len(dls)]
+	q0, q1 := t.qsum[k*nSc:k*nSc+len(dls)], t.qsum[(k+1)*nSc:(k+1)*nSc+len(dls)]
 
 	var expected float64
 	worst := math.Inf(1)
-	for sc := range t.scenarios {
-		scen := &t.scenarios[sc]
-		var dl float64
-		if scen.Exact != nil {
-			start := t.now[k*nSc+sc]
-			end := scen.Exact.DownloadEnd(start, t.bits[kr])
-			dl = end - start
-			t.now[(k+1)*nSc+sc] = end
-		} else {
-			dl = dls[sc]
-		}
+	for sc, dl := range dls {
 		buffer := buf0[sc]
 		stall := pre
 		if dl > buffer {
@@ -413,7 +472,7 @@ func (t *treeSearch) step(k, r, prev int) float64 {
 		q1[sc] = q
 
 		ub := q + tail
-		expected += scen.P * ub
+		expected += p[sc] * ub
 		if ub < worst {
 			worst = ub
 		}
@@ -422,6 +481,24 @@ func (t *treeSearch) step(k, r, prev int) float64 {
 		return (1-t.risk)*expected + t.risk*worst
 	}
 	return expected
+}
+
+// replay writes the download time of step k at table entry kr into the dl
+// row slot of each exact-replay scenario, replaying its trace from the
+// depth-k clock, and advances that clock to depth k+1. It mirrors a trace
+// cursor's Download, so times are bit-identical to scorePlan's.
+func (t *treeSearch) replay(k, kr int, dls []float64) {
+	nSc := t.nSc
+	for sc := range t.scenarios {
+		scen := &t.scenarios[sc]
+		if scen.Exact == nil {
+			continue
+		}
+		start := t.now[k*nSc+sc]
+		end := scen.Exact.DownloadEnd(start, t.bits[kr])
+		dls[sc] = end - start
+		t.now[(k+1)*nSc+sc] = end
+	}
 }
 
 // offer installs a completed plan as the incumbent if it scores strictly

@@ -2,6 +2,6 @@
 
 package abr
 
-// raceEnabled coarsens the brute-force throughput sweep under the race
-// detector, whose instrumentation slows the exhaustive oracle ~10×.
+// raceEnabled coarsens the brute-force throughput sweep and tie grid under
+// the race detector, whose instrumentation slows the exhaustive oracle ~10×.
 const raceEnabled = true

@@ -51,7 +51,7 @@ func NewPlayback(v *video.Video, cfg Config) (*Playback, error) {
 		},
 		lastRung: -1,
 		thr:      hist[:0:h],
-		dls:      hist[h:h:2*h],
+		dls:      hist[h : h : 2*h],
 	}
 	p.res.Rendering = &p.rend
 	return p, nil
