@@ -506,7 +506,7 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{ID: c.sid, Rendering: pb.Rendering()}
+	sess := &Session{ID: c.sid, Rendering: pb.Rendering(), ThroughputBps: make([]float64, 0, v.NumChunks())}
 	traced := c.Events != nil || c.Metrics != nil
 
 	for i := 0; i < v.NumChunks(); i++ {
@@ -554,7 +554,7 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 		sess.BytesDownloaded += f.bytes + f.partialBytes
 		sess.DownloadVirtualSec += downloadSec + f.partialSec/scale
 		sess.ThroughputBps = append(sess.ThroughputBps, bits/downloadSec)
-		c.delivered(i, rung, f, downloadSec, stall, pb.BufferSec())
+		c.delivered(i, rung, &f, downloadSec, stall, pb.BufferSec())
 
 		if err := c.rate(ctx, sess, i, wv); err != nil {
 			return nil, err
@@ -737,7 +737,7 @@ func (c *Client) snapshot(ctx context.Context, sess *Session, i int, wv *weightV
 // dead, a segment whose retry budget ran out is re-decided at the lowest
 // rung with a fresh budget — the cheapest segment has the best odds of
 // surviving a degraded wire, and a low-quality chunk beats a dead session.
-func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (*fetched, int, error) {
+func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (fetched, int, error) {
 	f, err := c.fetchSegment(ctx, v, i, rung)
 	if err != nil && errors.Is(err, errWire) && rung != 0 {
 		c.res.SegmentFallbacks++
@@ -748,7 +748,7 @@ func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (*fet
 	return f, rung, err
 }
 
-func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) (*fetched, error) {
+func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) (fetched, error) {
 	size := int64(v.ChunkSizeBits(i, rung) / 8)
 	c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i), Rung: int32(rung), Bytes: size})
 	return c.fetch(ctx, c.segmentURL(i, rung), chaos.KindSegment, size, true)
@@ -1002,6 +1002,7 @@ func (c *Client) requestContext(ctx context.Context) (context.Context, context.C
 
 // fetched is one retried GET's outcome: the successful body and its timing,
 // plus the partial payloads truncated attempts delivered along the way.
+// It travels by value, so a segment's record never reaches the heap.
 type fetched struct {
 	// body holds the payload for control-plane fetches, in the client's
 	// reply buffer until its next request; segment fetches discard the
@@ -1032,8 +1033,8 @@ type fetched struct {
 // ledgered. Budget exhaustion returns an errWire-marked error; degradation
 // is the caller's choice. With discard set the body is streamed to a
 // counting sink instead of buffered, and only fetched.bytes is populated.
-func (c *Client) fetch(ctx context.Context, target string, kind chaos.Kind, expected int64, discard bool) (*fetched, error) {
-	f := &fetched{}
+func (c *Client) fetch(ctx context.Context, target string, kind chaos.Kind, expected int64, discard bool) (fetched, error) {
+	var f fetched
 	path := strings.TrimPrefix(target, c.BaseURL) // what errors name
 	clock := c.clk()
 	err := c.retried(ctx, kind, func(attempt int) (bool, error) {
@@ -1071,7 +1072,7 @@ func (c *Client) fetch(ctx context.Context, target string, kind chaos.Kind, expe
 		return transient, err
 	})
 	if err != nil {
-		return nil, err
+		return fetched{}, err
 	}
 	return f, nil
 }

@@ -64,7 +64,7 @@ func (p *Population) SessionRater(session int) (*SessionRater, error) {
 		return nil, fmt.Errorf("mos: negative session index %d", session)
 	}
 	return &SessionRater{
-		rater:    p.raters[session%len(p.raters)],
+		rater:    &p.raters[session%len(p.raters)],
 		slotBase: session * sessionSlotStride,
 	}, nil
 }

@@ -70,7 +70,7 @@ type Rater struct {
 
 // Population is a pool of raters with deterministic behaviour.
 type Population struct {
-	raters []*Rater
+	raters []Rater
 }
 
 // PopulationConfig controls rater synthesis.
@@ -97,14 +97,18 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 		mf = 1
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x9a7e5)
-	p := &Population{}
-	for i := 0; i < cfg.Size; i++ {
+	// Two slabs, whatever the pool's size: the raters and their legacy
+	// streams.
+	p := &Population{raters: make([]Rater, cfg.Size)}
+	streams := make([]stats.RNG, cfg.Size)
+	for i := range p.raters {
 		master := float64(i) < mf*float64(cfg.Size)
 		seed := rng.Uint64()
 		// The legacy stream reproduces rng.Fork()'s derivation so the
 		// sequential methods keep their historical sequences.
-		r := &Rater{ID: i, Master: master, seed: seed,
-			rng: stats.NewRNG(seed*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019)}
+		streams[i] = *stats.NewRNG(seed*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019)
+		r := &p.raters[i]
+		*r = Rater{ID: i, Master: master, seed: seed, rng: &streams[i]}
 		if master {
 			r.Bias = 0.25 * rng.Norm()
 			r.Noise = 0.35 + 0.15*rng.Float64()
@@ -114,7 +118,6 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 			r.Noise = 0.5 + 0.3*rng.Float64()
 			r.Diligence = 0.98
 		}
-		p.raters = append(p.raters, r)
 	}
 	return p, nil
 }
@@ -123,7 +126,7 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 func (p *Population) Size() int { return len(p.raters) }
 
 // Rater returns the i-th rater.
-func (p *Population) Rater(i int) *Rater { return p.raters[i] }
+func (p *Population) Rater(i int) *Rater { return &p.raters[i] }
 
 // Rate returns this rater's Likert score (1-5) for a rendering. The score
 // is the ground-truth QoE mapped to the scale, plus rater bias and noise,
@@ -248,7 +251,7 @@ func CollectMOS(p *Population, rendering *qoe.Rendering, n, offset int) (float64
 			return 0, rejected, fmt.Errorf("mos: could not collect %d clean ratings (pool too unreliable)", n)
 		}
 		attempts++
-		r := p.raters[idx%len(p.raters)]
+		r := &p.raters[idx%len(p.raters)]
 		score, ok := r.tryRate(trueQoE, idx)
 		idx++
 		if !ok {

@@ -278,6 +278,57 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSegmentShapedSleepZeroAlloc extends the hot-path pin to the throttle
+// on the wall clock. hotPathConfig's time scale rounds every throttle to
+// 0 ns, so TestSegmentSteadyStateZeroAlloc never reaches a timer; here the
+// trace is slowed until each segment sleeps about 20 µs of wall time, and
+// the request must still allocate nothing.
+func TestSegmentShapedSleepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	cfg := hotPathConfig(t)
+	const sleep = 20 * time.Microsecond
+	bits := cfg.Catalog[0].ChunkSizeBits(0, hotPathRung)
+	cfg.Traces = map[string]*trace.Trace{"wire": {Name: "wire", BitsPerSecond: []float64{bits / sleep.Seconds()}}}
+	cfg.TimeScale = 1
+	o, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	v := cfg.Catalog[0]
+	s := joinDirect(t, o)
+	if _, err := o.profileOf(o.videos[v.Name]); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("/v/%s/segment/0/%d?sid=%s", url.PathEscape(v.Name), hotPathRung, s.id), nil)
+	w := &nullResponseWriter{h: make(http.Header)}
+
+	o.ServeHTTP(w, req) // warm: header map entries, epoch stamp, a pooled timer
+	if w.n == 0 {
+		t.Fatal("warm-up request served no bytes")
+	}
+	wantBytes := w.n
+
+	const runs = 200
+	start := time.Now()
+	allocs := testing.AllocsPerRun(runs, func() {
+		w.n = 0
+		o.ServeHTTP(w, req)
+		if w.n != wantBytes {
+			t.Fatalf("served %d bytes, want %d", w.n, wantBytes)
+		}
+	})
+	if elapsed := time.Since(start); elapsed < runs*sleep {
+		t.Fatalf("%d shaped requests took %v, want at least %v: the throttle did not sleep", runs, elapsed, runs*sleep)
+	}
+	if allocs != 0 {
+		t.Fatalf("shaped segment path allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestSegmentChaosIdleAllocParity pins "chaos off the hot path" as a count:
 // a fault policy mounted at rate 0 is present on every request but never
 // fires, and must cost the segment request nothing. Two origins built from

@@ -181,8 +181,8 @@ type cachedBody struct {
 type catalogEntry struct {
 	v      *video.Video
 	hits   atomic.Int64
-	sizes  [][]int      // [chunk][rung] payload bytes
-	clHdrs [][][]string // [chunk][rung] preformatted Content-Length value
+	sizes  []int    // [chunk·rungs+rung] payload bytes
+	clHdrs []string // [chunk·rungs+rung] Content-Length value, each a substring of one string
 
 	holder   atomic.Pointer[sensitivity.Versioned] // nil until first resolve
 	stamp    atomic.Pointer[epochStamp]
@@ -344,21 +344,24 @@ func New(cfg Config) (*Origin, error) {
 }
 
 // newCatalogEntry preformats everything the segment hot path needs for one
-// video: payload sizes and Content-Length header values per (chunk, rung).
+// video: payload sizes and Content-Length header values per (chunk, rung),
+// as three slabs — the sizes, the decimal digits of all of them in one
+// string, and one substring of it per value — whatever the catalog's size.
 func newCatalogEntry(v *video.Video) *catalogEntry {
-	ce := &catalogEntry{
-		v:      v,
-		sizes:  make([][]int, v.NumChunks()),
-		clHdrs: make([][][]string, v.NumChunks()),
+	n := v.NumChunks() * len(v.Ladder)
+	ce := &catalogEntry{v: v, sizes: make([]int, n), clHdrs: make([]string, n)}
+	var digits strings.Builder
+	digits.Grow(n * 7) // seven digits hold any segment under 10 MB
+	var scratch [20]byte
+	for i := range ce.sizes {
+		ce.sizes[i] = int(v.ChunkSizeBits(i/len(v.Ladder), i%len(v.Ladder)) / 8)
+		digits.Write(strconv.AppendInt(scratch[:0], int64(ce.sizes[i]), 10))
 	}
-	for c := 0; c < v.NumChunks(); c++ {
-		ce.sizes[c] = make([]int, len(v.Ladder))
-		ce.clHdrs[c] = make([][]string, len(v.Ladder))
-		for rg := range v.Ladder {
-			size := int(v.ChunkSizeBits(c, rg) / 8)
-			ce.sizes[c][rg] = size
-			ce.clHdrs[c][rg] = []string{strconv.Itoa(size)}
-		}
+	all, off := digits.String(), 0
+	for i, size := range ce.sizes {
+		w := len(strconv.AppendInt(scratch[:0], int64(size), 10))
+		ce.clHdrs[i] = all[off : off+w]
+		off += w
 	}
 	return ce
 }
@@ -928,14 +931,17 @@ func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalo
 		http.Error(w, fmt.Sprintf("origin: session %s is pinned to %q, not %q", sid, sess.videoName, ce.v.Name), http.StatusConflict)
 		return
 	}
-	if chunk < 0 || chunk >= len(ce.sizes) || rung < 0 || rung >= len(ce.v.Ladder) {
+	if chunk < 0 || chunk >= ce.v.NumChunks() || rung < 0 || rung >= len(ce.v.Ladder) {
 		http.Error(w, "origin: segment out of range", http.StatusNotFound)
 		return
 	}
-	size := ce.sizes[chunk][rung]
+	i := chunk*len(ce.v.Ladder) + rung
+	size := ce.sizes[i]
 	h := w.Header()
 	h["Content-Type"] = hdrVideoMP4
-	h["Content-Length"] = ce.clHdrs[chunk][rung]
+	// A one-element window onto the shared slab, capped so an append by
+	// anything downstream copies instead of writing into its neighbour.
+	h["Content-Length"] = ce.clHdrs[i : i+1 : i+1]
 	// Staleness beacon: the video's current profile epoch rides on every
 	// segment so clients detect a refresh without polling. The stamp is a
 	// lock-free peek, never a campaign — a cold video simply advertises 0.

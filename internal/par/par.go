@@ -32,19 +32,34 @@ import (
 // emulation layer — the origin's shaped segment writes and the DASH
 // client's buffer-full waits both pace wall clock with it, and a wall-clock
 // sleep must never outlive the request or stream it serves.
+//
+// Timers are recycled through timers, so a steady-state Sleep allocates
+// nothing. Reuse is safe because go.mod's go 1.24 gives synchronous timer
+// channels (Go 1.23's semantics): after Stop or Reset returns, no value
+// from the timer's earlier schedule can be received, so a pooled timer
+// never delivers a stale tick from the sleep that last used it.
 func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	defer timers.Put(t)
 	select {
 	case <-ctx.Done():
+		t.Stop()
 		return false
 	case <-t.C:
 		return true
 	}
 }
+
+// timers holds stopped or expired-and-drained timers for Sleep.
+var timers sync.Pool
 
 // ForEach runs fn(i) for every i in [0, n), fanning the indices across up
 // to GOMAXPROCS goroutines, and waits for all of them. On failure the

@@ -184,7 +184,9 @@ func (v *Virtual) Exit() {
 // including d <= 0 returning ctx.Err() == nil immediately). Calling Sleep
 // from a goroutine that is not inside an Enter/Exit bracket (or downstream
 // of one) is a contract violation and panics: an unregistered sleeper
-// would let time advance past runnable work.
+// would let time advance past runnable work. A sleep that the clock
+// completes while parking it (the caller was the last runnable unit and
+// holds the earliest deadline) returns true without consulting ctx.
 func (v *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
@@ -200,6 +202,17 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	heap.Push(&v.heap, s)
 	v.active--
 	v.maybeAdvance()
+	if s.fired {
+		// The caller was the last runnable unit and its own deadline was
+		// the earliest: the advance woke it before it parked. The token is
+		// already in the channel, so take it here and skip the select —
+		// ctx.Done would lazily allocate a cancelable context's channel
+		// for a wait that never happens.
+		<-s.ch
+		v.mu.Unlock()
+		sleepers.Put(s)
+		return true
+	}
 	v.mu.Unlock()
 
 	select {

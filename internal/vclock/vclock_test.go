@@ -325,13 +325,40 @@ func TestVirtualSleepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestVirtualSelfWakeSkipsContext pins the self-wake fast path: a sole
+// participant's sleep is completed by its own advance while it parks, so
+// Sleep never waits and never asks ctx for its Done channel — which a
+// cancelable context makes lazily, on the first call. A sleep on a fresh
+// context.WithCancel therefore costs no more than the context alone.
+func TestVirtualSelfWakeSkipsContext(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	v := NewVirtual()
+	v.Enter()
+	defer v.Exit()
+	bare := testing.AllocsPerRun(1000, func() {
+		_, cancel := context.WithCancel(context.Background())
+		cancel()
+	})
+	slept := testing.AllocsPerRun(1000, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		if !v.Sleep(ctx, time.Millisecond) {
+			t.Fatal("a sole participant's sleep reported cancellation")
+		}
+		cancel()
+	})
+	if slept > bare {
+		t.Fatalf("a self-woken sleep on a cancelable context allocates %v objects, the context alone %v", slept, bare)
+	}
+}
+
 // TestVirtualPooledSleeperNeverWakesEarly covers the recycled wake channel
-// on the cancel-vs-fired path: a sole participant sleeping on an already
-// canceled context fires itself while parking, so its select sees both the
-// wake token and ctx.Done and takes either at random. Whichever it takes,
-// the sleep completed, the token must not survive into the pool — a stale
-// one would end a later sleep before its deadline — and the clock's books
-// must balance.
+// on the self-wake path: a sole participant sleeping on an already canceled
+// context fires itself while parking, so Sleep takes the wake token under
+// the clock's lock and returns without looking at ctx. The sleep completed,
+// the token must not survive into the pool — a stale one would end a later
+// sleep before its deadline — and the clock's books must balance.
 func TestVirtualPooledSleeperNeverWakesEarly(t *testing.T) {
 	v := NewVirtual()
 	v.Enter()

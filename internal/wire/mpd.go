@@ -72,11 +72,18 @@ func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, err
 	}
 	var wAttr string
 	if weights != nil {
-		parts := make([]string, len(weights))
+		// One buffer for the whole attribute: "w.dddddd" plus a separator
+		// is nine bytes for a weight under 10.
+		var attr strings.Builder
+		attr.Grow(9 * len(weights))
+		var scratch [32]byte
 		for i, w := range weights {
-			parts[i] = strconv.FormatFloat(w, 'f', 6, 64)
+			if i > 0 {
+				attr.WriteByte(' ')
+			}
+			attr.Write(strconv.AppendFloat(scratch[:0], w, 'f', 6, 64))
 		}
-		wAttr = strings.Join(parts, " ")
+		wAttr = attr.String()
 	}
 	reps := make([]Representation, len(v.Ladder))
 	for i, kbps := range v.Ladder {
