@@ -75,10 +75,14 @@ func main() {
 	fmt.Printf("session %s: streaming %s from %s with %s...\n",
 		client.SessionID(), v.Name, *url, alg.Name())
 	sess, err := client.Stream(ctx, v)
+	// Hang up before reporting, and also after a failed or interrupted
+	// stream (on a fresh context, since ctx may be the interrupt's): fail
+	// exits at once, and the origin would hold the session until its idle
+	// janitor expires it.
+	_ = client.Leave(context.Background())
 	if err != nil {
 		fail(err)
 	}
-	defer func() { _ = client.Leave(context.Background()) }()
 
 	fmt.Printf("downloaded %.1f MB in %.1f virtual seconds (%.2f Mbps observed), rebuffered %.1f virtual seconds\n",
 		float64(sess.BytesDownloaded)/1e6, sess.DownloadVirtualSec,

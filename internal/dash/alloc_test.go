@@ -2,6 +2,7 @@ package dash
 
 import (
 	"context"
+	"io"
 	"math"
 	"net/http"
 	"testing"
@@ -43,13 +44,36 @@ func TestRatingRoundTripAllocBudget(t *testing.T) {
 	if err := c.Join(ctx, v.Name); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := c.fetchWeights(ctx, v) // profiles the video, so ratings are folded in
+	// GET /weights profiles the video, so ratings are folded in.
+	resp, err := c.HTTP.Get(c.BaseURL + "/weights" + c.sidQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := parseWeights(body, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One rating through the session machine and its driver: the rating
+	// step's POST, done and completed, and nothing after it.
+	c.Rater = &fixedRater{score: 4}
+	s := &c.s
+	s.sess, s.prof = &Session{}, prof
 	rate := func() {
-		if accepted, _, err := c.postRating(ctx, 0, prof.Epoch, 4); err != nil || !accepted {
-			t.Fatalf("rating: accepted=%v, %v", accepted, err)
+		accepted := s.sess.RatingsAccepted
+		s.i, s.step = 0, stepRate
+		o, _ := s.next(0)
+		r := c.do(ctx, &o)
+		s.complete(0, &r)
+		// Accepted on the first attempt: no retry pause pending, no request
+		// left in flight, no error, one more accepted rating.
+		if o.method != "POST" || s.err != nil || s.sleeping || s.req.method != "" || s.sess.RatingsAccepted != accepted+1 {
+			t.Fatalf("rating: %s status %d, accepted %d -> %d, sleeping=%v, in flight %q: %v",
+				o.method, r.status, accepted, s.sess.RatingsAccepted, s.sleeping, s.req.method, s.err)
 		}
 	}
 	rate()

@@ -7,15 +7,13 @@ package dash
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,16 +52,6 @@ const DefaultRequestTimeout = 5 * time.Minute
 // ~1.2 Mb, the fastest trace ~tens of Mbps), so real measurements are
 // untouched.
 const MinDownloadVirtualSec = 1e-3
-
-// leaveDrainRetries bounds the DELETE /session 409 retry loop: after this
-// many conflicts on the backoff schedule, teardown errors out instead of
-// spinning forever against a wedged origin.
-const leaveDrainRetries = 12
-
-// errWire marks an error as a wire-level failure that exhausted the retry
-// budget — eligible for the graceful-degradation ladder — as opposed to a
-// validation failure at the trust boundary, which must abort the session.
-var errWire = errors.New("wire failure")
 
 // Client streams a video from a multi-tenant origin: it drives the same
 // player.Playback model as the simulator, but over HTTP on its own clock.
@@ -161,6 +149,10 @@ type Client struct {
 	// body is the JSON body of the current POST, encoded once and resent by
 	// its retries. reply holds the last control-plane reply read (a POST's
 	// JSON, a manifest, a weights document) until the next one replaces it.
+	//
+	// c.body is rewritten by the next POST only: a body this small goes out
+	// in the transport's first flush with the request's headers, so it has
+	// been read in full before the origin can answer.
 	body  []byte
 	reply []byte
 	// chaosKey is ChaosKey as a header value, shared by every request.
@@ -172,6 +164,8 @@ type Client struct {
 	streamedChunks int64
 	// sinkHead receives the first bytes of each segment body; see drain.
 	sinkHead [512]byte
+	// s is the step machine of the Join, Stream or Leave in progress.
+	s session
 }
 
 // Rater produces an in-player rating for the chunk that just finished
@@ -227,27 +221,13 @@ func (r *Resilience) Degradations() int64 {
 	return r.SegmentFallbacks + r.StaleWeightsKept + r.RatingsDropped
 }
 
-func (r *Resilience) fault(kind chaos.Kind) {
-	if r.FaultsByKind == nil {
-		r.FaultsByKind = make(map[string]int64)
-	}
-	r.FaultsByKind[string(kind)]++
-}
-
-func (r Resilience) clone() Resilience {
-	out := r
-	if r.FaultsByKind != nil {
-		out.FaultsByKind = make(map[string]int64, len(r.FaultsByKind))
-		for k, v := range r.FaultsByKind {
-			out.FaultsByKind[k] = v
-		}
-	}
-	return out
-}
-
 // Resilience snapshots the client's fault-handling ledger, accumulated
 // across Join, Stream and Leave.
-func (c *Client) Resilience() Resilience { return c.res.clone() }
+func (c *Client) Resilience() Resilience {
+	r := c.res
+	r.FaultsByKind = maps.Clone(r.FaultsByKind)
+	return r
+}
 
 // Session is the outcome of one streamed playback.
 type Session struct {
@@ -302,104 +282,8 @@ func (c *Client) SessionID() string { return c.sid }
 // schedule; there is no degradation rung below "no session", so an
 // exhausted budget is an error.
 func (c *Client) Join(ctx context.Context, videoName string) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if math.IsNaN(c.TimeScale) || math.IsInf(c.TimeScale, 0) {
-		return fmt.Errorf("dash: encoding join request: timescale %v is not a JSON number", c.TimeScale)
-	}
-	c.body = (&wire.JoinRequest{Video: videoName, Trace: c.Trace, TimeScale: c.TimeScale}).AppendJSON(c.body[:0])
-	var jr wire.JoinResponse
-	err := c.retried(ctx, chaos.KindSession, func(int) (bool, error) {
-		reply, _, transient, err := c.postJSON(ctx, c.BaseURL+"/session", "joining session")
-		if err != nil {
-			return transient, err
-		}
-		if err := jr.Parse(reply); err != nil {
-			return false, fmt.Errorf("dash: joining session: decoding reply: %w", err)
-		}
-		if jr.SessionID == "" || jr.TimeScale <= 0 {
-			return false, fmt.Errorf("dash: origin returned invalid session %+v", jr)
-		}
-		return false, nil
-	})
-	if err != nil {
-		return err
-	}
-	c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
-	c.videoURL = c.BaseURL + wire.VideoPath(c.videoName)
-	c.sidQuery = "?sid=" + url.QueryEscape(c.sid)
-	// The sid rides in the rating query as well as in its body, so a
-	// sid-routing front like the multi-origin router can steer a rating to
-	// the session's shard without reading the body.
-	c.ratingURL = c.BaseURL + "/rating" + c.sidQuery
-	c.segURL = append(c.segURL[:0], c.videoURL...)
-	c.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
-	return nil
-}
-
-// jsonContentType is the Content-Type value of every POST, shared by all of
-// them; see markChaosKey for why sharing a header value is safe.
-var jsonContentType = []string{"application/json"}
-
-// postJSON issues one POST of c.body to target (a URL) and returns the 200
-// reply, read into c.reply, with the weight-epoch beacon it carried.
-// transient reports whether a failure is worth retrying (5xx or
-// transport-level).
-//
-// c.body is rewritten by the next POST only: a body this small goes out in
-// the transport's first flush with the request's headers, so it has been
-// read in full before the origin can answer.
-func (c *Client) postJSON(ctx context.Context, target, what string) (reply []byte, epoch uint64, transient bool, err error) {
-	reqCtx, cancel := c.requestContext(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, target, bytes.NewReader(c.body))
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("dash: %s: %w", what, err)
-	}
-	req.Header["Content-Type"] = jsonContentType
-	c.markChaosKey(req)
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return nil, 0, true, fmt.Errorf("dash: %s: %w", what, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, 0, resp.StatusCode >= 500, fmt.Errorf("dash: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
-	}
-	if c.reply, err = readAll(c.reply[:0], resp.Body); err != nil {
-		return nil, 0, false, fmt.Errorf("dash: %s: reading reply: %w", what, err)
-	}
-	return c.reply, epochBeacon(resp), false, nil
-}
-
-// readAll appends what r holds to b, as io.ReadAll does into a new buffer.
-func readAll(b []byte, r io.Reader) ([]byte, error) {
-	if b == nil {
-		b = make([]byte, 0, 512)
-	}
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-	}
-}
-
-// epochBeacon reads the weight epoch a response advertised: 0 when the
-// header is absent or malformed — an origin that does not speak the
-// extension simply never triggers a refresh.
-func epochBeacon(resp *http.Response) uint64 {
-	epoch, _ := strconv.ParseUint(resp.Header.Get(wire.WeightEpochHeader), 10, 64)
-	return epoch
+	c.videoName = videoName
+	return c.run(ctx, nil, stepJoin)
 }
 
 // Leave deletes the client's session on the origin, freeing it before the
@@ -413,668 +297,116 @@ func (c *Client) Leave(ctx context.Context) error {
 	if c.sid == "" {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	conflicts, faults := 0, 0
-	for attempt := 0; ; attempt++ {
-		status, msg, err := c.leaveOnce(ctx)
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return err
-		case err != nil, status >= 500:
-			c.fault(chaos.KindSession)
-			faults++
-			if faults > c.Retry.Budget() {
-				if err == nil {
-					err = fmt.Errorf("status %d: %s", status, msg)
-				}
-				return fmt.Errorf("dash: leaving session: retry budget exhausted after %d attempts: %w", faults, err)
-			}
-		case status == http.StatusConflict:
-			conflicts++
-			if conflicts > leaveDrainRetries {
-				return fmt.Errorf("dash: leaving session: still draining after %d attempts: %s", conflicts, msg)
-			}
-		case status != http.StatusNoContent && status != http.StatusNotFound:
-			return fmt.Errorf("dash: leaving session: status %d: %s", status, msg)
-		default:
-			c.emit(qlog.Event{Kind: qlog.KindSessionLeave, Bytes: c.streamedBytes, Extra: c.streamedChunks})
-			c.sid = ""
-			return nil
-		}
-		c.retry()
-		if !c.backoff(ctx, attempt) {
-			return fmt.Errorf("dash: leaving session: %w", ctx.Err())
-		}
-	}
-}
-
-// leaveOnce issues one DELETE /session and returns the status code plus
-// the response message.
-func (c *Client) leaveOnce(ctx context.Context) (int, string, error) {
-	reqCtx, cancel := c.requestContext(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodDelete, c.BaseURL+"/session/"+url.PathEscape(c.sid), nil)
-	if err != nil {
-		return 0, "", fmt.Errorf("dash: leave request: %w", err)
-	}
-	c.markChaosKey(req)
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return 0, "", fmt.Errorf("dash: leaving session: %w", err)
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	return resp.StatusCode, string(bytes.TrimSpace(msg)), nil
+	return c.run(ctx, nil, stepLeave)
 }
 
 // Stream plays the whole video for v within the client's session and
 // returns the playback outcome. ctx cancels the stream between (and
-// during) segment downloads. It is the HTTP driver of player.Playback: it
-// supplies the profile snapshot (from the wire), the passage of time (the
-// client's clock) and the chunk (retries, degradation), and emits the trace.
+// during) segment downloads. It is the HTTP driver of player.Playback: the
+// session machine supplies the profile snapshot (from the wire), the chunk
+// (retries, degradation) and the trace; run supplies the wire and the
+// passage of time (the client's clock).
 func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 	if c.Algorithm == nil {
 		return nil, fmt.Errorf("dash: client needs an algorithm")
 	}
+	from := stepManifest
+	if c.sid == "" {
+		c.videoName, from = v.Name, stepJoin
+	}
+	if err := c.run(ctx, v, from); err != nil {
+		return nil, err
+	}
+	return c.s.sess, nil
+}
+
+// run is the session machine's I/O driver: it starts a session of v at
+// step from and does each op the session asks for on the client's HTTP
+// client and clock until it ends. Requests and pauses derive from ctx,
+// whose error, once set, stops the session.
+func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.sid == "" {
-		if err := c.Join(ctx, v.Name); err != nil {
-			return nil, err
+	clock := cmp.Or(c.Clock, vclock.Clock(defaultClock))
+	c.s = session{c: c, v: v, step: from}
+	s := &c.s
+	for {
+		o, ok := s.next(clock.Now())
+		if !ok {
+			return s.err
 		}
-	}
-	// The origin pins segments to the session's video; fail with a clear
-	// client-side error instead of its 409.
-	if c.videoName != v.Name {
-		return nil, fmt.Errorf("dash: session joined for %q, cannot stream %q", c.videoName, v.Name)
-	}
-	scale := c.TimeScale
-	if scale <= 0 {
-		scale = c.sessionScale
-	}
-	if scale <= 0 {
-		scale = 1
-	}
-	pb, err := player.NewPlayback(v, player.Config{MaxBufferSec: c.MaxBufferSec})
-	if err != nil {
-		return nil, fmt.Errorf("dash: %w", err)
-	}
-	wv, err := c.bootstrap(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	sess := &Session{ID: c.sid, Rendering: pb.Rendering(), ThroughputBps: make([]float64, 0, v.NumChunks())}
-	traced := c.Events != nil || c.Metrics != nil
-
-	for i := 0; i < v.NumChunks(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dash: stream canceled at chunk %d: %w", i, err)
-		}
-		if err := c.snapshot(ctx, sess, i, wv); err != nil {
-			return nil, err
-		}
-		buffered := pb.BufferSec()
-		var decideStart time.Time
-		if traced {
-			decideStart = time.Now()
-		}
-		d, wait, err := pb.Decide(c.Algorithm, wv.prof, 0)
-		if err != nil {
-			return nil, fmt.Errorf("dash: %w", err)
-		}
-		if traced {
-			c.decided(i, d, wv.prof.Epoch, buffered, time.Since(decideStart))
-		}
-		if d.PreStallSec > 0 {
-			c.stall(d.PreStallSec)
-		}
-		// The full-buffer wait is a context-aware pause, so a canceled
-		// stream returns promptly instead of sleeping the wait out (at
-		// timescale 1 it is seconds of wall clock).
-		if wait > 0 && !c.clk().Sleep(ctx, time.Duration(wait*scale*float64(time.Second))) {
-			return nil, fmt.Errorf("dash: stream canceled during buffer wait at chunk %d: %w", i, ctx.Err())
-		}
-
-		f, rung, err := c.acquire(ctx, v, i, d.Rung)
-		if err != nil {
-			return nil, fmt.Errorf("dash: segment %d: %w", i, err)
-		}
-		wv.observed = max(wv.observed, f.epoch)
-		// The throughput sample sees only the successful attempt (floored:
-		// see MinDownloadVirtualSec); playback drains for the whole
-		// acquisition — retries, backoff pauses and truncated attempts
-		// included: a fault-lengthened download is a real stall.
-		downloadSec := max(f.sec/scale, MinDownloadVirtualSec)
-		acquireSec := max(f.totalSec/scale, downloadSec)
-		bits := float64(f.bytes * 8)
-		stall := pb.Deliver(rung, bits, downloadSec, acquireSec)
-		sess.BytesDownloaded += f.bytes + f.partialBytes
-		sess.DownloadVirtualSec += downloadSec + f.partialSec/scale
-		sess.ThroughputBps = append(sess.ThroughputBps, bits/downloadSec)
-		c.delivered(i, rung, &f, downloadSec, stall, pb.BufferSec())
-
-		if err := c.rate(ctx, sess, i, wv); err != nil {
-			return nil, err
-		}
-	}
-	res, err := pb.Finish(0) // no trace clock here: Result.WallClockSec goes unread
-	if err != nil {
-		return nil, fmt.Errorf("dash: %w", err)
-	}
-	sess.ChunkEpochs = res.ChunkEpochs
-	sess.RebufferVirtualSec = res.RebufferSec
-	sess.Weights = wv.prof.Weights
-	sess.WeightEpoch = wv.prof.Epoch
-	sess.Resilience = c.res.clone()
-	c.streamedBytes, c.streamedChunks = sess.BytesDownloaded, int64(v.NumChunks())
-	return sess, nil
-}
-
-// decided traces chunk i's decision as the player will carry it out.
-// Decision latency is real compute, so it is measured on the wall clock
-// even when the session's timing plane is virtual.
-func (c *Client) decided(i int, d player.Decision, epoch uint64, bufferedSec float64, lat time.Duration) {
-	if c.Metrics != nil {
-		c.Metrics.DecisionLatency.Observe(int64(lat))
-	}
-	c.emit(qlog.Event{
-		Kind: qlog.KindDecision, Chunk: int32(i), Rung: int32(d.Rung),
-		Epoch: epoch, Wire: lat,
-		Extra: int64(bufferedSec * float64(time.Second)),
-		Tput:  d.PreStallSec,
-	})
-}
-
-// delivered traces chunk i landing at rung.
-func (c *Client) delivered(i, rung int, f *fetched, downloadSec, stallSec, bufferedSec float64) {
-	if f.partialBytes > 0 {
-		// Ledgered bytes that never became a throughput sample. Summing
-		// chunk_done + chunk_progress bytes reproduces BytesDownloaded
-		// exactly.
-		c.emit(qlog.Event{Kind: qlog.KindChunkProgress, Chunk: int32(i),
-			Rung: int32(rung), Bytes: f.partialBytes})
-	}
-	if stallSec > 0 {
-		c.stall(stallSec)
-	}
-	if c.Metrics != nil {
-		c.Metrics.DownloadLatency.Observe(int64(f.sec * float64(time.Second)))
-	}
-	c.emit(qlog.Event{
-		Kind: qlog.KindChunkDone, Chunk: int32(i), Rung: int32(rung),
-		Bytes: f.bytes,
-		Wire:  time.Duration(f.sec * float64(time.Second)),
-		Virt:  time.Duration(downloadSec * float64(time.Second)),
-		Tput:  float64(f.bytes*8) / downloadSec,
-	})
-	c.emit(qlog.Event{Kind: qlog.KindBufferSample, Chunk: int32(i),
-		Extra: int64(bufferedSec * float64(time.Second))})
-}
-
-// weightView is one stream's view of the sensitivity plane: the snapshot
-// its decisions run under, and how far the wire has advertised past it.
-type weightView struct {
-	prof *sensitivity.Profile
-	// observed tracks the newest epoch any response header has advertised;
-	// running ahead of prof.Epoch means the snapshot is stale and the next
-	// decision must not run until the new vector is fetched. fetchedFor
-	// remembers the newest epoch a /weights fetch was already attempted
-	// for, so an origin whose weights endpoint lags its own headers costs
-	// one fetch per advertised bump, not one per remaining chunk.
-	observed, fetchedFor uint64
-}
-
-// bootstrap fetches the manifest and returns the session's starting view
-// of the weight plane.
-func (c *Client) bootstrap(ctx context.Context, v *video.Video) (*weightView, error) {
-	mf, err := c.fetch(ctx, c.videoURL+"manifest.mpd"+c.sidQuery, chaos.KindManifest, -1, false)
-	if err != nil {
-		return nil, fmt.Errorf("dash: fetching manifest: %w", err)
-	}
-	prof, err := parseManifest(mf.body, v)
-	if err != nil {
-		return nil, err
-	}
-	return &weightView{prof: prof, observed: prof.Epoch, fetchedFor: prof.Epoch}, nil
-}
-
-// parseManifest decodes a manifest and validates it against the local
-// video model, returning the profile snapshot the session starts on.
-func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
-	mpd, err := wire.ParseMPD(body)
-	if err != nil {
-		return nil, err
-	}
-	// A manifest whose ladder disagrees with the local video model would
-	// silently stream wrong segment sizes; fail loudly instead.
-	if err := validateLadder(v, mpd.Ladder()); err != nil {
-		return nil, err
-	}
-	// Weights reads rung 0's vector; rungs that disagree leave no way to
-	// tell which one the origin meant.
-	reps := mpd.Period.AdaptationSet.Representations
-	for i := 1; i < len(reps); i++ {
-		if reps[i].SenseiWeights != reps[0].SenseiWeights {
-			return nil, fmt.Errorf("dash: manifest rung %d carries other weights than rung 0", i)
-		}
-	}
-	weights, err := mpd.Weights()
-	if err != nil {
-		return nil, err
-	}
-	prof := &sensitivity.Profile{VideoName: v.Name, Epoch: mpd.WeightEpoch(), Weights: weights}
-	if weights != nil && prof.Epoch == 0 {
-		// A weighted manifest from an origin predating the epoch extension
-		// is, by definition, the first epoch.
-		prof.Epoch = 1
-	}
-	if err := checkProfile(prof, v); err != nil {
-		return nil, err
-	}
-	return prof, nil
-}
-
-// checkProfile is the trust boundary every wire-carried profile crosses —
-// manifest or GET /weights — before it is allowed anywhere near an ABR
-// objective: one crowd.ValidWeight weight per local chunk at a positive
-// epoch, or no weights at epoch 0. A weightless profile at a positive epoch
-// would silently downgrade a profiled session to unweighted planning under
-// a fresh-looking stamp (and, from a manifest, suppress adoption of every
-// real profile published up to it).
-func checkProfile(p *sensitivity.Profile, v *video.Video) error {
-	if p.Weights != nil && len(p.Weights) != v.NumChunks() {
-		return fmt.Errorf("dash: origin sent %d weights for %d chunks", len(p.Weights), v.NumChunks())
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("dash: origin sent an unusable profile: %w", err)
-	}
-	return nil
-}
-
-// snapshot brings wv.prof up to date for chunk i's decision: one immutable
-// snapshot per decision. An injected source is polled like the simulator
-// polls it; on the wire plane a stale snapshot (a response advertised a
-// newer epoch) is re-fetched before the ABR runs, so a refresh reaches the
-// decision loop within one segment download.
-func (c *Client) snapshot(ctx context.Context, sess *Session, i int, wv *weightView) error {
-	if c.Sensitivity != nil {
-		wv.prof, _ = c.Sensitivity.Snapshot()
-		return nil
-	}
-	if wv.observed <= wv.prof.Epoch || wv.observed <= wv.fetchedFor {
-		return nil
-	}
-	wv.fetchedFor = wv.observed
-	p, err := c.fetchWeights(ctx, sess.Rendering.Video)
-	switch {
-	case err == nil:
-		if p.Epoch > wv.prof.Epoch {
-			wv.prof = p
-		}
-		sess.WeightRefreshes++
-		c.emit(qlog.Event{Kind: qlog.KindEpochAdopted, Chunk: int32(i), Epoch: wv.prof.Epoch})
-	case ctx.Err() == nil && errors.Is(err, errWire):
-		// Degradation rung: the weight service is unreachable past the
-		// retry budget. Continue on the last adopted epoch snapshot —
-		// counted, never torn — rather than killing playback over a
-		// sensitivity update.
-		c.res.StaleWeightsKept++
-		c.degrade(degradeStaleWeights)
-	default:
-		// A canceled stream, or a validation failure at the trust
-		// boundary: a reachable origin sending poisoned weights is not a
-		// degraded wire.
-		return fmt.Errorf("dash: refreshing weights at chunk %d: %w", i, err)
-	}
-	return nil
-}
-
-// acquire downloads chunk i at rung and returns the fetch with the rung
-// actually delivered. Degradation ladder: before declaring the stream
-// dead, a segment whose retry budget ran out is re-decided at the lowest
-// rung with a fresh budget — the cheapest segment has the best odds of
-// surviving a degraded wire, and a low-quality chunk beats a dead session.
-func (c *Client) acquire(ctx context.Context, v *video.Video, i, rung int) (fetched, int, error) {
-	f, err := c.fetchSegment(ctx, v, i, rung)
-	if err != nil && errors.Is(err, errWire) && rung != 0 {
-		c.res.SegmentFallbacks++
-		c.degrade(degradeSegmentFallback)
-		rung = 0
-		f, err = c.fetchSegment(ctx, v, i, rung)
-	}
-	return f, rung, err
-}
-
-func (c *Client) fetchSegment(ctx context.Context, v *video.Video, i, rung int) (fetched, error) {
-	size := int64(v.ChunkSizeBits(i, rung) / 8)
-	c.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(i), Rung: int32(rung), Bytes: size})
-	return c.fetch(ctx, c.segmentURL(i, rung), chaos.KindSegment, size, true)
-}
-
-// segmentURL is chunk i's URL at rung in the joined session.
-func (c *Client) segmentURL(i, rung int) string {
-	b := wire.AppendSegment(c.segURL[:len(c.videoURL)], i, rung)
-	c.segURL = append(b, c.sidQuery...)
-	return string(c.segURL)
-}
-
-// rate closes the loop for chunk i: the Rater scores the chunk that just
-// rendered and the rating is posted stamped with the epoch its decision
-// ran under. The reply's epoch beacon feeds the same staleness tracking as
-// segment responses, so an autonomous refresh triggered by the fleet's own
-// ratings still reaches this session within one chunk.
-func (c *Client) rate(ctx context.Context, sess *Session, i int, wv *weightView) error {
-	if c.Rater == nil {
-		return nil
-	}
-	score, ok := c.Rater.RateChunk(sess.Rendering, i)
-	if !ok {
-		return nil
-	}
-	epoch := wv.prof.Epoch
-	accepted, respEpoch, err := c.postRating(ctx, i, epoch, score)
-	switch {
-	case err == nil:
-		sess.RatingsPosted++
-		c.emit(qlog.Event{Kind: qlog.KindRatingPosted, Chunk: int32(i), Epoch: epoch, Extra: int64(score)})
-		if accepted {
-			sess.RatingsAccepted++
-			c.emit(qlog.Event{Kind: qlog.KindRatingAccepted, Chunk: int32(i), Epoch: epoch})
+		var r reply
+		if o.method == "" {
+			clock.Sleep(ctx, o.d)
 		} else {
-			sess.RatingsQuarantined++
-			c.emit(qlog.Event{Kind: qlog.KindRatingQuarantined, Chunk: int32(i), Epoch: epoch})
+			start := clock.Now()
+			r = c.do(ctx, &o)
+			r.sec = (clock.Now() - start).Seconds()
 		}
-		wv.observed = max(wv.observed, respEpoch)
-	case ctx.Err() == nil && errors.Is(err, errWire):
-		// Degradation rung: feedback is best-effort. Drop the rating
-		// without touching playback.
-		c.res.RatingsDropped++
-		c.degrade(degradeRatingDropped)
-	default:
-		return fmt.Errorf("dash: rating chunk %d: %w", i, err)
+		r.stop = ctx.Err()
+		s.complete(clock.Now(), &r)
 	}
-	return nil
 }
 
-// fetchWeights pulls the session video's current profile snapshot from the
-// origin. Wire failures carry errWire (the caller may degrade to its last
-// snapshot); validation failures never do.
-func (c *Client) fetchWeights(ctx context.Context, v *video.Video) (*sensitivity.Profile, error) {
-	f, err := c.fetch(ctx, c.BaseURL+"/weights"+c.sidQuery, chaos.KindWeights, -1, false)
+// jsonContentType is the Content-Type value of every POST, shared by all of
+// them; see do for why sharing a header value is safe.
+var jsonContentType = []string{"application/json"}
+
+// do issues one request under the client's RequestTimeout and reads its
+// reply into c.reply: a 200's body in full (or counted by drain with
+// o.discard set: segment bodies are measured, never parsed), any other
+// status's first bytes. A body-read failure returns the bytes read so far alongside
+// the error.
+func (c *Client) do(ctx context.Context, o *op) (r reply) {
+	if timeout := cmp.Or(c.RequestTimeout, DefaultRequestTimeout); timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	var body io.Reader
+	if o.body != nil {
+		body = bytes.NewReader(o.body)
+	}
+	req, err := http.NewRequestWithContext(ctx, o.method, o.target, body)
 	if err != nil {
-		return nil, err
+		return reply{status: -1, err: err}
 	}
-	return parseWeights(f.body, v)
-}
-
-// parseWeights decodes and validates a GET /weights body.
-func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
-	var wr wire.WeightsResponse
-	if err := wr.Parse(body); err != nil {
-		return nil, fmt.Errorf("dash: decoding weights: %w", err)
+	if o.body != nil {
+		req.Header["Content-Type"] = jsonContentType
 	}
-	if wr.Video != v.Name {
-		return nil, fmt.Errorf("dash: weights are for %q, session streams %q", wr.Video, v.Name)
-	}
-	prof := &sensitivity.Profile{VideoName: wr.Video, Epoch: wr.Epoch, Weights: wr.Weights}
-	if err := checkProfile(prof, v); err != nil {
-		return nil, err
-	}
-	return prof, nil
-}
-
-// postRating submits one chunk rating and returns the origin's verdict
-// (accepted vs quarantined) plus the current-epoch beacon the response
-// carries. Transient failures retry on the backoff schedule; budget
-// exhaustion returns an errWire-marked error so the caller can drop the
-// rating instead of tearing playback down.
-func (c *Client) postRating(ctx context.Context, chunk int, epoch uint64, rating int) (accepted bool, respEpoch uint64, err error) {
-	c.body = (&wire.RatingRequest{SessionID: c.sid, Chunk: chunk, Epoch: epoch, Rating: rating}).AppendJSON(c.body[:0])
-	err = c.retried(ctx, chaos.KindRating, func(int) (bool, error) {
-		reply, beacon, transient, err := c.postJSON(ctx, c.ratingURL, "posting rating")
-		if err != nil {
-			return transient, err
+	// The chaos key's value slice is the client's, shared by all its
+	// requests, which is safe because no handler ever sees it: the
+	// in-process transport hands the handler a copy of the request's
+	// headers, and over TCP they are serialised.
+	if c.ChaosKey != "" {
+		if len(c.chaosKey) == 0 || c.chaosKey[0] != c.ChaosKey {
+			c.chaosKey = []string{c.ChaosKey}
 		}
-		var rr wire.RatingResponse
-		if err := rr.Parse(reply); err != nil {
-			return false, fmt.Errorf("dash: posting rating: decoding reply: %w", err)
-		}
-		if rr.Status != wire.StatusAccepted && rr.Status != wire.StatusQuarantined {
-			return false, fmt.Errorf("dash: origin returned rating status %q", rr.Status)
-		}
-		accepted, respEpoch = rr.Status == wire.StatusAccepted, beacon
-		return false, nil
-	})
+		req.Header[chaos.KeyHeader] = c.chaosKey
+	}
+	resp, err := cmp.Or(c.HTTP, http.DefaultClient).Do(req)
 	if err != nil {
-		return false, 0, err
+		return reply{err: err}
 	}
-	return accepted, respEpoch, nil
-}
-
-// validateLadder checks the manifest ladder against the local video model.
-func validateLadder(v *video.Video, ladder []int) error {
-	if len(ladder) != len(v.Ladder) {
-		return fmt.Errorf("dash: manifest has %d ladder rungs, local video %q has %d", len(ladder), v.Name, len(v.Ladder))
+	defer resp.Body.Close()
+	r.status, r.clen = resp.StatusCode, resp.ContentLength
+	// The weight-epoch beacon is 0 when the header is absent or malformed:
+	// an origin that does not speak the extension never triggers a refresh.
+	r.epoch, _ = strconv.ParseUint(resp.Header.Get(wire.WeightEpochHeader), 10, 64)
+	if o.discard && r.status == http.StatusOK {
+		r.n, r.err = c.drain(resp.Body)
+		return r
 	}
-	for i, kbps := range ladder {
-		if kbps != v.Ladder[i] {
-			return fmt.Errorf("dash: manifest rung %d is %d kbps, local video %q has %d", i, kbps, v.Name, v.Ladder[i])
-		}
+	var rd io.Reader = resp.Body
+	if r.status != http.StatusOK {
+		rd = io.LimitReader(rd, 256) // a failure's message: its first bytes
 	}
-	return nil
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-// clk resolves the client's timing plane.
-func (c *Client) clk() vclock.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return defaultClock
-}
-
-// Degradation-ladder step tokens carried in KindDegradation events. They
-// are package constants so emitting one never builds a string.
-const (
-	degradeSegmentFallback = "segment-fallback"
-	degradeStaleWeights    = "stale-weights"
-	degradeRatingDropped   = "rating-dropped"
-)
-
-// emit stamps ev on the client's clock and appends it to the trace ring.
-// A nil ring makes this a no-op, so call sites stay unconditional; a full
-// ring drops (and the registry counts the drop) rather than block.
-func (c *Client) emit(ev qlog.Event) {
-	if c.Events == nil {
-		return
-	}
-	ev.T = c.clk().Now()
-	qlog.Emit(c.Events, c.Metrics, ev)
-}
-
-// fault records one observed wire fault in the Resilience ledger and
-// mirrors it as a fault_survived event, so the per-kind event tally
-// reconciles exactly against Resilience.FaultsByKind.
-func (c *Client) fault(kind chaos.Kind) {
-	c.res.fault(kind)
-	c.emit(qlog.Event{Kind: qlog.KindFaultSurvived, Detail: string(kind)})
-}
-
-// retry records one wire attempt beyond the first: ledger, registry
-// counter, and a retry event whose Extra is the session's cumulative retry
-// count — event count ≡ Resilience.Retries by construction.
-func (c *Client) retry() {
-	c.res.Retries++
-	if c.Metrics != nil {
-		c.Metrics.Retries.Inc()
-	}
-	c.emit(qlog.Event{Kind: qlog.KindRetry, Extra: c.res.Retries})
-}
-
-// degrade records one graceful-degradation step (the ledger counter is
-// bumped at the call site, where the specific field lives).
-func (c *Client) degrade(step string) {
-	if c.Metrics != nil {
-		c.Metrics.Degradations.Inc()
-	}
-	c.emit(qlog.Event{Kind: qlog.KindDegradation, Detail: step})
-}
-
-// stall records one realized stall of sec session-virtual seconds as a
-// begin/end event pair plus a histogram observation.
-func (c *Client) stall(sec float64) {
-	ns := int64(sec * float64(time.Second))
-	if c.Metrics != nil {
-		c.Metrics.StallDuration.Observe(ns)
-	}
-	c.emit(qlog.Event{Kind: qlog.KindStallBegin, Extra: ns})
-	c.emit(qlog.Event{Kind: qlog.KindStallEnd, Virt: time.Duration(ns)})
-}
-
-// retried runs once under the retry budget of an endpoint of the given
-// kind. A transient failure is ledgered as a fault and retried after the
-// schedule's next backoff pause; a permanent one, or any failure once ctx
-// is dead, is returned as is. Budget exhaustion returns an errWire-marked
-// error — whether there is a degradation rung below it is the caller's
-// business. once's errors name the operation; retried adds only what
-// became of it.
-func (c *Client) retried(ctx context.Context, kind chaos.Kind, once func(attempt int) (transient bool, err error)) error {
-	for attempt := 0; ; attempt++ {
-		transient, err := once(attempt)
-		if err == nil || !transient || ctx.Err() != nil {
-			return err
-		}
-		c.fault(kind)
-		if attempt >= c.Retry.Budget() {
-			return fmt.Errorf("dash: retry budget exhausted after %d attempts: %w: %w", attempt+1, errWire, err)
-		}
-		c.retry()
-		if !c.backoff(ctx, attempt) {
-			return fmt.Errorf("dash: %w while backing off from: %w", ctx.Err(), err)
-		}
-	}
-}
-
-// backoff sleeps out the retry schedule's attempt-th pause on the client's
-// clock; false means ctx fired first.
-func (c *Client) backoff(ctx context.Context, attempt int) bool {
-	d := c.Retry.Delay(attempt)
-	c.emit(qlog.Event{Kind: qlog.KindBackoff, Virt: d})
-	return c.clk().Sleep(ctx, d)
-}
-
-// markChaosKey stamps the request with the client's chaos stream key. The
-// value slice is the client's, shared by all its requests, which is safe
-// because no handler ever sees it: the in-process transport hands the
-// handler a copy of the request's headers, and over TCP they are
-// serialised.
-func (c *Client) markChaosKey(req *http.Request) {
-	if c.ChaosKey == "" {
-		return
-	}
-	if len(c.chaosKey) == 0 || c.chaosKey[0] != c.ChaosKey {
-		c.chaosKey = []string{c.ChaosKey}
-	}
-	req.Header[chaos.KeyHeader] = c.chaosKey
-}
-
-// requestContext derives the per-request context with the client's
-// timeout applied.
-func (c *Client) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	timeout := c.RequestTimeout
-	if timeout == 0 {
-		timeout = DefaultRequestTimeout
-	}
-	if timeout < 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, timeout)
-}
-
-// fetched is one retried GET's outcome: the successful body and its timing,
-// plus the partial payloads truncated attempts delivered along the way.
-// It travels by value, so a segment's record never reaches the heap.
-type fetched struct {
-	// body holds the payload for control-plane fetches, in the client's
-	// reply buffer until its next request; segment fetches discard the
-	// stream as it arrives and report only bytes, so a 10k-session fleet
-	// doesn't buffer terabytes of video it never parses.
-	body  []byte
-	bytes int64
-	epoch uint64
-	// sec is the wall-clock duration of the successful attempt only — the
-	// throughput history must measure the link, not the retry schedule.
-	sec float64
-	// totalSec spans the whole acquisition: every attempt plus every
-	// backoff pause. The playback buffer drains for all of it.
-	totalSec float64
-	// partialBytes / partialSec account payload delivered by truncated
-	// attempts before the wire broke: the origin counted those bytes
-	// served, so the byte ledger must include them, but they never become
-	// throughput samples.
-	partialBytes int64
-	partialSec   float64
-}
-
-// fetch GETs target (a URL under BaseURL) under the retry budget,
-// classifying every failure: transport errors and 5xx replies are transient
-// and retried with backoff; 4xx are permanent; a 200 whose body length
-// disagrees with Content-Length (or with the caller's expected size, when
-// expected >= 0) is a truncation fault — retried, with the partial payload
-// ledgered. Budget exhaustion returns an errWire-marked error; degradation
-// is the caller's choice. With discard set the body is streamed to a
-// counting sink instead of buffered, and only fetched.bytes is populated.
-func (c *Client) fetch(ctx context.Context, target string, kind chaos.Kind, expected int64, discard bool) (fetched, error) {
-	var f fetched
-	path := strings.TrimPrefix(target, c.BaseURL) // what errors name
-	clock := c.clk()
-	err := c.retried(ctx, kind, func(attempt int) (bool, error) {
-		if attempt > 0 {
-			// The pause just slept is part of the acquisition. Summed as
-			// scheduled, not read off the clock: the result feeds stall
-			// seconds and must not pick up wall-clock jitter.
-			f.totalSec += c.Retry.Delay(attempt - 1).Seconds()
-		}
-		start := clock.Now()
-		body, n, epoch, clen, transient, err := c.getOnce(ctx, target, discard)
-		sec := (clock.Now() - start).Seconds()
-		f.totalSec += sec
-		if err == nil {
-			switch {
-			case clen >= 0 && n != clen:
-				err = fmt.Errorf("dash: GET %s: body is %d bytes, Content-Length says %d", path, n, clen)
-			case expected >= 0 && n != expected:
-				err = fmt.Errorf("dash: GET %s: body is %d bytes, expected %d", path, n, expected)
-			default:
-				f.body, f.bytes, f.epoch, f.sec = body, n, epoch, sec
-				return false, nil
-			}
-			// A complete-looking reply of the wrong length is a truncation.
-			transient = true
-		} else if !transient || ctx.Err() != nil || n == 0 {
-			return transient, err
-		}
-		// A truncated reply, or a mid-body hangup that delivered a prefix
-		// before failing: ledger the bytes that did arrive (the origin
-		// counted them served) and keep them out of the throughput history.
-		f.partialBytes += n
-		f.partialSec += sec
-		c.res.Truncations++
-		return transient, err
-	})
-	if err != nil {
-		return fetched{}, err
-	}
-	return f, nil
+	buf := bytes.NewBuffer(c.reply[:0])
+	r.n, r.err = buf.ReadFrom(rd)
+	c.reply = buf.Bytes()
+	r.body = c.reply
+	return r
 }
 
 // sinkBufs pools the segment sink's read buffers, sized to the origin's
@@ -1108,47 +440,4 @@ func (c *Client) drain(r io.Reader) (n int64, err error) {
 		err = nil
 	}
 	return n, err
-}
-
-// getOnce issues one GET of target, which its errors name by its path, and
-// returns the body (nil with discard set), the number of payload bytes
-// read, the weight epoch the response advertised (see epochBeacon), the
-// declared Content-Length (-1 when unknown), and whether a failure is
-// transient. A body-read failure returns the bytes read so far alongside
-// the error. With discard set the payload is drained through pooled
-// buffers — segment bodies are measured, never parsed, and buffering them
-// would put the whole catalog's bitrate through the allocator at fleet
-// scale.
-func (c *Client) getOnce(ctx context.Context, target string, discard bool) (body []byte, n int64, epoch uint64, clen int64, transient bool, err error) {
-	path := strings.TrimPrefix(target, c.BaseURL)
-	reqCtx, cancel := c.requestContext(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, 0, 0, -1, false, err
-	}
-	c.markChaosKey(req)
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return nil, 0, 0, -1, true, fmt.Errorf("dash: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, 0, 0, -1, resp.StatusCode >= 500, fmt.Errorf("dash: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	epoch = epochBeacon(resp)
-	if discard {
-		n, err = c.drain(resp.Body)
-		if err != nil {
-			return nil, n, epoch, resp.ContentLength, true, fmt.Errorf("dash: GET %s: reading body: %w", path, err)
-		}
-		return nil, n, epoch, resp.ContentLength, false, nil
-	}
-	c.reply, err = readAll(c.reply[:0], resp.Body)
-	body = c.reply
-	if err != nil {
-		return body, int64(len(body)), epoch, resp.ContentLength, true, fmt.Errorf("dash: GET %s: reading body: %w", path, err)
-	}
-	return body, int64(len(body)), epoch, resp.ContentLength, false, nil
 }

@@ -31,6 +31,7 @@ import (
 	"sensei/internal/abr"
 	"sensei/internal/chaos"
 	"sensei/internal/dash"
+	"sensei/internal/hashx"
 	"sensei/internal/ingest"
 	"sensei/internal/inproc"
 	"sensei/internal/mos"
@@ -267,7 +268,7 @@ func chaosKey(k int) string { return fmt.Sprintf("s%04d", k) }
 // fleet so retry storms don't synchronize.
 func (s *ChaosSpec) retryFor(k int) par.Backoff {
 	b := s.Retry
-	b.Seed ^= s.Seed ^ ((uint64(k) + 1) * 0x9e3779b97f4a7c15)
+	b.Seed ^= s.Seed ^ ((uint64(k) + 1) * hashx.Gamma)
 	return b
 }
 

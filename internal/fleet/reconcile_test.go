@@ -115,6 +115,7 @@ func TestReconcileFlagsEachBrokenLedger(t *testing.T) {
 		// A fault the journal dropped still counts in the injector's total.
 		{"chaos.journal_dropped", func(r *Report) { r.Origin.Chaos.JournalDropped++; r.Origin.Chaos.Total++ }},
 		{"chaos.survived", func(r *Report) { r.Chaos.Survived[kind]-- }},
+		{"chaos.truncations", func(r *Report) { r.Chaos.Truncations++ }},
 		{"events.drops", func(r *Report) { r.Events.Drops++ }},
 		{"events.bytes", func(r *Report) { r.Events.Bytes-- }},
 		{"events.faults_mirrored", func(r *Report) { r.Events.FaultsMirrored++ }},

@@ -556,7 +556,12 @@ func reconcile(outcomes []SessionOutcome, r *Report) Reconciliation {
 		)
 	}
 	if ch := st.Chaos; ch != nil {
-		a.hold(invariant{"chaos.journal_dropped", ch.JournalDropped, 0})
+		// Chaos truncates segments only, and a client counts a truncation
+		// only on a segment, so the two sides meet exactly.
+		a.hold(
+			invariant{"chaos.journal_dropped", ch.JournalDropped, 0},
+			invariant{"chaos.truncations", r.Chaos.Truncations, r.Chaos.InjectedByMode[string(chaos.ModeTruncate)]},
+		)
 		kinds := make([]string, 0, len(r.Chaos.Injected)+len(r.Chaos.Survived))
 		kinds = slices.AppendSeq(slices.AppendSeq(kinds, maps.Keys(r.Chaos.Injected)), maps.Keys(r.Chaos.Survived))
 		slices.Sort(kinds)

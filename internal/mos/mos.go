@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"sensei/internal/hashx"
 	"sensei/internal/qoe"
 	"sensei/internal/stats"
 )
@@ -106,7 +107,7 @@ func NewPopulation(cfg PopulationConfig) (*Population, error) {
 		seed := rng.Uint64()
 		// The legacy stream reproduces rng.Fork()'s derivation so the
 		// sequential methods keep their historical sequences.
-		streams[i] = *stats.NewRNG(seed*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019)
+		streams[i] = *stats.NewRNG(seed*hashx.Gamma + 0x632be59bd9b4e019)
 		r := &p.raters[i]
 		*r = Rater{ID: i, Master: master, seed: seed, rng: &streams[i]}
 		if master {
@@ -171,7 +172,7 @@ const eventSalt = 0x3333333333333333
 // Splitmix's per-draw mixing decorrelates the streams even though the
 // seeds are related.
 func (r *Rater) eventRNG(slot int) *stats.RNG {
-	return stats.NewRNG((r.seed + eventSalt) ^ (uint64(slot)+1)*0x9e3779b97f4a7c15)
+	return stats.NewRNG((r.seed + eventSalt) ^ (uint64(slot)+1)*hashx.Gamma)
 }
 
 // TryRate simulates one survey assignment: the rater either rates the
