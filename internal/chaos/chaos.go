@@ -1,8 +1,10 @@
 // Package chaos is the deterministic fault-injection plane of the SENSEI
 // testbed. A seeded Policy describes, per endpoint kind, how often and in
-// which modes the origin should fail requests; an Injector mounts that
-// policy as HTTP middleware and keeps an exact ledger of everything it
-// injected.
+// which modes the origin should fail requests; an Injector decides each
+// request's fate and keeps an exact ledger of everything it injected. The
+// package is pure: it never sees a request, a connection or a clock, so
+// the origin's two adapters (sockets and the fleet's RoundTrip) realize
+// each Mode themselves.
 //
 // Determinism is the whole point: every fault decision is a pure hash of
 // (policy seed, stream key, endpoint kind, per-stream sequence number), so
@@ -13,24 +15,20 @@
 // keeps decisions independent of scheduling: whichever goroutine's request
 // arrives first, stream s's third segment GET always meets the same fate.
 //
-// The injector faults requests before they reach a handler (5xx replies,
-// connection resets, stalls), so a faulted attempt has no server-side
-// effects and the origin's byte/segment/session ledgers stay exact under
-// retry. The one exception is truncation, which must deliver a partial
-// body: the middleware plants a truncation plan in the request context and
-// the segment handler cooperates, counting only the bytes it actually
-// flushed before hanging up.
+// The origin decides before a route acts (5xx replies, connection resets,
+// stalls), so a faulted attempt has no server-side effects and the
+// origin's byte/segment/session ledgers stay exact under retry. The one
+// exception is truncation, which must deliver a partial body: the segment
+// route declares the full length, delivers Policy.Truncate's prefix and
+// counts only those bytes.
 package chaos
 
 import (
-	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
 	"sensei/internal/hashx"
-	"sensei/internal/vclock"
 )
 
 // Kind names an endpoint class of the origin's API surface.
@@ -60,9 +58,9 @@ func Kinds() []Kind {
 type Mode string
 
 const (
-	// ModeError answers 503 Service Unavailable without running the handler.
+	// ModeError answers 503 Service Unavailable without running the route.
 	ModeError Mode = "error"
-	// ModeReset aborts the connection before the handler runs — the client
+	// ModeReset aborts the connection before the route runs — the client
 	// sees a transport error (reset/EOF), never an HTTP status.
 	ModeReset Mode = "reset"
 	// ModeStall serves dead air for the policy's StallDelay, then aborts
@@ -189,18 +187,27 @@ func (p *Policy) maxConsecutive() int {
 	return p.MaxConsecutive
 }
 
-func (p *Policy) stallDelay() time.Duration {
+// Stall is how long a ModeStall fault serves dead air before hanging up.
+func (p *Policy) Stall() time.Duration {
 	if p.StallDelay <= 0 {
 		return DefaultStallDelay
 	}
 	return p.StallDelay
 }
 
-func (p *Policy) truncateFraction() float64 {
-	if p.TruncateFraction <= 0 {
-		return DefaultTruncateFraction
+// Truncate is how many bytes of a size-byte body a ModeTruncate fault
+// delivers: TruncateFraction of it, at least one byte and at least one
+// byte short. A body under two bytes cannot be truncated and is delivered
+// whole.
+func (p *Policy) Truncate(size int) int {
+	if size < 2 {
+		return size
 	}
-	return p.TruncateFraction
+	frac := p.TruncateFraction
+	if frac <= 0 {
+		frac = DefaultTruncateFraction
+	}
+	return min(max(int(float64(size)*frac), 1), size-1)
 }
 
 // decide is the pure fault function: given a stream position (seq) and the
@@ -288,7 +295,6 @@ type streamState struct {
 // sequence state, the fault ledger, and the replay journal.
 type Injector struct {
 	policy Policy
-	clock  vclock.Clock
 
 	mu       sync.Mutex
 	streams  map[streamKey]*streamState
@@ -300,32 +306,17 @@ type Injector struct {
 	observer func(Event)
 }
 
-// NewInjector validates p and returns an injector for it, stalling on the
-// wall clock. Hosts running under a simulated clock inject it with
-// SetClock before serving.
+// NewInjector validates p and returns an injector for it.
 func NewInjector(p Policy) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return &Injector{
 		policy:  p,
-		clock:   vclock.NewReal(),
 		streams: make(map[streamKey]*streamState),
 		byKind:  make(map[string]int64),
 		byMode:  make(map[string]int64),
 	}, nil
-}
-
-// SetClock rebinds the clock ModeStall faults sleep on, so stalls consume
-// simulated time under a virtual clock — fault decisions themselves are a
-// pure hash of the seed and never read the clock, which is what keeps
-// Policy.Replay journals byte-identical between real and virtual runs.
-// Call before serving; the clock is not synchronized against in-flight
-// requests.
-func (in *Injector) SetClock(c vclock.Clock) {
-	if c != nil {
-		in.clock = c
-	}
 }
 
 // Policy returns the injector's (validated) policy.
@@ -404,61 +395,4 @@ func (in *Injector) Journal() []Event {
 	out := make([]Event, len(in.journal))
 	copy(out, in.journal)
 	return out
-}
-
-// Middleware wraps next with the fault plane. classify maps a request to
-// its endpoint kind and stream key, or reports false for routes that must
-// never fault (/stats, /refresh — reconciliation and operator controls stay
-// reachable no matter how unhealthy the data plane is).
-//
-// Error and reset/stall faults short-circuit before next runs, so they
-// leave no server-side trace beyond the injector's ledger; truncation is
-// planted in the request context for the segment handler to realize
-// cooperatively.
-func (in *Injector) Middleware(next http.Handler, classify func(*http.Request) (Kind, string, bool)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		kind, key, ok := classify(r)
-		if !ok {
-			next.ServeHTTP(w, r)
-			return
-		}
-		switch mode := in.Decide(key, kind); mode {
-		case "":
-		case ModeError:
-			w.Header().Set(InjectedHeader, string(ModeError))
-			http.Error(w, "chaos: injected fault", http.StatusServiceUnavailable)
-			return
-		case ModeReset:
-			// ErrAbortHandler is net/http's sanctioned way to kill the
-			// connection without a reply; the server recovers it silently.
-			panic(http.ErrAbortHandler)
-		case ModeStall:
-			// Dead air, then hang up. The client-side request context bounds
-			// the wait, and either ending (our abort or the client's
-			// timeout) is one client-visible fault — exactly one, which the
-			// two-sided ledger equality depends on. The stall sleeps on the
-			// injected clock: under a virtual clock the delay is simulated
-			// time charged to the waiting client's activity unit, so the
-			// fault schedule and its cost replay identically in both modes.
-			in.clock.Sleep(r.Context(), in.policy.stallDelay())
-			panic(http.ErrAbortHandler)
-		case ModeTruncate:
-			r = r.WithContext(WithTruncation(r.Context(), in.policy.truncateFraction()))
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-type truncationKey struct{}
-
-// WithTruncation plants a truncation plan (the fraction of the declared
-// body to deliver) in ctx for a cooperating handler.
-func WithTruncation(ctx context.Context, fraction float64) context.Context {
-	return context.WithValue(ctx, truncationKey{}, fraction)
-}
-
-// TruncationFraction reports the truncation plan planted in ctx, if any.
-func TruncationFraction(ctx context.Context) (float64, bool) {
-	f, ok := ctx.Value(truncationKey{}).(float64)
-	return f, ok
 }

@@ -1,10 +1,6 @@
 package chaos
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -126,116 +122,34 @@ func TestInjectorFaultCeiling(t *testing.T) {
 	}
 }
 
-// TestMiddlewareModes exercises each failure shape through a real HTTP
-// server: 503 replies, connection aborts (reset and stall), and the
-// truncation plan handed to a cooperating handler via request context.
-func TestMiddlewareModes(t *testing.T) {
-	for _, mode := range []Mode{ModeError, ModeReset, ModeStall, ModeTruncate} {
-		t.Run(string(mode), func(t *testing.T) {
-			p := Policy{
-				Seed:             3,
-				Endpoints:        map[Kind]Spec{KindSegment: {Rate: 0.99, Modes: []Mode{mode}}},
-				MaxConsecutive:   1000,
-				StallDelay:       5 * time.Millisecond,
-				TruncateFraction: 0.25,
-			}
-			in, err := NewInjector(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if f, ok := TruncationFraction(r.Context()); ok {
-					io.WriteString(w, "truncate:")
-					if f != 0.25 {
-						t.Errorf("truncation fraction %v, want 0.25", f)
-					}
-					return
-				}
-				io.WriteString(w, "clean")
-			})
-			classify := func(r *http.Request) (Kind, string, bool) {
-				if strings.HasPrefix(r.URL.Path, "/skip") {
-					return "", "", false
-				}
-				return KindSegment, r.Header.Get(KeyHeader), true
-			}
-			srv := httptest.NewServer(in.Middleware(handler, classify))
-			defer srv.Close()
-			client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-			defer client.CloseIdleConnections()
-
-			// Unclassified routes are never faulted.
-			resp, err := client.Get(srv.URL + "/skip")
-			if err != nil {
-				t.Fatalf("unclassified route errored: %v", err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if string(body) != "clean" {
-				t.Fatalf("unclassified route body = %q", body)
-			}
-
-			// Find a faulted sequence position from the replay and hit it.
-			decisions := p.Replay("k", KindSegment, 20)
-			faultAt := -1
-			for i, d := range decisions {
-				if d == mode {
-					faultAt = i
-					break
-				}
-			}
-			if faultAt < 0 {
-				t.Fatal("no fault in first 20 decisions at rate 0.99")
-			}
-			for i := 0; i <= faultAt; i++ {
-				req, _ := http.NewRequest(http.MethodGet, srv.URL+"/seg", nil)
-				req.Header.Set(KeyHeader, "k")
-				resp, err := client.Do(req)
-				faulted := i == faultAt
-				switch mode {
-				case ModeError:
-					if err != nil {
-						t.Fatalf("request %d: %v", i, err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if faulted && (resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(InjectedHeader) != string(ModeError)) {
-						t.Fatalf("request %d: status %d, header %q — want injected 503", i, resp.StatusCode, resp.Header.Get(InjectedHeader))
-					}
-					if !faulted && string(body) != "clean" {
-						t.Fatalf("request %d: body %q, want clean", i, body)
-					}
-				case ModeReset, ModeStall:
-					if faulted {
-						if err == nil {
-							resp.Body.Close()
-							t.Fatalf("request %d: expected a transport error from %s", i, mode)
-						}
-					} else {
-						if err != nil {
-							t.Fatalf("request %d: %v", i, err)
-						}
-						resp.Body.Close()
-					}
-				case ModeTruncate:
-					if err != nil {
-						t.Fatalf("request %d: %v", i, err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					want := "clean"
-					if faulted {
-						want = "truncate:"
-					}
-					if string(body) != want {
-						t.Fatalf("request %d: body %q, want %q", i, body, want)
-					}
-				}
-			}
-			if st := in.Stats(); st.ByMode[string(mode)] != 1 || st.Total != 1 {
-				t.Fatalf("ledger after one fault: %+v", st)
-			}
-		})
+// TestPolicyStallAndTruncate pins the arithmetic the origin realizes
+// ModeStall and ModeTruncate with: the stall's default, and a truncated
+// body that is always at least one byte and always at least one byte
+// short (a body under two bytes is never cut).
+func TestPolicyStallAndTruncate(t *testing.T) {
+	var zero Policy
+	if got := zero.Stall(); got != DefaultStallDelay {
+		t.Fatalf("default stall %v, want %v", got, DefaultStallDelay)
+	}
+	p := Policy{StallDelay: 5 * time.Millisecond, TruncateFraction: 0.25}
+	if got := p.Stall(); got != 5*time.Millisecond {
+		t.Fatalf("stall %v, want 5ms", got)
+	}
+	for _, tc := range []struct {
+		p          Policy
+		size, want int
+	}{
+		{p, 1000, 250},
+		{p, 3, 1},
+		{p, 2, 1},
+		{p, 1, 1},
+		{p, 0, 0},
+		{Policy{TruncateFraction: 0.999}, 10, 9},
+		{zero, 1000, 500},
+	} {
+		if got := tc.p.Truncate(tc.size); got != tc.want {
+			t.Errorf("fraction %v: Truncate(%d) = %d, want %d", tc.p.TruncateFraction, tc.size, got, tc.want)
+		}
 	}
 }
 

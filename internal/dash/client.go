@@ -376,9 +376,9 @@ func (c *Client) do(ctx context.Context, o *op) (r reply) {
 		req.Header["Content-Type"] = jsonContentType
 	}
 	// The chaos key's value slice is the client's, shared by all its
-	// requests, which is safe because no handler ever sees it: the
-	// in-process transport hands the handler a copy of the request's
-	// headers, and over TCP they are serialised.
+	// requests, which is safe because the origin only reads it: its
+	// RoundTrip reads the request's headers in place, its fallback serves
+	// a clone of the request, and over TCP they are serialised.
 	if c.ChaosKey != "" {
 		if len(c.chaosKey) == 0 || c.chaosKey[0] != c.ChaosKey {
 			c.chaosKey = []string{c.ChaosKey}

@@ -1,7 +1,7 @@
 // Package fleet is the streaming-fleet harness: it drives N concurrent
 // dash.Clients — a deterministic mix of catalog videos, throughput traces,
 // timescales and ABR algorithms — against one multi-tenant origin.Origin
-// (its handler called in-process, request by request), captures every
+// (its RoundTrip the clients' transport, request by request), captures every
 // session's outcome, and reconciles the client-side byte and segment
 // ledgers against the origin's /stats exactly.
 //
@@ -33,7 +33,6 @@ import (
 	"sensei/internal/dash"
 	"sensei/internal/hashx"
 	"sensei/internal/ingest"
-	"sensei/internal/inproc"
 	"sensei/internal/mos"
 	"sensei/internal/origin"
 	"sensei/internal/par"
@@ -123,7 +122,7 @@ type Config struct {
 	// operator refresh involved. The report gains an ingest ledger
 	// reconciled exactly against /stats. Requires Profile.
 	Raters *RaterSpec
-	// Chaos optionally mounts the origin's fault-injection middleware and
+	// Chaos optionally enables the origin's fault-injection plane and
 	// turns every client resilient: sessions retry with a bounded, jittered
 	// backoff budget, and the report gains a two-sided fault ledger that
 	// reconciliation matches exactly against /stats. Nil runs fault-free.
@@ -435,12 +434,14 @@ func gcd(a, b int) int {
 }
 
 // backend is the serving plane the harness boots, satisfied by both
-// *origin.Origin and *router.Router: the clients reach its handler, the
-// refresh watcher polls SessionsCreated, the scheduled refresh publishes
-// through PublishWeights, and the report drains/collects the ingest, chaos
-// and event planes.
+// *origin.Origin and *router.Router: the clients reach it through its
+// RoundTrip (or, in the transport-parity proof, its ServeHTTP behind a
+// socket), the refresh watcher polls SessionsCreated, the scheduled
+// refresh publishes through PublishWeights, and the report drains/collects
+// the ingest, chaos and event planes.
 type backend interface {
 	http.Handler
+	http.RoundTripper
 	Close()
 	SessionsCreated() int64
 	PublishWeights(videoName string, weights []float64) (*sensitivity.Profile, error)
@@ -449,18 +450,17 @@ type backend interface {
 	DrainProcessEvents(buf []qlog.Event) []qlog.Event
 }
 
-// reach is how a run's clients get to the backend's handler: the base URL
-// they address, the transport that carries their requests there, and done
-// to release whatever it started.
-type reach func(h http.Handler) (base string, rt http.RoundTripper, done func())
+// reach is how a run's clients get to the backend: the base URL they
+// address, the transport that carries their requests there, and done to
+// release whatever it started.
+type reach func(b backend) (base string, rt http.RoundTripper, done func())
 
-// inProcess is the fleet's request plane: the origin it boots and the
-// clients it drives are goroutines of one process, so each request runs the
-// origin's handler as a coroutine of the session that issued it (DESIGN.md
-// "In-process request plane").
-func inProcess(h http.Handler) (string, http.RoundTripper, func()) {
-	tr := &inproc.Transport{Handler: h}
-	return "http://origin.inproc", tr, tr.CloseIdleConnections
+// inProcess is the fleet's request plane: the backend is the clients'
+// transport, so each request is answered by the origin's core on the
+// goroutine of the session that issued it (DESIGN.md "Typed origin core
+// and its two adapters").
+func inProcess(b backend) (string, http.RoundTripper, func()) {
+	return "http://origin", b, func() {}
 }
 
 // Run executes the fleet against a freshly built origin (or router) and

@@ -27,8 +27,8 @@ import (
 // the server closed early, which would hide reset and stall faults from
 // the client-side ledger.
 func overTCP(t testing.TB, cfg Config) reach {
-	return func(h http.Handler) (string, http.RoundTripper, func()) {
-		srv := origin.NewHTTPServer("fleet-reference", h, cfg.Logf, func() {})
+	return func(b backend) (string, http.RoundTripper, func()) {
+		srv := origin.NewHTTPServer("fleet-reference", b, cfg.Logf, func() {})
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -96,10 +96,10 @@ func stripWall(r *Report) {
 	}
 }
 
-// TestFleetTransportParity proves the in-process request plane changes
-// only what a fleet run costs, never what it does: on virtual time the same
-// fleet with the origin's handler called in-process and served over
-// loopback TCP behind net/http must produce the same report —
+// TestFleetTransportParity proves the fleet's transport changes only what
+// a fleet run costs, never what it does: on virtual time the same fleet
+// with the origin reached through its RoundTrip and served over loopback
+// TCP behind net/http (its ServeHTTP) must produce the same report —
 // every session's rungs, bytes, stall and download ledgers, epochs,
 // resilience counters and event trace (virtual timestamps included), the
 // chaos journal, the refresh outcome and the origin's aggregate /stats.
@@ -174,9 +174,9 @@ func reportDiff(t *testing.T, a, b *Report) string {
 	return out.String()
 }
 
-// TestFleetRunLeavesNoGoroutines pins Run's teardown: every request's
-// handler coroutine must have ended with its response body, and the
-// backend's own goroutines (janitor, ingest workers) with Run.
+// TestFleetRunLeavesNoGoroutines pins Run's teardown: the backend's own
+// goroutines (janitor, ingest workers) must end with Run, and a request
+// starts none.
 func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 	for name, spec := range map[string]*ChaosSpec{"fault-free": nil, "chaos": chaosFleetSpec()} {
 		t.Run(name, func(t *testing.T) {
@@ -208,7 +208,10 @@ func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 // (the benchmark's fleet_vclock shape), heap objects allocated by the whole
 // process during Run over segments downloaded. A count, not a time — it
 // repeats to within a fraction of an object on any machine, so CI can gate
-// on it. Measured: 20.1 with the client's fetch record returned by value,
+// on it. Measured: 17.8 with the origin reached through its RoundTrip,
+// answered by the typed core on the session's goroutine (20.0 before,
+// over a coroutine transport running the handler behind ServeMux and the
+// chaos middleware); 20.1 with the client's fetch record returned by value,
 // self-woken virtual sleeps that never touch their context, each session's
 // throughput history sized up front and the origin's per-run catalog, the
 // manifest's weight attribute built as slabs (23.8
@@ -223,7 +226,7 @@ func TestFleetSegmentAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
 	}
-	const budget = 24
+	const budget = 21.4 // 17.8 measured, plus 20 %
 	var catalog []*video.Video
 	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
 		v, err := video.ByName(name) // full length: per-session set-up is not what is pinned
@@ -257,8 +260,8 @@ func TestFleetSegmentAllocBudget(t *testing.T) {
 	}
 	measure() // warm the pools and every lazily built table
 	got := measure()
-	t.Logf("%.1f allocations per downloaded segment (budget %d)", got, budget)
+	t.Logf("%.1f allocations per downloaded segment (budget %v)", got, budget)
 	if got > budget {
-		t.Fatalf("%.1f allocations per downloaded segment exceeds the budget of %d", got, budget)
+		t.Fatalf("%.1f allocations per downloaded segment exceeds the budget of %v", got, budget)
 	}
 }

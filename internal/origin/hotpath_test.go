@@ -330,11 +330,12 @@ func TestSegmentShapedSleepZeroAlloc(t *testing.T) {
 }
 
 // TestSegmentChaosIdleAllocParity pins "chaos off the hot path" as a count:
-// a fault policy mounted at rate 0 is present on every request but never
-// fires, and must cost the segment request nothing. Two origins built from
-// the same config, one with the idle policy, serve the steady-state segment
-// request through ServeHTTP (routing and, on one side, the middleware
-// included); both must serve the same bytes with the same allocations.
+// a fault policy at rate 0 is consulted on every request but never fires,
+// and must cost the segment request nothing. Two origins built from the
+// same config, one with the idle policy, serve the steady-state segment
+// request through ServeHTTP (routing and, on one side, the adapter's call
+// into Injector.Decide included); both must serve the same bytes with the
+// same allocations.
 func TestSegmentChaosIdleAllocParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")

@@ -34,11 +34,17 @@
 // response so mid-stream clients converge on a new epoch within one
 // segment download.
 //
+// Each route is one core function (core.go) that parses, acts and
+// returns a typed reply; it never sleeps, panics or touches an
+// http.ResponseWriter. Two adapters render replies (serve.go): ServeHTTP
+// for sockets and RoundTrip, an http.RoundTripper the fleet's clients
+// call on their own goroutines.
+//
 // The serving hot path is engineered for throughput: the session registry
 // is lock-striped (see session.go) so concurrent streams never serialize
 // on one registry mutex, per-segment accounting lands on per-stripe
 // counters folded only at /stats time, and the steady-state segment
-// handler allocates nothing — response headers, segment sizes and the
+// route allocates nothing — response headers, segment sizes and the
 // epoch stamp are all preformatted per catalog video at construction or on
 // epoch change, and the per-request throttle is one batched sleep instead
 // of one per written slice. TestSegmentSteadyStateZeroAlloc pins the
@@ -49,7 +55,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/pprof"
 	"sort"
@@ -66,7 +71,6 @@ import (
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
-	"sensei/internal/wire"
 )
 
 // DefaultSessionIdleTimeout reaps sessions that stop issuing requests.
@@ -113,12 +117,13 @@ type Config struct {
 	// publishes (see internal/ingest). Requires Profile — autonomous
 	// refreshes re-profile chunk windows with it.
 	Ingest *ingest.Config
-	// Chaos, when non-nil, mounts the seeded fault-injection plane as
-	// middleware in front of the data and control planes (never /stats or
-	// /refresh): requests are faulted per the policy and the injected-fault
-	// ledger appears under /stats for two-sided reconciliation. Nil keeps
-	// the middleware off the request path entirely — the healthy segment
-	// path pays nothing for the plane's existence.
+	// Chaos, when non-nil, enables the seeded fault-injection plane on the
+	// data and control routes (never /stats, /refresh or the event plane):
+	// each adapter asks the injector for a request's fault before its
+	// route acts, realizes it — a 503, a reset, a stall on Clock, a
+	// truncated segment — and the injected-fault ledger appears under
+	// /stats for two-sided reconciliation. Nil skips the question: the
+	// healthy segment path pays one nil check for the plane's existence.
 	Chaos *chaos.Policy
 	// Clock is the timing plane every origin sleep and timestamp runs on —
 	// shaped segment delivery, chaos stalls, session idle accounting, the
@@ -141,23 +146,17 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Preformatted single-value response headers, assigned directly into the
-// header map so the steady-state data plane never formats or allocates
-// header values. net/http only ever reads them, and the keys are already
-// in canonical MIME form.
-var (
-	hdrVideoMP4     = []string{"video/mp4"}
-	hdrDashXML      = []string{"application/dash+xml"}
-	hdrJSON         = []string{"application/json"}
-	zeroEpochHeader = []string{"0"}
-)
-
 // epochStamp is a preformatted wire.WeightEpochHeader value, rebuilt only
 // when the epoch actually changes so the per-segment stamp is two atomic
 // loads, not a FormatUint.
 type epochStamp struct {
 	epoch  uint64
 	header []string
+}
+
+// stampOf formats epoch's stamp.
+func stampOf(epoch uint64) epochStamp {
+	return epochStamp{epoch, []string{strconv.FormatUint(epoch, 10)}}
 }
 
 // zeroStamp is what a video advertises before it is profiled.
@@ -167,9 +166,8 @@ var zeroStamp = &epochStamp{header: zeroEpochHeader}
 // weights JSON). Bodies are immutable once built; a refresh publishes a
 // new epoch and the next request rebuilds the cache entry.
 type cachedBody struct {
-	epoch    uint64
-	epochHdr []string
-	body     []byte
+	epochStamp
+	body []byte
 }
 
 // catalogEntry is one catalog video plus everything the data plane wants
@@ -198,8 +196,7 @@ type Origin struct {
 	store    *WeightService
 	feedback *ingest.Plane   // nil when the closed loop is disabled
 	chaos    *chaos.Injector // nil when fault injection is disabled
-	mux      *http.ServeMux
-	handler  http.Handler // route, possibly behind the chaos middleware
+	mux      *http.ServeMux  // ServeHTTP's fallback, and /stats and the event plane
 
 	// Event plane (nil/zero when disabled): aggregate registry, per-session
 	// ring capacity, the process-level ring for non-session events
@@ -293,14 +290,14 @@ func New(cfg Config) (*Origin, error) {
 		o.feedback = plane
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /session", o.handleJoin)
-	mux.HandleFunc("DELETE /session/{id}", o.handleLeave)
-	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handleManifest)
+	mux.HandleFunc("POST /session", o.handle(routeJoin))
+	mux.HandleFunc("DELETE /session/{id}", o.handle(routeLeave))
+	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handle(routeManifest))
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", o.handleSegment)
-	mux.HandleFunc("GET /weights", o.handleWeights)
-	mux.HandleFunc("POST /refresh", o.handleRefresh)
+	mux.HandleFunc("GET /weights", o.handle(routeWeights))
+	mux.HandleFunc("POST /refresh", o.handle(routeRefresh))
 	if o.feedback != nil {
-		mux.HandleFunc("POST /rating", o.handleRating)
+		mux.HandleFunc("POST /rating", o.handle(routeRating))
 	}
 	mux.HandleFunc("GET /stats", o.handleStats)
 	if cfg.Events != nil {
@@ -310,25 +307,21 @@ func New(cfg Config) (*Origin, error) {
 		}
 		o.eventsCap = cfg.Events.ringCapacity()
 		o.procRing = qlog.NewRing(o.eventsCap)
-		// Like /stats and /refresh, the event endpoints are never behind
-		// the chaos middleware (classifyChaos does not match them):
+		// Like /stats and /refresh, the event endpoints are never faulted:
 		// observability stays reachable no matter the weather.
 		mux.HandleFunc("GET /events", o.handleEvents)
 		mux.HandleFunc("GET /metrics", o.handleMetrics)
 	}
 	o.mux = mux
-	o.handler = http.HandlerFunc(o.route)
 	if cfg.Chaos != nil {
 		inj, err := chaos.NewInjector(*cfg.Chaos)
 		if err != nil {
 			return nil, fmt.Errorf("origin: %w", err)
 		}
-		inj.SetClock(cfg.Clock)
 		if o.events != nil {
 			inj.SetObserver(o.observeChaos)
 		}
 		o.chaos = inj
-		o.handler = inj.Middleware(o.handler, classifyChaos)
 	}
 	interval := cfg.SessionIdleTimeout / 4
 	if interval < 10*time.Millisecond {
@@ -445,36 +438,6 @@ func (o *Origin) RefreshWeights(videoName string, lo, hi int) (*sensitivity.Prof
 	return p, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) { o.handler.ServeHTTP(w, r) }
-
-// route serves a segment GET that segmentRoute accepts directly and hands
-// every other request to the mux.
-func (o *Origin) route(w http.ResponseWriter, r *http.Request) {
-	if ce, chunk, rung, ok := o.segmentRoute(r); ok {
-		o.serveSegment(w, r, ce, chunk, rung)
-		return
-	}
-	o.mux.ServeHTTP(w, r)
-}
-
-// segmentRoute takes a segment GET past the mux, whose wildcard captures
-// allocate: a plain GET of an unescaped path that wire.ParseSegmentPath
-// accepts and that names a catalog video. Anything else — HEAD, an escaped
-// path, a path the parser refuses — is left to the mux, which answers it
-// as it always has.
-func (o *Origin) segmentRoute(r *http.Request) (ce *catalogEntry, chunk, rung int, ok bool) {
-	if r.Method != http.MethodGet || r.URL.RawPath != "" {
-		return nil, 0, 0, false
-	}
-	name, chunk, rung, ok := wire.ParseSegmentPath(r.URL.Path)
-	if !ok {
-		return nil, 0, 0, false
-	}
-	ce, ok = o.videos[name]
-	return ce, chunk, rung, ok
-}
-
 // ChaosJournal returns the injected-fault replay journal (nil when fault
 // injection is disabled). Harnesses replay it against the policy seed to
 // prove every fault a run saw is reproducible.
@@ -483,35 +446,6 @@ func (o *Origin) ChaosJournal() []chaos.Event {
 		return nil
 	}
 	return o.chaos.Journal()
-}
-
-// classifyChaos maps a request to its chaos endpoint kind and stream key.
-// /stats and /refresh are deliberately unclassified: reconciliation and
-// operator controls stay reachable no matter how unhealthy the data plane
-// is. The stream key is the client-chosen chaos.KeyHeader, falling back to
-// the session ID so ad-hoc clients still get per-session determinism.
-func classifyChaos(r *http.Request) (chaos.Kind, string, bool) {
-	var kind chaos.Kind
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/session",
-		r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/session/"):
-		kind = chaos.KindSession
-	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v/") && strings.HasSuffix(r.URL.Path, "/manifest.mpd"):
-		kind = chaos.KindManifest
-	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v/") && strings.Contains(r.URL.Path, "/segment/"):
-		kind = chaos.KindSegment
-	case r.Method == http.MethodGet && r.URL.Path == "/weights":
-		kind = chaos.KindWeights
-	case r.Method == http.MethodPost && r.URL.Path == "/rating":
-		kind = chaos.KindRating
-	default:
-		return "", "", false
-	}
-	key := r.Header.Get(chaos.KeyHeader)
-	if key == "" {
-		key = wire.QueryParam(r.URL.RawQuery, "sid")
-	}
-	return kind, key, true
 }
 
 func (o *Origin) logf(format string, args ...any) {
@@ -553,495 +487,11 @@ func (o *Origin) currentStamp(ce *catalogEntry) *epochStamp {
 	_, epoch := h.Snapshot()
 	st := ce.stamp.Load()
 	if st == nil || st.epoch != epoch {
-		st = &epochStamp{epoch: epoch, header: []string{strconv.FormatUint(epoch, 10)}}
+		s := stampOf(epoch)
+		st = &s
 		ce.stamp.Store(st)
 	}
 	return st
-}
-
-// maxBodyBytes caps a control-plane request body.
-const maxBodyBytes = 4096
-
-// bodyBuf holds one control-plane request body, read whole and parsed in
-// place, and then the reply, encoded over it. The handlers share a pool of
-// them.
-type bodyBuf [maxBodyBytes + 1]byte
-
-var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
-
-// readBody reads r's body into buf. A body over maxBodyBytes is refused
-// with http.MaxBytesReader's error, which also closes the connection after
-// the reply.
-func readBody(w http.ResponseWriter, r *http.Request, buf *bodyBuf) ([]byte, error) {
-	n, err := io.ReadFull(http.MaxBytesReader(w, r.Body, maxBodyBytes), buf[:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		err = nil
-	}
-	return buf[:n], err
-}
-
-// writeReply sends an encoded JSON reply followed by a newline, the bytes
-// json.Encoder used to write.
-func writeReply(w http.ResponseWriter, reply []byte) {
-	w.Header()["Content-Type"] = hdrJSON
-	_, _ = w.Write(append(reply, '\n'))
-}
-
-// --- control plane ---
-
-// JoinRequest and JoinResponse name wire's POST /session bodies for
-// bench/origin_wire.go, which predates package wire.
-type (
-	JoinRequest  = wire.JoinRequest
-	JoinResponse = wire.JoinResponse
-)
-
-func (o *Origin) handleJoin(w http.ResponseWriter, r *http.Request) {
-	buf := bodyBufs.Get().(*bodyBuf)
-	defer bodyBufs.Put(buf)
-	var req wire.JoinRequest
-	body, err := readBody(w, r, buf)
-	if err == nil {
-		err = req.Parse(body)
-	}
-	if err != nil {
-		http.Error(w, "origin: bad join body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	ce, ok := o.videos[req.Video]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", req.Video), http.StatusNotFound)
-		return
-	}
-	traceName := req.Trace
-	if traceName == "" {
-		traceName = o.cfg.DefaultTrace
-	}
-	tr, ok := o.cfg.Traces[traceName]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: trace %q not offered", traceName), http.StatusBadRequest)
-		return
-	}
-	scale := req.TimeScale
-	if scale == 0 {
-		scale = o.cfg.TimeScale
-	}
-	if scale <= 0 {
-		http.Error(w, fmt.Sprintf("origin: invalid timescale %v", req.TimeScale), http.StatusBadRequest)
-		return
-	}
-	shaper, err := NewShaper(tr, scale, o.cfg.Clock)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	id := r.Header.Get(wire.SessionIDHeader)
-	if id == "" {
-		id = NewSessionID()
-	}
-	s := &session{
-		id:        id,
-		videoName: ce.v.Name,
-		traceName: traceName,
-		timeScale: scale,
-		shaper:    shaper,
-		created:   o.cfg.Clock.Now(),
-	}
-	if o.events != nil {
-		s.ring = qlog.NewRing(o.eventsCap)
-	}
-	s.touch(s.created)
-	if !o.addSession(s) {
-		http.Error(w, "origin: session registry full", http.StatusServiceUnavailable)
-		return
-	}
-	if o.events != nil {
-		o.events.SessionsJoined.Inc()
-		qlog.Emit(s.ring, o.events, qlog.Event{
-			T: s.created, Kind: qlog.KindOriginJoin, Detail: ce.v.Name,
-		})
-	}
-	o.logf("origin: session %s joined: video=%q trace=%q timescale=%g", s.id, ce.v.Name, traceName, scale)
-	writeReply(w, (&wire.JoinResponse{
-		SessionID: s.id,
-		Video:     ce.v.Name,
-		Trace:     traceName,
-		TimeScale: scale,
-	}).AppendJSON(buf[:0]))
-}
-
-func (o *Origin) handleLeave(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// Resolve the ring before removal: the leave mirror event lands on the
-	// session's ring as its final record (drainable in-process; the wire
-	// drain ends with the session, so drain before DELETE to observe it).
-	var ring *qlog.Ring
-	var finalBytes, finalSegs int64
-	if o.events != nil {
-		if s, ok := o.lookupSession(id); ok {
-			ring, finalBytes, finalSegs = s.ring, s.bytes.Load(), s.segments.Load()
-		}
-	}
-	switch o.removeSession(id) {
-	case removeMissing:
-		http.Error(w, fmt.Sprintf("origin: no session %q", id), http.StatusNotFound)
-	case removeBusy:
-		// Mirror the janitor: an in-flight session is never reaped. 409
-		// tells the client to drain (or abort) its stream and retry.
-		http.Error(w, fmt.Sprintf("origin: session %q has a stream in flight; drain it and retry", id), http.StatusConflict)
-	case removeDone:
-		if ring != nil {
-			qlog.Emit(ring, o.events, qlog.Event{
-				T: o.cfg.Clock.Now(), Kind: qlog.KindOriginLeave,
-				Bytes: finalBytes, Extra: finalSegs,
-			})
-		}
-		o.logf("origin: session %s left", id)
-		w.WriteHeader(http.StatusNoContent)
-	}
-}
-
-// --- data plane ---
-
-func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
-	ce, ok := o.videos[r.PathValue("video")]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", r.PathValue("video")), http.StatusNotFound)
-		return
-	}
-	if sid := wire.QueryParam(r.URL.RawQuery, "sid"); sid != "" {
-		o.lookupSession(sid) // refresh the idle clock; manifests work without a session too
-	}
-	p, err := o.profileOf(ce)
-	if err != nil {
-		o.logf("origin: profiling %q: %v", ce.v.Name, err)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	mb := ce.manifest.Load()
-	if mb == nil || mb.epoch != p.Epoch {
-		mpd, err := wire.BuildMPDProfile(ce.v, p.Weights, p.Epoch)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		mb = &cachedBody{
-			epoch:    p.Epoch,
-			epochHdr: []string{strconv.FormatUint(p.Epoch, 10)},
-			body:     mpd.AppendMPD(nil),
-		}
-		ce.manifest.Store(mb)
-	}
-	o.manifestsServed.Add(1)
-	h := w.Header()
-	h["Content-Type"] = hdrDashXML
-	h[wire.WeightEpochHeader] = mb.epochHdr
-	_, _ = w.Write(mb.body)
-}
-
-// handleWeights serves the current profile snapshot for the session named
-// by ?sid=. At join time the manifest already carries the same data; this
-// endpoint exists for the mid-stream refresh: a client that sees a newer
-// epoch on a segment response fetches the new vector here before its next
-// decision. The response body is serialized once per epoch and cached.
-func (o *Origin) handleWeights(w http.ResponseWriter, r *http.Request) {
-	sid := wire.QueryParam(r.URL.RawQuery, "sid")
-	if sid == "" {
-		http.Error(w, "origin: weights request without sid (join via POST /session)", http.StatusBadRequest)
-		return
-	}
-	sess, ok := o.lookupSession(sid)
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: no session %q (expired?)", sid), http.StatusNotFound)
-		return
-	}
-	ce, ok := o.videos[sess.videoName]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: session video %q gone from catalog", sess.videoName), http.StatusInternalServerError)
-		return
-	}
-	p, err := o.profileOf(ce)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	wb := ce.weights.Load()
-	if wb == nil || wb.epoch != p.Epoch {
-		// Room for any float as json writes it, and its comma, per weight.
-		buf := make([]byte, 0, 64+len(p.VideoName)+26*len(p.Weights))
-		body := (&wire.WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights}).AppendJSON(buf)
-		wb = &cachedBody{
-			epoch:    p.Epoch,
-			epochHdr: []string{strconv.FormatUint(p.Epoch, 10)},
-			body:     append(body, '\n'),
-		}
-		ce.weights.Store(wb)
-	}
-	o.weightsServed.Add(1)
-	h := w.Header()
-	h["Content-Type"] = hdrJSON
-	h[wire.WeightEpochHeader] = wb.epochHdr
-	_, _ = w.Write(wb.body)
-}
-
-func (o *Origin) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	buf := bodyBufs.Get().(*bodyBuf)
-	defer bodyBufs.Put(buf)
-	var req wire.RefreshRequest
-	body, err := readBody(w, r, buf)
-	if err == nil {
-		err = req.Parse(body)
-	}
-	if err != nil {
-		http.Error(w, "origin: bad refresh body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if _, ok := o.videos[req.Video]; !ok {
-		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", req.Video), http.StatusNotFound)
-		return
-	}
-	p, err := o.RefreshWeights(req.Video, req.From, req.To)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set(wire.WeightEpochHeader, strconv.FormatUint(p.Epoch, 10))
-	writeReply(w, (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(buf[:0]))
-}
-
-// handleRating feeds one client rating into the ingest plane (registered
-// only when the closed loop is enabled). The rating is attributed through
-// the session — clients never name videos directly on this path — and a
-// rating is activity for the idle janitor, like any other request.
-func (o *Origin) handleRating(w http.ResponseWriter, r *http.Request) {
-	buf := bodyBufs.Get().(*bodyBuf)
-	defer bodyBufs.Put(buf)
-	var req wire.RatingRequest
-	body, err := readBody(w, r, buf)
-	if err == nil {
-		err = req.Parse(body)
-	}
-	if err != nil {
-		http.Error(w, "origin: bad rating body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sess, ok := o.lookupSession(req.SessionID)
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: no session %q (expired?)", req.SessionID), http.StatusNotFound)
-		return
-	}
-	ce, ok := o.videos[sess.videoName]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: session video %q gone from catalog", sess.videoName), http.StatusInternalServerError)
-		return
-	}
-	outcome, err := o.feedback.Ingest(ce.v, req.Chunk, req.Epoch, req.Rating)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	status := wire.StatusAccepted
-	if outcome == ingest.Quarantined {
-		status = wire.StatusQuarantined
-	}
-	if o.events != nil {
-		kind := qlog.KindOriginRatingAccepted
-		if outcome == ingest.Quarantined {
-			kind = qlog.KindOriginRatingQuarantined
-			o.events.RatingsQuarantined.Inc()
-		} else {
-			o.events.RatingsAccepted.Inc()
-		}
-		qlog.Emit(sess.ring, o.events, qlog.Event{
-			T: o.cfg.Clock.Now(), Kind: kind,
-			Chunk: int32(req.Chunk), Epoch: req.Epoch, Extra: int64(req.Rating),
-		})
-	}
-	cur := o.currentStamp(ce)
-	w.Header()[wire.WeightEpochHeader] = cur.header
-	writeReply(w, (&wire.RatingResponse{
-		Video:  ce.v.Name,
-		Chunk:  req.Chunk,
-		Status: status,
-		Epoch:  cur.epoch,
-	}).AppendJSON(buf[:0]))
-}
-
-// segmentPattern is the shared read-only payload source: handlers slice it
-// directly instead of allocating and re-filling a buffer per request. The
-// quantum is purely a write granularity — shaping is one batched
-// Throttle+Sleep per segment, not per slice — so it only bounds how much
-// the kernel is handed per Write.
-var segmentPattern = func() []byte {
-	b := make([]byte, 256*1024)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	return b
-}()
-
-// handleSegment is the mux's segment route, for the requests segmentRoute
-// leaves to it: the captures are parsed as they always were, and a number
-// that does not parse is refused as out of range, after the session
-// checks, like one that does.
-func (o *Origin) handleSegment(w http.ResponseWriter, r *http.Request) {
-	ce, ok := o.videos[r.PathValue("video")]
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: video %q not in catalog", r.PathValue("video")), http.StatusNotFound)
-		return
-	}
-	chunk, err1 := strconv.Atoi(r.PathValue("chunk"))
-	rung, err2 := strconv.Atoi(r.PathValue("rung"))
-	if err1 != nil || err2 != nil {
-		chunk = -1
-	}
-	o.serveSegment(w, r, ce, chunk, rung)
-}
-
-// serveSegment is the zero-allocation steady-state hot path (pinned by
-// TestSegmentSteadyStateZeroAlloc): a striped-registry lookup, three
-// preformatted header assignments, one batched throttle sleep, per-stripe
-// atomic accounting and shared-pattern writes. chunk and rung are range
-// checked here. Error and chaos paths may allocate freely.
-func (o *Origin) serveSegment(w http.ResponseWriter, r *http.Request, ce *catalogEntry, chunk, rung int) {
-	sid := wire.QueryParam(r.URL.RawQuery, "sid")
-	if sid == "" {
-		http.Error(w, "origin: segment request without sid (join via POST /session)", http.StatusBadRequest)
-		return
-	}
-	// Resolve and mark in-flight atomically: once this request holds the
-	// session, neither DELETE /session nor the janitor can remove it until
-	// the stream drains, so its bytes always land on a registered session.
-	sess, ok := o.lookupSessionStream(sid)
-	if !ok {
-		http.Error(w, fmt.Sprintf("origin: no session %q (expired?)", sid), http.StatusNotFound)
-		return
-	}
-	held := true
-	defer func() {
-		if held {
-			sess.inflight.Add(-1)
-		}
-	}()
-	var segStart time.Time
-	if o.events != nil {
-		segStart = time.Now()
-	}
-	if sess.videoName != ce.v.Name {
-		http.Error(w, fmt.Sprintf("origin: session %s is pinned to %q, not %q", sid, sess.videoName, ce.v.Name), http.StatusConflict)
-		return
-	}
-	if chunk < 0 || chunk >= ce.v.NumChunks() || rung < 0 || rung >= len(ce.v.Ladder) {
-		http.Error(w, "origin: segment out of range", http.StatusNotFound)
-		return
-	}
-	i := chunk*len(ce.v.Ladder) + rung
-	size := ce.sizes[i]
-	h := w.Header()
-	h["Content-Type"] = hdrVideoMP4
-	// A one-element window onto the shared slab, capped so an append by
-	// anything downstream copies instead of writing into its neighbour.
-	h["Content-Length"] = ce.clHdrs[i : i+1 : i+1]
-	// Staleness beacon: the video's current profile epoch rides on every
-	// segment so clients detect a refresh without polling. The stamp is a
-	// lock-free peek, never a campaign — a cold video simply advertises 0.
-	h[wire.WeightEpochHeader] = o.currentStamp(ce).header
-
-	// Injected truncation (the chaos middleware planted a plan in the
-	// request context): declare the full Content-Length above but deliver
-	// only a prefix, then abort the connection. Only the delivered bytes
-	// are counted — never the segment itself — so the client's partial read
-	// and this ledger agree exactly under retry.
-	deliver := size
-	truncated := false
-	if frac, ok := chaos.TruncationFraction(r.Context()); ok && size >= 2 {
-		deliver = int(float64(size) * frac)
-		if deliver < 1 {
-			deliver = 1
-		}
-		if deliver >= size {
-			deliver = size - 1
-		}
-		truncated = true
-		w.Header().Set(chaos.InjectedHeader, string(chaos.ModeTruncate))
-	}
-
-	// Headers go out before the shaped sleep, so the client observes the
-	// stream as in flight (and DELETE gets its 409) for the whole shaped
-	// duration — the same externally visible window as when the sleep was
-	// spread across slices.
-	w.WriteHeader(http.StatusOK)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	// One batched throttle for the whole delivery: Throttle returns the
-	// incremental virtual duration of these bytes, so one call for the
-	// whole body is arithmetically identical to one per slice — the total
-	// shaped duration is unchanged — but the stream pays one timer wakeup
-	// per segment instead of one per 256 KiB. Clients tolerate the
-	// front-loaded sleep: their request timeout bounds the whole transfer,
-	// not time-to-first-byte.
-	if !o.cfg.Clock.Sleep(r.Context(), sess.shaper.Throttle(deliver)) {
-		return // client went away mid-throttle
-	}
-	// Accounting happens before the corresponding Write: Content-Length is
-	// set, so the moment the last slice hits the socket the client may
-	// observe the transfer complete and read /stats — counters updated
-	// after that Write would race with the read.
-	sess.touch(o.cfg.Clock.Now())
-	sess.bytes.Add(int64(deliver))
-	sess.shard.bytes.Add(int64(deliver))
-	// Event-plane mirror, settled with the rest of the accounting — before
-	// the final Write — so a client that observes the transfer complete and
-	// immediately drains /events finds this delivery's event. One
-	// origin_segment event per delivery (partial deliveries included: their
-	// bytes are real wire bytes) plus the aggregate registry. Ring emits
-	// never block and never allocate, so the zero-alloc steady-state
-	// contract holds with the plane on.
-	if o.events != nil {
-		wire := time.Since(segStart)
-		qlog.Emit(sess.ring, o.events, qlog.Event{
-			T: o.cfg.Clock.Now(), Kind: qlog.KindOriginSegment,
-			Chunk: int32(chunk), Rung: int32(rung),
-			Bytes: int64(deliver), Wire: wire,
-		})
-		o.events.SegmentLatency.Observe(int64(wire))
-		o.events.BytesServed.Add(int64(deliver))
-		if !truncated {
-			o.events.SegmentsServed.Inc()
-		}
-	}
-	remaining := deliver
-	for remaining > 0 {
-		n := len(segmentPattern)
-		if remaining < n {
-			n = remaining
-		}
-		if remaining == n && !truncated {
-			sess.segments.Add(1)
-			sess.shard.segments.Add(1)
-			ce.hits.Add(1)
-			// The moment this final slice hits the socket the client may
-			// observe the transfer complete and immediately DELETE the
-			// session; the in-flight mark must already be gone by then or
-			// a clean hang-up races into a spurious 409.
-			held = false
-			sess.inflight.Add(-1)
-		}
-		if _, err := w.Write(segmentPattern[:n]); err != nil {
-			return // client went away
-		}
-		remaining -= n
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	if truncated {
-		// Hang up mid-transfer: the flushed prefix reaches the client,
-		// which must observe a short body, not a clean EOF at the declared
-		// length. The deferred release clears the in-flight mark.
-		panic(http.ErrAbortHandler)
-	}
 }
 
 // --- stats ---

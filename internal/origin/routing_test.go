@@ -35,40 +35,8 @@ func TestSegmentRoutingGolden(t *testing.T) {
 	if !o.addSession(s) {
 		t.Fatal("addSession refused")
 	}
-	name := o.cfg.Catalog[0].Name // an excerpt: "Soccer1[0:6]"
-	v := "/v/" + url.PathEscape(name)
-	q := "?sid=" + routingSID
-	rows := []struct{ name, method, target string }{
-		{"valid segment", http.MethodGet, v + "/segment/0/0" + q},
-		{"last chunk, top rung", http.MethodGet, v + "/segment/5/5" + q},
-		{"leading zeros", http.MethodGet, v + "/segment/005/00" + q},
-		{"leading plus", http.MethodGet, v + "/segment/+1/0" + q},
-		{"non-numeric chunk", http.MethodGet, v + "/segment/x/0" + q},
-		{"negative chunk", http.MethodGet, v + "/segment/-1/0" + q},
-		{"out-of-range chunk", http.MethodGet, v + "/segment/6/0" + q},
-		{"overflowing chunk", http.MethodGet, v + "/segment/99999999999999999999/0" + q},
-		{"non-numeric rung", http.MethodGet, v + "/segment/0/x" + q},
-		{"negative rung", http.MethodGet, v + "/segment/0/-1" + q},
-		{"out-of-range rung", http.MethodGet, v + "/segment/0/99" + q},
-		{"empty rung", http.MethodGet, v + "/segment/0/" + q},
-		{"extra path element", http.MethodGet, v + "/segment/0/0/extra" + q},
-		{"trailing slash", http.MethodGet, v + "/segment/0/0/" + q},
-		{"escaped slash in video", http.MethodGet, "/v/Soc%2Fcer1/segment/0/0" + q},
-		{"unescaped brackets in video", http.MethodGet, "/v/" + name + "/segment/0/0" + q},
-		{"escaped letter in video", http.MethodGet, "/v/Soccer%31" + url.PathEscape(strings.TrimPrefix(name, "Soccer1")) + "/segment/0/0" + q},
-		{"empty video", http.MethodGet, "/v//segment/0/0" + q},
-		{"dot-dot video", http.MethodGet, "/v/../segment/0/0" + q},
-		{"HEAD", http.MethodHead, v + "/segment/0/0" + q},
-		{"POST", http.MethodPost, v + "/segment/0/0" + q},
-		{"unknown video", http.MethodGet, "/v/Nope/segment/0/0" + q},
-		{"missing sid", http.MethodGet, v + "/segment/0/0"},
-		{"missing sid, non-numeric chunk", http.MethodGet, v + "/segment/x/0"},
-		{"unknown sid", http.MethodGet, v + "/segment/0/0?sid=feedfeedfeedfeed"},
-		{"unknown sid, out-of-range rung", http.MethodGet, v + "/segment/0/99?sid=feedfeedfeedfeed"},
-		{"manifest", http.MethodGet, v + "/manifest.mpd" + q},
-	}
 	var got strings.Builder
-	for _, row := range rows {
+	for _, row := range segmentRoutingRows(o.cfg.Catalog[0].Name) {
 		rec := httptest.NewRecorder()
 		o.ServeHTTP(rec, httptest.NewRequest(row.method, row.target, nil))
 		fmt.Fprintf(&got, "%s: %s %s\n  status %d\n", row.name, row.method, row.target, rec.Code)
@@ -103,5 +71,45 @@ func TestSegmentRoutingGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("routing moved; got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// routingRow is one request of the routing golden.
+type routingRow struct{ name, method, target string }
+
+// segmentRoutingRows are the requests TestSegmentRoutingGolden pins, on
+// and around the segment route of the catalog video name, addressed to
+// routingSID.
+func segmentRoutingRows(name string) []routingRow {
+	v := "/v/" + url.PathEscape(name)
+	q := "?sid=" + routingSID
+	return []routingRow{
+		{"valid segment", http.MethodGet, v + "/segment/0/0" + q},
+		{"last chunk, top rung", http.MethodGet, v + "/segment/5/5" + q},
+		{"leading zeros", http.MethodGet, v + "/segment/005/00" + q},
+		{"leading plus", http.MethodGet, v + "/segment/+1/0" + q},
+		{"non-numeric chunk", http.MethodGet, v + "/segment/x/0" + q},
+		{"negative chunk", http.MethodGet, v + "/segment/-1/0" + q},
+		{"out-of-range chunk", http.MethodGet, v + "/segment/6/0" + q},
+		{"overflowing chunk", http.MethodGet, v + "/segment/99999999999999999999/0" + q},
+		{"non-numeric rung", http.MethodGet, v + "/segment/0/x" + q},
+		{"negative rung", http.MethodGet, v + "/segment/0/-1" + q},
+		{"out-of-range rung", http.MethodGet, v + "/segment/0/99" + q},
+		{"empty rung", http.MethodGet, v + "/segment/0/" + q},
+		{"extra path element", http.MethodGet, v + "/segment/0/0/extra" + q},
+		{"trailing slash", http.MethodGet, v + "/segment/0/0/" + q},
+		{"escaped slash in video", http.MethodGet, "/v/Soc%2Fcer1/segment/0/0" + q},
+		{"unescaped brackets in video", http.MethodGet, "/v/" + name + "/segment/0/0" + q},
+		{"escaped letter in video", http.MethodGet, "/v/Soccer%31" + url.PathEscape(strings.TrimPrefix(name, "Soccer1")) + "/segment/0/0" + q},
+		{"empty video", http.MethodGet, "/v//segment/0/0" + q},
+		{"dot-dot video", http.MethodGet, "/v/../segment/0/0" + q},
+		{"HEAD", http.MethodHead, v + "/segment/0/0" + q},
+		{"POST", http.MethodPost, v + "/segment/0/0" + q},
+		{"unknown video", http.MethodGet, "/v/Nope/segment/0/0" + q},
+		{"missing sid", http.MethodGet, v + "/segment/0/0"},
+		{"missing sid, non-numeric chunk", http.MethodGet, v + "/segment/x/0"},
+		{"unknown sid", http.MethodGet, v + "/segment/0/0?sid=feedfeedfeedfeed"},
+		{"unknown sid, out-of-range rung", http.MethodGet, v + "/segment/0/99?sid=feedfeedfeedfeed"},
+		{"manifest", http.MethodGet, v + "/manifest.mpd" + q},
 	}
 }

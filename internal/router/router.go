@@ -3,13 +3,14 @@
 // without changing the client protocol at all.
 //
 // Sessions are sticky: POST /session mints the session ID in the router,
-// picks the owning shard by consistent hash (ring.go) and forwards the
-// join with wire.SessionIDHeader set, so the shard registers exactly
-// that ID. Every later request carrying the sid — segments, weights,
-// manifests, DELETE, ratings — hashes the sid back to the same shard with
-// no router-side session table: routing is stateless, in-process (the
-// shards are origin.Origin handlers, not remote proxies), and adds two
-// string hashes to the hot path.
+// picks the owning shard by consistent hash (ring.go) and hands the ID to
+// that shard's join, so the shard registers exactly that ID. Every later
+// request carrying the sid — segments, weights, manifests, DELETE — hashes
+// the sid back to the same shard with no router-side session table:
+// routing is stateless, in-process (the shards are origin.Origins, not
+// remote proxies), and adds two string hashes to the hot path. The router
+// has the origin's two adapters: ServeHTTP for sockets, and RoundTrip for
+// the fleet, which picks the shard the same way and calls its RoundTrip.
 //
 // The sensitivity plane stays global: all shards share one
 // origin.WeightService, so a video profiles at most once per process,
@@ -55,8 +56,8 @@ type Config struct {
 	Origin origin.Config
 }
 
-// Router fronts the shards. It implements http.Handler with the same
-// endpoint surface as a single origin.
+// Router fronts the shards. It implements http.Handler and
+// http.RoundTripper with the same endpoint surface as a single origin.
 type Router struct {
 	cfg    Config
 	store  *origin.WeightService
@@ -154,13 +155,27 @@ func (rt *Router) Owner(sid string) int { return rt.ring.Owner(sid) }
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
+// RoundTrip implements http.RoundTripper: a join is minted its ID here and
+// goes to its shard's join, a request the client addresses by session goes
+// to that session's shard, each on the caller's goroutine, and anything
+// else is served by ServeHTTP into a buffer.
+func (rt *Router) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/session" {
+		id := origin.NewSessionID()
+		return rt.shards[rt.ring.Owner(id)].RoundTripJoin(r, id)
+	}
+	if sid, ok := origin.ShardKey(r); ok {
+		return rt.shards[rt.ring.Owner(sid)].RoundTrip(r)
+	}
+	return origin.Record(rt, r)
+}
+
 // handleJoin assigns the session its shard: mint the ID here, pick the
-// owner by hash, and let the shard register exactly that ID via
-// wire.SessionIDHeader. Clients keep the protocol they already speak.
+// owner by hash, and let the shard register exactly that ID. Clients keep
+// the protocol they already speak.
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id := origin.NewSessionID()
-	r.Header.Set(wire.SessionIDHeader, id)
-	rt.shards[rt.ring.Owner(id)].ServeHTTP(w, r)
+	rt.shards[rt.ring.Owner(id)].ServeJoin(w, r, id)
 }
 
 // routeBySessionID routes DELETE /session/{id} by the path's session ID.

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,7 +19,6 @@ import (
 	"time"
 
 	"sensei/internal/origin"
-	"sensei/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/routing.golden from this run")
@@ -45,7 +46,16 @@ func (frozenClock) Exit()                                           {}
 // match testdata/routing.golden. Rows cover the join and leave, the by-sid
 // data plane, a manifest without a sid, the fanned-out /stats and /events,
 // the shard-0 routes, and requests no route takes.
-func TestRouterRoutingGolden(t *testing.T) {
+func TestRouterRoutingGolden(t *testing.T) { routingGolden(t, false) }
+
+// TestRouterRoutingGoldenRoundTrip sends the same rows through the
+// router's RoundTrip, the fleet's adapter, and holds its answers to the
+// same golden.
+func TestRouterRoutingGoldenRoundTrip(t *testing.T) { routingGolden(t, true) }
+
+// routingGolden checks the router's answers to the golden's rows, through
+// ServeHTTP or, with roundTrip set, through RoundTrip.
+func routingGolden(t *testing.T, roundTrip bool) {
 	cfg := testConfig(t, 4)
 	cfg.Origin.Clock = frozenClock{}
 	cfg.Origin.Events = &origin.EventsConfig{}
@@ -57,9 +67,8 @@ func TestRouterRoutingGolden(t *testing.T) {
 
 	name := cfg.Origin.Catalog[0].Name // an excerpt: "Soccer1[0:6]"
 	join := httptest.NewRequest(http.MethodPost, "/session", strings.NewReader(`{"video":"`+name+`"}`))
-	join.Header.Set(wire.SessionIDHeader, routingSID)
 	rec := httptest.NewRecorder()
-	rt.Shards()[rt.Owner(routingSID)].ServeHTTP(rec, join)
+	rt.Shards()[rt.Owner(routingSID)].ServeJoin(rec, join, routingSID)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("registering %s on its shard: %d %s", routingSID, rec.Code, rec.Body)
 	}
@@ -86,8 +95,20 @@ func TestRouterRoutingGolden(t *testing.T) {
 	minted := mintedToken
 	for _, row := range rows {
 		target := strings.ReplaceAll(row.target, mintedToken, minted)
+		req := httptest.NewRequest(row.method, target, strings.NewReader(row.body))
 		rec := httptest.NewRecorder()
-		rt.ServeHTTP(rec, httptest.NewRequest(row.method, target, strings.NewReader(row.body)))
+		if roundTrip {
+			resp, err := rt.RoundTrip(req)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			maps.Copy(rec.Header(), resp.Header)
+			rec.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(rec, resp.Body)
+			resp.Body.Close()
+		} else {
+			rt.ServeHTTP(rec, req)
+		}
 		if row.name == "join" {
 			var jr struct {
 				SessionID string `json:"session_id"`
@@ -123,7 +144,7 @@ func TestRouterRoutingGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "routing.golden")
-	if *update {
+	if *update && !roundTrip {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -43,14 +43,15 @@ func FuzzQueryParam(f *testing.F) {
 	})
 }
 
-// FuzzSegmentPath checks the segment parser from both sides: a path it
-// accepts is one ServeMux's segment pattern routes to the same video,
-// chunk and rung, and every path the client builds for a catalog video —
-// VideoPath plus AppendSegment, as the origin decodes it — parses back to
-// what was built.
+// FuzzSegmentPath checks the segment and manifest path parsers from both
+// sides: a path one accepts is one ServeMux's pattern routes to the same
+// video (chunk and rung), and every path the client builds for a catalog
+// video — VideoPath plus AppendSegment or "manifest.mpd", as the origin
+// decodes it — parses back to what was built.
 func FuzzSegmentPath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p string, chunk, rung uint32) {
 		checkAccepted(t, p)
+		checkManifestAccepted(t, p)
 
 		video := p
 		c, r := int(chunk%1e9), int(rung%1e9)
@@ -69,6 +70,13 @@ func FuzzSegmentPath(f *testing.F) {
 		if !ok || gv != video || gc != c || gr != r {
 			t.Fatalf("%q (from %q, %d, %d) parsed as %q, %d, %d, %v", built, video, c, r, gv, gc, gr, ok)
 		}
+		m, err := url.Parse(VideoPath(video) + "manifest.mpd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gv, ok := PathElement(m.Path, "/v/", "/manifest.mpd"); !ok || gv != video {
+			t.Fatalf("%q (from %q) parsed as manifest of %q, %v", m, video, gv, ok)
+		}
 	})
 }
 
@@ -76,14 +84,41 @@ func FuzzSegmentPath(f *testing.F) {
 // stores the captures it was routed with.
 type capturesKey struct{}
 
-// segmentMux is the origin's segment pattern alone.
+// segmentMux is the origin's segment and manifest patterns alone.
 var segmentMux = func() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", func(w http.ResponseWriter, r *http.Request) {
 		*r.Context().Value(capturesKey{}).(*[]string) = []string{r.PathValue("video"), r.PathValue("chunk"), r.PathValue("rung")}
 	})
+	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
+		*r.Context().Value(capturesKey{}).(*[]string) = []string{r.PathValue("video"), "manifest"}
+	})
 	return mux
 }()
+
+// routeOf is what segmentMux routes a GET of p to: the captures, or nil
+// and the status it answers instead.
+func routeOf(p string) ([]string, int) {
+	var got []string
+	req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: p}, Host: "origin", Header: http.Header{}}
+	rec := httptest.NewRecorder()
+	segmentMux.ServeHTTP(rec, req.WithContext(context.WithValue(context.Background(), capturesKey{}, &got)))
+	return got, rec.Code
+}
+
+// checkManifestAccepted fails if PathElement accepts p as a manifest path
+// but ServeMux's manifest pattern would not route a GET of p to the same
+// video.
+func checkManifestAccepted(t *testing.T, p string) {
+	t.Helper()
+	video, ok := PathElement(p, "/v/", "/manifest.mpd")
+	if !ok {
+		return
+	}
+	if got, code := routeOf(p); len(got) != 2 || got[0] != video {
+		t.Fatalf("%q parsed as manifest of %q; the mux answers %d, %q", p, video, code, got)
+	}
+}
 
 // checkAccepted fails if ParseSegmentPath accepts p but ServeMux's segment
 // pattern would not route a GET of p to the same video, chunk and rung.
@@ -93,12 +128,9 @@ func checkAccepted(t *testing.T, p string) {
 	if !ok {
 		return
 	}
-	var got []string
-	req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: p}, Host: "origin", Header: http.Header{}}
-	rec := httptest.NewRecorder()
-	segmentMux.ServeHTTP(rec, req.WithContext(context.WithValue(context.Background(), capturesKey{}, &got)))
-	if got == nil {
-		t.Fatalf("%q parsed as %q, %d, %d; the mux answers %d instead of routing it", p, video, chunk, rung, rec.Code)
+	got, code := routeOf(p)
+	if len(got) != 3 {
+		t.Fatalf("%q parsed as %q, %d, %d; the mux answers %d instead of routing it", p, video, chunk, rung, code)
 	}
 	c, err1 := strconv.Atoi(got[1])
 	g, err2 := strconv.Atoi(got[2])

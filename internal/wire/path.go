@@ -32,7 +32,7 @@ func ParseSegmentPath(p string) (video string, chunk, rung int, ok bool) {
 		return "", 0, 0, false
 	}
 	video, rest, ok = strings.Cut(rest, "/segment/")
-	if !ok || video == "" || video == "." || video == ".." || strings.IndexByte(video, '/') >= 0 {
+	if !ok || !cleanSegment(video) {
 		return "", 0, 0, false
 	}
 	if chunk, rest, ok = leadingDecimal(rest); !ok || !strings.HasPrefix(rest, "/") {
@@ -42,6 +42,27 @@ func ParseSegmentPath(p string) (video string, chunk, rung int, ok bool) {
 		return "", 0, 0, false
 	}
 	return video, chunk, rung, true
+}
+
+// PathElement returns the one path element between prefix and suffix in
+// a decoded request path, without allocating: PathElement(p, "/v/",
+// "/manifest.mpd") parses a manifest path and PathElement(p, "/session/",
+// "") a session's. It accepts only what a ServeMux pattern with a wildcard
+// in its place routes as it stands: a non-empty element that is not a dot
+// segment and holds no slash.
+func PathElement(p, prefix, suffix string) (elem string, ok bool) {
+	rest, ok := strings.CutPrefix(p, prefix)
+	if !ok {
+		return "", false
+	}
+	elem, ok = strings.CutSuffix(rest, suffix)
+	return elem, ok && cleanSegment(elem)
+}
+
+// cleanSegment reports whether s is one path element ServeMux matches a
+// wildcard to as it stands: non-empty, not a dot segment, no slash.
+func cleanSegment(s string) bool {
+	return s != "" && s != "." && s != ".." && strings.IndexByte(s, '/') < 0
 }
 
 // leadingDecimal parses the one to nine decimal digits s starts with.

@@ -35,12 +35,6 @@ package wire
 // snapshot's epoch detects a mid-stream refresh without polling.
 const WeightEpochHeader = "X-Sensei-Weight-Epoch"
 
-// SessionIDHeader, when present on POST /session, names the session ID the
-// origin must assign instead of minting one. The multi-origin router mints
-// the ID, picks the owning shard by consistent hash and forwards the join
-// with it, so every later request for that sid hashes back to that shard.
-const SessionIDHeader = "X-Sensei-Session-Id"
-
 // RingDropsHeader carries the drained event ring's cumulative drop count on
 // every GET /events response, so a drainer can tell a complete trace from
 // one with holes without a second request.

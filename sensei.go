@@ -218,7 +218,7 @@ type IngestConfig = ingest.Config
 
 // ChaosConfig is a fault-injection policy: a seed, per-endpoint fault
 // specs, the consecutive-fault ceiling and the stall/truncation tuning.
-// Set it on DASHOriginConfig.Chaos to mount the middleware.
+// Set it on DASHOriginConfig.Chaos to enable fault injection.
 type ChaosConfig = chaos.Policy
 
 // UniformChaos builds a policy faulting every endpoint kind at the same
