@@ -3,7 +3,7 @@
 // which modes the origin should fail requests; an Injector decides each
 // request's fate and keeps an exact ledger of everything it injected. The
 // package is pure: it never sees a request, a connection or a clock, so
-// the origin's two adapters (sockets and the fleet's RoundTrip) realize
+// the origin's two adapters (sockets and the fleet's typed Call) realize
 // each Mode themselves.
 //
 // Determinism is the whole point: every fault decision is a pure hash of

@@ -2,7 +2,6 @@ package dash
 
 import (
 	"context"
-	"io"
 	"math"
 	"net/http"
 	"testing"
@@ -11,17 +10,18 @@ import (
 	"sensei/internal/origin"
 	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // TestRatingRoundTripAllocBudget pins what one rating costs the client and
-// the origin together, over origin.RoundTrip as a fleet's clients reach it:
-// the body's encoding, the POST through net/http's client, the origin's
-// parse and ingest fold, its reply, and the reply's parse.
+// the origin together, as a fleet's clients reach it: a typed Call on the
+// client's goroutine. It counts the body's encoding, the origin's parse
+// and ingest fold, its reply, and the reply's parse.
 func TestRatingRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const budget = 24.2 // 22 measured, plus 10 % (27 and 29.7 over the coroutine transport)
+	const budget = 3.6 // 3 measured, plus 20 % (22 over an http.RoundTripper, 27 and 29.7 over the coroutine transport)
 	v := testVideo(t)
 	o, err := origin.New(origin.Config{
 		Catalog:      []*video.Video{v},
@@ -42,16 +42,11 @@ func TestRatingRoundTripAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GET /weights profiles the video, so ratings are folded in.
-	resp, err := c.HTTP.Get(c.BaseURL + "/weights" + c.sidQuery)
-	if err != nil {
-		t.Fatal(err)
+	var a wire.Answer
+	if err := o.Call(ctx, &wire.Call{Route: wire.RouteWeights, SID: c.sid}, &a); err != nil || a.Status != http.StatusOK {
+		t.Fatalf("weights: status %d, %v", a.Status, err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := parseWeights(body, v)
+	prof, err := parseWeights(a.Body, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +59,13 @@ func TestRatingRoundTripAllocBudget(t *testing.T) {
 		accepted := s.sess.RatingsAccepted
 		s.i, s.step = 0, stepRate
 		o, _ := s.next(0)
-		r := c.do(ctx, &o)
+		r := c.do(ctx, &s.req.call)
 		s.complete(0, &r)
 		// Accepted on the first attempt: no retry pause pending, no request
 		// left in flight, no error, one more accepted rating.
-		if o.method != "POST" || s.err != nil || s.sleeping || s.req.method != "" || s.sess.RatingsAccepted != accepted+1 {
-			t.Fatalf("rating: %s status %d, accepted %d -> %d, sleeping=%v, in flight %q: %v",
-				o.method, r.status, accepted, s.sess.RatingsAccepted, s.sleeping, s.req.method, s.err)
+		if o.call.Route != wire.RouteRating || s.err != nil || s.sleeping || s.req.call.Route != 0 || s.sess.RatingsAccepted != accepted+1 {
+			t.Fatalf("rating: route %d status %d, accepted %d -> %d, sleeping=%v, in flight %d: %v",
+				o.call.Route, r.status, accepted, s.sess.RatingsAccepted, s.sleeping, s.req.call.Route, s.err)
 		}
 	}
 	rate()

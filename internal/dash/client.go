@@ -84,13 +84,19 @@ type Client struct {
 	// reports when the session is joined.
 	TimeScale float64
 	// HTTP is the client used for requests; http.DefaultClient when nil.
+	// A Transport with a Call(ctx, *wire.Call, *wire.Answer) error method,
+	// an origin or router in this process, is handed each request as a
+	// typed call instead (see do).
 	HTTP *http.Client
 	// MaxBufferSec caps the client buffer in virtual seconds; it is
 	// player.Config's field of the same name, and zero selects its default.
 	// A single proactive stall is clamped to player.Config's default cap.
 	MaxBufferSec float64
 	// RequestTimeout bounds each HTTP request (default
-	// DefaultRequestTimeout; negative disables the timeout).
+	// DefaultRequestTimeout; negative disables the timeout). It is a
+	// wall-clock bound on a request over a socket: a typed call (see do)
+	// runs on the caller's goroutine, where a fleet's virtual clock never
+	// waits on the wall clock, and is not bounded by it.
 	RequestTimeout time.Duration
 	// Retry is the per-request retry schedule: every wire interaction gets
 	// Retry.Budget() retries with deterministically jittered exponential
@@ -138,23 +144,18 @@ type Client struct {
 	sid          string
 	videoName    string
 	sessionScale float64
-	// videoURL (BaseURL + wire.VideoPath), sidQuery ("?sid=<sid>") and
-	// ratingURL are the session's URL parts, built at Join; segURL holds
-	// videoURL followed by the last segment URL's tail, so a segment URL
-	// costs one string.
-	videoURL  string
-	sidQuery  string
-	ratingURL string
-	segURL    []byte
+	// url is the last HTTP request's URL, BaseURL and the call's target.
+	url []byte
 	// body is the JSON body of the current POST, encoded once and resent by
-	// its retries. reply holds the last control-plane reply read (a POST's
-	// JSON, a manifest, a weights document) until the next one replaces it.
+	// its retries. answer is the last request's, its Body the last
+	// control-plane reply read (a POST's JSON, a manifest, a weights
+	// document) until the next one replaces it.
 	//
 	// c.body is rewritten by the next POST only: a body this small goes out
 	// in the transport's first flush with the request's headers, so it has
 	// been read in full before the origin can answer.
-	body  []byte
-	reply []byte
+	body   []byte
+	answer wire.Answer
 	// chaosKey is ChaosKey as a header value, shared by every request.
 	chaosKey []string
 	res      Resilience
@@ -337,11 +338,11 @@ func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 			return s.err
 		}
 		var r reply
-		if o.method == "" {
+		if o.call.Route == 0 {
 			clock.Sleep(ctx, o.d)
 		} else {
 			start := clock.Now()
-			r = c.do(ctx, &o)
+			r = c.do(ctx, &s.req.call) // o is s.req, which lives in c
 			r.sec = (clock.Now() - start).Seconds()
 		}
 		r.stop = ctx.Err()
@@ -353,39 +354,56 @@ func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 // them; see do for why sharing a header value is safe.
 var jsonContentType = []string{"application/json"}
 
-// do issues one request under the client's RequestTimeout and reads its
-// reply into c.reply: a 200's body in full (or counted by drain with
-// o.discard set: segment bodies are measured, never parsed), any other
-// status's first bytes. A body-read failure returns the bytes read so far alongside
-// the error.
-func (c *Client) do(ctx context.Context, o *op) (r reply) {
+// caller is a transport that takes typed calls: an origin, or a router, in
+// the client's process.
+type caller interface {
+	Call(ctx context.Context, c *wire.Call, a *wire.Answer) error
+}
+
+// do issues call and reads its reply into c.answer: a 200's body in full
+// (or, for a segment, counted by drain: segment bodies are measured, never
+// parsed), any other status's first bytes. A body-read failure returns the
+// bytes read so far alongside the error.
+//
+// When the client's transport is a caller, the request is a typed call on
+// this goroutine: no URL, request, header map, response or context of its
+// own. Otherwise it is an HTTP request under the client's RequestTimeout.
+func (c *Client) do(ctx context.Context, call *wire.Call) (r reply) {
+	hc, a := cmp.Or(c.HTTP, http.DefaultClient), &c.answer
+	if t, ok := hc.Transport.(caller); ok {
+		r.err = t.Call(ctx, call, a)
+		r.status, r.epoch, r.n, r.clen, r.body = a.Status, a.Epoch, a.N, a.Len, a.Body
+		if r.status != http.StatusOK {
+			r.body = r.body[:min(len(r.body), 256)] // a failure's message: its first bytes
+		}
+		return r
+	}
 	if timeout := cmp.Or(c.RequestTimeout, DefaultRequestTimeout); timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	var body io.Reader
-	if o.body != nil {
-		body = bytes.NewReader(o.body)
+	if call.Body != nil {
+		body = bytes.NewReader(call.Body)
 	}
-	req, err := http.NewRequestWithContext(ctx, o.method, o.target, body)
+	c.url = call.AppendTarget(append(c.url[:0], c.BaseURL...))
+	req, err := http.NewRequestWithContext(ctx, call.Route.Method(), string(c.url), body)
 	if err != nil {
 		return reply{status: -1, err: err}
 	}
-	if o.body != nil {
+	if call.Body != nil {
 		req.Header["Content-Type"] = jsonContentType
 	}
 	// The chaos key's value slice is the client's, shared by all its
-	// requests, which is safe because the origin only reads it: its
-	// RoundTrip reads the request's headers in place, its fallback serves
-	// a clone of the request, and over TCP they are serialised.
-	if c.ChaosKey != "" {
-		if len(c.chaosKey) == 0 || c.chaosKey[0] != c.ChaosKey {
-			c.chaosKey = []string{c.ChaosKey}
+	// requests, which is safe because the transport only reads it.
+	if key := call.Key; key != "" {
+		if len(c.chaosKey) == 0 || c.chaosKey[0] != key {
+			c.chaosKey = []string{key}
 		}
 		req.Header[chaos.KeyHeader] = c.chaosKey
 	}
-	resp, err := cmp.Or(c.HTTP, http.DefaultClient).Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return reply{err: err}
 	}
@@ -394,7 +412,7 @@ func (c *Client) do(ctx context.Context, o *op) (r reply) {
 	// The weight-epoch beacon is 0 when the header is absent or malformed:
 	// an origin that does not speak the extension never triggers a refresh.
 	r.epoch, _ = strconv.ParseUint(resp.Header.Get(wire.WeightEpochHeader), 10, 64)
-	if o.discard && r.status == http.StatusOK {
+	if call.Route == wire.RouteSegment && r.status == http.StatusOK {
 		r.n, r.err = c.drain(resp.Body)
 		return r
 	}
@@ -402,10 +420,10 @@ func (c *Client) do(ctx context.Context, o *op) (r reply) {
 	if r.status != http.StatusOK {
 		rd = io.LimitReader(rd, 256) // a failure's message: its first bytes
 	}
-	buf := bytes.NewBuffer(c.reply[:0])
+	buf := bytes.NewBuffer(a.Body[:0])
 	r.n, r.err = buf.ReadFrom(rd)
-	c.reply = buf.Bytes()
-	r.body = c.reply
+	a.Body = buf.Bytes()
+	r.body = a.Body
 	return r
 }
 
@@ -415,17 +433,12 @@ func (c *Client) do(ctx context.Context, o *op) (r reply) {
 var sinkBufs = sync.Pool{New: func() any { return new([256 << 10]byte) }}
 
 // drain reads r to EOF and returns the number of bytes read, alongside the
-// error that cut the stream short, if any. A body that can write itself
-// out (an in-process origin's) is counted slice by slice and never copied.
-// Otherwise: the origin sends the headers, sleeps out the segment's shaped
-// duration and only then writes the payload, so the wait for the first
-// bytes happens on the client's own small buffer and a pooled one is held
-// only while bytes are moving — a fleet of sessions mid-sleep pins no
-// pooled memory.
+// error that cut the stream short, if any. The origin sends the headers,
+// sleeps out the segment's shaped duration and only then writes the
+// payload, so the wait for the first bytes happens on the client's own
+// small buffer and a pooled one is held only while bytes are moving — a
+// fleet of sessions mid-sleep pins no pooled memory.
 func (c *Client) drain(r io.Reader) (n int64, err error) {
-	if wt, ok := r.(io.WriterTo); ok {
-		return wt.WriteTo(io.Discard)
-	}
 	m, err := r.Read(c.sinkHead[:])
 	n = int64(m)
 	if err == nil {

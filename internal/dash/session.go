@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/url"
 	"slices"
-	"strings"
 	"time"
 
 	"sensei/internal/chaos"
@@ -31,14 +29,11 @@ var errWire = errors.New("wire failure")
 
 // An op is one thing a session needs done: a request, or a pause.
 type op struct {
-	// method is GET, POST or DELETE, or "" for a pause of d; target is the
-	// request URL.
-	method, target string
-	body           []byte // a POST's JSON
-	// discard counts a segment body's bytes instead of buffering them: a
-	// 10k-session fleet must not buffer terabytes of video it never parses.
-	discard bool
-	d       time.Duration
+	// call is the request, or a zero Route for a pause of d. A segment's
+	// body is counted, never buffered: a 10k-session fleet must not buffer
+	// terabytes of video it never parses.
+	call wire.Call
+	d    time.Duration
 }
 
 // A reply is what became of an op.
@@ -83,7 +78,7 @@ type session struct {
 	c    *Client
 	v    *video.Video // nil for a Join alone
 	step step
-	req  op // the request in flight; method "" when none
+	req  op // the request in flight; Route 0 when none
 	now  time.Duration
 	// err is why the session ended, nil on success; stop is the caller's
 	// reason to give up, as of the last reply.
@@ -123,7 +118,7 @@ type session struct {
 // next returns the op the session needs done, or false once it has ended.
 func (s *session) next(now time.Duration) (op, bool) {
 	s.now = now
-	for !s.sleeping && s.req.method == "" && s.step != stepDone {
+	for !s.sleeping && s.req.call.Route == 0 && s.step != stepDone {
 		if err := s.advance(); err != nil {
 			s.end(err)
 		}
@@ -144,7 +139,7 @@ func (s *session) advance() error {
 			return fmt.Errorf("dash: encoding join request: timescale %v is not a JSON number", c.TimeScale)
 		}
 		c.body = (&wire.JoinRequest{Video: c.videoName, Trace: c.Trace, TimeScale: c.TimeScale}).AppendJSON(c.body[:0])
-		s.issue(chaos.KindSession, "POST", c.BaseURL+"/session", c.body, -1)
+		s.issue(chaos.KindSession, wire.Call{Route: wire.RouteJoin, Body: c.body}, -1)
 	case stepManifest:
 		if s.v == nil {
 			s.step = stepDone
@@ -161,7 +156,7 @@ func (s *session) advance() error {
 			return fmt.Errorf("dash: %w", err)
 		}
 		s.sess = &Session{ID: c.sid, Rendering: s.pb.Rendering(), ThroughputBps: make([]float64, 0, s.v.NumChunks())}
-		s.issue(chaos.KindManifest, "GET", c.videoURL+"manifest.mpd"+c.sidQuery, nil, -1)
+		s.issue(chaos.KindManifest, wire.Call{Route: wire.RouteManifest, SID: c.sid, Video: c.videoName}, -1)
 	case stepWeights:
 		if s.i == s.v.NumChunks() {
 			return s.finish()
@@ -178,7 +173,7 @@ func (s *session) advance() error {
 			s.prof, _ = c.Sensitivity.Snapshot()
 		case s.observed > s.prof.Epoch && s.observed > s.fetchedFor:
 			s.fetchedFor = s.observed
-			s.issue(chaos.KindWeights, "GET", c.BaseURL+"/weights"+c.sidQuery, nil, -1)
+			s.issue(chaos.KindWeights, wire.Call{Route: wire.RouteWeights, SID: c.sid}, -1)
 			return nil
 		}
 		s.step = stepDecide
@@ -187,7 +182,7 @@ func (s *session) advance() error {
 	case stepSegment:
 		size := int64(s.v.ChunkSizeBits(s.i, s.rung) / 8)
 		s.emit(qlog.Event{Kind: qlog.KindChunkStart, Chunk: int32(s.i), Rung: int32(s.rung), Bytes: size})
-		s.issue(chaos.KindSegment, "GET", c.segmentURL(s.i, s.rung), nil, size)
+		s.issue(chaos.KindSegment, wire.Call{Route: wire.RouteSegment, SID: c.sid, Video: c.videoName, Chunk: s.i, Rung: s.rung}, size)
 	case stepRate:
 		// Closing the loop: the Rater scores the chunk that just rendered,
 		// and the rating is stamped with the epoch its decision ran under.
@@ -195,21 +190,26 @@ func (s *session) advance() error {
 			if score, ok := c.Rater.RateChunk(s.sess.Rendering, s.i); ok {
 				s.score = score
 				c.body = (&wire.RatingRequest{SessionID: c.sid, Chunk: s.i, Epoch: s.prof.Epoch, Rating: score}).AppendJSON(c.body[:0])
-				s.issue(chaos.KindRating, "POST", c.ratingURL, c.body, -1)
+				// The sid rides in the rating query as well as in its body,
+				// so a sid-routing front like the multi-origin router can
+				// steer a rating to the session's shard without reading the
+				// body.
+				s.issue(chaos.KindRating, wire.Call{Route: wire.RouteRating, SID: c.sid, Body: c.body}, -1)
 				return nil
 			}
 		}
 		s.i, s.step = s.i+1, stepWeights
 	case stepLeave:
-		s.issue(chaos.KindSession, "DELETE", c.BaseURL+"/session/"+url.PathEscape(c.sid), nil, -1)
+		s.issue(chaos.KindSession, wire.Call{Route: wire.RouteLeave, ID: c.sid}, -1)
 	}
 	return nil
 }
 
-// issue puts a request in flight with a fresh retry budget. A body of
-// known size (expected >= 0) is a segment's: counted, never buffered.
-func (s *session) issue(kind chaos.Kind, method, target string, body []byte, expected int64) {
-	s.req = op{method: method, target: target, body: body, discard: expected >= 0}
+// issue puts call in flight, keyed by the client's ChaosKey, with a fresh
+// retry budget. expected is a segment's size, -1 for other bodies.
+func (s *session) issue(kind chaos.Kind, call wire.Call, expected int64) {
+	call.Key = s.c.ChaosKey
+	s.req = op{call: call}
 	s.kind, s.expected = kind, expected
 	s.attempt, s.faults, s.conflicts = 0, 0, 0
 }
@@ -265,10 +265,10 @@ func (s *session) complete(now time.Duration, r *reply) {
 		s.sleeping = false
 		switch {
 		case r.stop == nil:
-		case o.method == "":
+		case o.call.Route == 0:
 			s.end(fmt.Errorf("dash: stream canceled during buffer wait at chunk %d: %w", s.i, r.stop))
 		default:
-			s.end(fmt.Errorf("dash: %s %s: %w while backing off", o.method, s.path(), r.stop))
+			s.end(fmt.Errorf("dash: %s %s: %w while backing off", o.call.Route.Method(), s.path(), r.stop))
 		}
 		return
 	}
@@ -280,7 +280,7 @@ func (s *session) complete(now time.Duration, r *reply) {
 	inBody := s.inBody(r)
 	truncated := r.clen >= 0 && r.n != r.clen || s.expected >= 0 && r.n != s.expected
 	switch {
-	case inBody && r.err == nil && !truncated, o.method == "DELETE" && (r.status == 204 || r.status == 404):
+	case inBody && r.err == nil && !truncated, o.call.Route == wire.RouteLeave && (r.status == 204 || r.status == 404):
 		s.req = op{}
 		if err := s.succeeded(r); err != nil {
 			s.end(err)
@@ -289,7 +289,7 @@ func (s *session) complete(now time.Duration, r *reply) {
 	case r.stop != nil:
 		s.failed(s.failure(r))
 		return
-	case o.method == "DELETE" && r.status == 409:
+	case o.call.Route == wire.RouteLeave && r.status == 409:
 		// The origin refuses while a segment stream is still draining: not
 		// a fault, but capped, so a wedged origin cannot hang teardown.
 		if s.conflicts++; s.conflicts > leaveDrainRetries {
@@ -300,7 +300,7 @@ func (s *session) complete(now time.Duration, r *reply) {
 	// GET's broken body; a POST's reply is not (the origin has acted on
 	// it), nor is any other status. What went wrong is spelled out only
 	// when it ends the request.
-	case r.status == 0 || r.status >= 500 || inBody && o.method == "GET":
+	case r.status == 0 || r.status >= 500 || inBody && o.call.Route.Method() == "GET":
 		if inBody && s.step == stepSegment && (r.err == nil || r.n > 0) {
 			s.partialBytes += r.n
 			s.partialSec += r.sec
@@ -339,24 +339,26 @@ func (s *session) complete(now time.Duration, r *reply) {
 }
 
 // inBody reports whether r carries the in-flight GET's or POST's payload.
-func (s *session) inBody(r *reply) bool { return r.status == 200 && s.req.method != "DELETE" }
+func (s *session) inBody(r *reply) bool {
+	return r.status == 200 && s.req.call.Route != wire.RouteLeave
+}
 
 // path is the in-flight request's target as errors name it.
-func (s *session) path() string { return strings.TrimPrefix(s.req.target, s.c.BaseURL) }
+func (s *session) path() string { return string(s.req.call.AppendTarget(nil)) }
 
 // failure says what went wrong with r, a failed reply to the request in
 // flight.
 func (s *session) failure(r *reply) error {
-	o, path := &s.req, s.path()
+	method, path := s.req.call.Route.Method(), s.path()
 	switch {
 	case r.status > 0 && !s.inBody(r):
-		return fmt.Errorf("dash: %s %s: status %d: %s", o.method, path, r.status, bytes.TrimSpace(r.body))
+		return fmt.Errorf("dash: %s %s: status %d: %s", method, path, r.status, bytes.TrimSpace(r.body))
 	case r.err != nil:
-		return fmt.Errorf("dash: %s %s: %w", o.method, path, r.err)
+		return fmt.Errorf("dash: %s %s: %w", method, path, r.err)
 	case r.clen >= 0 && r.n != r.clen:
-		return fmt.Errorf("dash: %s %s: body is %d bytes, Content-Length says %d", o.method, path, r.n, r.clen)
+		return fmt.Errorf("dash: %s %s: body is %d bytes, Content-Length says %d", method, path, r.n, r.clen)
 	}
-	return fmt.Errorf("dash: %s %s: body is %d bytes, expected %d", o.method, path, r.n, s.expected)
+	return fmt.Errorf("dash: %s %s: body is %d bytes, expected %d", method, path, r.n, s.expected)
 }
 
 // failed ends the in-flight request with err. An exhausted retry budget
@@ -402,13 +404,6 @@ func (s *session) succeeded(r *reply) error {
 			return fmt.Errorf("dash: origin returned invalid session %+v", jr)
 		}
 		c.sid, c.videoName, c.sessionScale = jr.SessionID, jr.Video, jr.TimeScale
-		c.videoURL = c.BaseURL + wire.VideoPath(c.videoName)
-		c.sidQuery = "?sid=" + url.QueryEscape(c.sid)
-		// The sid rides in the rating query as well as in its body, so a
-		// sid-routing front like the multi-origin router can steer a rating
-		// to the session's shard without reading the body.
-		c.ratingURL = c.BaseURL + "/rating" + c.sidQuery
-		c.segURL = append(c.segURL[:0], c.videoURL...)
 		s.emit(qlog.Event{Kind: qlog.KindSessionJoin, Detail: c.videoName})
 		s.step = stepManifest
 	case stepManifest:
@@ -500,15 +495,6 @@ func (s *session) deliver(r *reply) {
 	})
 	s.emit(qlog.Event{Kind: qlog.KindBufferSample, Chunk: i,
 		Extra: int64(s.pb.BufferSec() * float64(time.Second))})
-}
-
-// segmentURL is chunk i's URL at rung in the joined session: segURL holds
-// videoURL followed by the last segment URL's tail, so a segment URL costs
-// one string.
-func (c *Client) segmentURL(i, rung int) string {
-	b := wire.AppendSegment(c.segURL[:len(c.videoURL)], i, rung)
-	c.segURL = append(b, c.sidQuery...)
-	return string(c.segURL)
 }
 
 // finish closes the playback and the session's ledgers.

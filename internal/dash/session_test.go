@@ -80,13 +80,13 @@ func (o *scriptOrigin) reply(op op) reply {
 	}
 	// A pause takes its script byte only to be canceled, so a script
 	// reads as the requests it answers.
-	if op.method == "" && shape != shapeCancel {
+	if op.call.Route.Method() == "" && shape != shapeCancel {
 		return reply{}
 	}
 	if len(o.script) > 0 {
 		o.script = o.script[1:]
 	}
-	if op.method == "" {
+	if op.call.Route.Method() == "" {
 		return reply{stop: errCanceled}
 	}
 	r := reply{status: 200, clen: -1, sec: 0.2}
@@ -109,26 +109,26 @@ func (o *scriptOrigin) reply(op op) reply {
 		r.sec = 30
 	}
 	r.epoch = o.epoch
-	segment := strings.Contains(op.target, "/segment/")
+	segment := strings.Contains(target(op), "/segment/")
 	var size int64
 	switch {
-	case op.method == "DELETE":
+	case op.call.Route.Method() == "DELETE":
 		return reply{status: 204, clen: 0}
 	case segment:
 		size = int64(o.v.ChunkSizeBits(o.s.i, o.s.rung) / 8)
-	case strings.HasSuffix(op.target, "/session"):
+	case strings.HasSuffix(target(op), "/session"):
 		r.body = fmt.Appendf(nil, `{"session_id":"fuzz","video":%q,"trace":"flat","timescale":1}`, o.v.Name)
-	case strings.Contains(op.target, "manifest.mpd"):
+	case strings.Contains(target(op), "manifest.mpd"):
 		r.body = o.manifest
-	case strings.Contains(op.target, "/weights"):
+	case strings.Contains(target(op), "/weights"):
 		w := "1"
 		if shape == shapePoison {
 			w = "-1"
 		}
 		r.body = fmt.Appendf(nil, `{"video":%q,"epoch":%d,"weights":[%s%s]}`, o.v.Name, o.epoch, w, strings.Repeat(",1", o.v.NumChunks()-1))
-	case strings.Contains(op.target, "/rating"):
+	case strings.Contains(target(op), "/rating"):
 		var req wire.RatingRequest
-		if err := req.Parse(op.body); err != nil {
+		if err := req.Parse(op.call.Body); err != nil {
 			panic(err)
 		}
 		status := wire.StatusAccepted
@@ -144,7 +144,7 @@ func (o *scriptOrigin) reply(op op) reply {
 	// A GET's broken body is a fault, and a segment's a truncation too; a
 	// POST's is not retried. Only a declared Content-Length or a known
 	// segment size can tell a short body apart from a whole one.
-	broken := op.method == "GET" && (shape == shapeTruncate || shape == shapeCut || segment && shape == shapeShort)
+	broken := op.call.Route.Method() == "GET" && (shape == shapeTruncate || shape == shapeCut || segment && shape == shapeShort)
 	switch shape {
 	case shapeTruncate:
 		r.n, r.clen = size/2, size
@@ -349,7 +349,7 @@ func TestSessionStatusRules(t *testing.T) {
 	} {
 		stream, leave := scriptedStream(t, v, top, func(o *scriptOrigin, op op) reply {
 			r := o.reply(op)
-			if op.method == tc.method && strings.Contains(op.target, tc.target) {
+			if op.call.Route.Method() == tc.method && strings.Contains(target(op), tc.target) {
 				r.status = tc.status
 			}
 			return r
@@ -384,7 +384,7 @@ func TestSegmentFallbackAcquisition(t *testing.T) {
 	truncated := false
 	faulted, err := scriptedStream(t, v, func(int) int { return top }, func(o *scriptOrigin, op op) reply {
 		r := o.reply(op)
-		if !truncated && o.s.i == 1 && strings.Contains(op.target, "/segment/") {
+		if !truncated && o.s.i == 1 && strings.Contains(target(op), "/segment/") {
 			truncated = true
 			r.n, r.clen, r.sec = half, 2*half, 10
 		}
@@ -418,3 +418,6 @@ func TestSegmentFallbackAcquisition(t *testing.T) {
 			f.BytesDownloaded, f.DownloadVirtualSec, c.BytesDownloaded, half, c.DownloadVirtualSec)
 	}
 }
+
+// target is o's request target, as errors name it.
+func target(o op) string { return string(o.call.AppendTarget(nil)) }

@@ -1,7 +1,7 @@
 // Package fleet is the streaming-fleet harness: it drives N concurrent
 // dash.Clients — a deterministic mix of catalog videos, throughput traces,
 // timescales and ABR algorithms — against one multi-tenant origin.Origin
-// (its RoundTrip the clients' transport, request by request), captures every
+// (the clients' transport, taking each request as a typed Call), captures every
 // session's outcome, and reconciles the client-side byte and segment
 // ledgers against the origin's /stats exactly.
 //
@@ -43,6 +43,7 @@ import (
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // ABR names a fleet-selectable adaptation algorithm.
@@ -435,13 +436,14 @@ func gcd(a, b int) int {
 
 // backend is the serving plane the harness boots, satisfied by both
 // *origin.Origin and *router.Router: the clients reach it through its
-// RoundTrip (or, in the transport-parity proof, its ServeHTTP behind a
-// socket), the refresh watcher polls SessionsCreated, the scheduled
-// refresh publishes through PublishWeights, and the report drains/collects
-// the ingest, chaos and event planes.
+// typed Call (or, in the transport-parity proof, its ServeHTTP behind a
+// socket), /stats through its RoundTrip, the refresh watcher polls
+// SessionsCreated, the scheduled refresh publishes through PublishWeights,
+// and the report drains/collects the ingest, chaos and event planes.
 type backend interface {
 	http.Handler
 	http.RoundTripper
+	Call(ctx context.Context, c *wire.Call, a *wire.Answer) error
 	Close()
 	SessionsCreated() int64
 	PublishWeights(videoName string, weights []float64) (*sensitivity.Profile, error)
@@ -456,9 +458,9 @@ type backend interface {
 type reach func(b backend) (base string, rt http.RoundTripper, done func())
 
 // inProcess is the fleet's request plane: the backend is the clients'
-// transport, so each request is answered by the origin's core on the
-// goroutine of the session that issued it (DESIGN.md "Typed origin core
-// and its two adapters").
+// transport, so dash.Client hands it each request as a typed Call, answered
+// by the origin's core on the goroutine of the session that issued it
+// (DESIGN.md "Typed origin core and its two adapters").
 func inProcess(b backend) (string, http.RoundTripper, func()) {
 	return "http://origin", b, func() {}
 }
@@ -837,8 +839,8 @@ func runSession(ctx context.Context, base string, httpc *http.Client, clock vclo
 	out.RatingsQuarantined = sess.RatingsQuarantined
 	// Leave with cancellation stripped: a fleet deadline firing between a
 	// session's last segment and its hang-up must not turn a completed
-	// session into a spurious ledger mismatch (the client's own
-	// RequestTimeout still bounds the call).
+	// session into a spurious ledger mismatch (the origin answers a typed
+	// leave at once, and its 409s are retried a bounded number of times).
 	if err := c.Leave(context.WithoutCancel(ctx)); err != nil {
 		out.Err = fmt.Sprintf("leave: %v", err)
 	}

@@ -98,7 +98,7 @@ func stripWall(r *Report) {
 
 // TestFleetTransportParity proves the fleet's transport changes only what
 // a fleet run costs, never what it does: on virtual time the same fleet
-// with the origin reached through its RoundTrip and served over loopback
+// with each request a typed Call into the origin and served over loopback
 // TCP behind net/http (its ServeHTTP) must produce the same report —
 // every session's rungs, bytes, stall and download ledgers, epochs,
 // resilience counters and event trace (virtual timestamps included), the
@@ -208,8 +208,9 @@ func TestFleetRunLeavesNoGoroutines(t *testing.T) {
 // (the benchmark's fleet_vclock shape), heap objects allocated by the whole
 // process during Run over segments downloaded. A count, not a time — it
 // repeats to within a fraction of an object on any machine, so CI can gate
-// on it. Measured: 17.8 with the origin reached through its RoundTrip,
-// answered by the typed core on the session's goroutine (20.0 before,
+// on it. Measured: 1.70 with each request a typed Call into the origin's
+// core, with no URL, request, context or response (17.8 through the
+// origin as the client's http.RoundTripper, 20.0 before that,
 // over a coroutine transport running the handler behind ServeMux and the
 // chaos middleware); 20.1 with the client's fetch record returned by value,
 // self-woken virtual sleeps that never touch their context, each session's
@@ -226,7 +227,7 @@ func TestFleetSegmentAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
 	}
-	const budget = 21.4 // 17.8 measured, plus 20 %
+	const budget = 2.04 // 1.70 measured, plus 20 %
 	var catalog []*video.Video
 	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
 		v, err := video.ByName(name) // full length: per-session set-up is not what is pinned
@@ -260,7 +261,7 @@ func TestFleetSegmentAllocBudget(t *testing.T) {
 	}
 	measure() // warm the pools and every lazily built table
 	got := measure()
-	t.Logf("%.1f allocations per downloaded segment (budget %v)", got, budget)
+	t.Logf("%.2f allocations per downloaded segment (budget %v)", got, budget)
 	if got > budget {
 		t.Fatalf("%.1f allocations per downloaded segment exceeds the budget of %v", got, budget)
 	}

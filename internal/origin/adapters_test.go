@@ -1,6 +1,8 @@
 package origin
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -8,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -41,148 +44,162 @@ func adapterOrigin(t *testing.T, policy *chaos.Policy) *Origin {
 	return o
 }
 
-// adapterClients serves one origin per adapter: ServeHTTP behind a
-// loopback httptest.Server, with a connection per request (net/http
-// silently retries a replayable request on a reused connection the server
-// closed, which would hide resets), and RoundTrip as an http.Client's
-// transport. Each origin is returned with its client and base URL.
-func adapterClients(t *testing.T, policy *chaos.Policy) map[string]struct {
-	o    *Origin
-	c    *http.Client
-	base string
-} {
+// adapterSides serves one origin per adapter and sends each its calls:
+// ServeHTTP behind a loopback httptest.Server, as an HTTP client over a
+// socket sends them, with a connection per request (net/http silently
+// retries a replayable request on a reused connection the server closed,
+// which would hide resets), and Call on the caller's goroutine.
+func adapterSides(t *testing.T, policy *chaos.Policy) map[string]side {
 	t.Helper()
-	sock, fleet := adapterOrigin(t, policy), adapterOrigin(t, policy)
+	sock, typed := adapterOrigin(t, policy), adapterOrigin(t, policy)
 	srv := httptest.NewServer(sock)
 	t.Cleanup(srv.Close)
 	tcp := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	t.Cleanup(tcp.CloseIdleConnections)
-	return map[string]struct {
-		o    *Origin
-		c    *http.Client
-		base string
-	}{
-		"ServeHTTP": {sock, tcp, srv.URL},
-		"RoundTrip": {fleet, &http.Client{Transport: fleet}, "http://origin"},
+	return map[string]side{
+		"ServeHTTP": {sock, func(c *wire.Call) exchange { return overSocket(t, tcp, srv.URL, c, nil) }},
+		"Call": {typed, func(c *wire.Call) (x exchange) {
+			start := time.Now()
+			x.err = typed.Call(context.Background(), c, &x.a)
+			x.elapsed = time.Since(start)
+			return x
+		}},
 	}
 }
 
-// exchange is what a client sees of one request: a transport error, or
-// the status, the headers the origin set and the body up to the error
-// that ended it.
-type exchange struct {
-	err     error
-	status  int
-	header  http.Header
-	clen    int64
-	body    string
-	bodyErr error
-	elapsed time.Duration
+// side is one adapter's origin and the way calls reach it.
+type side struct {
+	o    *Origin
+	send func(c *wire.Call) exchange
 }
 
-func do(t *testing.T, c *http.Client, base, method, target, body string, header http.Header) exchange {
+// exchange is what a client sees of one call: the Answer and, beside it,
+// the transport or body error that cut it short; how long it took; and,
+// over a socket, the fault the reply is marked with.
+type exchange struct {
+	a        wire.Answer
+	err      error
+	elapsed  time.Duration
+	injected string
+}
+
+// overSocket sends c with header over HTTP, as dash.Client does, and reads
+// what came back as an Answer: the status, the weight-epoch header, the
+// body (a segment's only counted), how much of it arrived, and its
+// declared length (what arrived, when none is declared).
+func overSocket(t *testing.T, hc *http.Client, base string, c *wire.Call, header http.Header) (x exchange) {
 	t.Helper()
-	req, err := http.NewRequest(method, base+target, strings.NewReader(body))
+	req, err := http.NewRequest(c.Route.Method(), base+string(c.AppendTarget(nil)), bytes.NewReader(c.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range header {
-		req.Header[k] = v
+	req.Header = header.Clone()
+	if req.Header == nil {
+		req.Header = http.Header{}
+	}
+	if c.Key != "" {
+		req.Header.Set(chaos.KeyHeader, c.Key)
 	}
 	start := time.Now()
-	resp, err := c.Do(req)
+	defer func() { x.elapsed = time.Since(start) }()
+	resp, err := hc.Do(req)
 	if err != nil {
-		return exchange{err: err, elapsed: time.Since(start)}
+		return exchange{err: err}
 	}
 	defer resp.Body.Close()
-	b, berr := io.ReadAll(resp.Body)
-	h := resp.Header.Clone()
-	// What net/http adds on a socket and the core never sets.
-	h.Del("Date")
-	if resp.Header.Get("Content-Type") != "video/mp4" {
-		h.Del("Content-Length")
+	body, err := io.ReadAll(resp.Body)
+	x.a = wire.Answer{Status: resp.StatusCode, N: int64(len(body)), Len: resp.ContentLength}
+	x.a.Epoch, _ = strconv.ParseUint(resp.Header.Get(wire.WeightEpochHeader), 10, 64)
+	if x.a.Len < 0 {
+		x.a.Len = x.a.N
 	}
-	return exchange{status: resp.StatusCode, header: h, clen: resp.ContentLength, body: string(b), bodyErr: berr, elapsed: time.Since(start)}
+	if c.Route != wire.RouteSegment || x.a.Status != http.StatusOK {
+		x.a.Body = body
+	}
+	x.err, x.injected = err, resp.Header.Get(chaos.InjectedHeader)
+	return x
 }
 
 // mintedID masks the session ID a join mints, which differs by origin.
 var mintedID = regexp.MustCompile(`"session_id":"[0-9a-f]{16}"`)
 
 // TestAdaptersAgree holds the socket adapter (ServeHTTP over loopback TCP)
-// and the fleet's (RoundTrip) to the same answers: every row of
-// TestSegmentRoutingGolden, then the join, manifest, weights, rating,
-// refresh and leave routes, each sent to a fresh origin per adapter in
-// the same order, must give the same status, headers and body.
+// and the fleet's (Call) to the same answers: every row of
+// TestSegmentRoutingGolden that ParseTarget takes as a call, then the
+// join, manifest, weights, rating, refresh and leave routes, each sent to
+// a fresh origin per adapter in the same order, must give the same status,
+// epoch, body and lengths.
 func TestAdaptersAgree(t *testing.T) {
-	sides := adapterClients(t, nil)
+	sides := adapterSides(t, nil)
 	name := hotPathConfig(t).Catalog[0].Name
-	v := "/v/" + url.PathEscape(name)
-	q := "?sid=" + routingSID
-	type row struct{ name, method, target, body string }
+	type row struct {
+		name string
+		c    wire.Call
+	}
 	var rows []row
 	for _, r := range segmentRoutingRows(name) {
-		rows = append(rows, row{r.name, r.method, r.target, ""})
+		u, err := url.Parse(r.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := wire.ParseTarget(r.method, u); ok {
+			rows = append(rows, row{r.name, c})
+		}
 	}
+	if len(rows) != 10 {
+		t.Fatalf("ParseTarget takes %d routing rows as calls, want 10", len(rows))
+	}
+	join := func(body string) wire.Call { return wire.Call{Route: wire.RouteJoin, Body: []byte(body)} }
+	rating := `{"session_id":"` + routingSID + `","chunk":1,"epoch":1,"rating":4}`
 	rows = append(rows,
-		row{"join", http.MethodPost, "/session", `{"video":"` + name + `"}`},
-		row{"join, bad body", http.MethodPost, "/session", `{`},
-		row{"join, oversized body", http.MethodPost, "/session", `{"video":"` + strings.Repeat("x", maxBodyBytes) + `"}`},
-		row{"join, unknown video", http.MethodPost, "/session", `{"video":"Nope"}`},
-		row{"manifest without sid", http.MethodGet, v + "/manifest.mpd", ""},
-		row{"weights", http.MethodGet, "/weights" + q, ""},
-		row{"weights without sid", http.MethodGet, "/weights", ""},
-		row{"rating", http.MethodPost, "/rating" + q, `{"session_id":"` + routingSID + `","chunk":1,"epoch":1,"rating":4}`},
-		row{"rating, unknown session", http.MethodPost, "/rating", `{"session_id":"feedfeedfeedfeed","chunk":1,"epoch":1,"rating":4}`},
-		row{"refresh", http.MethodPost, "/refresh", `{"video":"` + name + `","from":0,"to":3}`},
-		row{"segment after refresh", http.MethodGet, v + "/segment/1/1" + q, ""},
-		row{"leave, unknown session", http.MethodDelete, "/session/feedfeedfeedfeed", ""},
-		row{"leave", http.MethodDelete, "/session/" + routingSID, ""},
-		row{"leave again", http.MethodDelete, "/session/" + routingSID, ""},
-		row{"segment after leave", http.MethodGet, v + "/segment/0/0" + q, ""},
+		row{"join", join(`{"video":"` + name + `"}`)},
+		row{"join, bad body", join(`{`)},
+		row{"join, oversized body", join(`{"video":"` + strings.Repeat("x", maxBodyBytes) + `"}`)},
+		row{"join, unknown video", join(`{"video":"Nope"}`)},
+		row{"manifest without sid", wire.Call{Route: wire.RouteManifest, Video: name}},
+		row{"weights", wire.Call{Route: wire.RouteWeights, SID: routingSID}},
+		row{"weights without sid", wire.Call{Route: wire.RouteWeights}},
+		row{"rating", wire.Call{Route: wire.RouteRating, SID: routingSID, Body: []byte(rating)}},
+		row{"rating, unknown session", wire.Call{Route: wire.RouteRating, Body: []byte(strings.Replace(rating, routingSID, "feedfeedfeedfeed", 1))}},
+		row{"refresh", wire.Call{Route: wire.RouteRefresh, Body: []byte(`{"video":"` + name + `","from":0,"to":3}`)}},
+		row{"segment after refresh", wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: name, Chunk: 1, Rung: 1}},
+		row{"leave, unknown session", wire.Call{Route: wire.RouteLeave, ID: "feedfeedfeedfeed"}},
+		row{"leave", wire.Call{Route: wire.RouteLeave, ID: routingSID}},
+		row{"leave again", wire.Call{Route: wire.RouteLeave, ID: routingSID}},
+		row{"segment after leave", wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: name}},
 	)
 	for _, r := range rows {
 		got := map[string]exchange{}
-		for side, s := range sides {
-			x := do(t, s.c, s.base, r.method, r.target, r.body, nil)
-			x.body, x.elapsed = mintedID.ReplaceAllString(x.body, `"session_id":"<minted>"`), 0
-			got[side] = x
+		for name, s := range sides {
+			x := s.send(&r.c)
+			x.a.Body = mintedID.ReplaceAll(x.a.Body, []byte(`"session_id":"<minted>"`))
+			got[name] = x
 		}
-		a, b := got["ServeHTTP"], got["RoundTrip"]
-		if a.err != nil || b.err != nil || a.bodyErr != nil || b.bodyErr != nil {
-			t.Fatalf("%s: ServeHTTP %v/%v, RoundTrip %v/%v", r.name, a.err, a.bodyErr, b.err, b.bodyErr)
+		a, b := got["ServeHTTP"], got["Call"]
+		if a.err != nil || b.err != nil {
+			t.Fatalf("%s: ServeHTTP %v, Call %v", r.name, a.err, b.err)
 		}
-		if a.status != b.status || a.body != b.body || !equalHeaders(a.header, b.header) {
-			t.Errorf("%s: %s %s\n  ServeHTTP %d %v %q\n  RoundTrip %d %v %q", r.name, r.method, r.target,
-				a.status, a.header, trim(a.body), b.status, b.header, trim(b.body))
+		if a.a.Status != b.a.Status || a.a.Epoch != b.a.Epoch || a.a.N != b.a.N || a.a.Len != b.a.Len || !bytes.Equal(a.a.Body, b.a.Body) {
+			t.Errorf("%s: %s %s\n  ServeHTTP %d epoch %d, %d of %d bytes %q\n  Call      %d epoch %d, %d of %d bytes %q",
+				r.name, r.c.Route.Method(), r.c.AppendTarget(nil),
+				a.a.Status, a.a.Epoch, a.a.N, a.a.Len, trim(a.a.Body), b.a.Status, b.a.Epoch, b.a.N, b.a.Len, trim(b.a.Body))
 		}
 	}
 }
 
-func equalHeaders(a, b http.Header) bool {
-	if len(a) != len(b) {
-		return false
+func trim(b []byte) string {
+	if len(b) > 120 {
+		return string(b[:120]) + "…"
 	}
-	for k, v := range a {
-		if strings.Join(v, ",") != strings.Join(b[k], ",") {
-			return false
-		}
-	}
-	return true
-}
-
-func trim(s string) string {
-	if len(s) > 120 {
-		return s[:120] + "…"
-	}
-	return s
+	return string(b)
 }
 
 // TestAdaptersAgreeOnChaos holds both adapters to the same client-visible
-// result of each fault mode on a segment: a 503 marked with
-// chaos.InjectedHeader; a transport error; a transport error after the
-// policy's stall; or the declared Content-Length with a short body that
-// ends in io.ErrUnexpectedEOF. Requests before the fault are served whole,
-// and both injectors ledger exactly the one fault.
+// result of each fault mode on a segment: a 503 (over a socket, marked
+// with chaos.InjectedHeader); a transport error; a transport error after
+// the policy's stall; or the declared length with a short body that ends
+// in io.ErrUnexpectedEOF. Requests before the fault are served whole, and
+// both injectors ledger exactly the one fault.
 func TestAdaptersAgreeOnChaos(t *testing.T) {
 	for _, mode := range []chaos.Mode{chaos.ModeError, chaos.ModeReset, chaos.ModeStall, chaos.ModeTruncate} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -203,92 +220,109 @@ func TestAdaptersAgreeOnChaos(t *testing.T) {
 			if faultAt < 0 {
 				t.Fatal("no fault in the first 20 decisions at rate 0.99")
 			}
-			name := hotPathConfig(t).Catalog[0].Name
-			target := "/v/" + url.PathEscape(name) + "/segment/0/0?sid=" + routingSID
-			size := int(hotPathConfig(t).Catalog[0].ChunkSizeBits(0, 0) / 8)
-			for side, s := range adapterClients(t, &p) {
+			v := hotPathConfig(t).Catalog[0]
+			c := wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: v.Name, Key: "k"}
+			size := int64(v.ChunkSizeBits(0, 0) / 8)
+			for name, s := range adapterSides(t, &p) {
 				for i := 0; i <= faultAt; i++ {
-					x := do(t, s.c, s.base, http.MethodGet, target, "", http.Header{chaos.KeyHeader: {"k"}})
+					x := s.send(&c)
+					a := x.a
 					if i < faultAt {
-						if x.err != nil || x.status != http.StatusOK || len(x.body) != size || x.bodyErr != nil {
-							t.Fatalf("%s: clean request %d: %v, status %d, %d bytes, %v", side, i, x.err, x.status, len(x.body), x.bodyErr)
+						if x.err != nil || a.Status != http.StatusOK || a.N != size || a.Len != size {
+							t.Fatalf("%s: clean request %d: %v, status %d, %d of %d bytes", name, i, x.err, a.Status, a.N, a.Len)
 						}
 						continue
 					}
+					marked := name == "Call" || x.injected == string(mode)
 					switch mode {
 					case chaos.ModeError:
-						if x.err != nil || x.status != http.StatusServiceUnavailable || x.header.Get(chaos.InjectedHeader) != string(mode) || x.body != "chaos: injected fault\n" {
-							t.Fatalf("%s: %v, status %d, %v, %q; want an injected 503", side, x.err, x.status, x.header, x.body)
+						if x.err != nil || a.Status != http.StatusServiceUnavailable || !marked || string(a.Body) != "chaos: injected fault\n" {
+							t.Fatalf("%s: %v, status %d, marked %q, %q; want an injected 503", name, x.err, a.Status, x.injected, a.Body)
 						}
 					case chaos.ModeReset, chaos.ModeStall:
 						if x.err == nil {
-							t.Fatalf("%s: status %d; want a transport error", side, x.status)
+							t.Fatalf("%s: status %d; want a transport error", name, a.Status)
 						}
 						if mode == chaos.ModeStall && x.elapsed < p.StallDelay {
-							t.Fatalf("%s: stalled %v; want at least %v", side, x.elapsed, p.StallDelay)
+							t.Fatalf("%s: stalled %v; want at least %v", name, x.elapsed, p.StallDelay)
 						}
 					case chaos.ModeTruncate:
-						want := p.Truncate(size)
-						if x.err != nil || x.status != http.StatusOK || x.clen != int64(size) || len(x.body) != want ||
-							!errors.Is(x.bodyErr, io.ErrUnexpectedEOF) || x.header.Get(chaos.InjectedHeader) != string(mode) {
-							t.Fatalf("%s: %v, status %d, length %d, %d bytes, %v, %v; want %d of %d bytes and io.ErrUnexpectedEOF",
-								side, x.err, x.status, x.clen, len(x.body), x.bodyErr, x.header, want, size)
+						want := int64(p.Truncate(int(size)))
+						if !errors.Is(x.err, io.ErrUnexpectedEOF) || a.Status != http.StatusOK || a.Len != size || a.N != want || !marked {
+							t.Fatalf("%s: %v, status %d, %d of %d bytes, marked %q; want %d of %d bytes and io.ErrUnexpectedEOF",
+								name, x.err, a.Status, a.N, a.Len, x.injected, want, size)
 						}
 					}
 				}
 				if st := s.o.chaos.Stats(); st.Total != 1 || st.ByMode[string(mode)] != 1 {
-					t.Fatalf("%s: ledger after one fault: %+v", side, st)
+					t.Fatalf("%s: ledger after one fault: %+v", name, st)
 				}
 				// Only a truncation's delivered prefix counts beside the clean
 				// requests: the other faults never reach the route.
-				want := int64(faultAt * size)
+				want := int64(faultAt) * size
 				if mode == chaos.ModeTruncate {
-					want += int64(p.Truncate(size))
+					want += int64(p.Truncate(int(size)))
 				}
 				if st := s.o.Stats(); st.BytesServed != want {
-					t.Fatalf("%s: %d bytes served, want %d", side, st.BytesServed, want)
+					t.Fatalf("%s: %d bytes served, want %d", name, st.BytesServed, want)
 				}
 			}
 		})
 	}
 }
 
-// TestJoinMintsItsOwnSessionID: a standalone origin never lets a client
-// choose its session ID. A join carrying the header the router once set is
-// minted a fresh 16-hex ID, through either adapter, so a repeated header
-// is not a duplicate.
+// TestJoinMintsItsOwnSessionID: a client never chooses its session ID. A
+// join over a socket carrying the header the router once set, and a
+// client's join call, are each minted a fresh 16-hex ID, so a repeated
+// join is not a duplicate.
 func TestJoinMintsItsOwnSessionID(t *testing.T) {
 	name := hotPathConfig(t).Catalog[0].Name
 	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
-	for side, s := range adapterClients(t, nil) {
+	c := wire.Call{Route: wire.RouteJoin, Body: []byte(`{"video":"` + name + `"}`)}
+	sides := adapterSides(t, nil)
+	srv := httptest.NewServer(sides["ServeHTTP"].o)
+	t.Cleanup(srv.Close)
+	joins := map[string]func() exchange{
+		"ServeHTTP": func() exchange {
+			return overSocket(t, srv.Client(), srv.URL, &c, http.Header{"X-Sensei-Session-Id": {routingSID}})
+		},
+		"Call": func() exchange { return sides["Call"].send(&c) },
+	}
+	for side, join := range joins {
+		seen := map[string]bool{}
 		for i := 0; i < 2; i++ {
-			x := do(t, s.c, s.base, http.MethodPost, "/session", `{"video":"`+name+`"}`,
-				http.Header{"X-Sensei-Session-Id": {routingSID}})
+			x := join()
 			var jr wire.JoinResponse
-			if x.err != nil || x.status != http.StatusOK || jr.Parse([]byte(x.body)) != nil {
-				t.Fatalf("%s: join %d: %v, status %d, %q", side, i, x.err, x.status, x.body)
+			if x.err != nil || x.a.Status != http.StatusOK || jr.Parse(x.a.Body) != nil {
+				t.Fatalf("%s: join %d: %v, status %d, %q", side, i, x.err, x.a.Status, x.a.Body)
 			}
-			if jr.SessionID == routingSID || !hex16.MatchString(jr.SessionID) {
+			if jr.SessionID == routingSID || !hex16.MatchString(jr.SessionID) || seen[jr.SessionID] {
 				t.Fatalf("%s: join %d was registered as %q", side, i, jr.SessionID)
 			}
+			seen[jr.SessionID] = true
 		}
 	}
 }
 
-// TestRoundTripperContract: RoundTrip leaves the caller's request as it
-// was, though the mux routing a request it falls back on records its match
-// in the request it routes, and it closes the request's body, on the
-// core's routes and on the fallback alike.
+// TestRoundTripperContract: RoundTrip, which serves /stats and the event
+// plane to a fleet's clients through Record, leaves the caller's request
+// as it was, though the mux routing it records its match in the request it
+// routes, and it closes the request's body, on the core's routes and the
+// mux's alike.
 func TestRoundTripperContract(t *testing.T) {
 	o := adapterOrigin(t, nil)
 	name := o.cfg.Catalog[0].Name
 	for _, target := range []string{
-		"/session",                   // the core's join
+		"/session",                   // a core route
 		"/v/Soc%2Fcer1/manifest.mpd", // escaped: the mux's
-		"/refresh",                   // not a client route: the mux's
+		"/stats",                     // not a client route: the mux's
 	} {
 		body := &closeCounter{Reader: strings.NewReader(`{"video":"` + name + `","from":0,"to":1}`)}
-		req, err := http.NewRequest(http.MethodPost, "http://origin"+target, body)
+		method := http.MethodPost
+		if target == "/stats" {
+			method = http.MethodGet
+		}
+		req, err := http.NewRequest(method, "http://origin"+target, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,48 +349,53 @@ type closeCounter struct {
 
 func (c *closeCounter) Close() error { c.closed++; return nil }
 
-// TestRoundTripLendsSegmentSlices: a WriterTo-aware client is handed
-// segmentPattern's own backing array, slice by slice as ServeHTTP writes
-// it — nothing is copied on the way.
-func TestRoundTripLendsSegmentSlices(t *testing.T) {
+// TestSegmentBytesAreNeverCopied: ServeHTTP hands its ResponseWriter
+// segmentPattern's own backing array, slice by slice, and Call copies no
+// segment byte at all: it counts them, leaving the Answer's body as it was.
+func TestSegmentBytesAreNeverCopied(t *testing.T) {
 	o := adapterOrigin(t, nil)
 	v := o.cfg.Catalog[0]
 	// The top rung of the largest chunk spans more than one slice.
-	chunk, size := 0, 0
+	c := wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: v.Name, Rung: len(v.Ladder) - 1}
+	size := 0
 	for i := 0; i < v.NumChunks(); i++ {
-		if n := int(v.ChunkSizeBits(i, len(v.Ladder)-1) / 8); n > size {
-			chunk, size = i, n
+		if n := int(v.ChunkSizeBits(i, c.Rung) / 8); n > size {
+			c.Chunk, size = i, n
 		}
 	}
 	if size <= len(segmentPattern) {
 		t.Fatalf("largest segment is %d bytes, within one %d-byte slice", size, len(segmentPattern))
 	}
-	req, err := http.NewRequest(http.MethodGet, "http://origin"+wire.VideoPath(v.Name)+
-		string(wire.AppendSegment(nil, chunk, len(v.Ladder)-1))+"?sid="+routingSID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := (&http.Client{Transport: o}).Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var w lenders
-	n, err := resp.Body.(io.WriterTo).WriteTo(&w)
-	if err != nil || n != int64(size) {
-		t.Fatalf("WriteTo: %d bytes, %v; want %d", n, err, size)
-	}
-	for i, p := range w {
-		if &p[0] != &segmentPattern[0] || (i < len(w)-1 && len(p) != len(segmentPattern)) {
-			t.Fatalf("write %d of %d: %d bytes, not a slice of segmentPattern", i, len(w), len(p))
+	w := &lender{h: http.Header{}}
+	o.ServeHTTP(w, httptest.NewRequest(http.MethodGet, string(c.AppendTarget(nil)), nil))
+	n := 0
+	for i, p := range w.writes {
+		if &p[0] != &segmentPattern[0] || (i < len(w.writes)-1 && len(p) != len(segmentPattern)) {
+			t.Fatalf("write %d of %d: %d bytes, not a slice of segmentPattern", i, len(w.writes), len(p))
 		}
+		n += len(p)
+	}
+	if n != size {
+		t.Fatalf("ServeHTTP wrote %d bytes, want %d", n, size)
+	}
+	a := wire.Answer{Body: make([]byte, 0, 8)}
+	if err := o.Call(context.Background(), &c, &a); err != nil || a.N != int64(size) || a.Len != int64(size) {
+		t.Fatalf("Call: %d of %d bytes, %v; want %d", a.N, a.Len, err, size)
+	}
+	if len(a.Body) != 0 || cap(a.Body) != 8 {
+		t.Fatalf("Call left a %d-byte body of capacity %d; a segment's bytes are only counted", len(a.Body), cap(a.Body))
 	}
 }
 
-// lenders records the slices written to it.
-type lenders [][]byte
+// lender is a ResponseWriter that records the slices written to it.
+type lender struct {
+	h      http.Header
+	writes [][]byte
+}
 
-func (w *lenders) Write(p []byte) (int, error) {
-	*w = append(*w, p)
+func (w *lender) Header() http.Header { return w.h }
+func (w *lender) WriteHeader(int)     {}
+func (w *lender) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
 	return len(p), nil
 }

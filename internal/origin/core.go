@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,92 +14,36 @@ import (
 	"sensei/internal/wire"
 )
 
-// route names one of the origin's typed routes: the ones the core answers.
-// /stats, /events and /metrics are observability, not routes of the
-// protocol, and stay plain handlers.
-type route uint8
-
-const (
-	routeJoin route = iota + 1 // join, refresh and rating read a JSON body
-	routeRefresh
-	routeRating
-	routeLeave
-	routeManifest
-	routeSegment
-	routeWeights
-)
-
 // kinds is each route's chaos endpoint kind. /refresh has none: operator
 // controls stay reachable no matter how unhealthy the data plane is.
 var kinds = [...]chaos.Kind{
-	routeJoin:     chaos.KindSession,
-	routeRating:   chaos.KindRating,
-	routeLeave:    chaos.KindSession,
-	routeManifest: chaos.KindManifest,
-	routeSegment:  chaos.KindSegment,
-	routeWeights:  chaos.KindWeights,
+	wire.RouteJoin:     chaos.KindSession,
+	wire.RouteRating:   chaos.KindRating,
+	wire.RouteLeave:    chaos.KindSession,
+	wire.RouteManifest: chaos.KindManifest,
+	wire.RouteSegment:  chaos.KindSegment,
+	wire.RouteWeights:  chaos.KindWeights,
 }
 
-// request is what an adapter hands the core: a route and the parts of the
-// HTTP request it reads.
+// request is what an adapter hands the core: the call, and what reading
+// its body left behind.
 type request struct {
-	route route
-	sid   string // ?sid=
-	// id is a leave's session ID, or the ID a join registers ("" mints
-	// one; the router passes the ID it minted to pick the shard).
-	id    string
-	video string // manifest and segment
-	chunk int    // segment; -1 when the path's numbers do not parse
-	rung  int
-	body  []byte   // join, refresh and rating: the body, read whole
-	err   error    // what cut reading the body short
-	buf   *bodyBuf // the pooled buffer body was read into and a reply is encoded over
+	wire.Call
+	err error    // what cut reading the body short
+	buf *bodyBuf // the pooled buffer a reply is encoded over (and an HTTP body read into)
 	// truncate is set when chaos cuts this segment short.
 	truncate bool
-}
-
-// parse reads r as one of the client's routes without allocating: a clean
-// path (RawPath empty) that ServeMux would route to the same route and
-// wildcards, POST /rating only when rating is set (the closed loop is on).
-// Anything else is left to the mux.
-func parse(r *http.Request, rating bool) (q request, ok bool) {
-	if r.URL.RawPath != "" {
-		return q, false
-	}
-	p := r.URL.Path
-	switch r.Method {
-	case http.MethodGet:
-		if p == "/weights" {
-			return request{route: routeWeights}, true
-		}
-		if q.video, q.chunk, q.rung, ok = wire.ParseSegmentPath(p); ok {
-			q.route = routeSegment
-			return q, true
-		}
-		q.route = routeManifest
-		q.video, ok = wire.PathElement(p, "/v/", "/manifest.mpd")
-	case http.MethodPost:
-		if p == "/session" {
-			return request{route: routeJoin}, true
-		}
-		return request{route: routeRating}, p == "/rating" && rating
-	case http.MethodDelete:
-		q.route = routeLeave
-		q.id, ok = wire.PathElement(p, "/session/", "")
-	}
-	return q, ok
 }
 
 // reply is a route's answer, everything an adapter needs to render it.
 type reply struct {
 	status int
-	ctype  []string // Content-Type
-	epoch  []string // wire.WeightEpochHeader; nil for none
-	body   []byte   // the whole body, unless this is a segment
+	ctype  []string    // Content-Type
+	epoch  *epochStamp // wire.WeightEpochHeader; nil for none
+	body   []byte      // the whole body, unless this is a segment
 	// fault is the mode Injector.Decide picked ("" for none). An error
 	// fault is a 503 reply; reset and stall have nothing to render.
 	fault chaos.Mode
-	buf   *bodyBuf // the pooled buffer a RoundTrip body returns on Close
 
 	// A segment (sess non-nil) holds its session's in-flight mark until
 	// the adapter settles it, or drops it when the client goes away
@@ -114,8 +57,6 @@ type reply struct {
 	deliver  int           // bytes delivered: size, or a truncated prefix
 	throttle time.Duration // the shaper's charge for deliver bytes
 	start    time.Time     // wall clock at resolve (event plane only)
-
-	off int // body bytes handed out; -1 once a RoundTrip body is closed
 }
 
 // Preformatted single-value response headers, assigned directly into the
@@ -132,13 +73,15 @@ var (
 )
 
 // okReply is a 200 reply.
-func okReply(ctype, epoch []string, body []byte) reply {
+func okReply(ctype []string, epoch *epochStamp, body []byte) reply {
 	return reply{status: http.StatusOK, ctype: ctype, epoch: epoch, body: body}
 }
 
 // jsonReply is a 200 JSON reply: body and the newline json.Encoder used
 // to write.
-func jsonReply(epoch []string, body []byte) reply { return okReply(hdrJSON, epoch, append(body, '\n')) }
+func jsonReply(epoch *epochStamp, body []byte) reply {
+	return okReply(hdrJSON, epoch, append(body, '\n'))
+}
 
 // fail is the reply http.Error writes: msg and a newline as text.
 func fail(status int, msg string) reply {
@@ -157,23 +100,26 @@ func (rp *reply) header(h http.Header) {
 		h["Content-Length"] = rp.length
 	}
 	if rp.epoch != nil {
-		h[wire.WeightEpochHeader] = rp.epoch
+		h[wire.WeightEpochHeader] = rp.epoch.header
 	}
 	if rp.fault != "" {
 		h[chaos.InjectedHeader] = []string{string(rp.fault)}
 	}
 }
 
-// answer is the origin's core: it completes q from r (the sid), decides
-// q's fault and has q's route act and reply. It never sleeps, never
-// panics and never touches a ResponseWriter; a faulted request never
-// reaches its route, so it leaves no trace but the injector's ledger. The
-// chaos stream key is the client-chosen chaos.KeyHeader, falling back to
-// the session ID so ad-hoc clients still get per-session determinism.
-func (o *Origin) answer(r *http.Request, q *request) reply {
-	q.sid = wire.QueryParam(r.URL.RawQuery, "sid")
-	if kind := kinds[q.route]; o.chaos != nil && kind != "" {
-		switch mode := o.chaos.Decide(cmp.Or(r.Header.Get(chaos.KeyHeader), q.sid), kind); mode {
+// answer is the origin's core: it decides q's fault and has q's route act
+// and reply. It never sleeps, never panics and never touches a
+// ResponseWriter; a faulted request never reaches its route, so it leaves
+// no trace but the injector's ledger. The chaos stream key is the
+// client-chosen one, falling back to the session ID so ad-hoc clients
+// still get per-session determinism.
+func (o *Origin) answer(q *request) reply {
+	if q.Route == wire.RouteRating && o.feedback == nil {
+		// What the mux answers POST /rating with the closed loop off.
+		return fail(http.StatusNotFound, "404 page not found")
+	}
+	if kind := kinds[q.Route]; o.chaos != nil && kind != "" {
+		switch mode := o.chaos.Decide(cmp.Or(q.Key, q.SID), kind); mode {
 		case chaos.ModeError:
 			rp := fail(http.StatusServiceUnavailable, "chaos: injected fault")
 			rp.fault = mode
@@ -184,18 +130,18 @@ func (o *Origin) answer(r *http.Request, q *request) reply {
 			q.truncate = true
 		}
 	}
-	switch q.route {
-	case routeJoin:
+	switch q.Route {
+	case wire.RouteJoin:
 		return o.join(q)
-	case routeRefresh:
+	case wire.RouteRefresh:
 		return o.refresh(q)
-	case routeRating:
+	case wire.RouteRating:
 		return o.rating(q)
-	case routeLeave:
+	case wire.RouteLeave:
 		return o.leave(q)
-	case routeManifest:
+	case wire.RouteManifest:
 		return o.manifest(q)
-	case routeSegment:
+	case wire.RouteSegment:
 		return o.segment(q)
 	}
 	return o.weights(q)
@@ -237,7 +183,7 @@ func (o *Origin) join(q *request) reply {
 	var req wire.JoinRequest
 	err := q.err
 	if err == nil {
-		err = req.Parse(q.body)
+		err = req.Parse(q.Body)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad join body: "+err.Error())
@@ -265,7 +211,7 @@ func (o *Origin) join(q *request) reply {
 	if err != nil {
 		return fail(http.StatusInternalServerError, err.Error())
 	}
-	id := q.id
+	id := q.ID
 	if id == "" {
 		id = NewSessionID()
 	}
@@ -300,7 +246,7 @@ func (o *Origin) join(q *request) reply {
 }
 
 func (o *Origin) leave(q *request) reply {
-	id := q.id
+	id := q.ID
 	// Resolve the ring before removal: the leave mirror event lands on the
 	// session's ring as its final record (drainable in-process; the wire
 	// drain ends with the session, so drain before DELETE to observe it).
@@ -332,12 +278,12 @@ func (o *Origin) leave(q *request) reply {
 // --- data plane ---
 
 func (o *Origin) manifest(q *request) reply {
-	ce, ok := o.videos[q.video]
+	ce, ok := o.videos[q.Video]
 	if !ok {
-		return fail(http.StatusNotFound, fmt.Sprintf("origin: video %q not in catalog", q.video))
+		return fail(http.StatusNotFound, fmt.Sprintf("origin: video %q not in catalog", q.Video))
 	}
-	if q.sid != "" {
-		o.lookupSession(q.sid) // refresh the idle clock; manifests work without a session too
+	if q.SID != "" {
+		o.lookupSession(q.SID) // refresh the idle clock; manifests work without a session too
 	}
 	p, err := o.profileOf(ce)
 	if err != nil {
@@ -354,7 +300,7 @@ func (o *Origin) manifest(q *request) reply {
 		ce.manifest.Store(mb)
 	}
 	o.manifestsServed.Add(1)
-	return okReply(hdrDashXML, mb.header, mb.body)
+	return okReply(hdrDashXML, &mb.epochStamp, mb.body)
 }
 
 // weights serves the current profile snapshot for the session named by
@@ -363,12 +309,12 @@ func (o *Origin) manifest(q *request) reply {
 // epoch on a segment response fetches the new vector here before its next
 // decision. The body is serialized once per epoch and cached.
 func (o *Origin) weights(q *request) reply {
-	if q.sid == "" {
+	if q.SID == "" {
 		return fail(http.StatusBadRequest, "origin: weights request without sid (join via POST /session)")
 	}
-	sess, ok := o.lookupSession(q.sid)
+	sess, ok := o.lookupSession(q.SID)
 	if !ok {
-		return fail(http.StatusNotFound, fmt.Sprintf("origin: no session %q (expired?)", q.sid))
+		return fail(http.StatusNotFound, fmt.Sprintf("origin: no session %q (expired?)", q.SID))
 	}
 	ce, ok := o.videos[sess.videoName]
 	if !ok {
@@ -387,14 +333,14 @@ func (o *Origin) weights(q *request) reply {
 		ce.weights.Store(wb)
 	}
 	o.weightsServed.Add(1)
-	return okReply(hdrJSON, wb.header, wb.body)
+	return okReply(hdrJSON, &wb.epochStamp, wb.body)
 }
 
 func (o *Origin) refresh(q *request) reply {
 	var req wire.RefreshRequest
 	err := q.err
 	if err == nil {
-		err = req.Parse(q.body)
+		err = req.Parse(q.Body)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad refresh body: "+err.Error())
@@ -406,7 +352,8 @@ func (o *Origin) refresh(q *request) reply {
 	if err != nil {
 		return fail(http.StatusBadRequest, err.Error())
 	}
-	return jsonReply(stampOf(p.Epoch).header, (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(q.buf[:0]))
+	st := stampOf(p.Epoch)
+	return jsonReply(&st, (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(q.buf[:0]))
 }
 
 // rating feeds one client rating into the ingest plane (a route only when
@@ -417,7 +364,7 @@ func (o *Origin) rating(q *request) reply {
 	var req wire.RatingRequest
 	err := q.err
 	if err == nil {
-		err = req.Parse(q.body)
+		err = req.Parse(q.Body)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad rating body: "+err.Error())
@@ -452,7 +399,7 @@ func (o *Origin) rating(q *request) reply {
 		})
 	}
 	cur := o.currentStamp(ce)
-	return jsonReply(cur.header, (&wire.RatingResponse{
+	return jsonReply(cur, (&wire.RatingResponse{
 		Video:  ce.v.Name,
 		Chunk:  req.Chunk,
 		Status: status,
@@ -478,20 +425,20 @@ var segmentPattern = func() []byte {
 // the session in flight, range checks, and the shaper's throttle for the
 // bytes to deliver. Error and chaos paths may allocate freely.
 func (o *Origin) segment(q *request) reply {
-	ce, ok := o.videos[q.video]
+	ce, ok := o.videos[q.Video]
 	if !ok {
-		return fail(http.StatusNotFound, fmt.Sprintf("origin: video %q not in catalog", q.video))
+		return fail(http.StatusNotFound, fmt.Sprintf("origin: video %q not in catalog", q.Video))
 	}
-	if q.sid == "" {
+	if q.SID == "" {
 		return fail(http.StatusBadRequest, "origin: segment request without sid (join via POST /session)")
 	}
 	// Resolve and mark in-flight atomically: once this request holds the
 	// session, neither DELETE /session nor the janitor can remove it until
 	// the adapter settles, so its bytes always land on a registered
 	// session.
-	sess, ok := o.lookupSessionStream(q.sid)
+	sess, ok := o.lookupSessionStream(q.SID)
 	if !ok {
-		return fail(http.StatusNotFound, fmt.Sprintf("origin: no session %q (expired?)", q.sid))
+		return fail(http.StatusNotFound, fmt.Sprintf("origin: no session %q (expired?)", q.SID))
 	}
 	var start time.Time
 	if o.events != nil {
@@ -499,9 +446,9 @@ func (o *Origin) segment(q *request) reply {
 	}
 	if sess.videoName != ce.v.Name {
 		sess.inflight.Add(-1)
-		return fail(http.StatusConflict, fmt.Sprintf("origin: session %s is pinned to %q, not %q", q.sid, sess.videoName, ce.v.Name))
+		return fail(http.StatusConflict, fmt.Sprintf("origin: session %s is pinned to %q, not %q", q.SID, sess.videoName, ce.v.Name))
 	}
-	chunk, rung := q.chunk, q.rung
+	chunk, rung := q.Chunk, q.Rung
 	if chunk < 0 || chunk >= ce.v.NumChunks() || rung < 0 || rung >= len(ce.v.Ladder) {
 		sess.inflight.Add(-1)
 		return fail(http.StatusNotFound, "origin: segment out of range")
@@ -510,7 +457,7 @@ func (o *Origin) segment(q *request) reply {
 	// Staleness beacon: the video's current profile epoch rides on every
 	// segment so clients detect a refresh without polling. The stamp is a
 	// lock-free peek, never a campaign — a cold video simply advertises 0.
-	rp := okReply(hdrVideoMP4, o.currentStamp(ce).header, nil)
+	rp := okReply(hdrVideoMP4, o.currentStamp(ce), nil)
 	rp.sess, rp.ce, rp.chunk, rp.rung, rp.start = sess, ce, chunk, rung, start
 	// A one-element window onto the shared slab, capped so an append by
 	// anything downstream copies instead of writing into its neighbour.
@@ -571,12 +518,4 @@ func (o *Origin) settle(rp *reply) {
 		rp.ce.hits.Add(1)
 	}
 	s.inflight.Add(-1)
-}
-
-// statusLine is an http.Response's Status for code.
-func statusLine(code int) string {
-	if code == http.StatusOK {
-		return "200 OK"
-	}
-	return strconv.Itoa(code) + " " + http.StatusText(code)
 }

@@ -38,10 +38,6 @@ func (c *EventsConfig) ringCapacity() int {
 	return c.RingCapacity
 }
 
-// Metrics returns the origin's aggregate event-plane registry (nil when
-// the event plane is disabled).
-func (o *Origin) Metrics() *qlog.Metrics { return o.events }
-
 // EventRing returns the server-side event ring for one live session, or
 // the process ring when sid is empty (nil when the plane is disabled or
 // the session is unknown). In-process harnesses drain through it directly;

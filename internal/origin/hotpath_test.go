@@ -1,6 +1,7 @@
 package origin
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -275,6 +276,36 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := w.h.Get(wire.WeightEpochHeader); got == "" || got == "0" {
 		t.Fatalf("epoch beacon %q; want a live epoch (holder cache not engaged)", got)
+	}
+}
+
+// TestSegmentCallSteadyStateZeroAlloc extends the hot-path pin to the
+// fleet's adapter: a steady-state segment Call — the core, the throttle's
+// sleep, the settling and the Answer — allocates nothing either.
+func TestSegmentCallSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	o := newHotPathOrigin(t)
+	v := o.cfg.Catalog[0]
+	s := joinDirect(t, o)
+	if _, err := o.profileOf(o.videos[v.Name]); err != nil {
+		t.Fatal(err)
+	}
+	c := &wire.Call{Route: wire.RouteSegment, SID: s.id, Video: v.Name, Rung: hotPathRung}
+	var a wire.Answer
+	ctx := context.Background()
+	want := int64(v.ChunkSizeBits(0, hotPathRung) / 8)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := o.Call(ctx, c, &a); err != nil || a.Status != http.StatusOK || a.N != want {
+			t.Fatalf("segment call: status %d, %d bytes, %v; want %d", a.Status, a.N, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state segment call allocates %.1f objects/op, want 0", allocs)
+	}
+	if a.Epoch == 0 {
+		t.Fatal("epoch beacon 0; want a live epoch (holder cache not engaged)")
 	}
 }
 

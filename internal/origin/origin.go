@@ -37,8 +37,8 @@
 // Each route is one core function (core.go) that parses, acts and
 // returns a typed reply; it never sleeps, panics or touches an
 // http.ResponseWriter. Two adapters render replies (serve.go): ServeHTTP
-// for sockets and RoundTrip, an http.RoundTripper the fleet's clients
-// call on their own goroutines.
+// for sockets and Call, which takes a typed wire.Call on the goroutine
+// of the fleet client that made it.
 //
 // The serving hot path is engineered for throughput: the session registry
 // is lock-striped (see session.go) so concurrent streams never serialize
@@ -71,6 +71,7 @@ import (
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // DefaultSessionIdleTimeout reaps sessions that stop issuing requests.
@@ -290,14 +291,14 @@ func New(cfg Config) (*Origin, error) {
 		o.feedback = plane
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /session", o.handle(routeJoin))
-	mux.HandleFunc("DELETE /session/{id}", o.handle(routeLeave))
-	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handle(routeManifest))
+	mux.HandleFunc("POST /session", o.handle(wire.RouteJoin))
+	mux.HandleFunc("DELETE /session/{id}", o.handle(wire.RouteLeave))
+	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handle(wire.RouteManifest))
 	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", o.handleSegment)
-	mux.HandleFunc("GET /weights", o.handle(routeWeights))
-	mux.HandleFunc("POST /refresh", o.handle(routeRefresh))
+	mux.HandleFunc("GET /weights", o.handle(wire.RouteWeights))
+	mux.HandleFunc("POST /refresh", o.handle(wire.RouteRefresh))
 	if o.feedback != nil {
-		mux.HandleFunc("POST /rating", o.handle(routeRating))
+		mux.HandleFunc("POST /rating", o.handle(wire.RouteRating))
 	}
 	mux.HandleFunc("GET /stats", o.handleStats)
 	if cfg.Events != nil {

@@ -9,8 +9,8 @@
 // the sid back to the same shard with no router-side session table:
 // routing is stateless, in-process (the shards are origin.Origins, not
 // remote proxies), and adds two string hashes to the hot path. The router
-// has the origin's two adapters: ServeHTTP for sockets, and RoundTrip for
-// the fleet, which picks the shard the same way and calls its RoundTrip.
+// has the origin's two adapters: ServeHTTP for sockets, and Call for the
+// fleet, which picks the shard the same way and calls its Call.
 //
 // The sensitivity plane stays global: all shards share one
 // origin.WeightService, so a video profiles at most once per process,
@@ -56,7 +56,7 @@ type Config struct {
 	Origin origin.Config
 }
 
-// Router fronts the shards. It implements http.Handler and
+// Router fronts the shards. It implements http.Handler, the typed Call and
 // http.RoundTripper with the same endpoint surface as a single origin.
 type Router struct {
 	cfg    Config
@@ -155,20 +155,29 @@ func (rt *Router) Owner(sid string) int { return rt.ring.Owner(sid) }
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// RoundTrip implements http.RoundTripper: a join is minted its ID here and
-// goes to its shard's join, a request the client addresses by session goes
-// to that session's shard, each on the caller's goroutine, and anything
-// else is served by ServeHTTP into a buffer.
-func (rt *Router) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Method == http.MethodPost && r.URL.Path == "/session" {
-		id := origin.NewSessionID()
-		return rt.shards[rt.ring.Owner(id)].RoundTripJoin(r, id)
+// Call is the fleet's adapter, routing as ServeHTTP does: a join is minted
+// its ID here and goes to the shard that ID names, a refresh to shard 0, a
+// leave to the shard of the session it ends, and every other call to the
+// shard its sid names, as routeBySID sends it. The shard answers on the
+// caller's goroutine.
+func (rt *Router) Call(ctx context.Context, c *wire.Call, a *wire.Answer) error {
+	key := c.SID
+	switch c.Route {
+	case wire.RouteJoin:
+		j := *c
+		j.ID = origin.NewSessionID()
+		return rt.shards[rt.ring.Owner(j.ID)].Call(ctx, &j, a)
+	case wire.RouteRefresh:
+		return rt.shards[0].Call(ctx, c, a)
+	case wire.RouteLeave:
+		key = c.ID
 	}
-	if sid, ok := origin.ShardKey(r); ok {
-		return rt.shards[rt.ring.Owner(sid)].RoundTrip(r)
-	}
-	return origin.Record(rt, r)
+	return rt.shards[rt.ring.Owner(key)].Call(ctx, c, a)
 }
+
+// RoundTrip implements http.RoundTripper by origin.Record: a fleet's
+// clients call Call, and reach /stats and the event plane through it.
+func (rt *Router) RoundTrip(r *http.Request) (*http.Response, error) { return origin.Record(rt, r) }
 
 // handleJoin assigns the session its shard: mint the ID here, pick the
 // owner by hash, and let the shard register exactly that ID. Clients keep
@@ -184,8 +193,9 @@ func (rt *Router) routeBySessionID(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeBySID routes data-plane requests by the ?sid= query parameter.
-// Requests without a sid (a manifest fetched before joining) go to shard
-// 0 — any shard can serve them, the weight plane is shared.
+// Requests without a sid (a manifest fetched before joining) go to the
+// shard the ring names for the empty ID — any shard can serve them, the
+// weight plane is shared.
 func (rt *Router) routeBySID(w http.ResponseWriter, r *http.Request) {
 	rt.shards[rt.ring.Owner(wire.QueryParam(r.URL.RawQuery, "sid"))].ServeHTTP(w, r)
 }
@@ -249,10 +259,6 @@ func (rt *Router) DrainProcessEvents(buf []qlog.Event) []qlog.Event {
 	}
 	return buf
 }
-
-// Metrics exposes the deployment-wide shared registry (nil when the event
-// plane is disabled).
-func (rt *Router) Metrics() *qlog.Metrics { return rt.shards[0].Metrics() }
 
 // SessionsCreated sums the shards' join counters (lock-free; the fleet's
 // refresh watcher polls it).

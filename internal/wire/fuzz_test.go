@@ -45,9 +45,9 @@ func FuzzQueryParam(f *testing.F) {
 
 // FuzzSegmentPath checks the segment and manifest path parsers from both
 // sides: a path one accepts is one ServeMux's pattern routes to the same
-// video (chunk and rung), and every path the client builds for a catalog
-// video — VideoPath plus AppendSegment or "manifest.mpd", as the origin
-// decodes it — parses back to what was built.
+// video (chunk and rung), and every segment and manifest path a client
+// renders for a catalog video with AppendTarget, as the origin decodes it,
+// parses back to what was rendered.
 func FuzzSegmentPath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p string, chunk, rung uint32) {
 		checkAccepted(t, p)
@@ -55,7 +55,7 @@ func FuzzSegmentPath(f *testing.F) {
 
 		video := p
 		c, r := int(chunk%1e9), int(rung%1e9)
-		built := VideoPath(video) + string(AppendSegment(nil, c, r))
+		built := string((&Call{Route: RouteSegment, Video: video, Chunk: c, Rung: r}).AppendTarget(nil))
 		u, err := url.Parse(built)
 		if err != nil {
 			t.Fatalf("client path %q does not parse: %v", built, err)
@@ -70,12 +70,47 @@ func FuzzSegmentPath(f *testing.F) {
 		if !ok || gv != video || gc != c || gr != r {
 			t.Fatalf("%q (from %q, %d, %d) parsed as %q, %d, %d, %v", built, video, c, r, gv, gc, gr, ok)
 		}
-		m, err := url.Parse(VideoPath(video) + "manifest.mpd")
+		m, err := url.Parse(string((&Call{Route: RouteManifest, Video: video}).AppendTarget(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gv, ok := PathElement(m.Path, "/v/", "/manifest.mpd"); !ok || gv != video {
 			t.Fatalf("%q (from %q) parsed as manifest of %q, %v", m, video, gv, ok)
+		}
+	})
+}
+
+// FuzzCallTarget holds the protocol's renderer and parser to each other: a
+// Call of any route, rendered with AppendTarget and parsed back with
+// ParseTarget (the origin's parser) from the URL the target parses as,
+// must come back as the same Call. ParseTarget may refuse it only where
+// the mux must answer instead: a name url.URL escapes otherwise than
+// AppendTarget (RawPath is set: a '/', ',' or ';' in it), or an empty or
+// dot-segment name.
+func FuzzCallTarget(f *testing.F) {
+	f.Fuzz(func(t *testing.T, route uint8, sid, name string, chunk, rung uint32) {
+		c := Call{Route: Route(route%uint8(RouteWeights) + 1), SID: sid}
+		switch c.Route {
+		case RouteLeave:
+			c.ID = name
+		case RouteManifest:
+			c.Video = name
+		case RouteSegment:
+			c.Video, c.Chunk, c.Rung = name, int(chunk%1e9), int(rung%1e9)
+		}
+		target := string(c.AppendTarget(nil))
+		u, err := url.Parse(target)
+		if err != nil {
+			t.Fatalf("%+v renders as %q, which does not parse: %v", c, target, err)
+		}
+		got, ok := ParseTarget(c.Route.Method(), u)
+		named := c.Route == RouteLeave || c.Route == RouteManifest || c.Route == RouteSegment
+		muxes := u.RawPath != "" || named && (name == "" || name == "." || name == "..")
+		if ok && !reflect.DeepEqual(got, c) {
+			t.Fatalf("%+v renders as %q, which parses as %+v", c, target, got)
+		}
+		if !ok && !muxes {
+			t.Fatalf("%+v renders as %q, which ParseTarget refuses", c, target)
 		}
 	})
 }

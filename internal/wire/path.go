@@ -2,22 +2,8 @@ package wire
 
 import (
 	"net/url"
-	"strconv"
 	"strings"
 )
-
-// VideoPath is the path prefix of one video's resources, "/v/<video>/",
-// with the name escaped as a path segment.
-func VideoPath(video string) string { return "/v/" + url.PathEscape(video) + "/" }
-
-// AppendSegment appends a segment's path below VideoPath,
-// "segment/<chunk>/<rung>", to b.
-func AppendSegment(b []byte, chunk, rung int) []byte {
-	b = append(b, "segment/"...)
-	b = strconv.AppendInt(b, int64(chunk), 10)
-	b = append(b, '/')
-	return strconv.AppendInt(b, int64(rung), 10)
-}
 
 // ParseSegmentPath parses a decoded request path of the form
 // /v/<video>/segment/<chunk>/<rung> in one pass, without allocating. It

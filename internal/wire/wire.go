@@ -14,7 +14,10 @@
 //	POST   /rating?sid=                       RatingRequest → RatingResponse
 //
 // Manifest, segment, weights, refresh and rating responses carry
-// WeightEpochHeader.
+// WeightEpochHeader. Each row is a Route, and one request a Call:
+// AppendTarget renders its path and query and ParseTarget, the origin's
+// parser, reads them back; an in-process client hands the origin the Call
+// itself and gets an Answer back.
 //
 // The JSON bodies carry their own codec, so neither side reflects on the
 // request path. AppendJSON appends exactly the bytes json.Marshal writes
