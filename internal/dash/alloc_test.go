@@ -36,7 +36,7 @@ func TestRatingRoundTripAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	c := &Client{BaseURL: "http://origin", HTTP: &http.Client{Transport: o}}
+	c := &Client{Caller: o}
 	ctx := context.Background()
 	if err := c.Join(ctx, v.Name); err != nil {
 		t.Fatal(err)

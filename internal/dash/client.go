@@ -84,17 +84,18 @@ type Client struct {
 	// reports when the session is joined.
 	TimeScale float64
 	// HTTP is the client used for requests; http.DefaultClient when nil.
-	// A Transport with a Call(ctx, *wire.Call, *wire.Answer) error method,
-	// an origin or router in this process, is handed each request as a
-	// typed call instead (see do).
 	HTTP *http.Client
+	// Caller is the origin or router in this process; when set, BaseURL,
+	// HTTP and RequestTimeout are unused, and each request is handed to it
+	// as a typed call (see do).
+	Caller wire.Caller
 	// MaxBufferSec caps the client buffer in virtual seconds; it is
 	// player.Config's field of the same name, and zero selects its default.
 	// A single proactive stall is clamped to player.Config's default cap.
 	MaxBufferSec float64
 	// RequestTimeout bounds each HTTP request (default
 	// DefaultRequestTimeout; negative disables the timeout). It is a
-	// wall-clock bound on a request over a socket: a typed call (see do)
+	// wall-clock bound on a request over a socket; a typed call to Caller
 	// runs on the caller's goroutine, where a fleet's virtual clock never
 	// waits on the wall clock, and is not bounded by it.
 	RequestTimeout time.Duration
@@ -322,9 +323,9 @@ func (c *Client) Stream(ctx context.Context, v *video.Video) (*Session, error) {
 }
 
 // run is the session machine's I/O driver: it starts a session of v at
-// step from and does each op the session asks for on the client's HTTP
-// client and clock until it ends. Requests and pauses derive from ctx,
-// whose error, once set, stops the session.
+// step from and does each op the session asks for on the client's Caller
+// or HTTP client and its clock until it ends. Requests and pauses derive
+// from ctx, whose error, once set, stops the session.
 func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -354,24 +355,18 @@ func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 // them; see do for why sharing a header value is safe.
 var jsonContentType = []string{"application/json"}
 
-// caller is a transport that takes typed calls: an origin, or a router, in
-// the client's process.
-type caller interface {
-	Call(ctx context.Context, c *wire.Call, a *wire.Answer) error
-}
-
 // do issues call and reads its reply into c.answer: a 200's body in full
 // (or, for a segment, counted by drain: segment bodies are measured, never
 // parsed), any other status's first bytes. A body-read failure returns the
 // bytes read so far alongside the error.
 //
-// When the client's transport is a caller, the request is a typed call on
-// this goroutine: no URL, request, header map, response or context of its
-// own. Otherwise it is an HTTP request under the client's RequestTimeout.
+// With a Caller set, the request is a typed call on this goroutine: no
+// URL, request, header map, response or context of its own. Otherwise it
+// is an HTTP request under the client's RequestTimeout.
 func (c *Client) do(ctx context.Context, call *wire.Call) (r reply) {
-	hc, a := cmp.Or(c.HTTP, http.DefaultClient), &c.answer
-	if t, ok := hc.Transport.(caller); ok {
-		r.err = t.Call(ctx, call, a)
+	a := &c.answer
+	if c.Caller != nil {
+		r.err = c.Caller.Call(ctx, call, a)
 		r.status, r.epoch, r.n, r.clen, r.body = a.Status, a.Epoch, a.N, a.Len, a.Body
 		if r.status != http.StatusOK {
 			r.body = r.body[:min(len(r.body), 256)] // a failure's message: its first bytes
@@ -403,7 +398,7 @@ func (c *Client) do(ctx context.Context, call *wire.Call) (r reply) {
 		}
 		req.Header[chaos.KeyHeader] = c.chaosKey
 	}
-	resp, err := hc.Do(req)
+	resp, err := cmp.Or(c.HTTP, http.DefaultClient).Do(req)
 	if err != nil {
 		return reply{err: err}
 	}

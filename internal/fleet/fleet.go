@@ -1,7 +1,7 @@
 // Package fleet is the streaming-fleet harness: it drives N concurrent
 // dash.Clients — a deterministic mix of catalog videos, throughput traces,
 // timescales and ABR algorithms — against one multi-tenant origin.Origin
-// (the clients' transport, taking each request as a typed Call), captures every
+// (the clients' Caller, taking each request as a typed Call), captures every
 // session's outcome, and reconciles the client-side byte and segment
 // ledgers against the origin's /stats exactly.
 //
@@ -20,8 +20,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -437,13 +435,11 @@ func gcd(a, b int) int {
 // backend is the serving plane the harness boots, satisfied by both
 // *origin.Origin and *router.Router: the clients reach it through its
 // typed Call (or, in the transport-parity proof, its ServeHTTP behind a
-// socket), /stats through its RoundTrip, the refresh watcher polls
+// socket), /stats through Call too, the refresh watcher polls
 // SessionsCreated, the scheduled refresh publishes through PublishWeights,
 // and the report drains/collects the ingest, chaos and event planes.
 type backend interface {
-	http.Handler
-	http.RoundTripper
-	Call(ctx context.Context, c *wire.Call, a *wire.Answer) error
+	wire.Caller
 	Close()
 	SessionsCreated() int64
 	PublishWeights(videoName string, weights []float64) (*sensitivity.Profile, error)
@@ -452,17 +448,16 @@ type backend interface {
 	DrainProcessEvents(buf []qlog.Event) []qlog.Event
 }
 
-// reach is how a run's clients get to the backend: the base URL they
-// address, the transport that carries their requests there, and done to
-// release whatever it started.
-type reach func(b backend) (base string, rt http.RoundTripper, done func())
+// reach is how a run's clients get to the backend: dial points a client
+// at it, and done releases whatever reach started.
+type reach func(b backend) (dial func(*dash.Client), done func())
 
-// inProcess is the fleet's request plane: the backend is the clients'
-// transport, so dash.Client hands it each request as a typed Call, answered
+// inProcess is the fleet's request plane: the backend is each client's
+// Caller, so dash.Client hands it each request as a typed Call, answered
 // by the origin's core on the goroutine of the session that issued it
 // (DESIGN.md "Typed origin core and its two adapters").
-func inProcess(b backend) (string, http.RoundTripper, func()) {
-	return "http://origin", b, func() {}
+func inProcess(b backend) (func(*dash.Client), func()) {
+	return func(c *dash.Client) { c.Caller = b }, func() {}
 }
 
 // Run executes the fleet against a freshly built origin (or router) and
@@ -573,9 +568,8 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		o = org
 	}
 	defer o.Close()
-	base, rt, done := via(o)
+	dial, done := via(o)
 	defer done()
-	httpc := &http.Client{Transport: rt}
 
 	workers := cfg.Workers
 	if workers <= 0 || workers > cfg.Sessions {
@@ -719,7 +713,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		// video) so a CPU or block profile of a large fleet breaks down by
 		// mix dimension instead of melting into one anonymous worker pool.
 		pprof.Do(ctx, pprof.Labels("slot", chaosKey(k), "abr", string(a.abr), "video", a.video.Name), func(ctx context.Context) {
-			outcomes[k] = runSession(ctx, base, httpc, clock, cfg.MaxBufferSec, k, a, rater, cfg.Chaos, ring, metrics)
+			outcomes[k] = runSession(ctx, dial, clock, cfg.MaxBufferSec, k, a, rater, cfg.Chaos, ring, metrics)
 		})
 		outcomes[k].FinishedSec = (clock.Now() - startClock).Seconds()
 		if ring != nil {
@@ -750,8 +744,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	}
 	elapsed := time.Since(startWall)
 
-	// Read the ledger over the wire, like any external monitor would.
-	st, shardSt, err := fetchStats(ctx, httpc, base)
+	st, shardSt, err := fetchStats(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -767,7 +760,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 
 // runSession streams one fleet slot end to end and captures its outcome.
 // The caller must hold a clock registration (Enter) for the duration.
-func runSession(ctx context.Context, base string, httpc *http.Client, clock vclock.Clock, maxBufferSec float64, k int, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
+func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock, maxBufferSec float64, k int, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
 	out := SessionOutcome{
 		Index:     k,
 		Video:     a.video.Name,
@@ -781,17 +774,16 @@ func runSession(ctx context.Context, base string, httpc *http.Client, clock vclo
 		return out
 	}
 	c := &dash.Client{
-		BaseURL:      base,
 		Algorithm:    alg,
 		Trace:        a.trace,
 		TimeScale:    a.timeScale,
-		HTTP:         httpc,
 		MaxBufferSec: maxBufferSec,
 		Rater:        rater,
 		Clock:        clock,
 		Events:       ring,
 		Metrics:      metrics,
 	}
+	dial(c)
 	if spec != nil {
 		c.ChaosKey = chaosKey(k)
 		c.Retry = spec.retryFor(k)
@@ -848,31 +840,23 @@ func runSession(ctx context.Context, base string, httpc *http.Client, clock vclo
 	return out
 }
 
-// fetchStats reads the serving plane's /stats ledger over HTTP. The caller's
-// cancellation is stripped — a fleet that timed out still needs its report —
-// but the detached request gets its own bound so a wedged origin (the class
-// of bug this harness hunts) cannot hang Run forever. The decode target is
-// the router's payload, a superset of origin.Stats: a router additionally
-// reports the per-shard ledgers behind its merge, which reconciliation
-// cross-checks; a single origin simply leaves them empty.
-func fetchStats(ctx context.Context, httpc *http.Client, base string) (origin.Stats, []origin.Stats, error) {
+// fetchStats reads the serving plane's /stats ledger through its Call and
+// decodes the wire encoding, like any external monitor would. The caller's
+// cancellation is stripped — a fleet that timed out still needs its
+// report. The decode target is the router's payload, a superset of
+// origin.Stats: a router additionally reports the per-shard ledgers behind
+// its merge, which reconciliation cross-checks; a single origin simply
+// leaves them empty.
+func fetchStats(ctx context.Context, b wire.Caller) (origin.Stats, []origin.Stats, error) {
 	var st router.Stats
-	reqCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, base+"/stats", nil)
-	if err != nil {
-		return st.Stats, nil, fmt.Errorf("fleet: stats request: %w", err)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
+	var a wire.Answer
+	if err := b.Call(context.WithoutCancel(ctx), &wire.Call{Route: wire.RouteStats}, &a); err != nil {
 		return st.Stats, nil, fmt.Errorf("fleet: fetching stats: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return st.Stats, nil, fmt.Errorf("fleet: fetching stats: %s: %s", resp.Status, msg)
+	if a.Status != 200 {
+		return st.Stats, nil, fmt.Errorf("fleet: fetching stats: status %d: %s", a.Status, a.Body)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(a.Body, &st); err != nil {
 		return st.Stats, nil, fmt.Errorf("fleet: decoding stats: %w", err)
 	}
 	return st.Stats, st.Shards, nil

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"math"
-	"net/http"
 	"reflect"
 	"testing"
 
@@ -75,11 +74,7 @@ func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock,
 func streamVirtual(t *testing.T, v *video.Video, w []float64, c *dash.Client) *dash.Session {
 	t.Helper()
 	clock := vclock.NewVirtual()
-	base, rt, done := inProcess(parityOrigin(t, v, w, clock, 1).Origin())
-	defer done()
-
-	c.BaseURL = base
-	c.HTTP = &http.Client{Transport: rt}
+	c.Caller = parityOrigin(t, v, w, clock, 1).Origin()
 	c.Clock = clock
 	// The client is the run's one registered participant: simulated time
 	// advances exactly while the origin's shaper holds its request.

@@ -3,6 +3,7 @@ package origin
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -81,6 +82,7 @@ type exchange struct {
 	err      error
 	elapsed  time.Duration
 	injected string
+	ctype    string // the socket's Content-Type
 }
 
 // overSocket sends c with header over HTTP, as dash.Client does, and reads
@@ -116,19 +118,24 @@ func overSocket(t *testing.T, hc *http.Client, base string, c *wire.Call, header
 	if c.Route != wire.RouteSegment || x.a.Status != http.StatusOK {
 		x.a.Body = body
 	}
-	x.err, x.injected = err, resp.Header.Get(chaos.InjectedHeader)
+	x.err, x.injected, x.ctype = err, resp.Header.Get(chaos.InjectedHeader), resp.Header.Get("Content-Type")
 	return x
 }
 
 // mintedID masks the session ID a join mints, which differs by origin.
 var mintedID = regexp.MustCompile(`"session_id":"[0-9a-f]{16}"`)
 
+// wallStats masks what /stats reports of a session that differs by origin:
+// the ID its join minted and its ages on the wall clock.
+var wallStats = regexp.MustCompile(`("id": |"idle_sec": |"uptime_sec": )[^,\n]*`)
+
 // TestAdaptersAgree holds the socket adapter (ServeHTTP over loopback TCP)
 // and the fleet's (Call) to the same answers: every row of
 // TestSegmentRoutingGolden that ParseTarget takes as a call, then the
-// join, manifest, weights, rating, refresh and leave routes, each sent to
-// a fresh origin per adapter in the same order, must give the same status,
-// epoch, body and lengths.
+// join, manifest, weights, rating, refresh and leave routes, and last
+// /stats, each sent to a fresh origin per adapter in the same order, must
+// give the same status, epoch, body and lengths (and /stats, over the
+// socket, its JSON Content-Type).
 func TestAdaptersAgree(t *testing.T) {
 	sides := adapterSides(t, nil)
 	name := hotPathConfig(t).Catalog[0].Name
@@ -167,23 +174,50 @@ func TestAdaptersAgree(t *testing.T) {
 		row{"leave", wire.Call{Route: wire.RouteLeave, ID: routingSID}},
 		row{"leave again", wire.Call{Route: wire.RouteLeave, ID: routingSID}},
 		row{"segment after leave", wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: name}},
+		row{"stats", wire.Call{Route: wire.RouteStats}},
 	)
 	for _, r := range rows {
 		got := map[string]exchange{}
 		for name, s := range sides {
 			x := s.send(&r.c)
+			if r.c.Route == wire.RouteStats {
+				checkStatsEncoding(t, name, x.a.Body)
+			}
 			x.a.Body = mintedID.ReplaceAll(x.a.Body, []byte(`"session_id":"<minted>"`))
+			x.a.Body = wallStats.ReplaceAll(x.a.Body, []byte(`$1<masked>`))
 			got[name] = x
 		}
 		a, b := got["ServeHTTP"], got["Call"]
 		if a.err != nil || b.err != nil {
 			t.Fatalf("%s: ServeHTTP %v, Call %v", r.name, a.err, b.err)
 		}
+		if r.c.Route == wire.RouteStats && a.ctype != "application/json" {
+			t.Errorf("%s: ServeHTTP's Content-Type is %q, want application/json", r.name, a.ctype)
+		}
 		if a.a.Status != b.a.Status || a.a.Epoch != b.a.Epoch || a.a.N != b.a.N || a.a.Len != b.a.Len || !bytes.Equal(a.a.Body, b.a.Body) {
 			t.Errorf("%s: %s %s\n  ServeHTTP %d epoch %d, %d of %d bytes %q\n  Call      %d epoch %d, %d of %d bytes %q",
 				r.name, r.c.Route.Method(), r.c.AppendTarget(nil),
 				a.a.Status, a.a.Epoch, a.a.N, a.a.Len, trim(a.a.Body), b.a.Status, b.a.Epoch, b.a.N, b.a.Len, trim(b.a.Body))
 		}
+	}
+}
+
+// checkStatsEncoding fails unless body is what GET /stats has always
+// written: a Stats as json.Encoder writes it indented by two spaces.
+func checkStatsEncoding(t *testing.T, side string, body []byte) {
+	t.Helper()
+	var st Stats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("%s: /stats: %v", side, err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("%s: /stats body\n%s\nis not json.Encoder's indented\n%s", side, body, want.Bytes())
 	}
 }
 
@@ -303,51 +337,6 @@ func TestJoinMintsItsOwnSessionID(t *testing.T) {
 		}
 	}
 }
-
-// TestRoundTripperContract: RoundTrip, which serves /stats and the event
-// plane to a fleet's clients through Record, leaves the caller's request
-// as it was, though the mux routing it records its match in the request it
-// routes, and it closes the request's body, on the core's routes and the
-// mux's alike.
-func TestRoundTripperContract(t *testing.T) {
-	o := adapterOrigin(t, nil)
-	name := o.cfg.Catalog[0].Name
-	for _, target := range []string{
-		"/session",                   // a core route
-		"/v/Soc%2Fcer1/manifest.mpd", // escaped: the mux's
-		"/stats",                     // not a client route: the mux's
-	} {
-		body := &closeCounter{Reader: strings.NewReader(`{"video":"` + name + `","from":0,"to":1}`)}
-		method := http.MethodPost
-		if target == "/stats" {
-			method = http.MethodGet
-		}
-		req, err := http.NewRequest(method, "http://origin"+target, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := *req
-		beforeURL := *req.URL
-		resp, err := o.RoundTrip(req)
-		if err != nil {
-			t.Fatalf("%s: %v", target, err)
-		}
-		resp.Body.Close()
-		if req.Pattern != before.Pattern || *req.URL != beforeURL || len(req.Header) != len(before.Header) {
-			t.Fatalf("%s: the caller's request was modified", target)
-		}
-		if body.closed != 1 {
-			t.Fatalf("%s: request body closed %d times, want 1", target, body.closed)
-		}
-	}
-}
-
-type closeCounter struct {
-	io.Reader
-	closed int
-}
-
-func (c *closeCounter) Close() error { c.closed++; return nil }
 
 // TestSegmentBytesAreNeverCopied: ServeHTTP hands its ResponseWriter
 // segmentPattern's own backing array, slice by slice, and Call copies no

@@ -14,8 +14,9 @@ import (
 	"sensei/internal/wire"
 )
 
-// kinds is each route's chaos endpoint kind. /refresh has none: operator
-// controls stay reachable no matter how unhealthy the data plane is.
+// kinds is each route's chaos endpoint kind. /refresh and /stats have
+// none: operator controls and the ledger stay reachable no matter how
+// unhealthy the data plane is.
 var kinds = [...]chaos.Kind{
 	wire.RouteJoin:     chaos.KindSession,
 	wire.RouteRating:   chaos.KindRating,
@@ -23,6 +24,7 @@ var kinds = [...]chaos.Kind{
 	wire.RouteManifest: chaos.KindManifest,
 	wire.RouteSegment:  chaos.KindSegment,
 	wire.RouteWeights:  chaos.KindWeights,
+	wire.RouteStats:    "",
 }
 
 // request is what an adapter hands the core: the call, and what reading
@@ -143,6 +145,8 @@ func (o *Origin) answer(q *request) reply {
 		return o.manifest(q)
 	case wire.RouteSegment:
 		return o.segment(q)
+	case wire.RouteStats:
+		return o.stats()
 	}
 	return o.weights(q)
 }

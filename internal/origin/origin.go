@@ -190,7 +190,8 @@ type catalogEntry struct {
 }
 
 // Origin is the multi-tenant origin: catalog, versioned weight service,
-// lock-striped session registry and HTTP handler.
+// lock-striped session registry and the typed core, with its two adapters
+// (ServeHTTP and Call).
 type Origin struct {
 	cfg      Config
 	videos   map[string]*catalogEntry
@@ -300,7 +301,7 @@ func New(cfg Config) (*Origin, error) {
 	if o.feedback != nil {
 		mux.HandleFunc("POST /rating", o.handle(wire.RouteRating))
 	}
-	mux.HandleFunc("GET /stats", o.handleStats)
+	mux.HandleFunc("GET /stats", o.handle(wire.RouteStats))
 	if cfg.Events != nil {
 		o.events = cfg.Events.Metrics
 		if o.events == nil {
@@ -600,9 +601,8 @@ func (o *Origin) Stats() Stats {
 	}
 }
 
-func (o *Origin) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(o.Stats())
+// stats is GET /stats: Stats as indented JSON.
+func (o *Origin) stats() reply {
+	body, _ := json.MarshalIndent(o.Stats(), "", "  ")
+	return jsonReply(nil, body)
 }

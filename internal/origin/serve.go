@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 
 	"sensei/internal/chaos"
@@ -21,14 +20,13 @@ import (
 // sleeps the same sleeps there and fills in a wire.Answer, with no URL,
 // request, header map or response on the way.
 
-// errAborted is Call's error for a request chaos reset or stalled, and
-// Record's for a handler that aborted: what a client over a socket sees as
-// a connection closed without a reply.
+// errAborted is Call's error for a request chaos reset or stalled: what a
+// client over a socket sees as a connection closed without a reply.
 var errAborted = errors.New("origin: connection closed without a reply")
 
-// ServeHTTP implements http.Handler. The client's routes go straight to
-// the core; ServeMux answers everything else — a HEAD, an escaped or
-// unclean path, /stats and the event plane.
+// ServeHTTP implements http.Handler. The client's routes and GET /stats go
+// straight to the core; ServeMux answers everything else — a HEAD, an
+// escaped or unclean path and the event plane.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if c, ok := wire.ParseTarget(r.Method, r.URL); ok && (c.Route != wire.RouteRating || o.feedback != nil) {
 		o.serve(w, r, c)
@@ -189,37 +187,4 @@ func (o *Origin) Call(ctx context.Context, c *wire.Call, a *wire.Answer) error {
 		return io.ErrUnexpectedEOF
 	}
 	return nil
-}
-
-// RoundTrip implements http.RoundTripper by Record: a fleet's clients call
-// Call, and reach /stats and the event plane through it.
-func (o *Origin) RoundTrip(r *http.Request) (*http.Response, error) { return Record(o, r) }
-
-// Record serves r with h into a buffer and returns what h wrote as r's
-// response. A handler that aborts with http.ErrAbortHandler is a transport
-// error, as over a socket.
-func Record(h http.Handler, r *http.Request) (resp *http.Response, err error) {
-	if r.Body != nil {
-		defer r.Body.Close()
-	}
-	defer func() {
-		if p := recover(); p != nil && p != http.ErrAbortHandler {
-			panic(p)
-		} else if p != nil {
-			resp, err = nil, errAborted
-		}
-	}()
-	// ServeMux records its match in the request it routes, and a
-	// RoundTripper must not modify its request.
-	rec, sr := httptest.NewRecorder(), r.Clone(r.Context())
-	if sr.Body == nil {
-		sr.Body = http.NoBody
-	}
-	h.ServeHTTP(rec, sr)
-	resp = rec.Result()
-	resp.Request = r
-	if r.Method == http.MethodHead {
-		resp.Body = http.NoBody
-	}
-	return resp, nil
 }

@@ -21,7 +21,13 @@
 // GET /stats fans out and merges: the response is the familiar
 // origin.Stats shape with every counter summed across shards, plus a
 // "shards" array holding each shard's own ledger so harnesses can
-// reconcile the merge exactly (sum of shard rows == merged totals).
+// reconcile the merge exactly (sum of shard rows == merged totals). It is
+// a typed route too: Call answers wire.RouteStats with the same bytes.
+//
+// GET /events without a sid drains every shard's process ring. Each ring
+// numbers its events from 1 and drains destructively, so one since cursor
+// cannot span them: the fan-out refuses a non-zero since with 400, and a
+// poller drains with none (each event is delivered once either way).
 package router
 
 import (
@@ -56,8 +62,8 @@ type Config struct {
 	Origin origin.Config
 }
 
-// Router fronts the shards. It implements http.Handler, the typed Call and
-// http.RoundTripper with the same endpoint surface as a single origin.
+// Router fronts the shards. It implements http.Handler and wire.Caller
+// with the same endpoint surface as a single origin.
 type Router struct {
 	cfg    Config
 	store  *origin.WeightService
@@ -159,10 +165,19 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // its ID here and goes to the shard that ID names, a refresh to shard 0, a
 // leave to the shard of the session it ends, and every other call to the
 // shard its sid names, as routeBySID sends it. The shard answers on the
-// caller's goroutine.
+// caller's goroutine. The router answers /stats itself, with the merge,
+// and a ctx done on arrival with ctx.Err(), like origin.Call.
 func (rt *Router) Call(ctx context.Context, c *wire.Call, a *wire.Answer) error {
+	*a = wire.Answer{Body: a.Body[:0]}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	key := c.SID
 	switch c.Route {
+	case wire.RouteStats:
+		a.Status, a.Body = http.StatusOK, rt.appendStats(a.Body)
+		a.N, a.Len = int64(len(a.Body)), int64(len(a.Body))
+		return nil
 	case wire.RouteJoin:
 		j := *c
 		j.ID = origin.NewSessionID()
@@ -174,10 +189,6 @@ func (rt *Router) Call(ctx context.Context, c *wire.Call, a *wire.Answer) error 
 	}
 	return rt.shards[rt.ring.Owner(key)].Call(ctx, c, a)
 }
-
-// RoundTrip implements http.RoundTripper by origin.Record: a fleet's
-// clients call Call, and reach /stats and the event plane through it.
-func (rt *Router) RoundTrip(r *http.Request) (*http.Response, error) { return origin.Record(rt, r) }
 
 // handleJoin assigns the session its shard: mint the ID here, pick the
 // owner by hash, and let the shard register exactly that ID. Clients keep
@@ -211,20 +222,22 @@ func (rt *Router) routeToShard0(w http.ResponseWriter, r *http.Request) {
 // the shard owning the sid (session rings are shard-sticky, like every
 // other per-session resource); the process-ring drain (no sid) fans out
 // across every shard — each shard's chaos injector mirrors into its own
-// process ring — and merges the JSON lines, summing the drop header.
+// process ring — and merges the JSON lines, summing the drop header. The
+// shards' rings number their events separately, so the fan-out takes no
+// since cursor.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if sid := wire.QueryParam(r.URL.RawQuery, "sid"); sid != "" {
 		rt.shards[rt.ring.Owner(sid)].ServeHTTP(w, r)
 		return
 	}
-	var since uint64
 	if raw := wire.QueryParam(r.URL.RawQuery, "since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
+		if v, err := strconv.ParseUint(raw, 10, 64); err != nil {
 			http.Error(w, "router: bad since cursor: "+err.Error(), http.StatusBadRequest)
 			return
+		} else if v != 0 {
+			http.Error(w, "router: a since cursor needs a sid", http.StatusBadRequest)
+			return
 		}
-		since = v
 	}
 	var buf []byte
 	var drops int64
@@ -235,7 +248,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		enabled = true
-		events := ring.DrainSince(since, nil)
+		events := ring.Drain(nil)
 		for i := range events {
 			buf = events[i].AppendJSON(buf)
 			buf = append(buf, '\n')
@@ -354,9 +367,14 @@ func (rt *Router) Stats() Stats {
 	return Stats{Stats: merged, Shards: per}
 }
 
+// appendStats appends Stats to dst as GET /stats renders it: indented
+// JSON and a newline, over a socket and through Call alike.
+func (rt *Router) appendStats(dst []byte) []byte {
+	body, _ := json.MarshalIndent(rt.Stats(), "", "  ")
+	return append(append(dst, body...), '\n')
+}
+
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rt.Stats())
+	_, _ = w.Write(rt.appendStats(nil))
 }

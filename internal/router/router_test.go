@@ -2,15 +2,20 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"sensei/internal/ingest"
 	"sensei/internal/origin"
+	"sensei/internal/qlog"
 	"sensei/internal/trace"
 	"sensei/internal/video"
 	"sensei/internal/wire"
@@ -335,4 +340,60 @@ func BenchmarkRouterSegment(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestProcessEventsFanOutLosesNothing: the sid-less GET /events drains
+// every shard's process ring, and each ring numbers its events from 1, so a
+// since cursor from one poll would skip another shard's unseen events, and
+// the drain, being destructive, would lose them. The fan-out refuses any
+// since but 0, and a plain drain delivers every event once.
+func TestProcessEventsFanOutLosesNothing(t *testing.T) {
+	rt, _ := goldenRouter(t)
+	emit := func(shard, n int) {
+		for i := 0; i < n; i++ {
+			rt.Shards()[shard].EventRing("").Emit(qlog.Event{Kind: qlog.KindOriginFaultInjected, Detail: fmt.Sprintf("shard %d", shard)})
+		}
+	}
+	drain := func(target string) (int, int) {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		return rec.Code, strings.Count(rec.Body.String(), "\n")
+	}
+	emit(0, 5)
+	emit(1, 2)
+	if code, lines := drain("/events"); code != http.StatusOK || lines != 7 {
+		t.Fatalf("first drain: status %d, %d events; want 200, 7", code, lines)
+	}
+	emit(1, 2)
+	if code, lines := drain("/events?since=5"); code != http.StatusBadRequest {
+		t.Fatalf("a since cursor across shards: status %d, %d events; want 400", code, lines)
+	}
+	if code, lines := drain("/events?since=0"); code != http.StatusOK || lines != 2 {
+		t.Fatalf("drain after the refused cursor: status %d, %d events; want 200, 2", code, lines)
+	}
+	if code, lines := drain("/events"); code != http.StatusOK || lines != 0 {
+		t.Fatalf("a drained ring again: status %d, %d events; want 200, 0", code, lines)
+	}
+}
+
+// TestRouterCallDeadContext: a call whose context is done on arrival is
+// ctx.Err() with a zero answer, on the routes the router answers itself
+// and on those a shard answers alike.
+func TestRouterCallDeadContext(t *testing.T) {
+	rt, name := goldenRouter(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []wire.Call{
+		{Route: wire.RouteStats},
+		{Route: wire.RouteJoin, Body: []byte(`{"video":"` + name + `"}`)},
+		{Route: wire.RouteManifest, Video: name},
+	} {
+		a := wire.Answer{Status: 1, Body: []byte("stale")}
+		if err := rt.Call(ctx, &c, &a); !errors.Is(err, context.Canceled) || a.Status != 0 || len(a.Body) != 0 {
+			t.Fatalf("route %d on a dead context: %v, status %d, %q", c.Route, err, a.Status, a.Body)
+		}
+	}
+	if n := rt.SessionsCreated(); n != 1 {
+		t.Fatalf("%d sessions created, want only the golden's own", n)
+	}
 }

@@ -1,12 +1,13 @@
 package wire
 
 import (
+	"context"
 	"net/url"
 	"strconv"
 )
 
 // Route names one request of the protocol: what the origin's typed core
-// answers. GET /stats, /events and /metrics are observability, not routes.
+// answers. GET /events and /metrics are observability, not routes.
 type Route uint8
 
 const (
@@ -17,6 +18,7 @@ const (
 	RouteManifest                  // GET /v/{video}/manifest.mpd
 	RouteSegment                   // GET /v/{video}/segment/{chunk}/{rung}
 	RouteWeights                   // GET /weights
+	RouteStats                     // GET /stats: the origin's ledger
 )
 
 // Method is r's HTTP method, "" for no route.
@@ -30,6 +32,12 @@ func (r Route) Method() string {
 		return "DELETE"
 	}
 	return "GET"
+}
+
+// Caller takes typed calls: an origin or a router in the caller's process,
+// or anything that wraps one.
+type Caller interface {
+	Call(ctx context.Context, c *Call, a *Answer) error
 }
 
 // Call is one request of the protocol, typed: everything the origin's core
@@ -87,6 +95,8 @@ func (c *Call) AppendTarget(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(c.Rung), 10)
 	case RouteWeights:
 		dst = append(dst, "/weights"...)
+	case RouteStats:
+		dst = append(dst, "/stats"...)
 	}
 	if c.SID != "" {
 		dst = append(append(dst, "?sid="...), url.QueryEscape(c.SID)...)
@@ -110,6 +120,8 @@ func ParseTarget(method string, u *url.URL) (c Call, ok bool) {
 	case "GET":
 		if p == "/weights" {
 			c.Route, ok = RouteWeights, true
+		} else if p == "/stats" {
+			c.Route, ok = RouteStats, true
 		} else if c.Video, c.Chunk, c.Rung, ok = ParseSegmentPath(p); ok {
 			c.Route = RouteSegment
 		} else if c.Video, ok = PathElement(p, "/v/", "/manifest.mpd"); ok {

@@ -89,7 +89,7 @@ func FuzzSegmentPath(f *testing.F) {
 // dot-segment name.
 func FuzzCallTarget(f *testing.F) {
 	f.Fuzz(func(t *testing.T, route uint8, sid, name string, chunk, rung uint32) {
-		c := Call{Route: Route(route%uint8(RouteWeights) + 1), SID: sid}
+		c := Call{Route: Route(route%uint8(RouteStats) + 1), SID: sid}
 		switch c.Route {
 		case RouteLeave:
 			c.ID = name
@@ -113,6 +113,32 @@ func FuzzCallTarget(f *testing.F) {
 			t.Fatalf("%+v renders as %q, which ParseTarget refuses", c, target)
 		}
 	})
+}
+
+// TestParseTargetStats: a GET of /stats, with or without a query, is the
+// typed stats call; a HEAD, like any HEAD, and an unclean path are left to
+// the mux, which answers them through the same route.
+func TestParseTargetStats(t *testing.T) {
+	for _, tc := range []struct {
+		method, target string
+		ok             bool
+	}{
+		{"GET", "/stats", true},
+		{"GET", "/stats?sid=s", true},
+		{"HEAD", "/stats", false},
+		{"POST", "/stats", false},
+		{"GET", "/stats/", false},
+		{"GET", "/%73tats", false},
+	} {
+		u, err := url.Parse(tc.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := ParseTarget(tc.method, u)
+		if ok != tc.ok || ok && c.Route != RouteStats {
+			t.Errorf("%s %s: parsed as %+v, %v; want the stats call: %v", tc.method, tc.target, c, ok, tc.ok)
+		}
+	}
 }
 
 // capturesKey carries, in a request's context, where segmentMux's handler
