@@ -21,9 +21,11 @@ import (
 )
 
 // startStubOrigin serves a minimal slice of the origin wire protocol —
-// join, manifest, instant (or fixed-delay) segments — so Client.Stream can
-// be exercised in-package. The real origin lives in internal/origin, which
-// imports this package; importing it back would be a cycle.
+// join, manifest, instant (or fixed-delay) segments — over a real socket,
+// with nothing between Client.Stream and the scripted reply: no trace
+// shaping, session registry or chaos, and a segment delay that is a plain
+// wall-clock sleep. Tests that want the real origin import internal/origin
+// (it does not import this package), as alloc_test.go and caller_test.go do.
 func startStubOrigin(t *testing.T, v *video.Video, weights []float64, timeScale float64, segmentDelay time.Duration) string {
 	t.Helper()
 	mpd, err := wire.BuildMPD(v, weights)

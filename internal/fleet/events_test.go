@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -235,5 +236,57 @@ func TestFleetEventsOutlastTheProcessRing(t *testing.T) {
 				t.Fatalf("%d faults injected, %d journaled, %d mirrored through the process ring", injected, journal, got)
 			}
 		})
+	}
+}
+
+// TestFleetEventsBytesPerSession pins what the event plane costs the heap
+// per session: a fixed virtual-time fleet with chaos and events on and no
+// raters (fleet_chaos's planes minus the nondeterministic one), bytes
+// allocated by the whole process during Run (runtime.MemStats.TotalAlloc)
+// over sessions run. A count in bytes, not a time: it repeats to within
+// a few hundred bytes at any GOMAXPROCS. Measured: 63.2k with each ring
+// allocating 8 KiB blocks of slots as events reach them; 345.6k while
+// every session built two 1 024-slot rings, client and origin mirror,
+// 128 KiB each, before its first event.
+func TestFleetEventsBytesPerSession(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
+	}
+	const budget = 76_000 // 63.2k measured, plus 20 %
+	var catalog []*video.Video
+	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
+		v, err := video.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalog = append(catalog, v)
+	}
+	measure := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Run(context.Background(), Config{
+			Sessions:   32,
+			Workers:    2,
+			Videos:     catalog,
+			Traces:     flatTraces(map[string]float64{"med": 4e6, "slow": 1.5e6}),
+			TimeScales: []float64{1},
+			Profile:    func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
+			Chaos:      chaosFleetSpec(),
+			Events:     &EventsSpec{},
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 0 || !rep.Reconciliation.Ok || rep.Events.Drops != 0 {
+			t.Fatalf("fleet did not reconcile without drops:\n%s", rep.Render())
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Sessions)
+	}
+	measure() // warm the pools and every lazily built table
+	got := measure()
+	t.Logf("%.0f bytes allocated per session (budget %v)", got, budget)
+	if got > budget {
+		t.Fatalf("%.0f bytes allocated per session exceeds the budget of %v", got, budget)
 	}
 }

@@ -103,17 +103,22 @@ type EventsOutcome struct {
 func (e *EventsOutcome) count(k qlog.Kind) int64 { return e.ByKind[k.String()] }
 
 // drainOutcome consumes a session's trace ring into its outcome summary.
+// Only a kept trace is materialized; otherwise each event is folded
+// straight into the tally.
 func drainOutcome(r *qlog.Ring, keepTrace bool) *EventsOutcome {
-	events := r.Drain(nil)
-	t := qlog.TallyOf(events, r.Drops())
-	eo := &EventsOutcome{ByKind: map[string]int64{}, Bytes: t.Bytes, Drops: t.Drops}
+	var events []qlog.Event
+	var t qlog.Tally
+	if keepTrace {
+		events = r.Drain(nil)
+		t = qlog.TallyOf(events, r.Drops())
+	} else {
+		t = r.DrainTally()
+	}
+	eo := &EventsOutcome{ByKind: map[string]int64{}, Bytes: t.Bytes, Drops: t.Drops, Trace: events}
 	for k := 1; k < qlog.NumKinds; k++ {
 		if n := t.Counts[k]; n != 0 {
 			eo.ByKind[qlog.Kind(k).String()] = n
 		}
-	}
-	if keepTrace {
-		eo.Trace = events
 	}
 	return eo
 }

@@ -501,8 +501,9 @@ func (o *Origin) settle(rp *reply) {
 	s.shard.bytes.Add(n)
 	// One origin_segment event per delivery (partial deliveries included:
 	// their bytes are real wire bytes) plus the aggregate registry. Ring
-	// emits never block and never allocate, so the zero-alloc steady-state
-	// contract holds with the plane on.
+	// emits never block and allocate only a session's first-lap slot
+	// blocks (one per 64 events), so the zero-alloc steady-state contract
+	// holds with the plane on.
 	if o.events != nil {
 		lat := time.Since(rp.start)
 		qlog.Emit(s.ring, o.events, qlog.Event{

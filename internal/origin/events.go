@@ -18,8 +18,10 @@ import (
 // path, so everything here is non-blocking and allocation-free in steady
 // state — a full ring drops and counts, never stalls a segment.
 type EventsConfig struct {
-	// RingCapacity sizes each session's event ring (rounded up to a power
-	// of two; 0 = qlog.DefaultRingCapacity). Size it to the session's
+	// RingCapacity caps each session's event ring (rounded up to a power
+	// of two; 0 = qlog.DefaultRingCapacity). It is a cap, not a cost: a
+	// ring allocates 8 KiB blocks of 64 slots as events reach them, so a
+	// session's memory follows what it emits. Set it above the session's
 	// expected event volume: a drop voids the trace's witness status.
 	RingCapacity int
 	// Metrics, when non-nil, is an externally owned aggregate registry.

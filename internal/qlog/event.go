@@ -147,8 +147,8 @@ func KindByName(name string) Kind {
 }
 
 // Event is one trace record. It is a fixed-shape value type: appending one
-// into a ring copies it into a preallocated slot, so the hot path never
-// allocates. Detail must be a constant or interned string (the emitters
+// into a ring copies it into a slot, so the hot path allocates nothing per
+// event (only a ring's slot blocks, once each, see Ring). Detail must be a constant or interned string (the emitters
 // only ever pass literals and pre-built names) — building a fresh string
 // per event would defeat the zero-alloc contract.
 type Event struct {

@@ -126,7 +126,8 @@ type Metrics struct {
 // Emit appends ev to r, folding the outcome into m: stored events count
 // toward EventsEmitted, dropped ones toward RingDrops. Either receiver may
 // be nil (a nil ring discards silently — the plane is off). Never blocks,
-// never allocates: safe on the segment hot path.
+// and allocates only what Ring.Emit does (a slot block the first time a
+// lap-0 emit reaches it): safe on the segment hot path.
 func Emit(r *Ring, m *Metrics, ev Event) {
 	if r == nil {
 		return

@@ -6,50 +6,65 @@ import (
 
 // DefaultRingCapacity is the per-session ring size when a config leaves it
 // zero: big enough that a fleet session's whole excerpt traces without
-// drops, small enough that 10k vclock sessions stay in memory comfortably.
+// drops. It is a cap, not a cost: a ring allocates its slots in blocks of
+// ringBlockSlots as emits reach them, so a session's memory follows what it
+// emits (a few hundred events for a chaos fleet session, 5 blocks).
 const DefaultRingCapacity = 1 << 10
+
+// ringBlockSlots is how many slots one lazily allocated block holds: 64
+// slots of 128 bytes, 8 KiB. A ring smaller than a block still gets one
+// whole block.
+const ringBlockSlots = 64
 
 // ringSlot is one bounded-queue cell: a Vyukov-style per-slot turn counter
 // plus the event payload. The turn sequencing makes producers and the
 // drainer coordinate per slot instead of on a shared lock: a producer may
 // write a slot only when turn == pos (the slot is empty for lap pos/cap),
-// a consumer may read it only when turn == pos+1. The trailing pad keeps
-// adjacent slots' turn words off one cache line so concurrent emitters
-// don't false-share.
+// a consumer may read it only when turn == pos+1. turn is stored minus the
+// slot's ring index, so a freshly allocated (zeroed) block already reads
+// "empty for lap 0" in every slot. The trailing pad keeps adjacent slots'
+// turn words off one cache line so concurrent emitters don't false-share.
 type ringSlot struct {
 	turn atomic.Uint64
 	ev   Event
 	_    [24]byte
 }
 
+// ringBlock is the unit of slot storage.
+type ringBlock [ringBlockSlots]ringSlot
+
 // Ring is a bounded lock-free MPMC event ring with drop-on-full
 // semantics — the event plane's only buffering primitive. Emitters call
-// Emit from the hot path: it never blocks and never allocates; when the
-// ring is full the event is counted in Drops and discarded (observability
-// must never back-pressure a segment stream). Drainers call Drain (or
-// DrainSince) to consume in emit order.
+// Emit from the hot path: it never blocks; when the ring is full the event
+// is counted in Drops and discarded (observability must never back-pressure
+// a segment stream). Drainers call Drain (or DrainSince, or DrainTally) to
+// consume in emit order.
 //
-// Every successfully emitted event gets a ring-monotonic 1-based Seq, so
-// drains are resumable: a drainer that remembers the last Seq it saw can
-// ask for strictly-later events and double-delivery is filtered even if
-// the wire retried.
+// Slot storage is allocated lazily, one block at a time, the first time an
+// emit reaches the block; a block is never freed or replaced, so a ring
+// makes at most Cap()/64 allocations (one for a ring under 64) after
+// NewRing, all on its first lap, and none after.
+//
+// Every successfully emitted event gets a ring-monotonic 1-based Seq: its
+// position in the ring plus one, so drains deliver in Seq order even with
+// concurrent emitters. Drains are resumable: a drainer that remembers the
+// last Seq it saw can ask for strictly-later events and double-delivery is
+// filtered even if the wire retried.
 type Ring struct {
-	mask  uint64
-	slots []ringSlot
+	mask   uint64
+	blocks []atomic.Pointer[ringBlock]
 
-	_     [64]byte // keep head/tail off the slots header's line
+	_     [64]byte // keep head/tail off the blocks header's line
 	head  atomic.Uint64
 	_     [56]byte
 	tail  atomic.Uint64
-	_     [56]byte
-	seq   atomic.Uint64
 	_     [56]byte
 	drops atomic.Int64
 	_     [56]byte
 }
 
 // NewRing builds a ring holding capacity events (rounded up to a power of
-// two; <= 0 selects DefaultRingCapacity).
+// two; <= 0 selects DefaultRingCapacity). It allocates no slot storage.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
@@ -58,30 +73,51 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	r := &Ring{mask: uint64(n - 1), slots: make([]ringSlot, n)}
-	for i := range r.slots {
-		r.slots[i].turn.Store(uint64(i))
-	}
-	return r
+	nBlocks := (n + ringBlockSlots - 1) / ringBlockSlots
+	return &Ring{mask: uint64(n - 1), blocks: make([]atomic.Pointer[ringBlock], nBlocks)}
 }
 
 // Cap returns the ring's capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return int(r.mask) + 1 }
+
+// slot returns the cell at ring index i, or nil when no emit has reached
+// its block yet (every slot in it is empty for lap 0).
+func (r *Ring) slot(i uint64) *ringSlot {
+	b := r.blocks[i/ringBlockSlots].Load()
+	if b == nil {
+		return nil
+	}
+	return &b[i%ringBlockSlots]
+}
+
+// install gives the block holding ring index i its storage and returns the
+// cell at i. Racing emitters may each allocate; the CAS loser drops its
+// block and uses the winner's.
+func (r *Ring) install(i uint64) *ringSlot {
+	k := i / ringBlockSlots
+	r.blocks[k].CompareAndSwap(nil, new(ringBlock))
+	return &r.blocks[k].Load()[i%ringBlockSlots]
+}
 
 // Emit appends ev (stamping ev.Seq) and reports whether it was stored.
 // False means the ring was full: the event was dropped and counted. Safe
-// for any number of concurrent emitters; never blocks, never allocates.
+// for any number of concurrent emitters; never blocks. It allocates only
+// when it is the first emit to reach a block (see Ring).
 func (r *Ring) Emit(ev Event) bool {
 	pos := r.head.Load()
 	for {
-		slot := &r.slots[pos&r.mask]
-		turn := slot.turn.Load()
+		i := pos & r.mask
+		slot := r.slot(i)
+		if slot == nil {
+			slot = r.install(i)
+		}
+		turn := slot.turn.Load() + i
 		switch diff := int64(turn) - int64(pos); {
 		case diff == 0:
 			if r.head.CompareAndSwap(pos, pos+1) {
-				ev.Seq = r.seq.Add(1)
+				ev.Seq = pos + 1
 				slot.ev = ev
-				slot.turn.Store(pos + 1)
+				slot.turn.Store(pos + 1 - i)
 				return true
 			}
 			pos = r.head.Load()
@@ -104,7 +140,7 @@ func (r *Ring) Drops() int64 { return r.drops.Load() }
 
 // Emitted returns how many events were successfully stored over the
 // ring's lifetime (the last assigned Seq).
-func (r *Ring) Emitted() uint64 { return r.seq.Load() }
+func (r *Ring) Emitted() uint64 { return r.head.Load() }
 
 // Drain consumes every event currently in the ring, appending them in
 // emit order to buf, and returns the extended slice. Events emitted while
@@ -137,17 +173,37 @@ func (r *Ring) DrainSince(since uint64, buf []Event) []Event {
 	}
 }
 
+// DrainTally consumes every event currently in the ring into a Tally —
+// TallyOf(r.Drain(nil), r.Drops()) without building the trace.
+func (r *Ring) DrainTally() Tally {
+	var t Tally
+	for {
+		ev, ok := r.pop()
+		if !ok {
+			break
+		}
+		t.Add(&ev)
+	}
+	t.Drops = r.Drops()
+	return t
+}
+
 // pop removes the oldest event, if any.
 func (r *Ring) pop() (Event, bool) {
 	pos := r.tail.Load()
 	for {
-		slot := &r.slots[pos&r.mask]
-		turn := slot.turn.Load()
+		i := pos & r.mask
+		slot := r.slot(i)
+		if slot == nil {
+			// No emit ever reached this block: nothing to consume.
+			return Event{}, false
+		}
+		turn := slot.turn.Load() + i
 		switch diff := int64(turn) - int64(pos+1); {
 		case diff == 0:
 			if r.tail.CompareAndSwap(pos, pos+1) {
 				ev := slot.ev
-				slot.turn.Store(pos + uint64(len(r.slots)))
+				slot.turn.Store(pos + r.mask + 1 - i)
 				return ev, true
 			}
 			pos = r.tail.Load()

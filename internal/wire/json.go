@@ -231,7 +231,7 @@ func (m *RatingResponse) Parse(data []byte) error {
 		case d.is("chunk"):
 			d.int(&m.Chunk)
 		case d.is("status"):
-			d.string(&m.Status)
+			d.string(&m.Status, StatusAccepted, StatusQuarantined)
 		case d.is("epoch"):
 			d.uint(&m.Epoch)
 		default:
@@ -641,8 +641,9 @@ func (d *decoder) scalar() bool {
 	return true
 }
 
-// string reads a string field.
-func (d *decoder) string(dst *string) {
+// string reads a string field. Text equal to one of known is assigned that
+// constant instead of a copy, so an expected value allocates nothing.
+func (d *decoder) string(dst *string, known ...string) {
 	if !d.scalar() {
 		return
 	}
@@ -651,14 +652,20 @@ func (d *decoder) string(dst *string) {
 		return
 	}
 	s, raw, ok := d.scanString()
-	switch {
-	case !ok:
-	case raw:
-		*dst = string(s)
-	default:
-		var buf [64]byte
-		*dst = string(unquote(buf[:0], s))
+	if !ok {
+		return
 	}
+	if !raw {
+		var buf [64]byte
+		s = unquote(buf[:0], s)
+	}
+	for _, k := range known {
+		if string(s) == k {
+			*dst = k
+			return
+		}
+	}
+	*dst = string(s)
 }
 
 // number reads a number field's text.
