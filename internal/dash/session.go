@@ -397,7 +397,7 @@ func (s *session) succeeded(r *reply) error {
 	switch s.step {
 	case stepJoin:
 		var jr wire.JoinResponse
-		if err := jr.Parse(r.body); err != nil {
+		if err := jr.Parse(r.body, c.videoName); err != nil {
 			return fmt.Errorf("dash: joining session: decoding reply: %w", err)
 		}
 		if jr.SessionID == "" || jr.TimeScale <= 0 {
@@ -429,7 +429,7 @@ func (s *session) succeeded(r *reply) error {
 		s.step = stepRate
 	case stepRate:
 		var rr wire.RatingResponse
-		if err := rr.Parse(r.body); err != nil {
+		if err := rr.Parse(r.body, c.videoName); err != nil {
 			return fmt.Errorf("dash: rating chunk %d: decoding reply: %w", s.i, err)
 		}
 		if rr.Status != wire.StatusAccepted && rr.Status != wire.StatusQuarantined {
@@ -550,7 +550,7 @@ func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 // parseWeights decodes and validates a GET /weights body.
 func parseWeights(body []byte, v *video.Video) (*sensitivity.Profile, error) {
 	var wr wire.WeightsResponse
-	if err := wr.Parse(body); err != nil {
+	if err := wr.Parse(body, v.Name); err != nil {
 		return nil, fmt.Errorf("dash: decoding weights: %w", err)
 	}
 	if wr.Video != v.Name {

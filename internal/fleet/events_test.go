@@ -244,7 +244,9 @@ func TestFleetEventsOutlastTheProcessRing(t *testing.T) {
 // raters (fleet_chaos's planes minus the nondeterministic one), bytes
 // allocated by the whole process during Run (runtime.MemStats.TotalAlloc)
 // over sessions run. A count in bytes, not a time: it repeats to within
-// a few hundred bytes at any GOMAXPROCS. Measured: 63.2k with each ring
+// a few hundred bytes at any GOMAXPROCS. Measured: 62.2k with the closed
+// loop's bodies, weight arrays and manifests allocating only what they
+// keep and no ServeMux built for the fleet; 63.2k with each ring
 // allocating 8 KiB blocks of slots as events reach them; 345.6k while
 // every session built two 1 024-slot rings, client and origin mirror,
 // 128 KiB each, before its first event.
@@ -252,7 +254,7 @@ func TestFleetEventsBytesPerSession(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
 	}
-	const budget = 76_000 // 63.2k measured, plus 20 %
+	const budget = 74_600 // 62.2k measured, plus 20 %
 	var catalog []*video.Video
 	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
 		v, err := video.ByName(name)

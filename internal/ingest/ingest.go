@@ -502,7 +502,9 @@ func (p *Plane) runRefresh(j job) {
 		return
 	}
 	p.applied.Add(1)
-	p.log("ingest: autonomous refresh of %q chunks [%d,%d) published epoch %d", j.videoName, j.lo, j.hi, epoch)
+	if p.logf != nil { // the arguments alone would allocate on every refresh
+		p.logf("ingest: autonomous refresh of %q chunks [%d,%d) published epoch %d", j.videoName, j.lo, j.hi, epoch)
+	}
 }
 
 // clearInflight releases a window latch for a job that never ran.

@@ -135,7 +135,8 @@ var wallStats = regexp.MustCompile(`("id": |"idle_sec": |"uptime_sec": )[^,\n]*`
 // join, manifest, weights, rating, refresh and leave routes, and last
 // /stats, each sent to a fresh origin per adapter in the same order, must
 // give the same status, epoch, body and lengths (and /stats, over the
-// socket, its JSON Content-Type).
+// socket, its JSON Content-Type). /stats bodies are compared with their
+// wall-clock values masked, and each side's length against its own body.
 func TestAdaptersAgree(t *testing.T) {
 	sides := adapterSides(t, nil)
 	name := hotPathConfig(t).Catalog[0].Name
@@ -182,6 +183,13 @@ func TestAdaptersAgree(t *testing.T) {
 			x := s.send(&r.c)
 			if r.c.Route == wire.RouteStats {
 				checkStatsEncoding(t, name, x.a.Body)
+				// The body's wall-clock ages can print with different digit
+				// counts on the two origins, so its length is checked per
+				// side, and the masked bodies are compared below.
+				if x.a.N != int64(len(x.a.Body)) || x.a.Len != x.a.N {
+					t.Errorf("%s: /stats: %d of %d bytes, body %d", name, x.a.N, x.a.Len, len(x.a.Body))
+				}
+				x.a.N, x.a.Len = 0, 0
 			}
 			x.a.Body = mintedID.ReplaceAll(x.a.Body, []byte(`"session_id":"<minted>"`))
 			x.a.Body = wallStats.ReplaceAll(x.a.Body, []byte(`$1<masked>`))

@@ -368,7 +368,7 @@ func (o *Origin) rating(q *request) reply {
 	var req wire.RatingRequest
 	err := q.err
 	if err == nil {
-		err = req.Parse(q.Body)
+		err = req.Parse(q.Body, q.SID) // a client names its session in both
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad rating body: "+err.Error())

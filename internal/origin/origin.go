@@ -71,7 +71,6 @@ import (
 	"sensei/internal/trace"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
-	"sensei/internal/wire"
 )
 
 // DefaultSessionIdleTimeout reaps sessions that stop issuing requests.
@@ -198,7 +197,11 @@ type Origin struct {
 	store    *WeightService
 	feedback *ingest.Plane   // nil when the closed loop is disabled
 	chaos    *chaos.Injector // nil when fault injection is disabled
-	mux      *http.ServeMux  // ServeHTTP's fallback, and /stats and the event plane
+
+	// mux is ServeHTTP's fallback, built on the first request the typed
+	// parser leaves to it; Call never reaches it.
+	muxOnce sync.Once
+	mux     *http.ServeMux
 
 	// Event plane (nil/zero when disabled): aggregate registry, per-session
 	// ring capacity, the process-level ring for non-session events
@@ -291,17 +294,6 @@ func New(cfg Config) (*Origin, error) {
 		}
 		o.feedback = plane
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /session", o.handle(wire.RouteJoin))
-	mux.HandleFunc("DELETE /session/{id}", o.handle(wire.RouteLeave))
-	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handle(wire.RouteManifest))
-	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", o.handleSegment)
-	mux.HandleFunc("GET /weights", o.handle(wire.RouteWeights))
-	mux.HandleFunc("POST /refresh", o.handle(wire.RouteRefresh))
-	if o.feedback != nil {
-		mux.HandleFunc("POST /rating", o.handle(wire.RouteRating))
-	}
-	mux.HandleFunc("GET /stats", o.handle(wire.RouteStats))
 	if cfg.Events != nil {
 		o.events = cfg.Events.Metrics
 		if o.events == nil {
@@ -309,12 +301,7 @@ func New(cfg Config) (*Origin, error) {
 		}
 		o.eventsCap = cfg.Events.ringCapacity()
 		o.procRing = qlog.NewRing(o.eventsCap)
-		// Like /stats and /refresh, the event endpoints are never faulted:
-		// observability stays reachable no matter the weather.
-		mux.HandleFunc("GET /events", o.handleEvents)
-		mux.HandleFunc("GET /metrics", o.handleMetrics)
 	}
-	o.mux = mux
 	if cfg.Chaos != nil {
 		inj, err := chaos.NewInjector(*cfg.Chaos)
 		if err != nil {
@@ -436,7 +423,9 @@ func (o *Origin) RefreshWeights(videoName string, lo, hi int) (*sensitivity.Prof
 	if err != nil {
 		return nil, err
 	}
-	o.logf("origin: refreshed %q chunks [%d,%d) to epoch %d", videoName, lo, hi, p.Epoch)
+	if o.cfg.Logf != nil { // the arguments alone would allocate on every refresh
+		o.cfg.Logf("origin: refreshed %q chunks [%d,%d) to epoch %d", videoName, lo, hi, p.Epoch)
+	}
 	return p, nil
 }
 

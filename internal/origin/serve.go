@@ -32,7 +32,31 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		o.serve(w, r, c)
 		return
 	}
+	o.muxOnce.Do(o.buildMux)
 	o.mux.ServeHTTP(w, r)
+}
+
+// buildMux builds ServeHTTP's fallback: every route under its ServeMux
+// pattern, and the event plane's endpoints.
+func (o *Origin) buildMux() {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /session", o.handle(wire.RouteJoin))
+	mux.HandleFunc("DELETE /session/{id}", o.handle(wire.RouteLeave))
+	mux.HandleFunc("GET /v/{video}/manifest.mpd", o.handle(wire.RouteManifest))
+	mux.HandleFunc("GET /v/{video}/segment/{chunk}/{rung}", o.handleSegment)
+	mux.HandleFunc("GET /weights", o.handle(wire.RouteWeights))
+	mux.HandleFunc("POST /refresh", o.handle(wire.RouteRefresh))
+	if o.feedback != nil {
+		mux.HandleFunc("POST /rating", o.handle(wire.RouteRating))
+	}
+	mux.HandleFunc("GET /stats", o.handle(wire.RouteStats))
+	if o.events != nil {
+		// Like /stats and /refresh, the event endpoints are never faulted:
+		// observability stays reachable no matter the weather.
+		mux.HandleFunc("GET /events", o.handleEvents)
+		mux.HandleFunc("GET /metrics", o.handleMetrics)
+	}
+	o.mux = mux
 }
 
 // ServeJoin serves POST /session registering the session as id: the

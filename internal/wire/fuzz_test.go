@@ -202,29 +202,30 @@ func checkAccepted(t *testing.T, p string) {
 
 // FuzzBodies holds every body's codec to encoding/json. Parse must accept
 // exactly the documents json.Unmarshal accepts for the same type, starting
-// from a zero and from a filled-in value, and leave the same value behind.
+// from a zero and from a filled-in value, and leave the same value behind,
+// with and without the fuzzed string as a known value.
 // AppendJSON must write json.Marshal's bytes for any value Marshal
 // encodes (it refuses NaN and ±Inf), and Parse must read them back as
 // Unmarshal does.
 func FuzzBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, s string, n int64, u uint64, x float64) {
 		ws := floatsOf(data, x)
-		checkBody(t, data, JoinRequest{Video: s, Trace: string(data), TimeScale: x},
+		checkBody(t, data, s, JoinRequest{Video: s, Trace: string(data), TimeScale: x},
 			func() JoinRequest { return JoinRequest{Video: "v", Trace: "t", TimeScale: 2} })
-		checkBody(t, data, JoinResponse{SessionID: string(data), Video: s, Trace: s, TimeScale: x},
+		checkBody(t, data, s, JoinResponse{SessionID: string(data), Video: s, Trace: s, TimeScale: x},
 			func() JoinResponse { return JoinResponse{SessionID: "s", Video: "v", Trace: "t", TimeScale: 2} })
-		checkBody(t, data, WeightsResponse{Video: s, Epoch: u, Weights: ws},
+		checkBody(t, data, s, WeightsResponse{Video: s, Epoch: u, Weights: ws},
 			// Two stale slots past len: encoding/json decodes into them.
 			func() WeightsResponse {
 				return WeightsResponse{Video: "v", Epoch: 7, Weights: []float64{1, 2, 3, 4}[:2]}
 			})
-		checkBody(t, data, RefreshRequest{Video: s, From: int(n), To: int(u)},
+		checkBody(t, data, s, RefreshRequest{Video: s, From: int(n), To: int(u)},
 			func() RefreshRequest { return RefreshRequest{Video: "v", From: 1, To: 2} })
-		checkBody(t, data, RefreshResponse{Video: s, Epoch: u},
+		checkBody(t, data, s, RefreshResponse{Video: s, Epoch: u},
 			func() RefreshResponse { return RefreshResponse{Video: "v", Epoch: 7} })
-		checkBody(t, data, RatingRequest{SessionID: s, Chunk: int(n), Epoch: u, Rating: int(int32(n >> 32))},
+		checkBody(t, data, s, RatingRequest{SessionID: s, Chunk: int(n), Epoch: u, Rating: int(int32(n >> 32))},
 			func() RatingRequest { return RatingRequest{SessionID: "s", Chunk: 1, Epoch: 7, Rating: 3} })
-		checkBody(t, data, RatingResponse{Video: string(data), Chunk: int(n), Status: s, Epoch: u},
+		checkBody(t, data, s, RatingResponse{Video: string(data), Chunk: int(n), Status: s, Epoch: u},
 			func() RatingResponse { return RatingResponse{Video: "v", Chunk: 1, Status: StatusAccepted, Epoch: 7} })
 	})
 }
@@ -246,21 +247,26 @@ func floatsOf(data []byte, x float64) []float64 {
 type body[T any] interface {
 	*T
 	AppendJSON([]byte) []byte
-	Parse([]byte) error
+	Parse(data []byte, known ...string) error
 }
 
 // checkBody parses data into a zero T and into a filled-in one, against
-// json.Unmarshal, then encodes v against json.Marshal.
-func checkBody[T any, P body[T]](t *testing.T, data []byte, v T, filled func() T) {
+// json.Unmarshal, with no known value and with known, then encodes v
+// against json.Marshal.
+func checkBody[T any, P body[T]](t *testing.T, data []byte, known string, v T, filled func() T) {
 	t.Helper()
 	for _, start := range []func() T{func() T { var z T; return z }, filled} {
-		got, want := start(), start()
-		gotErr, wantErr := P(&got).Parse(data), json.Unmarshal(data, &want)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%T.Parse(%q) = %v, json.Unmarshal says %v", got, data, gotErr, wantErr)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%T.Parse(%q) = %#v, json.Unmarshal says %#v", got, data, got, want)
+		want := start()
+		wantErr := json.Unmarshal(data, &want)
+		for _, ks := range [][]string{nil, {known}} {
+			got := start()
+			gotErr := P(&got).Parse(data, ks...)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%T.Parse(%q, %q) = %v, json.Unmarshal says %v", got, data, ks, gotErr, wantErr)
+			}
+			if gotErr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T.Parse(%q, %q) = %#v, json.Unmarshal says %#v", got, data, ks, got, want)
+			}
 		}
 	}
 

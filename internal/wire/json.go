@@ -15,8 +15,11 @@ import (
 // the bytes json.Marshal produces for it, and Parse, which accepts exactly
 // the documents json.Unmarshal accepts for it and decodes them to the same
 // value. Neither reflects; AppendJSON allocates only to grow dst, and Parse
-// only for the strings and weights it decodes. FuzzBodies holds both to
-// encoding/json.
+// only for the strings and weights it decodes. Parse takes the strings its
+// caller already holds as known: a string field whose decoded text equals
+// one of them is assigned that string, not a copy, so a reply naming the
+// caller's own video or session allocates nothing for it. FuzzBodies holds
+// both to encoding/json.
 
 // AppendJSON appends the request as json.Marshal encodes it.
 func (m *JoinRequest) AppendJSON(b []byte) []byte {
@@ -33,15 +36,18 @@ func (m *JoinRequest) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *JoinRequest) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+// No caller holds a string to pass for this body, so known stays empty in
+// the program; it keeps every body's Parse in the one shape FuzzBodies
+// drives.
+func (m *JoinRequest) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("trace"):
-			d.string(&m.Trace)
+			d.string(&m.Trace, known)
 		case d.is("timescale"):
 			d.float(&m.TimeScale)
 		default:
@@ -64,17 +70,17 @@ func (m *JoinResponse) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *JoinResponse) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+func (m *JoinResponse) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("session_id"):
-			d.string(&m.SessionID)
+			d.string(&m.SessionID, known)
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("trace"):
-			d.string(&m.Trace)
+			d.string(&m.Trace, known)
 		case d.is("timescale"):
 			d.float(&m.TimeScale)
 		default:
@@ -103,13 +109,13 @@ func (m *WeightsResponse) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *WeightsResponse) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+func (m *WeightsResponse) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("epoch"):
 			d.uint(&m.Epoch)
 		case d.is("weights"):
@@ -132,13 +138,16 @@ func (m *RefreshRequest) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *RefreshRequest) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+// No caller holds a string to pass for this body, so known stays empty in
+// the program; it keeps every body's Parse in the one shape FuzzBodies
+// drives.
+func (m *RefreshRequest) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("from"):
 			d.int(&m.From)
 		case d.is("to"):
@@ -159,13 +168,16 @@ func (m *RefreshResponse) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *RefreshResponse) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+// No caller holds a string to pass for this body, so known stays empty in
+// the program; it keeps every body's Parse in the one shape FuzzBodies
+// drives.
+func (m *RefreshResponse) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("epoch"):
 			d.uint(&m.Epoch)
 		default:
@@ -188,13 +200,13 @@ func (m *RatingRequest) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *RatingRequest) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+func (m *RatingRequest) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("session_id"):
-			d.string(&m.SessionID)
+			d.string(&m.SessionID, known)
 		case d.is("chunk"):
 			d.int(&m.Chunk)
 		case d.is("epoch"):
@@ -221,17 +233,17 @@ func (m *RatingResponse) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would.
-func (m *RatingResponse) Parse(data []byte) error {
+// Parse decodes data into m as json.Unmarshal would, sharing known's text.
+func (m *RatingResponse) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
 		switch {
 		case d.is("video"):
-			d.string(&m.Video)
+			d.string(&m.Video, known)
 		case d.is("chunk"):
 			d.int(&m.Chunk)
 		case d.is("status"):
-			d.string(&m.Status, StatusAccepted, StatusQuarantined)
+			d.string(&m.Status, known, StatusAccepted, StatusQuarantined)
 		case d.is("epoch"):
 			d.uint(&m.Epoch)
 		default:
@@ -641,9 +653,11 @@ func (d *decoder) scalar() bool {
 	return true
 }
 
-// string reads a string field. Text equal to one of known is assigned that
-// constant instead of a copy, so an expected value allocates nothing.
-func (d *decoder) string(dst *string, known ...string) {
+// string reads a string field. Text equal to one of known or consts is
+// assigned that string instead of a copy, so an expected value allocates
+// nothing. (known is not a decoder field: the decoder's fields escape, and
+// Parse's caller would allocate its known slice.)
+func (d *decoder) string(dst *string, known []string, consts ...string) {
 	if !d.scalar() {
 		return
 	}
@@ -659,10 +673,12 @@ func (d *decoder) string(dst *string, known ...string) {
 		var buf [64]byte
 		s = unquote(buf[:0], s)
 	}
-	for _, k := range known {
-		if string(s) == k {
-			*dst = k
-			return
+	for _, set := range [...][]string{known, consts} {
+		for _, k := range set {
+			if string(s) == k {
+				*dst = k
+				return
+			}
 		}
 	}
 	*dst = string(s)
@@ -752,6 +768,9 @@ func (d *decoder) float(dst *float64) {
 // floats reads a []float64 field. Like encoding/json it decodes into the
 // slice's existing elements and backing array, so a null element keeps
 // whatever that slot held; an empty array leaves an empty, non-nil slice.
+// An array longer than that backing array is counted first and given a new
+// one of its length in one allocation, with the old array's slots copied
+// in, as growing it by append would leave them.
 func (d *decoder) floats(dst *[]float64) {
 	if d.err != nil {
 		return
@@ -765,6 +784,11 @@ func (d *decoder) floats(dst *[]float64) {
 		return
 	}
 	s, i := *dst, 0
+	if n := d.elements(); n > cap(s) {
+		grown := make([]float64, n)
+		copy(grown, s[:cap(s)])
+		s = grown[:len(s)]
+	}
 	for ; d.more(']', i == 0); i++ {
 		switch {
 		case i < len(s):
@@ -782,6 +806,31 @@ func (d *decoder) floats(dst *[]float64) {
 		s = []float64{}
 	}
 	*dst = s[:i]
+}
+
+// elements counts the elements of the array whose '[' was just consumed,
+// reading ahead to its first ']' without consuming anything. The count is
+// exact for an array of numbers and nulls; for anything else, which the
+// caller refuses, it is 0.
+func (d *decoder) elements() int {
+	n, empty := 1, true
+	for _, c := range d.data[d.off:] {
+		switch c {
+		case ']':
+			if empty {
+				return 0
+			}
+			return n
+		case ',':
+			n++
+		case ' ', '\t', '\n', '\r':
+		case '"', '[', '{':
+			return 0
+		default:
+			empty = false
+		}
+	}
+	return 0
 }
 
 // skip consumes the value of a field no body declares.

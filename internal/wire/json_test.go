@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,41 +24,73 @@ func TestBodyNestingLimit(t *testing.T) {
 	}
 }
 
-// TestRatingStatusParseAllocatesNothing: a rating reply whose status is
-// one of the two known values parses into that constant, so reading it
-// copies no text, and the result still equals json.Unmarshal's. Any other
-// status is copied as it stands.
+// TestRatingStatusParseAllocatesNothing: a string whose text is one of
+// the rating statuses, or one of the known values Parse is handed (the
+// caller's session ID or video name), parses into that string, so reading
+// it copies no text, and the result still equals json.Unmarshal's. Any
+// other string is copied as it stands, and a weights body allocates its
+// array once, whatever its length.
 func TestRatingStatusParseAllocatesNothing(t *testing.T) {
-	for _, doc := range []string{
-		`{"chunk":3,"status":"accepted","epoch":7}`,
-		`{"chunk":3,"status":"quarantined","epoch":7}`,
-		`{"chunk":3,"status":"accept\u0065d","epoch":7}`,
-		`{"chunk":3,"status":"Accepted","epoch":7}`,
-		`{"chunk":3,"status":"accepted ","epoch":7}`,
+	const vid = "Soccer1"
+	for _, row := range []struct {
+		doc    string
+		into   any // a *T the doc is parsed into, after zeroing
+		known  []string
+		allocs float64
+	}{
+		{`{"chunk":3,"status":"accepted","epoch":7}`, new(RatingResponse), nil, 0},
+		{`{"chunk":3,"status":"quarantined","epoch":7}`, new(RatingResponse), nil, 0},
+		{`{"chunk":3,"status":"accept\u0065d","epoch":7}`, new(RatingResponse), nil, 0},
+		{`{"chunk":3,"status":"Accepted","epoch":7}`, new(RatingResponse), nil, 1},
+		{`{"chunk":3,"status":"accepted ","epoch":7}`, new(RatingResponse), nil, 1},
+		{`{"video":"Soccer1","chunk":3,"status":"accepted","epoch":7}`, new(RatingResponse), []string{vid}, 0},
+		{`{"video":"Soccer1","chunk":3,"status":"accepted","epoch":7}`, new(RatingResponse), nil, 1},
+		{`{"session_id":"9f3a","chunk":3,"epoch":7,"rating":4}`, new(RatingRequest), []string{"9f3a"}, 0},
+		{`{"session_id":"9f3a","chunk":3,"epoch":7,"rating":4}`, new(RatingRequest), []string{"9f3b"}, 1},
+		{`{"session_id":"9f3a","video":"Soccer1","trace":"","timescale":1}`, new(JoinResponse), []string{vid}, 1},
+		{`{"video":"Soccer1","epoch":3,"weights":[0.5,1.25,2,1e-3, 4]}`, new(WeightsResponse), []string{vid}, 1},
+		{`{"video":"Soccer1","epoch":3,"weights":[]}`, new(WeightsResponse), []string{vid}, 0},
 	} {
-		var got, want RatingResponse
-		if err := got.Parse([]byte(doc)); err != nil {
-			t.Fatalf("%s: %v", doc, err)
+		data := []byte(row.doc)
+		if err := parseInto(row.into, data, row.known); err != nil {
+			t.Fatalf("%s: %v", row.doc, err)
 		}
-		if err := json.Unmarshal([]byte(doc), &want); err != nil {
-			t.Fatalf("%s: json.Unmarshal: %v", doc, err)
+		want := reflect.New(reflect.TypeOf(row.into).Elem()).Interface()
+		if err := json.Unmarshal(data, want); err != nil {
+			t.Fatalf("%s: json.Unmarshal: %v", row.doc, err)
 		}
-		if got != want {
-			t.Fatalf("%s: Parse = %+v, json.Unmarshal = %+v", doc, got, want)
+		if !reflect.DeepEqual(row.into, want) {
+			t.Fatalf("%s: Parse = %+v, json.Unmarshal = %+v", row.doc, row.into, want)
 		}
-		known := got.Status == StatusAccepted || got.Status == StatusQuarantined
-		if raceEnabled || !known {
+		if raceEnabled {
 			continue
 		}
-		data := []byte(doc)
-		allocs := testing.AllocsPerRun(100, func() {
-			var m RatingResponse
-			if err := m.Parse(data); err != nil {
+		got := testing.AllocsPerRun(100, func() {
+			if err := parseInto(row.into, data, row.known); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("%s: Parse allocates %.1f objects, want 0", doc, allocs)
+		if got != row.allocs {
+			t.Errorf("%s known %q: Parse allocates %.1f objects, want %.0f", row.doc, row.known, got, row.allocs)
 		}
 	}
+}
+
+// parseInto zeroes *m and parses data into it.
+func parseInto(m any, data []byte, known []string) error {
+	switch m := m.(type) {
+	case *RatingResponse:
+		*m = RatingResponse{}
+		return m.Parse(data, known...)
+	case *RatingRequest:
+		*m = RatingRequest{}
+		return m.Parse(data, known...)
+	case *JoinResponse:
+		*m = JoinResponse{}
+		return m.Parse(data, known...)
+	case *WeightsResponse:
+		*m = WeightsResponse{}
+		return m.Parse(data, known...)
+	}
+	panic("parseInto: no such body")
 }

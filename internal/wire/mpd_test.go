@@ -197,7 +197,8 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 
 // TestAppendMPDMatchesMarshalIndent: for every catalog video, with and
 // without weights, at epochs 0, 1 and 7, AppendMPD writes encoding/xml's
-// bytes and ParseMPD reads them back as xml.Unmarshal does.
+// bytes and ParseMPD reads them back as xml.Unmarshal does, and appending
+// into a buffer that already has the room allocates nothing.
 func TestAppendMPDMatchesMarshalIndent(t *testing.T) {
 	for _, v := range video.TestSet() {
 		for _, weights := range [][]float64{nil, v.TrueSensitivity()} {
@@ -208,6 +209,13 @@ func TestAppendMPDMatchesMarshalIndent(t *testing.T) {
 				}
 				m.Period.AdaptationSet.WeightEpoch = epoch
 				checkAppendMPD(t, m)
+				if raceEnabled {
+					continue
+				}
+				buf := m.AppendMPD(nil)
+				if n := testing.AllocsPerRun(10, func() { buf = m.AppendMPD(buf[:0]) }); n != 0 {
+					t.Fatalf("%s: AppendMPD into a %d-byte buffer allocates %.0f objects, want 0", v.Name, cap(buf), n)
+				}
 			}
 		}
 	}

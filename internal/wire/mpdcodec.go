@@ -27,19 +27,32 @@ var (
 )
 
 // AppendMPD appends the manifest as Encode writes it: xml.Header, then the
-// document encoding/xml marshals with a two-space indent.
+// document encoding/xml marshals with a two-space indent. It allocates
+// only to grow b.
 func (m *MPD) AppendMPD(b []byte) []byte {
 	as := &m.Period.AdaptationSet
-	b = fmt.Appendf(b, "%s<MPD mediaPresentationDuration=\"%s\">\n  <Period>\n    <AdaptationSet mimeType=\"%s\" senseiSegmentSeconds=\"%d\"",
-		xml.Header, escapeXML(m.MediaPresentation), escapeXML(as.MimeType), as.SegmentSeconds)
+	b = append(b, xml.Header...)
+	b = append(b, `<MPD mediaPresentationDuration="`...)
+	b = appendEscapedXML(b, m.MediaPresentation)
+	b = append(b, "\">\n  <Period>\n    <AdaptationSet mimeType=\""...)
+	b = appendEscapedXML(b, as.MimeType)
+	b = append(b, `" senseiSegmentSeconds="`...)
+	b = strconv.AppendInt(b, int64(as.SegmentSeconds), 10)
+	b = append(b, '"')
 	if as.WeightEpoch != 0 {
-		b = fmt.Appendf(b, ` senseiWeightEpoch="%d"`, as.WeightEpoch)
+		b = append(b, ` senseiWeightEpoch="`...)
+		b = append(strconv.AppendUint(b, as.WeightEpoch, 10), '"')
 	}
 	b = append(b, '>')
 	for _, r := range as.Representations {
-		b = fmt.Appendf(b, "\n      <Representation id=\"%s\" bandwidth=\"%d\">", escapeXML(r.ID), r.Bandwidth)
+		b = append(b, "\n      <Representation id=\""...)
+		b = appendEscapedXML(b, r.ID)
+		b = append(b, `" bandwidth="`...)
+		b = append(strconv.AppendInt(b, int64(r.Bandwidth), 10), `">`...)
 		if r.SenseiWeights != "" {
-			b = fmt.Appendf(b, "\n        <SenseiWeights>%s</SenseiWeights>\n      ", escapeXML(r.SenseiWeights))
+			b = append(b, "\n        <SenseiWeights>"...)
+			b = appendEscapedXML(b, r.SenseiWeights)
+			b = append(b, "</SenseiWeights>\n      "...)
 		}
 		b = append(b, "</Representation>"...)
 	}
@@ -49,11 +62,44 @@ func (m *MPD) AppendMPD(b []byte) []byte {
 	return append(b, "</AdaptationSet>\n  </Period>\n</MPD>"...)
 }
 
-// escapeXML escapes s as the marshaller escapes attribute values and text.
-func escapeXML(s string) string {
-	var b strings.Builder
-	_ = xml.EscapeText(&b, []byte(s)) // a Builder's Write never fails
-	return b.String()
+// appendEscapedXML appends s escaped as xml.EscapeText escapes it, which is
+// how the marshaller writes attribute values and text: the five markup
+// characters and tab, newline and carriage return as references, and a
+// rune outside XML's character range or an invalid UTF-8 byte as U+FFFD.
+func appendEscapedXML(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if !xmlChar(r) || (r == utf8.RuneError && width == 1) {
+				esc = "\uFFFD"
+				break
+			}
+			continue
+		}
+		b = append(append(b, s[last:i-width]...), esc...)
+		last = i
+	}
+	return append(b, s[last:]...)
 }
 
 // mpdShape is the path of elements ParseMPD decodes, root first.
