@@ -5,7 +5,8 @@
 //
 // Sensitivity weights are profiled lazily — at most once per video, on the
 // first manifest request — and persisted under -weightdir so a restarted
-// origin starts instantly. They are a live, versioned plane: every profile
+// origin starts instantly; cmd/weightlib fills the same directory offline,
+// so an origin booted on it runs no campaign at all. They are a live, versioned plane: every profile
 // carries an epoch (persisted, survives restarts), segment responses
 // advertise the current epoch via X-Sensei-Weight-Epoch, clients re-fetch
 // GET /weights?sid=... when it advances, and POST /refresh re-profiles a

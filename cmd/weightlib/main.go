@@ -1,59 +1,37 @@
-// Command weightlib profiles catalog videos and writes a persisted weight
-// library — the artifact a video-management system would attach to its
-// catalog and feed into manifest generation (Fig 7 of the paper). Library
-// entries are epoch-stamped: merging a re-profiled video into an existing
-// library bumps its epoch, the same versioning the live origin serves.
+// Command weightlib runs the §4 crowdsourcing campaign offline and writes
+// each video's weights into an origin weight directory: the same
+// <video>.weights.json files dashserver -weightdir boots from, so an origin
+// started on that directory serves the campaign's weights without running
+// one (the video-management integration of Fig 7). A video with no file is
+// profiled into epoch 1; a video that already has one is re-profiled into
+// its next epoch, the same versioning the live origin serves.
 //
 // Usage:
 //
-//	weightlib [-out weights.json] [-videos Soccer1,Tank] [-pop 30000]
-//	weightlib -merge weights.json -videos Soccer1       # re-profile into an existing library
-//	weightlib -verify weights.json
+//	weightlib [-weightdir weights] [-videos Soccer1,Tank] [-pop 30000]
+//	weightlib -verify [-weightdir weights] [-videos Soccer1,Tank]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"sensei"
-	"sensei/internal/atomicfile"
-	"sensei/internal/crowd"
-	"sensei/internal/video"
+	"sensei/internal/origin"
 )
 
 func main() {
-	out := flag.String("out", "weights.json", "output path for the weight library")
+	dir := flag.String("weightdir", "weights", "origin weight directory to profile into (dashserver's -weightdir)")
 	names := flag.String("videos", "", "comma-separated catalog names (default: whole catalog)")
 	popSize := flag.Int("pop", 30000, "rater population size")
-	merge := flag.String("merge", "", "existing library to merge freshly profiled videos into (epochs bump)")
-	verify := flag.String("verify", "", "validate an existing library file and exit")
+	verify := flag.Bool("verify", false, "check each listed video's weight file with the origin's reader and exit")
 	flag.Parse()
-	outSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outSet = true
-		}
-	})
 
-	if *verify != "" {
-		lib := loadLibrary(*verify)
-		fmt.Printf("library OK: version %d, %d videos\n", libVersion(lib), len(lib.Weights))
-		for _, name := range sortedNames(lib) {
-			w := lib.Weights[name]
-			status := describeCatalogFit(name, w)
-			fmt.Printf("  %-14s epoch %-3d %3d chunks%s\n", name, lib.EpochOf(name), len(w), status)
-		}
-		return
-	}
-
-	var videos []*video.Video
-	if *names == "" {
-		videos = sensei.VideoCatalog()
-	} else {
+	videos := sensei.VideoCatalog()
+	if *names != "" {
+		videos = nil
 		for _, name := range strings.Split(*names, ",") {
 			v, err := sensei.VideoByName(strings.TrimSpace(name))
 			if err != nil {
@@ -63,25 +41,22 @@ func main() {
 		}
 	}
 
-	lib := &crowd.WeightLibrary{}
-	if *merge != "" {
-		lib = loadLibrary(*merge)
-		// A merge must not silently corrupt the serving catalog: every
-		// existing entry whose vector length disagrees with its catalog
-		// video is a different cut of the content, and profiles about to
-		// be merged on top of it would mislabel every chunk.
-		for _, name := range sortedNames(lib) {
-			if v, err := sensei.VideoByName(name); err == nil && len(lib.Weights[name]) != v.NumChunks() {
-				fail(fmt.Errorf("refusing to merge: library entry %q has %d weights, catalog video has %d chunks",
-					name, len(lib.Weights[name]), v.NumChunks()))
+	if *verify {
+		bad := 0
+		for _, v := range videos {
+			p, err := origin.ReadWeights(*dir, v)
+			if err != nil {
+				fmt.Printf("  %-14s %v\n", v.Name, err)
+				bad++
+				continue
 			}
+			fmt.Printf("  %-14s epoch %-3d %3d chunks\n", v.Name, p.Epoch, len(p.Weights))
 		}
-		if !outSet {
-			// Default output under -merge is the merged library itself; an
-			// explicit -out (even "weights.json") is honored as given.
-			*out = *merge
+		if bad > 0 {
+			fail(fmt.Errorf("%d of %d weight files in %s missing or invalid", bad, len(videos), *dir))
 		}
-		fmt.Printf("merging into %s: version %d, %d existing videos\n", *merge, libVersion(lib), len(lib.Weights))
+		fmt.Printf("%s OK: %d videos\n", *dir, len(videos))
+		return
 	}
 
 	pop, err := sensei.NewPopulation(sensei.PopulationConfig{Size: *popSize, Seed: 0x717})
@@ -89,82 +64,40 @@ func main() {
 		fail(err)
 	}
 	profiler := sensei.NewProfiler(pop)
-
-	var totalCost float64
-	for _, v := range videos {
+	var cost float64
+	profile := func(v *sensei.Video) ([]float64, error) {
 		p, err := profiler.Profile(v)
 		if err != nil {
-			fail(fmt.Errorf("profiling %s: %w", v.Name, err))
+			return nil, err
 		}
-		if len(p.Weights) != v.NumChunks() {
-			fail(fmt.Errorf("profiling %s: %d weights for %d chunks", v.Name, len(p.Weights), v.NumChunks()))
+		cost = p.CostUSD
+		return p.Weights, nil
+	}
+	// The service logs only a failed weight-file write, which would lose
+	// the campaign: here that is fatal.
+	svc := origin.NewWeightService(*dir, profile, func(format string, args ...any) {
+		fail(fmt.Errorf(format, args...))
+	})
+
+	var total float64
+	for _, v := range videos {
+		cost = 0
+		loads := svc.DiskLoads()
+		p, err := svc.Get(v) // no file: profiled cold into epoch 1
+		if err == nil && svc.DiskLoads() > loads {
+			// Already profiled: the fresh campaign is the next epoch.
+			var w []float64
+			if w, err = profile(v); err == nil {
+				p, err = svc.Publish(v, w)
+			}
 		}
-		// Set refuses chunk-count mismatches against an existing entry and
-		// bumps the epoch of a re-profile.
-		if err := lib.Set(v.Name, p.Weights); err != nil {
+		if err != nil {
 			fail(err)
 		}
-		totalCost += p.CostUSD
-		fmt.Printf("profiled %-14s epoch %-3d %3d chunks  $%6.1f  ($%.1f/min)\n",
-			v.Name, lib.EpochOf(v.Name), len(p.Weights), p.CostUSD, p.CostPerMinuteUSD)
+		total += cost
+		fmt.Printf("profiled %-14s epoch %-3d %3d chunks  $%6.1f\n", v.Name, p.Epoch, len(p.Weights), cost)
 	}
-
-	if err := saveLibrary(*out, lib); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s: version %d, %d videos, total campaign cost $%.1f\n",
-		*out, crowd.WeightLibraryVersion, len(lib.Weights), totalCost)
-}
-
-// saveLibrary writes the library atomically: under -merge the output is
-// usually the input library itself, and campaigns cost real dollars — a
-// failed write must never leave the only copy truncated.
-func saveLibrary(path string, lib *crowd.WeightLibrary) error {
-	return atomicfile.Write(path, func(w io.Writer) error { return lib.Save(w) })
-}
-
-// loadLibrary opens and validates a persisted library.
-func loadLibrary(path string) *crowd.WeightLibrary {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	lib, err := crowd.ReadWeightLibrary(f)
-	if err != nil {
-		fail(err)
-	}
-	return lib
-}
-
-// libVersion reports the on-disk layout version (legacy files carry none).
-func libVersion(lib *crowd.WeightLibrary) int {
-	if lib.Version == 0 {
-		return 1
-	}
-	return lib.Version
-}
-
-// sortedNames lists the library's entries deterministically.
-func sortedNames(lib *crowd.WeightLibrary) []string {
-	names := make([]string, 0, len(lib.Weights))
-	for name := range lib.Weights {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// describeCatalogFit annotates a verify row with the catalog cross-check.
-func describeCatalogFit(name string, w []float64) string {
-	v, err := sensei.VideoByName(name)
-	if err != nil {
-		return "  (not a catalog video)"
-	}
-	if len(w) != v.NumChunks() {
-		return fmt.Sprintf("  (MISMATCH: catalog video has %d chunks)", v.NumChunks())
-	}
-	return ""
+	fmt.Printf("%s: %d videos profiled, total campaign cost $%.1f\n", *dir, len(videos), total)
 }
 
 func fail(err error) {

@@ -1,18 +1,21 @@
 package sensei_test
 
 import (
-	"bytes"
+	"context"
+	"errors"
+	"net/http"
 	"testing"
 
-	"sensei"
 	"sensei/internal/abr"
 	"sensei/internal/crowd"
 	"sensei/internal/mos"
+	"sensei/internal/origin"
 	"sensei/internal/player"
 	"sensei/internal/qoe"
 	"sensei/internal/stats"
 	"sensei/internal/trace"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // TestPipelineWeightsPredictFreshRenderings is the system's core claim as
@@ -121,9 +124,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestWeightLibraryFeedsManifest exercises the deployment path: profile →
-// persist library → build manifest → client-side parse → ABR consumption.
-func TestWeightLibraryFeedsManifest(t *testing.T) {
+// TestWeightDirFeedsManifest exercises the deployment path: profile into a
+// weight directory as cmd/weightlib does → boot an origin on it → fetch the
+// manifest → client-side parse → ABR consumption. The origin must serve the
+// campaign's weights without running a campaign of its own.
+func TestWeightDirFeedsManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test is slow")
 	}
@@ -139,52 +144,63 @@ func TestWeightLibraryFeedsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := crowd.NewProfiler(pop).Profile(v)
+	profiler := crowd.NewProfiler(pop)
+	dir := t.TempDir()
+	p, err := origin.NewWeightService(dir, func(v *video.Video) ([]float64, error) {
+		p, err := profiler.Profile(v)
+		if err != nil {
+			return nil, err
+		}
+		return p.Weights, nil
+	}, nil).Get(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Persist and reload the library, as a video-management system would.
-	lib := &crowd.WeightLibrary{Weights: map[string][]float64{v.Name: p.Weights}}
-	var buf bytes.Buffer
-	if err := lib.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := crowd.ReadWeightLibrary(&buf)
+	tr := trace.Generate(trace.GenSpec{Name: "m", Kind: trace.KindFCC, MeanBps: 1.5e6, Seconds: 600, Seed: 9})
+	o, err := origin.New(origin.Config{
+		Catalog: []*video.Video{v},
+		Profile: func(v *video.Video) ([]float64, error) {
+			t.Errorf("origin ran a campaign for %s", v.Name)
+			return nil, errors.New("no campaign")
+		},
+		WeightDir:    dir,
+		Traces:       map[string]*trace.Trace{tr.Name: tr},
+		DefaultTrace: tr.Name,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Manifest round trip.
-	mpd, err := sensei.BuildMPD(v, loaded.Weights[v.Name])
+	defer o.Close()
+	var a wire.Answer
+	if err := o.Call(context.Background(), &wire.Call{Route: wire.RouteManifest, Video: v.Name}, &a); err != nil || a.Status != http.StatusOK {
+		t.Fatalf("manifest: status %d, %v", a.Status, err)
+	}
+	mpd, err := wire.ParseMPD(a.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encoded, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = encoded
-
 	weights, err := mpd.Weights()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The parsed weights must drive the ABR identically to the originals.
-	tr := trace.Generate(trace.GenSpec{Name: "m", Kind: trace.KindFCC, MeanBps: 1.5e6, Seconds: 600, Seed: 9})
-	a, err := player.Play(v, tr, abr.NewSenseiFugu(), p.Weights, player.Config{})
+	// The served weights must drive the ABR identically to the profiled ones.
+	want, err := player.Play(v, tr, abr.NewSenseiFugu(), p.Weights, player.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := player.Play(v, tr, abr.NewSenseiFugu(), weights, player.Config{})
+	got, err := player.Play(v, tr, abr.NewSenseiFugu(), weights, player.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Rendering.Rungs {
-		if a.Rendering.Rungs[i] != b.Rendering.Rungs[i] {
+	for i := range want.Rendering.Rungs {
+		if want.Rendering.Rungs[i] != got.Rendering.Rungs[i] {
 			t.Fatalf("manifest-carried weights changed decisions at chunk %d", i)
 		}
+	}
+	if st := o.Stats(); st.ProfilesFromDisk != 1 || st.ProfilesComputed != 0 {
+		t.Fatalf("origin loaded %d profiles from disk and computed %d, want 1 and 0", st.ProfilesFromDisk, st.ProfilesComputed)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package atomicfile writes files via the temp-file + rename idiom, so a
 // crash or failed write never leaves a truncated or half-written file where
-// a complete one (a persisted sensitivity profile, a weight library bought
-// with real crowdsourcing dollars) used to be.
+// a complete one (a persisted sensitivity profile, bought with real
+// crowdsourcing dollars) used to be.
 package atomicfile
 
 import (

@@ -57,6 +57,12 @@ func (p *SchedulerParams) defaults() {
 	}
 }
 
+// ValidWeight reports whether w is a plausible per-chunk sensitivity
+// weight. The origin's weight files (origin.ReadWeights, the one on-disk
+// codec), the manifest codec and every published profile enforce this same
+// contract, so a change to the valid range happens in exactly one place.
+func ValidWeight(w float64) bool { return w > 0 && w <= 10 }
+
 // Profile is the result of profiling one video: the inferred sensitivity
 // weights plus the campaign's bill.
 type Profile struct {

@@ -42,8 +42,9 @@ func (c *EventsConfig) ringCapacity() int {
 
 // EventRing returns the server-side event ring for one live session, or
 // the process ring when sid is empty (nil when the plane is disabled or
-// the session is unknown). In-process harnesses drain through it directly;
-// the wire path is GET /events.
+// the session is unknown). Its one caller outside this package is the
+// router's sid-less GET /events fan-out, which passes "" to drain each
+// shard's process ring; a session's ring is read over GET /events?sid=.
 func (o *Origin) EventRing(sid string) *qlog.Ring {
 	if o.events == nil {
 		return nil

@@ -239,7 +239,7 @@ func (s *WeightService) entry(v *video.Video) (*weightEntry, error) {
 // resolve is the cache-miss path: disk first, then the profile function.
 func (s *WeightService) resolve(v *video.Video) (*sensitivity.Versioned, error) {
 	if s.dir != "" {
-		p, err := readWeightFile(filepath.Join(s.dir, weightFileName(v.Name)), v)
+		p, err := ReadWeights(s.dir, v)
 		switch {
 		case err == nil:
 			s.loaded.Add(1)
@@ -341,11 +341,14 @@ func writeWeightFile(path string, p *sensitivity.Profile) error {
 	})
 }
 
-// readWeightFile loads and validates a persisted profile against the video
-// it is supposed to describe. Any mismatch (version, name, chunk count,
-// out-of-range weight, missing epoch) is an error; callers treat
-// non-NotExist errors as a cache miss.
-func readWeightFile(path string, v *video.Video) (*sensitivity.Profile, error) {
+// ReadWeights loads v's persisted profile from weight directory dir and
+// validates it against v — the one reader of the origin's weight files,
+// used by the origin at boot and by cmd/weightlib's -verify. Any mismatch
+// (version, name, chunk count, out-of-range weight, missing epoch) is an
+// error; a missing file wraps fs.ErrNotExist, and the origin treats every
+// other error as a cache miss.
+func ReadWeights(dir string, v *video.Video) (*sensitivity.Profile, error) {
+	path := filepath.Join(dir, weightFileName(v.Name))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -17,8 +17,9 @@
 //     case), the first published profile is epoch 1, and every refresh
 //     bumps it. Staleness is a single integer comparison, cheap enough to
 //     ride on every segment response.
-//   - A Source hands out the current snapshot and lets consumers wait for
-//     the next epoch without polling.
+//   - A Source hands out the current snapshot. Consumers learn of a new
+//     epoch by comparing it (the DASH client reads the epoch header on
+//     every segment) and read one snapshot per decision.
 package sensitivity
 
 import (
@@ -74,21 +75,7 @@ type Source interface {
 	// Snapshot returns the current profile and its epoch. The profile is
 	// never nil; an unprofiled video yields the epoch-0 placeholder.
 	Snapshot() (*Profile, uint64)
-	// Updated returns a channel that is closed once the source's epoch
-	// exceeds since. If it already does, the returned channel is closed
-	// already, so a bare receive never misses a published refresh.
-	Updated(since uint64) <-chan struct{}
 }
-
-// never is the channel Updated returns from sources that cannot change.
-var never = make(chan struct{})
-
-// closed is pre-closed for "the epoch you asked about is already stale".
-var closed = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // --- Frozen: the legacy-slice adapter ---
 
@@ -109,36 +96,17 @@ func Freeze(videoName string, weights []float64) *Frozen {
 	return &Frozen{p: p}
 }
 
-// FreezeProfile wraps an existing profile as a constant Source.
-func FreezeProfile(p *Profile) *Frozen { return &Frozen{p: p} }
-
 // Snapshot implements Source.
 func (f *Frozen) Snapshot() (*Profile, uint64) { return f.p, f.p.Epoch }
 
-// Updated implements Source: a frozen profile past its own epoch never
-// changes; an already-stale question gets the closed channel.
-func (f *Frozen) Updated(since uint64) <-chan struct{} {
-	if f.p.Epoch > since {
-		return closed
-	}
-	return never
-}
-
 // --- Versioned: the live holder ---
-
-// versionedState pairs one immutable snapshot with the broadcast channel
-// its successor will close.
-type versionedState struct {
-	profile *Profile
-	changed chan struct{}
-}
 
 // Versioned is a live profile holder: readers take lock-free snapshots,
 // writers publish whole new profiles with an atomic epoch bump. It is the
 // building block of the origin's versioned weight service.
 type Versioned struct {
-	mu    sync.Mutex // serializes publishers
-	state atomic.Pointer[versionedState]
+	mu      sync.Mutex // serializes publishers
+	profile atomic.Pointer[Profile]
 }
 
 // NewVersioned starts a holder for videoName. With nil weights it starts at
@@ -150,7 +118,7 @@ func NewVersioned(videoName string, weights []float64) *Versioned {
 		p.Epoch = 1
 		p.Weights = append([]float64(nil), weights...)
 	}
-	v.state.Store(&versionedState{profile: p, changed: make(chan struct{})})
+	v.profile.Store(p)
 	return v
 }
 
@@ -161,47 +129,36 @@ func NewVersionedAt(p *Profile) (*Versioned, error) {
 		return nil, err
 	}
 	v := &Versioned{}
-	v.state.Store(&versionedState{profile: p, changed: make(chan struct{})})
+	v.profile.Store(p)
 	return v, nil
 }
 
 // Snapshot implements Source.
 func (v *Versioned) Snapshot() (*Profile, uint64) {
-	st := v.state.Load()
-	return st.profile, st.profile.Epoch
-}
-
-// Updated implements Source.
-func (v *Versioned) Updated(since uint64) <-chan struct{} {
-	st := v.state.Load()
-	if st.profile.Epoch > since {
-		return closed
-	}
-	return st.changed
+	p := v.profile.Load()
+	return p, p.Epoch
 }
 
 // Publish installs weights as the next epoch and returns the new snapshot.
 // The swap is atomic: a concurrent Snapshot sees either the old or the new
-// profile, never a mix, and waiters on Updated are released after the new
-// snapshot is visible.
+// profile, never a mix.
 func (v *Versioned) Publish(weights []float64) (*Profile, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	old := v.state.Load()
+	old := v.profile.Load()
 	next := &Profile{
-		VideoName: old.profile.VideoName,
-		Epoch:     old.profile.Epoch + 1,
+		VideoName: old.VideoName,
+		Epoch:     old.Epoch + 1,
 		Weights:   append([]float64(nil), weights...),
 	}
 	if err := next.Validate(); err != nil {
 		return nil, err
 	}
-	if old.profile.Weights != nil && len(weights) != len(old.profile.Weights) {
+	if old.Weights != nil && len(weights) != len(old.Weights) {
 		return nil, fmt.Errorf("sensitivity: refresh of %q changes chunk count %d -> %d",
-			next.VideoName, len(old.profile.Weights), len(weights))
+			next.VideoName, len(old.Weights), len(weights))
 	}
-	v.state.Store(&versionedState{profile: next, changed: make(chan struct{})})
-	close(old.changed)
+	v.profile.Store(next)
 	return next, nil
 }
 
@@ -271,18 +228,6 @@ func (s *Script) Snapshot() (*Profile, uint64) {
 	s.served++
 	p := s.profiles[s.idx]
 	return p, p.Epoch
-}
-
-// Updated implements Source. A script's flips are driven by Snapshot calls,
-// not wall clock, so waiting on it only resolves for already-stale epochs.
-func (s *Script) Updated(since uint64) <-chan struct{} {
-	s.mu.Lock()
-	cur := s.profiles[s.idx].Epoch
-	s.mu.Unlock()
-	if cur > since {
-		return closed
-	}
-	return never
 }
 
 // --- window refresh arithmetic ---
