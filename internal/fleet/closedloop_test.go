@@ -170,16 +170,17 @@ func (noopRefresher) RefreshWindow(string, int, int) (uint64, error) { return 1,
 // downloaded, on a virtual-time fleet with chaos, events and raters whose
 // ratings re-profile windows and bump epochs mid-run, so that every
 // session re-fetches weights. A count, not a time: with fixed seeds it
-// repeats to within a few hundredths on any machine. Measured: 5.37 with
-// the bodies sharing the strings their reader holds, weight arrays sized
-// once, the autopilot's excerpts built once per window and its log lines
-// formatted only for a logger, manifests rendered without fmt, and no
-// ServeMux built for a fleet that never reaches it; 9.48 before.
+// repeats to within a few hundredths on any machine. Measured: 4.14 with
+// each refresh's excerpt sharing its video's tables, Publish keeping the
+// vector Splice built, one epoch stamp per epoch, fault mirrors carrying
+// their kind token and the harness counting them without a slice; 5.10
+// before, and 9.48 before the bodies shared the strings their reader
+// holds and manifests were rendered without fmt.
 func TestFleetClosedLoopAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf and sync.Pool drops a share of Puts under it")
 	}
-	const budget = 6.44 // 5.37 measured, plus 20 %
+	const budget = 4.97 // 4.14 measured, plus 20 %
 	var catalog []*video.Video
 	for _, name := range []string{"Soccer1", "Tank", "Mountain", "Lava"} {
 		v, err := video.ByName(name)

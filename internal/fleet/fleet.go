@@ -445,7 +445,7 @@ type backend interface {
 	PublishWeights(videoName string, weights []float64) (*sensitivity.Profile, error)
 	DrainIngest(ctx context.Context) error
 	ChaosJournal() []chaos.Event
-	DrainProcessEvents(buf []qlog.Event) []qlog.Event
+	DrainProcessTally() qlog.Tally
 }
 
 // reach is how a run's clients get to the backend: dial points a client
@@ -681,11 +681,8 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		if cfg.Events == nil || cfg.Chaos == nil {
 			return
 		}
-		for _, ev := range o.DrainProcessEvents(nil) {
-			if ev.Kind == qlog.KindOriginFaultInjected {
-				faultEvents.Add(1)
-			}
-		}
+		t := o.DrainProcessTally()
+		faultEvents.Add(t.Count(qlog.KindOriginFaultInjected))
 	}
 
 	// Workers always return nil: a failed session is a data point the
@@ -712,8 +709,9 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		// The session goroutine carries pprof labels (slot, algorithm,
 		// video) so a CPU or block profile of a large fleet breaks down by
 		// mix dimension instead of melting into one anonymous worker pool.
-		pprof.Do(ctx, pprof.Labels("slot", chaosKey(k), "abr", string(a.abr), "video", a.video.Name), func(ctx context.Context) {
-			outcomes[k] = runSession(ctx, dial, clock, cfg.MaxBufferSec, k, a, rater, cfg.Chaos, ring, metrics)
+		key := chaosKey(k)
+		pprof.Do(ctx, pprof.Labels("slot", key, "abr", string(a.abr), "video", a.video.Name), func(ctx context.Context) {
+			outcomes[k] = runSession(ctx, dial, clock, cfg.MaxBufferSec, k, key, a, rater, cfg.Chaos, ring, metrics)
 		})
 		outcomes[k].FinishedSec = (clock.Now() - startClock).Seconds()
 		if ring != nil {
@@ -758,9 +756,10 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	return rep, nil
 }
 
-// runSession streams one fleet slot end to end and captures its outcome.
-// The caller must hold a clock registration (Enter) for the duration.
-func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock, maxBufferSec float64, k int, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
+// runSession streams one fleet slot end to end and captures its outcome;
+// key is the slot's chaosKey, which the caller also labels it with. The
+// caller must hold a clock registration (Enter) for the duration.
+func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock, maxBufferSec float64, k int, key string, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
 	out := SessionOutcome{
 		Index:     k,
 		Video:     a.video.Name,
@@ -785,7 +784,7 @@ func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock
 	}
 	dial(c)
 	if spec != nil {
-		c.ChaosKey = chaosKey(k)
+		c.ChaosKey = key
 		c.Retry = spec.retryFor(k)
 	}
 	captureResilience := func() {

@@ -66,12 +66,11 @@ type reply struct {
 // header values. net/http only ever reads them, and the keys are already
 // in canonical MIME form.
 var (
-	hdrVideoMP4     = []string{"video/mp4"}
-	hdrDashXML      = []string{"application/dash+xml"}
-	hdrJSON         = []string{"application/json"}
-	hdrText         = []string{"text/plain; charset=utf-8"}
-	hdrNosniff      = []string{"nosniff"}
-	zeroEpochHeader = []string{"0"}
+	hdrVideoMP4 = []string{"video/mp4"}
+	hdrDashXML  = []string{"application/dash+xml"}
+	hdrJSON     = []string{"application/json"}
+	hdrText     = []string{"text/plain; charset=utf-8"}
+	hdrNosniff  = []string{"nosniff"}
 )
 
 // okReply is a 200 reply.
@@ -295,16 +294,16 @@ func (o *Origin) manifest(q *request) reply {
 		return fail(http.StatusInternalServerError, err.Error())
 	}
 	mb := ce.manifest.Load()
-	if mb == nil || mb.epoch != p.Epoch {
+	if mb == nil || mb.stamp.epoch != p.Epoch {
 		mpd, err := wire.BuildMPDProfile(ce.v, p.Weights, p.Epoch)
 		if err != nil {
 			return fail(http.StatusInternalServerError, err.Error())
 		}
-		mb = &cachedBody{stampOf(p.Epoch), mpd.AppendMPD(nil)}
+		mb = &cachedBody{ce.stampAt(p.Epoch), mpd.AppendMPD(nil)}
 		ce.manifest.Store(mb)
 	}
 	o.manifestsServed.Add(1)
-	return okReply(hdrDashXML, &mb.epochStamp, mb.body)
+	return okReply(hdrDashXML, mb.stamp, mb.body)
 }
 
 // weights serves the current profile snapshot for the session named by
@@ -329,15 +328,15 @@ func (o *Origin) weights(q *request) reply {
 		return fail(http.StatusInternalServerError, err.Error())
 	}
 	wb := ce.weights.Load()
-	if wb == nil || wb.epoch != p.Epoch {
+	if wb == nil || wb.stamp.epoch != p.Epoch {
 		// Room for any float as json writes it, and its comma, per weight.
 		buf := make([]byte, 0, 64+len(p.VideoName)+26*len(p.Weights))
 		body := (&wire.WeightsResponse{Video: p.VideoName, Epoch: p.Epoch, Weights: p.Weights}).AppendJSON(buf)
-		wb = &cachedBody{stampOf(p.Epoch), append(body, '\n')}
+		wb = &cachedBody{ce.stampAt(p.Epoch), append(body, '\n')}
 		ce.weights.Store(wb)
 	}
 	o.weightsServed.Add(1)
-	return okReply(hdrJSON, &wb.epochStamp, wb.body)
+	return okReply(hdrJSON, wb.stamp, wb.body)
 }
 
 func (o *Origin) refresh(q *request) reply {
@@ -349,15 +348,15 @@ func (o *Origin) refresh(q *request) reply {
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad refresh body: "+err.Error())
 	}
-	if _, ok := o.videos[req.Video]; !ok {
+	ce, ok := o.videos[req.Video]
+	if !ok {
 		return fail(http.StatusNotFound, fmt.Sprintf("origin: video %q not in catalog", req.Video))
 	}
 	p, err := o.RefreshWeights(req.Video, req.From, req.To)
 	if err != nil {
 		return fail(http.StatusBadRequest, err.Error())
 	}
-	st := stampOf(p.Epoch)
-	return jsonReply(&st, (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(q.buf[:0]))
+	return jsonReply(ce.stampAt(p.Epoch), (&wire.RefreshResponse{Video: p.VideoName, Epoch: p.Epoch}).AppendJSON(q.buf[:0]))
 }
 
 // rating feeds one client rating into the ingest plane (a route only when

@@ -62,29 +62,31 @@ func (o *Origin) EventRing(sid string) *qlog.Ring {
 	return s.ring
 }
 
-// DrainProcessEvents consumes the process ring (injected-fault mirrors),
-// appending to buf; a no-op when the event plane is disabled. An in-process
-// harness that injects more faults than the ring holds drains as it goes.
-func (o *Origin) DrainProcessEvents(buf []qlog.Event) []qlog.Event {
+// DrainProcessTally consumes the process ring (injected-fault mirrors)
+// into a per-kind count; zero when the event plane is disabled. An
+// in-process harness that injects more faults than the ring holds drains
+// as it goes.
+func (o *Origin) DrainProcessTally() qlog.Tally {
 	if o.procRing == nil {
-		return buf
+		return qlog.Tally{}
 	}
-	return o.procRing.Drain(buf)
+	return o.procRing.DrainTally()
 }
 
 // observeChaos mirrors injected faults into the event plane: counters on
 // the registry, one origin_fault_injected event on the process ring. The
 // chaos key is the client-chosen stream key, not a session ID, so fault
-// events are process-scoped (Detail carries key and kind; Extra the
-// per-stream fault sequence). Runs under the injector's mutex — ring
-// emits never block, so that is safe.
+// events are process-scoped (Detail carries the chaos kind token, a
+// constant; Extra the per-stream fault sequence; key and mode stay in the
+// chaos journal). Runs under the injector's mutex — ring emits never
+// block, so that is safe.
 func (o *Origin) observeChaos(ev chaos.Event) {
 	o.events.FaultsInjected.Inc()
 	qlog.Emit(o.procRing, o.events, qlog.Event{
 		T:      o.cfg.Clock.Now(),
 		Kind:   qlog.KindOriginFaultInjected,
 		Extra:  int64(ev.Seq),
-		Detail: ev.Key + "/" + string(ev.Kind) + "/" + string(ev.Mode),
+		Detail: string(ev.Kind),
 	})
 }
 

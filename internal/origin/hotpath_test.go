@@ -249,7 +249,7 @@ func TestSegmentSteadyStateZeroAlloc(t *testing.T) {
 	s := joinDirect(t, o)
 
 	// Resolve the profile so the epoch beacon exercises the cached-holder
-	// path, not the cold zeroEpochHeader shortcut.
+	// path, not the cold zeroStamp shortcut.
 	if _, err := o.profileOf(o.videos[v.Name]); err != nil {
 		t.Fatal(err)
 	}
@@ -414,5 +414,107 @@ func TestSegmentChaosIdleAllocParity(t *testing.T) {
 	}
 	if n := o.chaos.Stats().Total; n != 0 {
 		t.Fatalf("idle policy injected %d faults", n)
+	}
+}
+
+// TestEpochStampSharedPerEpoch: a catalog video builds one epoch stamp per
+// epoch, and every reply that carries that epoch — segment, manifest,
+// weights and refresh — points at it. Under concurrent refreshes each
+// reply's header still names the epoch its body was built for.
+func TestEpochStampSharedPerEpoch(t *testing.T) {
+	o := newHotPathOrigin(t)
+	v := o.cfg.Catalog[0]
+	s := joinDirect(t, o)
+	answer := func(c wire.Call) reply {
+		t.Helper()
+		rp := o.answer(&request{Call: c, buf: new(bodyBuf)})
+		if rp.status != http.StatusOK || rp.epoch == nil {
+			t.Fatalf("route %d: status %d (%s), epoch stamp %v", c.Route, rp.status, rp.body, rp.epoch)
+		}
+		if rp.sess != nil {
+			rp.sess.inflight.Add(-1)
+		}
+		return rp
+	}
+	// The manifest resolves the profile; the segment after it is stamped
+	// from the live holder rather than the cold zeroStamp.
+	man := answer(wire.Call{Route: wire.RouteManifest, SID: s.id, Video: v.Name})
+	seg := answer(wire.Call{Route: wire.RouteSegment, SID: s.id, Video: v.Name, Rung: hotPathRung})
+	wts := answer(wire.Call{Route: wire.RouteWeights, SID: s.id})
+	if man.epoch != seg.epoch || wts.epoch != seg.epoch || seg.epoch.epoch != 1 {
+		t.Fatalf("epoch 1 stamps: manifest %p, segment %p, weights %p (epoch %d); want one",
+			man.epoch, seg.epoch, wts.epoch, seg.epoch.epoch)
+	}
+	ref := answer(wire.Call{Route: wire.RouteRefresh, Body: []byte(`{"video":"` + v.Name + `","from":0,"to":3}`)})
+	seg2 := answer(wire.Call{Route: wire.RouteSegment, SID: s.id, Video: v.Name, Rung: hotPathRung})
+	man2 := answer(wire.Call{Route: wire.RouteManifest, SID: s.id, Video: v.Name})
+	wts2 := answer(wire.Call{Route: wire.RouteWeights, SID: s.id})
+	if ref.epoch != seg2.epoch || man2.epoch != seg2.epoch || wts2.epoch != seg2.epoch || seg2.epoch.epoch != 2 || seg2.epoch == seg.epoch {
+		t.Fatalf("epoch 2 stamps: refresh %p, segment %p, manifest %p, weights %p (epoch %d; epoch 1's %p); want one new",
+			ref.epoch, seg2.epoch, man2.epoch, wts2.epoch, seg2.epoch.epoch, seg.epoch)
+	}
+	if h := seg2.epoch.header; len(h) != 1 || h[0] != "2" {
+		t.Fatalf("epoch 2 header %q", h)
+	}
+
+	// Two refreshers and two readers race; every control reply's header
+	// must equal the epoch in its body.
+	const refreshes = 25
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	var done atomic.Int32
+	call := func(c *wire.Call, a *wire.Answer) bool {
+		if err := o.Call(ctx, c, a); err != nil || a.Status != http.StatusOK {
+			t.Errorf("route %d: status %d, %v: %s", c.Route, a.Status, err, a.Body)
+			return false
+		}
+		return true
+	}
+	for g := range 2 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer done.Add(1)
+			c := wire.Call{Route: wire.RouteRefresh, Body: []byte(fmt.Sprintf(`{"video":%q,"from":%d,"to":%d}`, v.Name, g, g+3))}
+			var a wire.Answer
+			for range refreshes {
+				var rr wire.RefreshResponse
+				if !call(&c, &a) || rr.Parse(a.Body) != nil || rr.Epoch != a.Epoch {
+					t.Errorf("refresh reply: header epoch %d, body %s", a.Epoch, a.Body)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			man := wire.Call{Route: wire.RouteManifest, SID: s.id, Video: v.Name}
+			wts := wire.Call{Route: wire.RouteWeights, SID: s.id}
+			seg := wire.Call{Route: wire.RouteSegment, SID: s.id, Video: v.Name, Rung: hotPathRung}
+			var a wire.Answer
+			var last uint64
+			for done.Load() < 2 {
+				if !call(&man, &a) {
+					return
+				}
+				if m, err := wire.ParseMPD(a.Body); err != nil || m.WeightEpoch() != a.Epoch {
+					t.Errorf("manifest reply: header epoch %d, body %q (%v)", a.Epoch, a.Body, err)
+					return
+				}
+				var wr wire.WeightsResponse
+				if !call(&wts, &a) || wr.Parse(a.Body) != nil || wr.Epoch != a.Epoch {
+					t.Errorf("weights reply: header epoch %d, body %s", a.Epoch, a.Body)
+					return
+				}
+				if !call(&seg, &a) || a.Epoch < last {
+					t.Errorf("segment epoch went from %d to %d", last, a.Epoch)
+					return
+				}
+				last = a.Epoch
+			}
+		}()
+	}
+	wg.Wait()
+	if p, _ := o.profileOf(o.videos[v.Name]); p.Epoch != 2+2*refreshes {
+		t.Fatalf("final epoch %d, want %d", p.Epoch, 2+2*refreshes)
 	}
 }

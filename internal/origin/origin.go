@@ -146,28 +146,32 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// epochStamp is a preformatted wire.WeightEpochHeader value, rebuilt only
-// when the epoch actually changes so the per-segment stamp is two atomic
-// loads, not a FormatUint.
+// epochStamp is a preformatted wire.WeightEpochHeader value. A catalog
+// video builds one per epoch (catalogEntry.stampAt), shared by every reply
+// that carries that epoch, so the per-segment stamp is three atomic loads,
+// not a FormatUint.
 type epochStamp struct {
 	epoch  uint64
-	header []string
+	header []string  // text[:]
+	text   [1]string // the epoch in decimal
 }
 
-// stampOf formats epoch's stamp.
-func stampOf(epoch uint64) epochStamp {
-	return epochStamp{epoch, []string{strconv.FormatUint(epoch, 10)}}
+// stampOf formats epoch's stamp as a single object.
+func stampOf(epoch uint64) *epochStamp {
+	st := &epochStamp{epoch: epoch, text: [1]string{strconv.FormatUint(epoch, 10)}}
+	st.header = st.text[:]
+	return st
 }
 
 // zeroStamp is what a video advertises before it is profiled.
-var zeroStamp = &epochStamp{header: zeroEpochHeader}
+var zeroStamp = stampOf(0)
 
 // cachedBody is an epoch-stamped preserialized response body (manifest or
 // weights JSON). Bodies are immutable once built; a refresh publishes a
 // new epoch and the next request rebuilds the cache entry.
 type cachedBody struct {
-	epochStamp
-	body []byte
+	stamp *epochStamp
+	body  []byte
 }
 
 // catalogEntry is one catalog video plus everything the data plane wants
@@ -476,13 +480,25 @@ func (o *Origin) currentStamp(ce *catalogEntry) *epochStamp {
 		ce.holder.Store(h)
 	}
 	_, epoch := h.Snapshot()
-	st := ce.stamp.Load()
-	if st == nil || st.epoch != epoch {
-		s := stampOf(epoch)
-		st = &s
-		ce.stamp.Store(st)
+	return ce.stampAt(epoch)
+}
+
+// stampAt returns ce's stamp for epoch, building it the first time any
+// reply needs that epoch. A reader still holding an older snapshot gets a
+// stamp of its own and never replaces a newer one.
+func (ce *catalogEntry) stampAt(epoch uint64) *epochStamp {
+	for {
+		st := ce.stamp.Load()
+		if st != nil && st.epoch >= epoch {
+			if st.epoch == epoch {
+				return st
+			}
+			return stampOf(epoch)
+		}
+		if next := stampOf(epoch); ce.stamp.CompareAndSwap(st, next) {
+			return next
+		}
 	}
-	return st
 }
 
 // --- stats ---

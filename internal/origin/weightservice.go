@@ -22,7 +22,10 @@ import (
 // production the §4 crowdsourced campaign (crowd.Profiler), in tests a
 // stub. It must be safe for concurrent calls on distinct videos. The same
 // function also powers window refreshes: RefreshWindow hands it an excerpt
-// of the video covering just the chunk window being re-profiled.
+// of the video covering just the chunk window being re-profiled, which
+// shares the video's derived tables (video.Excerpt), so a profile that
+// returns TrueSensitivity() builds no table. The service never writes to
+// the returned slice and copies it before keeping it.
 type ProfileFunc func(v *video.Video) ([]float64, error)
 
 // WeightService is the versioned sensitivity-profile service: the origin's
@@ -145,9 +148,10 @@ func (s *WeightService) EpochOf(videoName string) uint64 {
 	return epoch
 }
 
-// Publish installs weights as v's next epoch, resolving the entry first if
-// the video is still cold (so a refresh pushed before any manifest request
-// still lands). The new snapshot is persisted and returned.
+// Publish installs a copy of weights as v's next epoch, resolving the
+// entry first if the video is still cold (so a refresh pushed before any
+// manifest request still lands). The new snapshot is persisted and
+// returned; the caller keeps weights.
 func (s *WeightService) Publish(v *video.Video, weights []float64) (*sensitivity.Profile, error) {
 	if len(weights) != v.NumChunks() {
 		return nil, fmt.Errorf("origin: publishing %d weights for %d chunks of %q", len(weights), v.NumChunks(), v.Name)
@@ -158,13 +162,13 @@ func (s *WeightService) Publish(v *video.Video, weights []float64) (*sensitivity
 	}
 	e.pub.Lock()
 	defer e.pub.Unlock()
-	return s.publishLocked(e, v.Name, weights)
+	return s.publishLocked(e, v.Name, append([]float64(nil), weights...))
 }
 
-// publishLocked bumps the epoch and persists the new snapshot. Callers
-// hold e.pub, so the disk file is always written in epoch order — a
-// concurrent pair of publishes can never leave the older epoch on disk to
-// win the next restart.
+// publishLocked bumps the epoch and persists the new snapshot, which owns
+// weights. Callers hold e.pub, so the disk file is always written in epoch
+// order — a concurrent pair of publishes can never leave the older epoch
+// on disk to win the next restart.
 func (s *WeightService) publishLocked(e *weightEntry, videoName string, weights []float64) (*sensitivity.Profile, error) {
 	p, err := e.holder.Publish(weights)
 	if err != nil {
@@ -211,7 +215,7 @@ func (s *WeightService) RefreshWindow(v *video.Video, lo, hi int) (*sensitivity.
 	if err != nil {
 		return nil, fmt.Errorf("origin: refresh of %q: %w", v.Name, err)
 	}
-	return s.publishLocked(e, v.Name, next)
+	return s.publishLocked(e, v.Name, next) // Splice's fresh vector: nothing else holds it
 }
 
 // entry resolves v's singleflight slot (with its live profile holder).

@@ -601,3 +601,60 @@ func TestWeightServiceConcurrentWindowRefreshesCompose(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightServicePublishCopiesCallerSlice: Versioned.Publish keeps the
+// slice it is handed, so WeightService.Publish, whose callers keep theirs
+// (weightlib, the router, the fleet's scheduled refresh), hands it a copy:
+// writing to the caller's slice afterwards leaves every snapshot intact.
+func TestWeightServicePublishCopiesCallerSlice(t *testing.T) {
+	v := excerptOf(t, "Soccer1", 6)
+	s := NewWeightService("", trueSensitivityProfile, nil)
+	w := []float64{2, 1, 1, 0.5, 0.5, 1}
+	want := append([]float64(nil), w...)
+	p, err := s.Publish(v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w {
+		w[i] = 9
+	}
+	cur, err := s.Get(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if p.Weights[i] != want[i] || cur.Weights[i] != want[i] {
+			t.Fatalf("weight %d reads %v (returned) and %v (current) after the caller wrote its slice, want %v",
+				i, p.Weights[i], cur.Weights[i], want[i])
+		}
+	}
+}
+
+// TestRefreshWindowAllocs pins what a warm, memory-only window refresh
+// allocates, exactly: the excerpt handed to the profile function (its
+// Video, its name and its chunks; its tables are windows of the video's),
+// the vector Splice builds, and the Profile that publishes it. A copy of
+// that vector in Publish, or tables of the excerpt's own, reads 6 or more.
+func TestRefreshWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	v, err := video.ByName("Soccer1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWeightService("", trueSensitivityProfile, nil)
+	if _, err := s.Get(v); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.RefreshWindow(v, 4, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 5
+	t.Logf("%.0f allocations per window refresh", allocs)
+	if allocs != want {
+		t.Fatalf("a window refresh allocates %.1f objects, want exactly %d", allocs, want)
+	}
+}

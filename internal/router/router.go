@@ -265,12 +265,17 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf)
 }
 
-// DrainProcessEvents consumes every shard's process ring, appending to buf.
-func (rt *Router) DrainProcessEvents(buf []qlog.Event) []qlog.Event {
+// DrainProcessTally consumes every shard's process ring into one tally.
+func (rt *Router) DrainProcessTally() qlog.Tally {
+	var t qlog.Tally
 	for _, o := range rt.shards {
-		buf = o.DrainProcessEvents(buf)
+		st := o.DrainProcessTally()
+		for k, n := range st.Counts {
+			t.Counts[k] += n
+		}
+		t.Drops, t.Bytes = t.Drops+st.Drops, t.Bytes+st.Bytes
 	}
-	return buf
+	return t
 }
 
 // SessionsCreated sums the shards' join counters (lock-free; the fleet's

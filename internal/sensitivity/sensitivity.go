@@ -141,16 +141,14 @@ func (v *Versioned) Snapshot() (*Profile, uint64) {
 
 // Publish installs weights as the next epoch and returns the new snapshot.
 // The swap is atomic: a concurrent Snapshot sees either the old or the new
-// profile, never a mix.
+// profile, never a mix. Publish takes ownership of weights: the snapshot
+// holds the slice itself, so the caller must not write to it afterwards
+// (a caller that keeps the slice hands over a copy).
 func (v *Versioned) Publish(weights []float64) (*Profile, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	old := v.profile.Load()
-	next := &Profile{
-		VideoName: old.VideoName,
-		Epoch:     old.Epoch + 1,
-		Weights:   append([]float64(nil), weights...),
-	}
+	next := &Profile{VideoName: old.VideoName, Epoch: old.Epoch + 1, Weights: weights}
 	if err := next.Validate(); err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ package video
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"sensei/internal/stats"
@@ -77,7 +78,8 @@ type Video struct {
 	Chunks []Chunk
 
 	// Caches derived from Ladder and Chunks, which must not change once
-	// Generate or Excerpt has filled them.
+	// Generate or Excerpt has filled them (an excerpt's may be windows of
+	// its parent's).
 	sensitivity []float64 // cached normalized weights
 	vmaf        []float64 // cached VMAF proxies, [chunk*len(Ladder)+rung]
 }
@@ -188,15 +190,19 @@ func (v *Video) computeVMAF() {
 	v.vmaf = t
 }
 
-// Excerpt returns a new Video covering chunks [from, to). The content model
-// is shared (chunks are copied by value); sensitivity is renormalized over
-// the excerpt. It returns an error for an empty or out-of-bounds range.
+// Excerpt returns a new Video covering chunks [from, to). Chunks are
+// copied by value and re-indexed from 0; sensitivity keeps the parent's
+// absolute per-chunk scale, not renormalized over the excerpt. The derived
+// tables are capped windows of the parent's, which are per chunk and never
+// written, so an excerpt reads them bit for bit; a hand-assembled parent
+// lacks them, and the excerpt computes its own. It returns an error for
+// an empty or out-of-bounds range.
 func (v *Video) Excerpt(from, to int) (*Video, error) {
 	if from < 0 || to > len(v.Chunks) || from >= to {
 		return nil, fmt.Errorf("video: invalid excerpt [%d,%d) of %q with %d chunks", from, to, v.Name, len(v.Chunks))
 	}
 	out := &Video{
-		Name:   fmt.Sprintf("%s[%d:%d]", v.Name, from, to),
+		Name:   v.Name + "[" + strconv.Itoa(from) + ":" + strconv.Itoa(to) + "]",
 		Genre:  v.Genre,
 		Ladder: v.Ladder,
 		Chunks: append([]Chunk(nil), v.Chunks[from:to]...),
@@ -204,8 +210,12 @@ func (v *Video) Excerpt(from, to int) (*Video, error) {
 	for i := range out.Chunks {
 		out.Chunks[i].Index = i
 	}
-	out.computeSensitivity()
-	out.computeVMAF()
+	if nR := len(v.Ladder); v.sensitivity != nil && v.vmaf != nil {
+		out.sensitivity, out.vmaf = v.sensitivity[from:to:to], v.vmaf[from*nR:to*nR:to*nR]
+	} else {
+		out.computeSensitivity()
+		out.computeVMAF()
+	}
 	return out, nil
 }
 

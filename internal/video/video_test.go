@@ -239,6 +239,61 @@ func TestExcerptDoesNotAliasParent(t *testing.T) {
 	}
 }
 
+// TestExcerptSharesParentTables: an excerpt's sensitivity and VMAF tables
+// are windows of its parent's, so every window of every test-set video
+// reads its parent's values bit for bit, and each window is capped at the
+// excerpt's end, so an append to it can never write into the parent. A
+// hand-assembled parent has no tables to share: its excerpt computes its
+// own, the same values, and the parent's caches stay nil.
+func TestExcerptSharesParentTables(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(parent, e *Video, from, to int) {
+		t.Helper()
+		w, pw := e.TrueSensitivity(), parent.TrueSensitivity()
+		if len(w) != to-from || cap(w) != to-from {
+			t.Fatalf("%s: sensitivity has len %d cap %d, want %d", e.Name, len(w), cap(w), to-from)
+		}
+		for i := range w {
+			if !same(w[i], pw[from+i]) {
+				t.Fatalf("%s: sensitivity %d is %v, parent's %v", e.Name, i, w[i], pw[from+i])
+			}
+			for r := range parent.Ladder {
+				if got, want := e.VMAF(i, r), parent.VMAF(from+i, r); !same(got, want) {
+					t.Fatalf("%s: VMAF(%d, %d) is %v, parent's %v", e.Name, i, r, got, want)
+				}
+			}
+		}
+		if e.vmaf != nil && cap(e.vmaf) != len(e.vmaf) {
+			t.Fatalf("%s: VMAF table has len %d cap %d", e.Name, len(e.vmaf), cap(e.vmaf))
+		}
+	}
+	for _, v := range TestSet() {
+		for from := 0; from < v.NumChunks(); from++ {
+			for to := from + 1; to <= v.NumChunks(); to++ {
+				e, err := v.Excerpt(from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(v, e, from, to)
+			}
+		}
+	}
+
+	v, err := ByName("Tank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := &Video{Name: "hand", Genre: v.Genre, Ladder: v.Ladder, Chunks: v.Chunks[:10]}
+	e, err := hand.Excerpt(3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hand.sensitivity != nil || hand.vmaf != nil {
+		t.Fatal("excerpting a hand-assembled video filled the parent's caches")
+	}
+	check(v, e, 3, 7)
+}
+
 func TestGenerateHonorsRuntime(t *testing.T) {
 	f := func(seed uint64) bool {
 		mins := int(seed%5) + 1

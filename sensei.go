@@ -147,7 +147,8 @@ func FreezeWeights(videoName string, weights []float64) sensitivity.Source {
 }
 
 // NewVersionedWeights starts a live profile holder for a video; Publish
-// new weight vectors on it to bump the epoch mid-session.
+// new weight vectors on it to bump the epoch mid-session (the holder keeps
+// each vector it is handed, so do not write to one afterwards).
 func NewVersionedWeights(videoName string, weights []float64) *sensitivity.Versioned {
 	return sensitivity.NewVersioned(videoName, weights)
 }
