@@ -60,9 +60,11 @@ func (b *BBA) Decide(s *player.State) player.Decision {
 // measurement history. Implementations return scenarios with probabilities
 // summing to 1, the p(γ) of Eq. 3.
 type Predictor interface {
-	// Predict returns throughput scenarios in bits/s given recent
-	// measurements (most recent last).
-	Predict(historyBps []float64) []Scenario
+	// Predict appends throughput scenarios in bits/s, given recent
+	// measurements (most recent last), to dst and returns the extended
+	// slice, so a planner reuses one buffer across decisions. dst's
+	// existing elements are left as they are.
+	Predict(historyBps []float64, dst []Scenario) []Scenario
 }
 
 // Scenario is one throughput outcome with its probability.
@@ -79,14 +81,6 @@ type Scenario struct {
 	StartSec float64
 }
 
-// ScenarioAppender is an optional Predictor fast path: implementations
-// append their scenarios to dst instead of allocating a fresh slice, so
-// the planner can reuse one buffer across millions of decisions. The
-// appended scenarios must be value-identical to Predict's.
-type ScenarioAppender interface {
-	AppendScenarios(historyBps []float64, dst []Scenario) []Scenario
-}
-
 // harmonicWindow bounds how many recent samples HarmonicPredictor uses.
 const harmonicWindow = 5
 
@@ -98,12 +92,7 @@ type HarmonicPredictor struct{}
 
 // Predict implements Predictor. With no history it assumes a conservative
 // 1 Mbps.
-func (h *HarmonicPredictor) Predict(history []float64) []Scenario {
-	return h.AppendScenarios(history, nil)
-}
-
-// AppendScenarios implements ScenarioAppender.
-func (h *HarmonicPredictor) AppendScenarios(history []float64, dst []Scenario) []Scenario {
+func (h *HarmonicPredictor) Predict(history []float64, dst []Scenario) []Scenario {
 	if len(history) > harmonicWindow {
 		history = history[len(history)-harmonicWindow:]
 	}

@@ -61,7 +61,7 @@ func TestBBAZeroValueUsable(t *testing.T) {
 
 func TestHarmonicPredictor(t *testing.T) {
 	p := &HarmonicPredictor{}
-	scenarios := p.Predict([]float64{2e6, 2e6, 2e6})
+	scenarios := p.Predict([]float64{2e6, 2e6, 2e6}, nil)
 	var sum, mean float64
 	for _, s := range scenarios {
 		sum += s.P
@@ -74,13 +74,13 @@ func TestHarmonicPredictor(t *testing.T) {
 		t.Fatalf("mean scenario %v, want ~2e6", mean)
 	}
 	// Harmonic mean punishes dips below arithmetic mean.
-	s2 := p.Predict([]float64{4e6, 0.5e6})
+	s2 := p.Predict([]float64{4e6, 0.5e6}, nil)
 	center := s2[1].Bps
 	if center >= 2.25e6 {
 		t.Fatalf("harmonic center %v not below arithmetic mean", center)
 	}
 	// Empty history: conservative default.
-	s3 := p.Predict(nil)
+	s3 := p.Predict(nil, nil)
 	if s3[1].Bps != 1e6 {
 		t.Fatalf("default prediction %v", s3[1].Bps)
 	}
@@ -90,8 +90,8 @@ func TestPredictorSpreadGrowsWithVariance(t *testing.T) {
 	// Full-window histories so the early-session uncertainty floor does
 	// not apply.
 	p := &HarmonicPredictor{}
-	stable := p.Predict([]float64{2e6, 2e6, 2e6, 2e6, 2e6})
-	bursty := p.Predict([]float64{1e6, 3e6, 1.2e6, 2.8e6, 1.5e6})
+	stable := p.Predict([]float64{2e6, 2e6, 2e6, 2e6, 2e6}, nil)
+	bursty := p.Predict([]float64{1e6, 3e6, 1.2e6, 2.8e6, 1.5e6}, nil)
 	spreadStable := stable[2].Bps - stable[0].Bps
 	spreadBursty := bursty[2].Bps - bursty[0].Bps
 	if spreadBursty/bursty[1].Bps <= spreadStable/stable[1].Bps {
@@ -99,11 +99,49 @@ func TestPredictorSpreadGrowsWithVariance(t *testing.T) {
 	}
 }
 
+// TestPredictAppendsToDst holds both predictors to Predict's contract: on
+// a non-empty dst the existing scenarios are left intact and the appended
+// ones equal what a nil-dst call returns, so a planner reusing one buffer
+// plans on the same scenarios as a fresh slice.
+func TestPredictAppendsToDst(t *testing.T) {
+	oracle := &OraclePredictor{Trace: flatTrace(3e6, 60), nowSec: 7.5}
+	for _, tc := range []struct {
+		name string
+		p    Predictor
+	}{
+		{"harmonic", &HarmonicPredictor{}},
+		{"oracle", oracle},
+	} {
+		for _, history := range [][]float64{nil, {2e6}, {1e6, 3e6, 1.2e6, 2.8e6, 1.5e6, 4e6}} {
+			fresh := tc.p.Predict(history, nil)
+			if len(fresh) == 0 {
+				t.Fatalf("%s %v: no scenarios", tc.name, history)
+			}
+			prefix := []Scenario{{Bps: 1, P: 0.25}, {Bps: 2, P: 0.75, StartSec: 3}}
+			dst := append(make([]Scenario, 0, 8), prefix...)
+			got := tc.p.Predict(history, dst)
+			if len(got) != len(prefix)+len(fresh) {
+				t.Fatalf("%s %v: %d scenarios after a %d-long dst, want %d", tc.name, history, len(got), len(prefix), len(prefix)+len(fresh))
+			}
+			for i := range prefix {
+				if got[i] != prefix[i] {
+					t.Fatalf("%s %v: dst[%d] = %+v, want %+v", tc.name, history, i, got[i], prefix[i])
+				}
+			}
+			for i, sc := range fresh {
+				if got[len(prefix)+i] != sc {
+					t.Fatalf("%s %v: appended[%d] = %+v, nil-dst call gives %+v", tc.name, history, i, got[len(prefix)+i], sc)
+				}
+			}
+		}
+	}
+}
+
 func TestPredictorEarlySessionUncertainty(t *testing.T) {
 	// With fewer samples than the window, the spread must be maximal:
 	// early gambles are how stalls land on sensitive chunks.
 	p := &HarmonicPredictor{}
-	short := p.Predict([]float64{2e6, 2e6})
+	short := p.Predict([]float64{2e6, 2e6}, nil)
 	spread := (short[2].Bps - short[0].Bps) / short[1].Bps
 	if spread < 0.99 { // 2 * 0.5 max spread
 		t.Fatalf("early-session relative spread %.2f, want ~1.0", spread)

@@ -46,7 +46,7 @@ func (b bruteForce) Decide(s *player.State) player.Decision {
 	if m.Sensitivity && len(m.PreStallChoices) > 0 && s.ChunkIndex > 0 {
 		preStalls = m.PreStallChoices
 	}
-	return m.decideBrute(s, horizon, preStalls, pred.Predict(s.ThroughputBps), s.SensitivityWeights())
+	return m.decideBrute(s, horizon, preStalls, pred.Predict(s.ThroughputBps, nil), s.SensitivityWeights())
 }
 
 // decideBrute is the exhaustive planner: every base-nRungs rung sequence

@@ -11,7 +11,7 @@ import (
 
 // This file implements the MPC planner as a depth-first tree search over
 // the plan prefix, replacing the flat base-nRungs enumeration of
-// decideBrute. Five ideas make it fast while staying exact:
+// decideBrute. Four ideas make it fast while staying exact:
 //
 //  1. Per-decision tables: everything a node needs that does not depend on
 //     the scenario's buffer — the VMAF of (step, rung), the step's
@@ -37,19 +37,16 @@ import (
 //     the pruning threshold, with an epsilon guard covering the bound's
 //     own rounding. At full depth the tail is empty, so the bound of a
 //     leaf is its score and no second pass is needed.
-//  4. Warm start: each pass first scores the nRungs constant-rung plans.
-//     The best of them is a plan of the pass, so its score is at most the
-//     pass's optimum: used as a pruning threshold it can cut neither an
-//     optimal plan nor a tie for the optimum. It is deliberately not
-//     installed as the incumbent — the incumbent is only ever set by offer,
-//     whose tie-break reproduces the brute force's enumeration order, so
-//     decisions stay byte-identical to the oracle planner.
-//  5. Best-first order: children are expanded outward from the warm rung,
-//     so the first dives land near the optimum and the incumbent is tight
-//     before the bulk of the tree is visited.
+//  4. Outward order: children are expanded outward from the session's last
+//     rung (up before down), an order built once per decision, so each
+//     pass's first dive is the constant plan at the last rung. Its leaf
+//     sets the incumbent through offer, which tightens the threshold before
+//     the bulk of the tree is visited; offer's tie-break reproduces the
+//     brute force's enumeration order, so decisions stay byte-identical to
+//     the oracle planner whatever order plans are visited in.
 type treeSearch struct {
 	scenarios []Scenario
-	scenBuf   []Scenario // reused backing array for appending predictors
+	scenBuf   []Scenario // reused backing array for Predict
 	horizon   int
 	nRungs    int
 	nSc       int
@@ -98,12 +95,12 @@ type treeSearch struct {
 	canPrune bool
 
 	pre float64 // proactive stall of the current pass
-	// thr is the pass's pruning threshold — the highest of the caller's
-	// floor, the warm plan's score and the incumbent's — and cut the value
-	// a bound must fall below to be pruned: thr less the rounding guard, or
-	// -Inf when pruning is disabled.
+	// thr is the pass's pruning threshold — the higher of the caller's
+	// floor and the incumbent's score — and cut the value a bound must
+	// fall below to be pruned: thr less the rounding guard, or -Inf when
+	// pruning is disabled.
 	thr, cut float64
-	order    []int // child expansion order, outward from the warm rung
+	order    []int // child expansion order, outward from first
 
 	plan      []int
 	bestPlan  []int
@@ -128,23 +125,14 @@ func (t *treeSearch) release() {
 	treePool.Put(t)
 }
 
-// predict returns pred's scenarios for history, appended to the scratch's
-// reused buffer when pred is a ScenarioAppender.
-func (t *treeSearch) predict(pred Predictor, history []float64) []Scenario {
-	if sa, ok := pred.(ScenarioAppender); ok {
-		t.scenBuf = sa.AppendScenarios(history, t.scenBuf[:0])
-		return t.scenBuf
-	}
-	return pred.Predict(history)
-}
-
 // decideTree runs the tree-search planner on scratch t. It mirrors
 // decideBrute's decision logic exactly: per pre-stall pass the best plan is
 // tracked with the brute force's first-in-enumeration-order tie-break, and a
 // nonzero proactive stall must clear PreStallMargin over the best
 // stall-free plan.
 func (m *MPC) decideTree(t *treeSearch, s *player.State, horizon int, preStalls []float64, pred Predictor, weights []float64) player.Decision {
-	t.reset(m, s, horizon, t.predict(pred, s.ThroughputBps), weights)
+	t.scenBuf = pred.Predict(s.ThroughputBps, t.scenBuf[:0])
+	t.reset(m, s, horizon, t.scenBuf, weights)
 
 	bestNoStall := math.Inf(-1)
 	best := player.Decision{Rung: 0}
@@ -204,12 +192,8 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 	t.now = grow(t.now, (horizon+1)*nSc)
 	t.ubTail = grow(t.ubTail, (horizon+1)*nR)
 	t.p = grow(t.p, nSc)
-	t.order = growInt(t.order, nR)
 	t.plan = growInt(t.plan, horizon)
 	t.bestPlan = growInt(t.bestPlan, horizon)
-	for r := range t.order {
-		t.order[r] = r
-	}
 
 	// The bound assumes penalties only subtract and aggregation weights are
 	// nonnegative; under exotic configurations (negative penalties or
@@ -248,8 +232,18 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 
 	weighted := m.Sensitivity && weights != nil
 	// Step 0 switches against the session's last rung; with none there is
-	// no switch term, and subtracting a zero entry is exact.
+	// no switch term, and subtracting a zero entry is exact. Children are
+	// expanded outward from it, up before down.
 	t.first = max(s.LastRung, 0)
+	t.order = append(t.order[:0], t.first)
+	for d := 1; d < nR; d++ {
+		if r := t.first + d; r < nR {
+			t.order = append(t.order, r)
+		}
+		if r := t.first - d; r >= 0 {
+			t.order = append(t.order, r)
+		}
+	}
 	clear(t.ubTail[horizon*nR:])
 	for k := horizon - 1; k >= 0; k-- {
 		i := s.ChunkIndex + k
@@ -326,7 +320,6 @@ func (t *treeSearch) run(pre, floor float64) (float64, []int, bool) {
 	t.haveBest = false
 	t.thr, t.cut = math.Inf(-1), math.Inf(-1)
 	t.raise(floor)
-	t.warmStart()
 	t.dfs(0, t.first)
 	return t.bestScore, t.bestPlan, t.haveBest
 }
@@ -340,40 +333,6 @@ func (t *treeSearch) raise(score float64) {
 		t.thr = score
 		if t.canPrune {
 			t.cut = score - 1e-9*(math.Abs(score)+1)
-		}
-	}
-}
-
-// warmStart scores the constant-rung plans, raises the threshold to the
-// best of them and orders child expansion outward from its rung. A
-// constant plan is abandoned as soon as its bound falls below the cut: it
-// could not have raised the threshold. When none completes (a stall pass
-// the floor already dominates) the previous pass's order stands.
-func (t *treeSearch) warmStart() {
-	warm := -1
-	for r := 0; r < t.nRungs; r++ {
-		prev, score := t.first, 0.0
-		for k := 0; k < t.horizon; k++ {
-			if score = t.step(k, r, prev); score < t.cut {
-				break
-			}
-			prev = r
-		}
-		if score > t.thr {
-			t.raise(score)
-			warm = r
-		}
-	}
-	if warm < 0 {
-		return
-	}
-	t.order = append(t.order[:0], warm)
-	for d := 1; d < t.nRungs; d++ {
-		if r := warm + d; r < t.nRungs {
-			t.order = append(t.order, r)
-		}
-		if r := warm - d; r >= 0 {
-			t.order = append(t.order, r)
 		}
 	}
 }

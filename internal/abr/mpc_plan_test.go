@@ -331,17 +331,19 @@ func (r *stateRecorder) Decide(s *player.State) player.Decision {
 // so the count repeats exactly on any machine and catches a pruning
 // regression without a timer.
 //
-// Measured on this set: 247 637 nodes (400.7 per decision) at the parent
-// commit, whose bound finished a prefix at each step's weighted VMAF
-// ceiling; 210 102 (340.0) with the switch-cost-aware tail alone; 108 857
-// (176.1, 0.44×) with the child pre-check as well. A child the pre-check
-// discards is one step call the search without it makes, and that call
-// leaves the threshold where it was (its bound is below the cut), so
-// nodes plus skips is the tail-alone count.
+// Measured on this set: 247 637 nodes (400.7 per decision) when the bound
+// finished a prefix at each step's weighted VMAF ceiling; 210 102 (340.0)
+// with the switch-cost-aware tail alone; 108 857 (176.1, 0.44×) with the
+// child pre-check as well; 103 537 (167.5) once the warm start, a pass
+// scoring every constant plan before the search, was dropped and the
+// search itself opens with the constant plan at the last rung (tail alone
+// 339.9). A child the pre-check discards is one step call the search
+// without it makes, and that call leaves the threshold where it was (its
+// bound is below the cut), so nodes plus skips is the tail-alone count.
 func TestPlannerNodeBudget(t *testing.T) {
 	const (
 		parentMean = 400.7
-		budget     = 185
+		budget     = 176
 	)
 	traces := trace.TestSet()
 	rec := &stateRecorder{inner: NewFugu()}

@@ -26,12 +26,7 @@ type OraclePredictor struct {
 // Predict implements Predictor with a single certain scenario that replays
 // the true trace from the session's current position, so planned download
 // times match reality exactly.
-func (o *OraclePredictor) Predict(history []float64) []Scenario {
-	return o.AppendScenarios(history, nil)
-}
-
-// AppendScenarios implements ScenarioAppender.
-func (o *OraclePredictor) AppendScenarios(_ []float64, dst []Scenario) []Scenario {
+func (o *OraclePredictor) Predict(_ []float64, dst []Scenario) []Scenario {
 	cur := trace.NewCursor(o.Trace)
 	cur.Advance(o.nowSec)
 	return append(dst, Scenario{

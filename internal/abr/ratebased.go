@@ -49,7 +49,8 @@ func (r *RateRule) Decide(s *player.State) player.Decision {
 	t := treePool.Get().(*treeSearch)
 	// Point estimate: the probability-weighted mean.
 	var estimate float64
-	for _, sc := range t.predict(pred, s.ThroughputBps) {
+	t.scenBuf = pred.Predict(s.ThroughputBps, t.scenBuf[:0])
+	for _, sc := range t.scenBuf {
 		estimate += sc.P * sc.Bps
 	}
 	t.release()

@@ -40,12 +40,12 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sensei/internal/hashx"
 	"sensei/internal/mos"
 	"sensei/internal/vclock"
 	"sensei/internal/video"
@@ -322,9 +322,7 @@ func (p *Plane) addPending(delta int64) {
 
 // shardFor stripes videos across shards by name.
 func (p *Plane) shardFor(videoName string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(videoName))
-	return &p.shards[h.Sum32()%uint32(len(p.shards))]
+	return &p.shards[hashx.FNV1a(videoName)%uint64(len(p.shards))]
 }
 
 // Ingest folds one chunk rating into the plane. epoch is the weight epoch

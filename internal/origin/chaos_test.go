@@ -2,6 +2,7 @@ package origin
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"sensei/internal/par"
 	"sensei/internal/player"
 	"sensei/internal/video"
+	"sensei/internal/wire"
 )
 
 // rung0 always picks the bottom rung — the cheapest deterministic ABR for
@@ -129,5 +131,37 @@ func TestOriginChaosSparesControlRoutes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/stats request %d answered %d under chaos", i, resp.StatusCode)
 		}
+	}
+}
+
+// TestInjectedErrorsShareOneBody: every injected 503 replies with the one
+// package-level body, not a fresh copy of it. The adapters only read a
+// reply's body (Call copies it into the caller's Answer), so sharing it is
+// safe and a faulted request allocates nothing for its text.
+func TestInjectedErrorsShareOneBody(t *testing.T) {
+	p := chaos.Policy{
+		Seed:           5,
+		Endpoints:      map[chaos.Kind]chaos.Spec{chaos.KindSegment: {Rate: 0.99, Modes: []chaos.Mode{chaos.ModeError}}},
+		MaxConsecutive: 1000,
+	}
+	o := adapterOrigin(t, &p)
+	var bodies [][]byte
+	for i := 0; len(bodies) < 2 && i < 20; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if p.Replay(key, chaos.KindSegment, 1)[0] != chaos.ModeError {
+			continue
+		}
+		c := wire.Call{Route: wire.RouteSegment, SID: routingSID, Video: o.cfg.Catalog[0].Name, Key: key}
+		rp := o.answer(&request{Call: c, buf: new(bodyBuf)})
+		if rp.status != http.StatusServiceUnavailable || rp.fault != chaos.ModeError || string(rp.body) != "chaos: injected fault\n" {
+			t.Fatalf("key %s: status %d, fault %q, body %q; want an injected 503", key, rp.status, rp.fault, rp.body)
+		}
+		bodies = append(bodies, rp.body)
+	}
+	if len(bodies) != 2 {
+		t.Fatalf("%d injected errors in 20 keys at rate 0.99", len(bodies))
+	}
+	if &bodies[0][0] != &bodies[1][0] {
+		t.Fatal("two injected 503s carry separate body arrays; want one shared body")
 	}
 }

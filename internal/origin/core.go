@@ -89,6 +89,10 @@ func fail(status int, msg string) reply {
 	return reply{status: status, ctype: hdrText, body: []byte(msg + "\n")}
 }
 
+// injectedBody is every injected error's body, shared: the adapters only
+// read a reply's body, and Call copies it.
+var injectedBody = []byte("chaos: injected fault\n")
+
 // header sets rp's headers in h.
 func (rp *reply) header(h http.Header) {
 	if rp.ctype != nil {
@@ -122,9 +126,7 @@ func (o *Origin) answer(q *request) reply {
 	if kind := kinds[q.Route]; o.chaos != nil && kind != "" {
 		switch mode := o.chaos.Decide(cmp.Or(q.Key, q.SID), kind); mode {
 		case chaos.ModeError:
-			rp := fail(http.StatusServiceUnavailable, "chaos: injected fault")
-			rp.fault = mode
-			return rp
+			return reply{status: http.StatusServiceUnavailable, ctype: hdrText, body: injectedBody, fault: mode}
 		case chaos.ModeReset, chaos.ModeStall:
 			return reply{fault: mode}
 		case chaos.ModeTruncate:

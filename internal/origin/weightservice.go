@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sensei/internal/atomicfile"
 	"sensei/internal/crowd"
 	"sensei/internal/sensitivity"
 	"sensei/internal/video"
@@ -321,8 +319,10 @@ func weightFileName(videoName string) string {
 	return b.String() + ".weights.json"
 }
 
-// writeWeightFile persists a profile atomically (internal/atomicfile) so a
-// crashed origin never leaves a half-written profile behind.
+// writeWeightFile persists a profile atomically, so a crashed origin never
+// leaves a half-written profile behind: the bytes go to a temp file in
+// path's directory, which is renamed over path only once written and
+// closed. On any failure the temp file is removed and path is untouched.
 func writeWeightFile(path string, p *sensitivity.Profile) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("origin: weight dir: %w", err)
@@ -337,12 +337,22 @@ func writeWeightFile(path string, p *sensitivity.Profile) error {
 	if err != nil {
 		return fmt.Errorf("origin: encoding weights for %q: %w", p.VideoName, err)
 	}
-	return atomicfile.Write(path, func(w io.Writer) error {
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			return fmt.Errorf("origin: writing weights for %q: %w", p.VideoName, err)
-		}
-		return nil
-	})
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("origin: writing weights for %q: %w", p.VideoName, err)
+	}
+	_, err = tmp.Write(append(data, '\n'))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("origin: writing weights for %q: %w", p.VideoName, err)
+	}
+	return nil
 }
 
 // ReadWeights loads v's persisted profile from weight directory dir and

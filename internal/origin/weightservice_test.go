@@ -1,9 +1,11 @@
 package origin
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"sensei/internal/sensitivity"
 	"sensei/internal/video"
 )
 
@@ -400,6 +403,87 @@ func TestWeightServicePersistFailureServesFromMemory(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("profiled %d times", calls.Load())
 	}
+}
+
+// onlyWeightFile fails t unless dir holds the one entry name: a write that
+// leaves a temp file beside the weight file is caught here.
+func onlyWeightFile(t *testing.T, dir, name string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != name {
+		t.Fatalf("weight dir holds %v; want only %s", entries, name)
+	}
+}
+
+// writeTwoEpochs writes epochs 1 and 2 of v's weight file in a fresh
+// directory and returns the directory, the file's path and its bytes.
+func writeTwoEpochs(t *testing.T, v *video.Video) (dir, path string, prev []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	path = filepath.Join(dir, weightFileName(v.Name))
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		if err := writeWeightFile(path, &sensitivity.Profile{VideoName: v.Name, Epoch: epoch, Weights: v.TrueSensitivity()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, path, prev
+}
+
+// TestWeightFileWriteReplacesAtomically: writeWeightFile replaces a weight
+// file whole, so the second write is what a reader sees, and no temp file
+// is left beside it.
+func TestWeightFileWriteReplacesAtomically(t *testing.T) {
+	v := excerptOf(t, "Soccer1", 6)
+	dir, path, _ := writeTwoEpochs(t, v)
+	if p, err := ReadWeights(dir, v); err != nil || p.Epoch != 2 {
+		t.Fatalf("after two writes: %v, %v; want epoch 2", p, err)
+	}
+	onlyWeightFile(t, dir, filepath.Base(path))
+}
+
+// TestWeightFileWriteFailureLeavesOriginal: a write that fails — at
+// encoding, or at the rename that would install it — leaves what was at the
+// path byte-identical and no temp file beside it.
+func TestWeightFileWriteFailureLeavesOriginal(t *testing.T) {
+	v := excerptOf(t, "Soccer1", 6)
+	dir, path, prev := writeTwoEpochs(t, v)
+
+	bad := append([]float64(nil), v.TrueSensitivity()...)
+	bad[2] = math.NaN()
+	if err := writeWeightFile(path, &sensitivity.Profile{VideoName: v.Name, Epoch: 3, Weights: bad}); err == nil {
+		t.Fatal("a NaN weight was written")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("failed encode changed the weight file: %v", err)
+	}
+	onlyWeightFile(t, dir, filepath.Base(path))
+
+	// A non-empty directory where the file would go makes the rename fail
+	// after the temp file is written.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(path, "keep")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keep, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeWeightFile(path, &sensitivity.Profile{VideoName: v.Name, Epoch: 3, Weights: v.TrueSensitivity()}); err == nil {
+		t.Fatal("rename over a non-empty directory reported success")
+	}
+	if got, err := os.ReadFile(keep); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("failed rename changed what sat at the path: %v", err)
+	}
+	onlyWeightFile(t, dir, filepath.Base(path))
 }
 
 // TestWeightServiceRefreshWindow runs the incremental re-profiling path:
