@@ -176,8 +176,8 @@ func TestWeightDirFeedsManifest(t *testing.T) {
 	if err := o.Call(context.Background(), &wire.Call{Route: wire.RouteManifest, Video: v.Name}, &a); err != nil || a.Status != http.StatusOK {
 		t.Fatalf("manifest: status %d, %v", a.Status, err)
 	}
-	mpd, err := wire.ParseMPD(a.Body)
-	if err != nil {
+	var mpd wire.MPD
+	if err := mpd.Parse(a.Body); err != nil {
 		t.Fatal(err)
 	}
 	weights, err := mpd.Weights()

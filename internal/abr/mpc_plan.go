@@ -109,6 +109,7 @@ type treeSearch struct {
 
 	nodes int // step calls of the current decision
 	skips int // children the pre-check discarded without a step call
+	dfss  int // dfs calls: prefixes whose children were expanded
 }
 
 // treePool recycles search scratch across decisions and goroutines: steady
@@ -179,7 +180,7 @@ func (t *treeSearch) reset(m *MPC, s *player.State, horizon int, scenarios []Sce
 	t.quality = m.Quality
 	t.risk = m.RiskAversion
 	t.blend = nSc > 1 && t.risk > 0
-	t.nodes, t.skips = 0, 0
+	t.nodes, t.skips, t.dfss = 0, 0, 0
 
 	t.vm = grow(t.vm, (horizon+1)*nR)
 	t.bits = grow(t.bits, horizon*nR)
@@ -348,6 +349,7 @@ func (t *treeSearch) raise(score float64) {
 // its score is under the threshold, so it is neither the pass's optimum
 // nor a score the caller's floor lets matter.
 func (t *treeSearch) dfs(k, prev int) {
+	t.dfss++
 	nR, nSc := t.nRungs, t.nSc
 	leaf := k+1 == t.horizon
 

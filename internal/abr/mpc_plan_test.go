@@ -340,6 +340,8 @@ func (r *stateRecorder) Decide(s *player.State) player.Decision {
 // 339.9). A child the pre-check discards is one step call the search
 // without it makes, and that call leaves the threshold where it was (its
 // bound is below the cut), so nodes plus skips is the tail-alone count.
+// The test also logs, ungated, the skips (172.4) and dfs expansions (68.0)
+// per decision: fewer nodes bought with more of either is not less work.
 func TestPlannerNodeBudget(t *testing.T) {
 	const (
 		parentMean = 400.7
@@ -357,18 +359,23 @@ func TestPlannerNodeBudget(t *testing.T) {
 	if len(rec.states) < 200 {
 		t.Fatalf("only %d states recorded", len(rec.states))
 	}
-	var nodes, skips, decisions int
+	var nodes, skips, dfss, decisions int
 	for _, m := range []*MPC{NewFugu(), NewSenseiFugu()} {
 		for _, s := range rec.states {
-			_, n, sk := decideCountingNodes(m, s)
+			_, n, sk, d := decideCountingNodes(m, s)
 			nodes += n
 			skips += sk
+			dfss += d
 			decisions++
 		}
 	}
 	mean := float64(nodes) / float64(decisions)
 	t.Logf("%d decisions (parent %.1f nodes/decision): tail alone %d nodes, %.1f nodes/decision; with the pre-check %d nodes, %.1f nodes/decision",
 		decisions, parentMean, nodes+skips, float64(nodes+skips)/float64(decisions), nodes, mean)
+	// Not gated: what the search did besides its step calls, so a change
+	// that cuts nodes can be checked against the work it moved.
+	t.Logf("per decision: %.1f step calls, %.1f pre-check skips, %.1f dfs expansions",
+		mean, float64(skips)/float64(decisions), float64(dfss)/float64(decisions))
 	if mean > budget {
 		t.Fatalf("%.1f nodes/decision exceeds the budget of %d (parent %.1f)", mean, budget, parentMean)
 	}

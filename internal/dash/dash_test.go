@@ -23,16 +23,27 @@ func testVideo(t testing.TB) *video.Video {
 
 func TestClientValidatesLadder(t *testing.T) {
 	v := testVideo(t)
-	if err := validateLadder(v, v.Ladder); err != nil {
-		t.Fatalf("matching ladder rejected: %v", err)
-	}
-	if err := validateLadder(v, v.Ladder[:len(v.Ladder)-1]); err == nil {
-		t.Fatal("short ladder accepted")
-	}
-	wrong := append([]int(nil), v.Ladder...)
-	wrong[0]++
-	if err := validateLadder(v, wrong); err == nil {
-		t.Fatal("mismatched ladder accepted")
+	type reps = []wire.Representation
+	for _, tc := range []struct {
+		name string
+		edit func(reps) reps
+		ok   bool
+	}{
+		{"matching", func(r reps) reps { return r }, true},
+		// Ladder reads bandwidth in whole kbps, and so does the check.
+		{"within a kbps", func(r reps) reps { r[0].Bandwidth += 999; return r }, true},
+		{"short", func(r reps) reps { return r[:len(r)-1] }, false},
+		{"mismatched", func(r reps) reps { r[0].Bandwidth += 1000; return r }, false},
+	} {
+		m, err := wire.BuildMPD(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as := &m.Period.AdaptationSet
+		as.Representations = tc.edit(as.Representations)
+		if err := validateLadder(v, m); (err == nil) != tc.ok {
+			t.Fatalf("%s ladder: validateLadder = %v", tc.name, err)
+		}
 	}
 }
 

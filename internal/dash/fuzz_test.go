@@ -1,6 +1,7 @@
 package dash
 
 import (
+	"slices"
 	"testing"
 
 	"sensei/internal/crowd"
@@ -20,9 +21,13 @@ import (
 func FuzzParseMPD(f *testing.F) {
 	v := testVideo(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if mpd, err := wire.ParseMPD(data); err == nil {
-			// The accessors the client calls on any manifest that parses.
-			_ = validateLadder(v, mpd.Ladder())
+		var mpd wire.MPD
+		if err := mpd.Parse(data); err == nil {
+			// The accessors the client calls on any manifest that parses;
+			// the ladder check reads the rungs in place as Ladder reads them.
+			if ok := validateLadder(v, &mpd) == nil; ok != slices.Equal(mpd.Ladder(), v.Ladder) {
+				t.Fatalf("validateLadder = %v for ladder %v, local %v", ok, mpd.Ladder(), v.Ladder)
+			}
 			_, _ = mpd.Weights()
 		}
 		if prof, err := parseManifest(data, v); err == nil {

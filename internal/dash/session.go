@@ -138,7 +138,9 @@ func (s *session) advance() error {
 		if math.IsNaN(c.TimeScale) || math.IsInf(c.TimeScale, 0) {
 			return fmt.Errorf("dash: encoding join request: timescale %v is not a JSON number", c.TimeScale)
 		}
-		c.body = (&wire.JoinRequest{Video: c.videoName, Trace: c.Trace, TimeScale: c.TimeScale}).AppendJSON(c.body[:0])
+		// One allocation holds the join body and, later, each rating's.
+		c.body = slices.Grow(c.body[:0], 96+len(c.videoName)+len(c.Trace))
+		c.body = (&wire.JoinRequest{Video: c.videoName, Trace: c.Trace, TimeScale: c.TimeScale}).AppendJSON(c.body)
 		s.issue(chaos.KindSession, wire.Call{Route: wire.RouteJoin, Body: c.body}, -1)
 	case stepManifest:
 		if s.v == nil {
@@ -397,7 +399,7 @@ func (s *session) succeeded(r *reply) error {
 	switch s.step {
 	case stepJoin:
 		var jr wire.JoinResponse
-		if err := jr.Parse(r.body, c.videoName); err != nil {
+		if err := jr.Parse(r.body, c.videoName, c.Trace); err != nil {
 			return fmt.Errorf("dash: joining session: decoding reply: %w", err)
 		}
 		if jr.SessionID == "" || jr.TimeScale <= 0 {
@@ -514,13 +516,13 @@ func (s *session) finish() error {
 // parseManifest decodes a manifest and validates it against the local
 // video model, returning the profile snapshot the session starts on.
 func parseManifest(body []byte, v *video.Video) (*sensitivity.Profile, error) {
-	mpd, err := wire.ParseMPD(body)
-	if err != nil {
+	var mpd wire.MPD
+	if err := mpd.Parse(body); err != nil {
 		return nil, fmt.Errorf("dash: decoding manifest: %w", err)
 	}
 	// A manifest whose ladder disagrees with the local video model would
 	// silently stream wrong segment sizes; fail loudly instead.
-	if err := validateLadder(v, mpd.Ladder()); err != nil {
+	if err := validateLadder(v, &mpd); err != nil {
 		return nil, err
 	}
 	// Weights reads rung 0's vector; rungs that disagree leave no way to
@@ -581,9 +583,10 @@ func checkProfile(p *sensitivity.Profile, v *video.Video) error {
 }
 
 // validateLadder checks the manifest ladder against the local video model.
-func validateLadder(v *video.Video, ladder []int) error {
-	if !slices.Equal(ladder, v.Ladder) {
-		return fmt.Errorf("dash: manifest ladder %v kbps disagrees with local video %q's %v", ladder, v.Name, v.Ladder)
+func validateLadder(v *video.Video, mpd *wire.MPD) error {
+	reps := mpd.Period.AdaptationSet.Representations
+	if !slices.EqualFunc(reps, v.Ladder, func(r wire.Representation, kbps int) bool { return r.Bandwidth/1000 == kbps }) {
+		return fmt.Errorf("dash: manifest ladder %v kbps disagrees with local video %q's %v", mpd.Ladder(), v.Name, v.Ladder)
 	}
 	return nil
 }

@@ -188,7 +188,7 @@ func (o *Origin) join(q *request) reply {
 	var req wire.JoinRequest
 	err := q.err
 	if err == nil {
-		err = req.Parse(q.Body)
+		err = req.Parse(q.Body, o.names...)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, "origin: bad join body: "+err.Error())
@@ -241,7 +241,9 @@ func (o *Origin) join(q *request) reply {
 			T: s.created, Kind: qlog.KindOriginJoin, Detail: ce.v.Name,
 		})
 	}
-	o.logf("origin: session %s joined: video=%q trace=%q timescale=%g", s.id, ce.v.Name, traceName, scale)
+	if o.cfg.Logf != nil { // the arguments alone would allocate on every join
+		o.cfg.Logf("origin: session %s joined: video=%q trace=%q timescale=%g", s.id, ce.v.Name, traceName, scale)
+	}
 	return jsonReply(nil, (&wire.JoinResponse{
 		SessionID: s.id,
 		Video:     ce.v.Name,
@@ -276,7 +278,9 @@ func (o *Origin) leave(q *request) reply {
 			Bytes: finalBytes, Extra: finalSegs,
 		})
 	}
-	o.logf("origin: session %s left", id)
+	if o.cfg.Logf != nil {
+		o.cfg.Logf("origin: session %s left", id)
+	}
 	return reply{status: http.StatusNoContent}
 }
 
@@ -292,7 +296,9 @@ func (o *Origin) manifest(q *request) reply {
 	}
 	p, err := o.profileOf(ce)
 	if err != nil {
-		o.logf("origin: profiling %q: %v", ce.v.Name, err)
+		if o.cfg.Logf != nil {
+			o.cfg.Logf("origin: profiling %q: %v", ce.v.Name, err)
+		}
 		return fail(http.StatusInternalServerError, err.Error())
 	}
 	mb := ce.manifest.Load()

@@ -309,6 +309,43 @@ func TestSegmentCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestJoinLeaveAllocs pins what a session's join and leave through Call
+// allocate with no logger set, exactly, as a fleet session joins and
+// leaves: the origin mints the session ID. It reads 4: the session, its
+// shaper (whose trace cursor is a field), its ID string, and the caller's
+// copy of that ID read from the reply. The request's video and trace names
+// are the catalog's and the trace set's own strings, the ID is encoded on
+// the stack, and the reply goes out through the pooled body buffer.
+// Arguments boxed for an unset logger read 11 or more.
+func TestJoinLeaveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	o := newHotPathOrigin(t)
+	v := o.cfg.Catalog[0]
+	join := wire.Call{Route: wire.RouteJoin, Body: (&wire.JoinRequest{Video: v.Name, Trace: "wire", TimeScale: 0.5}).AppendJSON(nil)}
+	var a wire.Answer
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		var jr wire.JoinResponse
+		if err := o.Call(ctx, &join, &a); err != nil || a.Status != http.StatusOK {
+			t.Fatalf("join: status %d, %v", a.Status, err)
+		}
+		if err := jr.Parse(a.Body, v.Name, "wire"); err != nil {
+			t.Fatal(err)
+		}
+		leave := wire.Call{Route: wire.RouteLeave, ID: jr.SessionID}
+		if err := o.Call(ctx, &leave, &a); err != nil || a.Status != http.StatusNoContent {
+			t.Fatalf("leave: status %d, %v", a.Status, err)
+		}
+	})
+	const want = 4
+	t.Logf("%.2f allocations per join and leave", allocs)
+	if allocs != want {
+		t.Fatalf("a join and leave allocate %.2f objects, want exactly %d", allocs, want)
+	}
+}
+
 // TestSegmentShapedSleepZeroAlloc extends the hot-path pin to the throttle
 // on the wall clock. hotPathConfig's time scale rounds every throttle to
 // 0 ns, so TestSegmentSteadyStateZeroAlloc never reaches a timer; here the
@@ -496,7 +533,8 @@ func TestEpochStampSharedPerEpoch(t *testing.T) {
 				if !call(&man, &a) {
 					return
 				}
-				if m, err := wire.ParseMPD(a.Body); err != nil || m.WeightEpoch() != a.Epoch {
+				var m wire.MPD
+				if err := m.Parse(a.Body); err != nil || m.WeightEpoch() != a.Epoch {
 					t.Errorf("manifest reply: header epoch %d, body %q (%v)", a.Epoch, a.Body, err)
 					return
 				}

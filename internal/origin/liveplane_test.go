@@ -61,8 +61,8 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 	if got := resp.Header.Get(wire.WeightEpochHeader); got != "1" {
 		t.Fatalf("manifest epoch header %q", got)
 	}
-	mpd, err := wire.ParseMPD(mpdBody)
-	if err != nil {
+	var mpd wire.MPD
+	if err := mpd.Parse(mpdBody); err != nil {
 		t.Fatal(err)
 	}
 	if mpd.WeightEpoch() != 1 {

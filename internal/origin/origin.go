@@ -55,8 +55,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -198,6 +200,7 @@ type catalogEntry struct {
 type Origin struct {
 	cfg      Config
 	videos   map[string]*catalogEntry
+	names    []string // every catalog video's and trace's: a join body's known strings
 	store    *WeightService
 	feedback *ingest.Plane   // nil when the closed loop is disabled
 	chaos    *chaos.Injector // nil when fault injection is disabled
@@ -262,6 +265,7 @@ func New(cfg Config) (*Origin, error) {
 		cfg.Clock = vclock.NewReal()
 	}
 	videos := make(map[string]*catalogEntry, len(cfg.Catalog))
+	names := slices.Collect(maps.Keys(cfg.Traces))
 	for _, v := range cfg.Catalog {
 		if v == nil || v.Name == "" {
 			return nil, fmt.Errorf("origin: catalog contains an unnamed video")
@@ -269,7 +273,7 @@ func New(cfg Config) (*Origin, error) {
 		if _, dup := videos[v.Name]; dup {
 			return nil, fmt.Errorf("origin: duplicate catalog video %q", v.Name)
 		}
-		videos[v.Name] = newCatalogEntry(v)
+		videos[v.Name], names = newCatalogEntry(v), append(names, v.Name)
 	}
 	if cfg.Ingest != nil && cfg.Profile == nil {
 		return nil, fmt.Errorf("origin: feedback ingest enabled without a profile function")
@@ -281,6 +285,7 @@ func New(cfg Config) (*Origin, error) {
 	o := &Origin{
 		cfg:    cfg,
 		videos: videos,
+		names:  names,
 		store:  store,
 		done:   make(chan struct{}),
 	}
@@ -411,7 +416,9 @@ func (o *Origin) PublishWeights(videoName string, weights []float64) (*sensitivi
 	if err != nil {
 		return nil, err
 	}
-	o.logf("origin: published weights for %q at epoch %d", videoName, p.Epoch)
+	if o.cfg.Logf != nil { // as in RefreshWeights: the arguments alone would allocate
+		o.cfg.Logf("origin: published weights for %q at epoch %d", videoName, p.Epoch)
+	}
 	return p, nil
 }
 
@@ -441,12 +448,6 @@ func (o *Origin) ChaosJournal() []chaos.Event {
 		return nil
 	}
 	return o.chaos.Journal()
-}
-
-func (o *Origin) logf(format string, args ...any) {
-	if o.cfg.Logf != nil {
-		o.cfg.Logf(format, args...)
-	}
 }
 
 // --- live profile access ---

@@ -66,7 +66,8 @@ func NewSessionID() string {
 		// process too; fall back to a clock-derived ID rather than panic.
 		return "s" + hex.EncodeToString([]byte(time.Now().Format("150405.000000000")))
 	}
-	return hex.EncodeToString(b[:])
+	var h [2 * len(b)]byte
+	return string(hex.AppendEncode(h[:0], b[:]))
 }
 
 // touch marks the session as active at the given clock reading.

@@ -32,7 +32,7 @@ type Shaper struct {
 	clock vclock.Clock
 
 	mu     sync.Mutex
-	cursor *trace.Cursor
+	cursor trace.Cursor
 	epoch  time.Duration // clock reading at construction
 }
 
@@ -48,7 +48,7 @@ func NewShaper(tr *trace.Trace, timeScale float64, clock vclock.Clock) (*Shaper,
 	return &Shaper{
 		TimeScale: timeScale,
 		clock:     clock,
-		cursor:    trace.NewCursor(tr),
+		cursor:    *trace.NewCursor(tr),
 		epoch:     clock.Now(),
 	}, nil
 }

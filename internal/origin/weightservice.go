@@ -319,10 +319,14 @@ func weightFileName(videoName string) string {
 	return b.String() + ".weights.json"
 }
 
-// writeWeightFile persists a profile atomically, so a crashed origin never
-// leaves a half-written profile behind: the bytes go to a temp file in
-// path's directory, which is renamed over path only once written and
-// closed. On any failure the temp file is removed and path is untouched.
+// writeWeightFile persists a profile atomically and durably: the bytes go
+// to a temp file in path's directory, which is synced and closed before it
+// is renamed over path, and the directory is synced after the rename. A
+// crashed origin never leaves a half-written profile behind, and neither
+// does a power loss or kernel crash: the file at path is then the whole
+// old profile or the whole new one, and the new one once this returns nil.
+// On a failure before the rename the temp file is removed and path is
+// untouched.
 func writeWeightFile(path string, p *sensitivity.Profile) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("origin: weight dir: %w", err)
@@ -342,15 +346,23 @@ func writeWeightFile(path string, p *sensitivity.Profile) error {
 		return fmt.Errorf("origin: writing weights for %q: %w", p.VideoName, err)
 	}
 	_, err = tmp.Write(append(data, '\n'))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
 	if err == nil {
+		err = tmp.Sync() // else the rename can reach the disk before the bytes
+	}
+	if err = errors.Join(err, tmp.Close()); err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("origin: writing weights for %q: %w", p.VideoName, err)
+	}
+	// The rename is durable once the directory entry it changed is.
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = errors.Join(dir.Sync(), dir.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("origin: syncing the weight dir for %q: %w", p.VideoName, err)
 	}
 	return nil
 }

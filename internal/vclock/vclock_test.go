@@ -74,8 +74,9 @@ func TestVirtualSleepCancel(t *testing.T) {
 	done := make(chan bool, 1)
 	v.Enter()
 	go func() {
-		done <- v.Sleep(ctx, time.Hour)
-		v.Exit()
+		ok := v.Sleep(ctx, time.Hour)
+		v.Exit() // before the send: the checks below read active after it
+		done <- ok
 	}()
 
 	// Wait for the park, then cancel.

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sensei/internal/crowd"
 )
 
 // The origin's hand-written parsers sit on every request: the ?sid=
@@ -291,23 +293,37 @@ func checkBody[T any, P body[T]](t *testing.T, data []byte, known string, v T, f
 	}
 }
 
-// FuzzMPD holds the manifest codec to encoding/xml. Whatever ParseMPD
+// FuzzMPD holds the manifest codec to encoding/xml. Whatever Parse
 // accepts, xml.Unmarshal accepts too, decoding a DeepEqual MPD; the reverse
-// need not hold (ParseMPD refuses CDATA, directives, processing
-// instructions, namespaces and repeated singletons). For any MPD Unmarshal
-// decodes, AppendMPD writes what MarshalIndent writes, and ParseMPD reads
-// it back as Unmarshal does.
+// need not hold (Parse refuses CDATA, directives, processing instructions,
+// namespaces and repeated singletons). Parse into a value a whole manifest
+// filled first decodes the same, so reusing one is invisible. For any MPD
+// Unmarshal decodes, AppendMPD writes what MarshalIndent writes, and Parse
+// reads it back as Unmarshal does.
 func FuzzMPD(f *testing.F) {
+	full, err := BuildMPD(testVideo(f), uniformW(6, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fullDoc := full.AppendMPD(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want MPD
+		var want, got, reused MPD
 		wantErr := xml.Unmarshal(data, &want)
-		if got, err := ParseMPD(data); err == nil {
+		err := got.Parse(data)
+		if err == nil {
 			if wantErr != nil {
-				t.Fatalf("ParseMPD accepts %q, xml.Unmarshal says %v", data, wantErr)
+				t.Fatalf("Parse accepts %q, xml.Unmarshal says %v", data, wantErr)
 			}
-			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("ParseMPD(%q) = %#v, xml.Unmarshal says %#v", data, *got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Parse(%q) = %#v, xml.Unmarshal says %#v", data, got, want)
 			}
+			checkWeights(t, &got)
+		}
+		if err := reused.Parse(fullDoc); err != nil {
+			t.Fatal(err)
+		}
+		if rerr := reused.Parse(data); (rerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(reused, got) {
+			t.Fatalf("Parse(%q) into a filled MPD = %#v, %v; into a zero one %#v, %v", data, reused, rerr, got, err)
 		}
 		if wantErr == nil {
 			checkAppendMPD(t, &want)
@@ -315,8 +331,33 @@ func FuzzMPD(f *testing.F) {
 	})
 }
 
+// checkWeights fails unless m.Weights reads rung 0's text as
+// strings.Fields splits it.
+func checkWeights(t *testing.T, m *MPD) {
+	t.Helper()
+	got, err := m.Weights()
+	var (
+		text    string
+		want    []float64
+		wantErr bool
+	)
+	if reps := m.Period.AdaptationSet.Representations; len(reps) > 0 && reps[0].SenseiWeights != "" {
+		text, want = reps[0].SenseiWeights, []float64{}
+		for _, f := range strings.Fields(text) {
+			w, err := strconv.ParseFloat(f, 64)
+			if wantErr = err != nil || !crowd.ValidWeight(w); wantErr {
+				break
+			}
+			want = append(want, w)
+		}
+	}
+	if (err != nil) != wantErr || err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("Weights of %q = %v, %v; strings.Fields reads %v (error %v)", text, got, err, want, wantErr)
+	}
+}
+
 // checkAppendMPD fails unless AppendMPD writes xml.Header and MarshalIndent's
-// bytes for m, and ParseMPD reads them back as xml.Unmarshal does.
+// bytes for m, and Parse reads them back as xml.Unmarshal does.
 func checkAppendMPD(t *testing.T, m *MPD) {
 	t.Helper()
 	doc, err := xml.MarshalIndent(m, "", "  ")
@@ -329,15 +370,14 @@ func checkAppendMPD(t *testing.T, m *MPD) {
 	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("AppendMPD wrote\n%s\nMarshalIndent writes\n%s", got, want)
 	}
-	back, err := ParseMPD(want)
-	if err != nil {
-		t.Fatalf("ParseMPD refuses AppendMPD's %q: %v", want, err)
+	var back, ref MPD
+	if err := back.Parse(want); err != nil {
+		t.Fatalf("Parse refuses AppendMPD's %q: %v", want, err)
 	}
-	var ref MPD
 	if err := xml.Unmarshal(want, &ref); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(*back, ref) {
-		t.Fatalf("ParseMPD(%q) = %#v, xml.Unmarshal says %#v", want, *back, ref)
+	if !reflect.DeepEqual(back, ref) {
+		t.Fatalf("Parse(%q) = %#v, xml.Unmarshal says %#v", want, back, ref)
 	}
 }

@@ -36,10 +36,8 @@ func (m *JoinRequest) AppendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// Parse decodes data into m as json.Unmarshal would, sharing known's text.
-// No caller holds a string to pass for this body, so known stays empty in
-// the program; it keeps every body's Parse in the one shape FuzzBodies
-// drives.
+// Parse decodes data into m as json.Unmarshal would, sharing known's text:
+// the origin passes its catalog's video and trace names.
 func (m *JoinRequest) Parse(data []byte, known ...string) error {
 	d := decoder{data: data}
 	for d.field() {
@@ -673,15 +671,20 @@ func (d *decoder) string(dst *string, known []string, consts ...string) {
 		var buf [64]byte
 		s = unquote(buf[:0], s)
 	}
+	*dst = knownString(s, known, consts...)
+}
+
+// knownString returns s as the string of known or consts it equals, or else
+// as a copy. The JSON bodies and the manifest decode their strings with it.
+func knownString(s []byte, known []string, consts ...string) string {
 	for _, set := range [...][]string{known, consts} {
 		for _, k := range set {
 			if string(s) == k {
-				*dst = k
-				return
+				return k
 			}
 		}
 	}
-	*dst = string(s)
+	return string(s)
 }
 
 // number reads a number field's text.

@@ -11,6 +11,9 @@ import (
 	"sensei/internal/video"
 )
 
+// mpdMimeType is the one mime type a manifest names.
+const mpdMimeType = "video/mp4"
+
 // MPD is a minimal DASH media presentation description. The structure
 // follows the DASH-IF layout (Period → AdaptationSet → Representation) with
 // one SENSEI extension: a SenseiWeights element under each Representation
@@ -98,7 +101,7 @@ func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, err
 		MediaPresentation: fmt.Sprintf("PT%dM%dS", total/60, total%60), // ISO 8601
 		Period: Period{
 			AdaptationSet: AdaptationSet{
-				MimeType:        "video/mp4",
+				MimeType:        mpdMimeType,
 				SegmentSeconds:  int(video.ChunkDuration / time.Second),
 				WeightEpoch:     epoch,
 				Representations: reps,
@@ -122,12 +125,14 @@ func (m *MPD) Weights() ([]float64, error) {
 	if len(reps) == 0 || reps[0].SenseiWeights == "" {
 		return nil, nil
 	}
-	fields := strings.Fields(reps[0].SenseiWeights)
-	out := make([]float64, len(fields))
-	for i, f := range fields {
+	// FieldsSeq splits as strings.Fields does, leaving the fields in place;
+	// BuildMPDProfile's one space between weights sizes the vector.
+	text := reps[0].SenseiWeights
+	out := make([]float64, 0, strings.Count(text, " ")+1)
+	for f := range strings.FieldsSeq(text) {
 		w, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, fmt.Errorf("wire: weight %d: %w", i, err)
+			return nil, fmt.Errorf("wire: weight %d: %w", len(out), err)
 		}
 		// The decode path is the trust boundary for wire-carried weights:
 		// a NaN, non-positive or absurdly large value would flow straight
@@ -135,9 +140,9 @@ func (m *MPD) Weights() ([]float64, error) {
 		// manifest is rejected with the same contract every persistence
 		// codec enforces (crowd.ValidWeight).
 		if !crowd.ValidWeight(w) {
-			return nil, fmt.Errorf("wire: weight %d is %v, want a value in (0, 10]", i, w)
+			return nil, fmt.Errorf("wire: weight %d is %v, want a value in (0, 10]", len(out), w)
 		}
-		out[i] = w
+		out = append(out, w)
 	}
 	return out, nil
 }

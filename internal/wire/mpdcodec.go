@@ -14,8 +14,8 @@ import (
 
 // The manifest codec, without reflection. encoding/xml is its
 // specification: AppendMPD writes the bytes its indented marshaller writes,
-// and ParseMPD accepts a subset of what xml.Unmarshal accepts and decodes
-// it to the same value. ParseMPD refuses these, which Unmarshal accepts and
+// and Parse accepts a subset of what xml.Unmarshal accepts and decodes it
+// to the same value. Parse refuses these, which Unmarshal accepts and
 // the origin never writes, rather than carry a whole XML parser. FuzzMPD
 // holds both directions to encoding/xml.
 var (
@@ -28,9 +28,11 @@ var (
 
 // AppendMPD appends the manifest as Encode writes it: xml.Header, then the
 // document encoding/xml marshals with a two-space indent. It allocates
-// only to grow b.
+// only to grow b. A rung whose weights are the previous rung's string
+// copies that rung's escaped bytes instead of escaping them again.
 func (m *MPD) AppendMPD(b []byte) []byte {
 	as := &m.Period.AdaptationSet
+	weights, from, to := "", 0, 0 // the last rung's weights, escaped at b[from:to]
 	b = append(b, xml.Header...)
 	b = append(b, `<MPD mediaPresentationDuration="`...)
 	b = appendEscapedXML(b, m.MediaPresentation)
@@ -51,7 +53,13 @@ func (m *MPD) AppendMPD(b []byte) []byte {
 		b = append(strconv.AppendInt(b, int64(r.Bandwidth), 10), `">`...)
 		if r.SenseiWeights != "" {
 			b = append(b, "\n        <SenseiWeights>"...)
-			b = appendEscapedXML(b, r.SenseiWeights)
+			if r.SenseiWeights == weights {
+				b = append(b, b[from:to]...)
+			} else {
+				from = len(b)
+				b = appendEscapedXML(b, r.SenseiWeights)
+				weights, to = r.SenseiWeights, len(b)
+			}
 			b = append(b, "</SenseiWeights>\n      "...)
 		}
 		b = append(b, "</Representation>"...)
@@ -102,17 +110,25 @@ func appendEscapedXML(b []byte, s string) []byte {
 	return append(b, s[last:]...)
 }
 
-// mpdShape is the path of elements ParseMPD decodes, root first.
+// mpdShape is the path of elements Parse decodes, root first.
 var mpdShape = [...]string{"MPD", "Period", "AdaptationSet", "Representation", "SenseiWeights"}
 
-// xmlDecl is the XML declaration ParseMPD accepts, at the start only.
+// xmlDecl is the XML declaration Parse accepts, at the start only.
 var xmlDecl = regexp.MustCompile(`^<\?xml\s+version=("1\.0"|'1\.0')(\s+encoding=("(?i:utf-8)"|'(?i:utf-8)'))?(\s+standalone=("(yes|no)"|'(yes|no)'))?\s*\?>$`)
 
-// ParseMPD decodes a manifest in one pass. Like encoding/xml, it takes
+// Parse decodes a manifest into m in one pass. Like encoding/xml, it takes
 // attributes in any order and either quote style, white space, comments,
 // the five predefined entities and character references, and it skips
 // unknown attributes and elements, checking that they are well formed.
-func ParseMPD(data []byte) (*MPD, error) {
+//
+// m is reset first; on an error it holds what was decoded up to it. Parse
+// reuses m's Representations backing array when it has room, and sizes a
+// new one once. A string field equal to one of known, or to the mime type
+// BuildMPDProfile writes, is assigned that string; every other string is a
+// copy, so m shares nothing with data. A rung whose SenseiWeights text is
+// the previous one's raw bytes again is neither checked nor copied: it
+// shares the previous rung's string.
+func (m *MPD) Parse(data []byte, known ...string) error {
 	p := mpdParser{data: data}
 	if p.at("<?xml") {
 		p.i = bytes.Index(data, []byte("?>")) + 2
@@ -120,55 +136,76 @@ func ParseMPD(data []byte) (*MPD, error) {
 			p.syntax("unsupported XML declaration")
 		}
 	}
-	m := &MPD{XMLName: xml.Name{Local: "MPD"}}
+	// Every rung's start tag is this text, so reps never grows: the rungs
+	// stay nil, as xml.Unmarshal leaves them, until one is read.
+	reps := m.Period.AdaptationSet.Representations[:0]
+	if n := bytes.Count(data, []byte("<Representation")); cap(reps) < n {
+		reps = make([]Representation, 0, n)
+	}
+	*m = MPD{XMLName: xml.Name{Local: "MPD"}}
 	as := &m.Period.AdaptationSet
 	var (
 		stack [8][]byte
 		open  = stack[:0] // the names of the open elements, root first
-		known int         // how many of them are on mpdShape's path
+		depth int         // how many of them are on mpdShape's path
 		seen  [len(mpdShape)]bool
 		text  []byte // the open SenseiWeights' text so far
-		last  string // the last SenseiWeights: the rungs share one string
+		// The last SenseiWeights' string and raw content (none before the
+		// first); from is where the open one's content starts, and reused
+		// says its content is the last one's again.
+		last   string
+		raw    []byte
+		from   int
+		reused bool
 	)
 	for p.err == nil {
 		switch p.next() {
 		case tokStart:
-			on := len(open) == known && known < len(mpdShape) && string(p.name) == mpdShape[known]
+			on := len(open) == depth && depth < len(mpdShape) && string(p.name) == mpdShape[depth]
 			switch {
 			case len(open) == 0 && !on:
 				p.syntax("root element is not MPD")
-			case on && known == 3: // a Representation
-				as.Representations = append(as.Representations, Representation{})
+			case on && depth == 3: // a Representation
+				as.Representations = append(reps[:len(as.Representations)], Representation{})
 				seen[4] = false
-			case on && seen[known]:
+			case on && seen[depth]:
 				p.fail(errMPDRepeated)
 			}
 			open = append(open, p.name)
 			for p.attr() {
 				switch key := string(p.key); {
 				case !on:
-				case known == 0 && key == "mediaPresentationDuration":
-					m.MediaPresentation = string(p.val)
-				case known == 2 && key == "mimeType":
-					as.MimeType = string(p.val)
-				case known == 2 && key == "senseiSegmentSeconds":
+				case depth == 0 && key == "mediaPresentationDuration":
+					m.MediaPresentation = knownString(p.val, known, mpdMimeType)
+				case depth == 2 && key == "mimeType":
+					as.MimeType = knownString(p.val, known, mpdMimeType)
+				case depth == 2 && key == "senseiSegmentSeconds":
 					as.SegmentSeconds = int(p.number(true))
-				case known == 2 && key == "senseiWeightEpoch":
+				case depth == 2 && key == "senseiWeightEpoch":
 					as.WeightEpoch = uint64(p.number(false))
-				case known == 3 && key == "id":
-					as.Representations[len(as.Representations)-1].ID = string(p.val)
-				case known == 3 && key == "bandwidth":
+				case depth == 3 && key == "id":
+					as.Representations[len(as.Representations)-1].ID = knownString(p.val, known, mpdMimeType)
+				case depth == 3 && key == "bandwidth":
 					as.Representations[len(as.Representations)-1].Bandwidth = int(p.number(true))
 				}
 			}
 			if on {
-				seen[known] = true
-				known++
+				seen[depth] = true
+				depth++
+			}
+			if on && depth == len(mpdShape) {
+				// Equal raw content in the same place decodes to equal
+				// text, so the last SenseiWeights' check and copy stand.
+				rest := data[p.i:]
+				from, reused = p.i, !p.empty && bytes.HasPrefix(rest, raw) && bytes.HasPrefix(rest[len(raw):], []byte("</"))
+				if reused {
+					p.i += len(raw)
+				}
 			}
 		case tokText:
 			// encoding/xml reads a string element's text with its comments
 			// and child elements left out.
-			if t := p.text(p.val); len(open) == len(mpdShape) && known == len(mpdShape) {
+			if t := p.text(p.val); len(open) == len(mpdShape) && depth == len(mpdShape) {
 				if text == nil {
 					text = t // most often the only piece: used in place
 				} else {
@@ -181,12 +218,14 @@ func ParseMPD(data []byte) (*MPD, error) {
 				p.syntax("mismatched end tag")
 				break
 			}
-			if top+1 == known {
-				if known--; known == 4 { // SenseiWeights closed
-					if string(text) != last {
-						last = string(text)
+			if top+1 == depth {
+				if depth--; depth == 4 { // SenseiWeights closed
+					if !reused && string(text) != last {
+						last = knownString(text, known, mpdMimeType)
 					}
-					as.Representations[len(as.Representations)-1].SenseiWeights, text = last, nil
+					raw = data[min(from, p.tag):p.tag] // none for <SenseiWeights/>
+					as.Representations[len(as.Representations)-1].SenseiWeights = last
+					text, reused = nil, false
 				}
 			}
 			if open = open[:top]; top == 0 {
@@ -196,13 +235,13 @@ func ParseMPD(data []byte) (*MPD, error) {
 					p.comment()
 				}
 				if p.err == nil && p.i == len(data) {
-					return m, nil
+					return nil
 				}
 				p.syntax("content after the root element")
 			}
 		}
 	}
-	return nil, p.err
+	return p.err
 }
 
 // mpdParser scans a manifest. Its first error sticks and ends the scan.
@@ -212,9 +251,11 @@ type mpdParser struct {
 	err  error
 	// name is the tag next read. key and val are the attribute attr read,
 	// its value decoded; after next reads text, val holds it raw. empty
-	// reports that the start tag just read closed itself.
+	// reports that the start tag just read closed itself. tag is where the
+	// last start or end tag began.
 	name, key, val []byte
 	empty          bool
+	tag            int
 }
 
 // The tokens next reads; on an error it reads none of them.
@@ -241,7 +282,7 @@ func (p *mpdParser) next() int {
 		return tokEnd
 	}
 	for p.err == nil {
-		rest := p.data[p.i:]
+		at, rest := p.i, p.data[p.i:]
 		switch j := bytes.IndexByte(rest, '<'); {
 		case j < 0:
 			p.syntax("unexpected EOF")
@@ -259,12 +300,12 @@ func (p *mpdParser) next() int {
 		case p.at("<?"):
 			p.fail(errMPDProcInst)
 		case p.consume("</"):
-			p.name = p.readName()
+			p.tag, p.name = at, p.readName()
 			p.expect(">")
 			return tokEnd
 		default:
 			p.i++
-			p.name = p.readName()
+			p.tag, p.name = at, p.readName()
 			return tokStart
 		}
 	}

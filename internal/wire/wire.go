@@ -27,12 +27,13 @@
 // null as a no-op, escapes and surrogates decoded alike, numbers refused
 // where the field cannot hold them. Like Unmarshal, Parse refuses anything
 // after the top-level value but white space. Parse also takes the strings
-// its caller already holds (a client its video name, the origin a rating's
-// ?sid=): a string field equal to one of them is assigned it, not a copy.
+// its caller already holds (a client its video and trace names, the origin
+// a rating's ?sid= and its catalog's video and trace names): a string field
+// equal to one of them is assigned it, not a copy.
 // FuzzBodies holds both methods to encoding/json as the oracle, with and
 // without a known string; encoding/json stays the reference, not a
 // dependency of the request path.
-// FuzzMPD holds the manifest's codec, AppendMPD and ParseMPD, to
+// FuzzMPD holds the manifest's codec, AppendMPD and (*MPD).Parse, to
 // encoding/xml the same way.
 package wire
 
