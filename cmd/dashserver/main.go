@@ -67,7 +67,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -218,7 +217,7 @@ func main() {
 	var (
 		srv interface {
 			Start(addr string) (string, error)
-			Shutdown(ctx context.Context) error
+			Close() error
 		}
 		finalStats func() any
 	)
@@ -270,9 +269,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt)
 	<-stop
 	fmt.Println("draining sessions...")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "dashserver: shutdown:", err)
 	}
 	out, _ := json.MarshalIndent(finalStats(), "", "  ")

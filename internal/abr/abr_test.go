@@ -299,8 +299,8 @@ func TestPensieveTrainingImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := score(trained)
-	if !trained.Trained() {
-		t.Fatal("Trained() false after training")
+	if !trained.trained {
+		t.Fatal("not marked trained after training")
 	}
 	if after <= before {
 		t.Fatalf("training regressed QoE: %.3f -> %.3f", before, after)

@@ -519,8 +519,5 @@ func entropy(probs []float64) float64 {
 	return h
 }
 
-// Trained reports whether Train has completed.
-func (p *Pensieve) Trained() bool { return p.trained }
-
 // Compile-time interface check.
 var _ player.Algorithm = (*Pensieve)(nil)

@@ -38,7 +38,7 @@ func TestPolicyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Trained() {
+	if !loaded.trained {
 		t.Fatal("loaded policy not marked trained")
 	}
 	// The restored policy must decide identically to the original.

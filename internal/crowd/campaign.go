@@ -57,8 +57,6 @@ type Campaign struct {
 	Views int
 	// Rejected counts raters rejected by integrity checks.
 	Rejected int
-
-	offset int // round-robin position in the population
 }
 
 // NewCampaign starts a campaign over the population with the cost model.
@@ -70,20 +68,6 @@ func NewCampaign(pop *mos.Population, cost CostModel) (*Campaign, error) {
 		return nil, fmt.Errorf("crowd: invalid cost model %+v", cost)
 	}
 	return &Campaign{pop: pop, cost: cost}, nil
-}
-
-// Rate collects raters ratings of the rendering, applying the integrity
-// filters, and accounts for the watch time. Rate advances the campaign's
-// rater cursor and is for sequential use; parallel campaigns precompute
-// offsets and use RateAt + Account instead.
-func (c *Campaign) Rate(r *qoe.Rendering, raters int) (RatedRendering, error) {
-	rr, rejected, err := c.RateAt(r, raters, c.offset)
-	if err != nil {
-		return RatedRendering{}, err
-	}
-	c.offset += raters + rejected
-	c.Account(r, raters, rejected)
-	return rr, nil
 }
 
 // RateAt collects ratings at an explicit, caller-assigned rater offset
@@ -108,19 +92,6 @@ func (c *Campaign) Account(r *qoe.Rendering, raters, rejected int) {
 	dur := r.Video.Duration().Seconds() + r.TotalStallSec()
 	c.WatchedSeconds += dur * float64(raters)
 	c.Views += raters
-}
-
-// RateSeries rates every rendering in a series with the same rater count.
-func (c *Campaign) RateSeries(series []*qoe.Rendering, raters int) ([]RatedRendering, error) {
-	out := make([]RatedRendering, 0, len(series))
-	for _, r := range series {
-		rr, err := c.Rate(r, raters)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rr)
-	}
-	return out, nil
 }
 
 // Participants estimates how many distinct participants the campaign needed
@@ -197,26 +168,4 @@ func solveWeights(n int, rows []weightRow, lambda float64) ([]float64, error) {
 		}
 	}
 	return w, nil
-}
-
-// InferWeights solves the Eq. 2 regression over whole-video renderings:
-// find per-chunk weights w such that MOS_j ≈ 1 − (1/N) Σ_i w_i d_{i,j}.
-func InferWeights(params qoe.QualityParams, rated []RatedRendering, lambda float64) ([]float64, error) {
-	if len(rated) == 0 {
-		return nil, fmt.Errorf("crowd: no rated renderings")
-	}
-	v := rated[0].Rendering.Video
-	n := v.NumChunks()
-	rows := make([]weightRow, len(rated))
-	for j, rr := range rated {
-		if rr.Rendering.Video.Name != v.Name {
-			return nil, fmt.Errorf("crowd: mixed videos in weight inference (%q vs %q)", rr.Rendering.Video.Name, v.Name)
-		}
-		d := make([]float64, n)
-		for i := 0; i < n; i++ {
-			d[i] = qoe.ChunkDeficit(params, rr.Rendering, i) / float64(n)
-		}
-		rows[j] = weightRow{deficits: d, mos: rr.MOS}
-	}
-	return solveWeights(n, rows, lambda)
 }

@@ -117,9 +117,11 @@ func TestCampaignAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := qoe.NewRendering(v)
-	if _, err := camp.Rate(r, 10); err != nil {
+	_, rejected, err := camp.RateAt(r, 10, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	camp.Account(r, 10, rejected)
 	if camp.Views != 10 {
 		t.Fatalf("views %d", camp.Views)
 	}
@@ -140,9 +142,11 @@ func TestCampaignStallTimeIsPaid(t *testing.T) {
 	pop := population(t, 300, 37)
 	camp, _ := NewCampaign(pop, DefaultCostModel())
 	stalled := qoe.NewRendering(v).WithStall(2, 4)
-	if _, err := camp.Rate(stalled, 5); err != nil {
+	_, rejected, err := camp.RateAt(stalled, 5, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	camp.Account(stalled, 5, rejected)
 	want := (v.Duration().Seconds() + 4) * 5
 	if math.Abs(camp.WatchedSeconds-want) > 1e-9 {
 		t.Fatalf("watched %v, want %v (stall time must be watched)", camp.WatchedSeconds, want)
@@ -161,22 +165,14 @@ func TestNewCampaignValidates(t *testing.T) {
 
 func TestInferWeightsRecoversSensitivity(t *testing.T) {
 	v := shortVideo(t)
-	pop := population(t, 2000, 41)
-	camp, _ := NewCampaign(pop, DefaultCostModel())
-	series, err := VideoSeries(v, Incident{Kind: KindRebuffer, StallSec: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := NewProfiler(population(t, 2000, 41))
 	// Generous rater budget: weights should track the hidden truth well.
-	rated, err := camp.RateSeries(series, 60)
+	pr.Params.M1, pr.Params.M2 = 60, 60
+	p, err := pr.Profile(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := InferWeights(qoe.DefaultQualityParams(), rated, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := v.TrueSensitivity()
+	w, truth := p.Weights, v.TrueSensitivity()
 	if r := stats.Spearman(w, truth); r < 0.7 {
 		t.Fatalf("inferred weights rank-correlate %.2f with truth, want >= 0.7", r)
 	}
@@ -192,20 +188,17 @@ func TestInferWeightsRecoversSensitivity(t *testing.T) {
 	}
 }
 
+// TestInferWeightsValidates: the Eq. 2 solver refuses no ratings at all,
+// and a row whose deficits index another video's chunks.
 func TestInferWeightsValidates(t *testing.T) {
-	if _, err := InferWeights(qoe.DefaultQualityParams(), nil, 0.05); err == nil {
+	if _, err := solveWeights(15, nil, 0.05); err == nil {
 		t.Error("empty input accepted")
 	}
-	v := shortVideo(t)
-	other, err := video.ByName("Tank")
-	if err != nil {
-		t.Fatal(err)
+	mixed := []weightRow{
+		{deficits: make([]float64, 15), mos: 0.9},
+		{deficits: make([]float64, 12), mos: 0.9},
 	}
-	mixed := []RatedRendering{
-		{Rendering: qoe.NewRendering(v), MOS: 0.9},
-		{Rendering: qoe.NewRendering(other), MOS: 0.9},
-	}
-	if _, err := InferWeights(qoe.DefaultQualityParams(), mixed, 0.05); err == nil {
+	if _, err := solveWeights(15, mixed, 0.05); err == nil {
 		t.Error("mixed videos accepted")
 	}
 }
@@ -306,30 +299,19 @@ func TestMoreRatersImproveWeights(t *testing.T) {
 	const trials = 4
 	for trial := 0; trial < trials; trial++ {
 		pop := population(t, 6000, uint64(61+trial))
-		campFew, _ := NewCampaign(pop, DefaultCostModel())
-		campMany, _ := NewCampaign(pop, DefaultCostModel())
-		series, err := VideoSeries(v, Incident{Kind: KindRebuffer, StallSec: 1})
+		few, many := NewProfiler(pop), NewProfiler(pop)
+		few.Params.M1, few.Params.M2 = 3, 3
+		many.Params.M1, many.Params.M2 = 40, 40
+		pFew, err := few.Profile(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		few, err := campFew.RateSeries(series, 3)
+		pMany, err := many.Profile(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		many, err := campMany.RateSeries(series, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wFew, err := InferWeights(qoe.DefaultQualityParams(), few, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wMany, err := InferWeights(qoe.DefaultQualityParams(), many, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rFew += stats.Spearman(wFew, truth) / trials
-		rMany += stats.Spearman(wMany, truth) / trials
+		rFew += stats.Spearman(pFew.Weights, truth) / trials
+		rMany += stats.Spearman(pMany.Weights, truth) / trials
 	}
 	if rMany <= rFew {
 		t.Fatalf("40 raters (r=%.2f) should beat 3 raters (r=%.2f)", rMany, rFew)

@@ -10,8 +10,6 @@
 package cv
 
 import (
-	"fmt"
-
 	"sensei/internal/stats"
 	"sensei/internal/video"
 )
@@ -96,26 +94,6 @@ func (Video2GIF) Score(v *video.Video) []float64 {
 // All returns the three Appendix-D models.
 func All() []Model {
 	return []Model{AMVM{}, DSN{}, Video2GIF{}}
-}
-
-// AsWeights converts importance scores to mean-1 sensitivity weights, the
-// format SENSEI's ABR consumes, so CV models can be ablated as weight
-// sources.
-func AsWeights(scores []float64) ([]float64, error) {
-	if len(scores) == 0 {
-		return nil, fmt.Errorf("cv: no scores to convert")
-	}
-	w := make([]float64, len(scores))
-	var sum float64
-	for i, s := range scores {
-		w[i] = 0.5 + s
-		sum += w[i]
-	}
-	mean := sum / float64(len(w))
-	for i := range w {
-		w[i] /= mean
-	}
-	return w, nil
 }
 
 // normalizePeak rescales scores so the maximum is 1 (summarizers rank

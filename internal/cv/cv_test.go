@@ -66,27 +66,6 @@ func TestCVModelsTrackMotionNotAttention(t *testing.T) {
 	}
 }
 
-func TestAsWeights(t *testing.T) {
-	w, err := AsWeights([]float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := stats.Mean(w); math.Abs(m-1) > 1e-12 {
-		t.Fatalf("mean %v", m)
-	}
-	for _, x := range w {
-		if x <= 0 {
-			t.Fatalf("non-positive weight %v", x)
-		}
-	}
-	if !(w[2] > w[1] && w[1] > w[0]) {
-		t.Fatalf("ordering lost: %v", w)
-	}
-	if _, err := AsWeights(nil); err == nil {
-		t.Fatal("empty scores accepted")
-	}
-}
-
 func TestScoresPeakNormalized(t *testing.T) {
 	v, err := video.ByName("Animal")
 	if err != nil {

@@ -28,14 +28,15 @@ import (
 // (it does not import this package), as alloc_test.go and caller_test.go do.
 func startStubOrigin(t *testing.T, v *video.Video, weights []float64, timeScale float64, segmentDelay time.Duration) string {
 	t.Helper()
-	mpd, err := wire.BuildMPD(v, weights)
+	var epoch uint64
+	if weights != nil {
+		epoch = 1
+	}
+	mpd, err := wire.BuildMPDProfile(v, weights, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -35,7 +35,7 @@ func TestClientValidatesLadder(t *testing.T) {
 		{"short", func(r reps) reps { return r[:len(r)-1] }, false},
 		{"mismatched", func(r reps) reps { r[0].Bandwidth += 1000; return r }, false},
 	} {
-		m, err := wire.BuildMPD(v, nil)
+		m, err := wire.BuildMPDProfile(v, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestClientValidatesLadder(t *testing.T) {
 // comes first.
 func TestClientRejectsDisagreeingRungWeights(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := wire.BuildMPD(v, v.TrueSensitivity())
+	mpd, err := wire.BuildMPDProfile(v, v.TrueSensitivity(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,7 @@ func (s *ratingStub) start(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -53,10 +53,7 @@ func (s *refreshStub) start(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -306,15 +303,12 @@ func TestClientStaleWeightsEndpointNoPolling(t *testing.T) {
 // origin publishes up to that epoch.
 func TestClientRejectsWeightlessEpochManifest(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := wire.BuildMPD(v, nil)
+	mpd, err := wire.BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mpd.Period.AdaptationSet.WeightEpoch = 5 // forged: BuildMPDProfile refuses this
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)

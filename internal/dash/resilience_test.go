@@ -139,14 +139,11 @@ func TestClientRejectsTruncatedSegment(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := wire.BuildMPD(v, nil)
+	mpd, err := wire.BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(manifest)
 	})
@@ -205,14 +202,11 @@ func TestClientRejectsWrongSizeSegment(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := wire.BuildMPD(v, nil)
+	mpd, err := wire.BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(manifest)
 	})
@@ -246,14 +240,11 @@ func TestClientSegmentFallbackLadder(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"session_id":"stub","video":%q,"trace":"flat","timescale":100}`, v.Name)
 	})
-	mpd, err := wire.BuildMPD(v, nil)
+	mpd, err := wire.BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux.HandleFunc("GET /v/{video}/manifest.mpd", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(manifest)
 	})
@@ -305,10 +296,7 @@ func TestClientStaleWeightsDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	manifest := mpd.AppendMPD(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

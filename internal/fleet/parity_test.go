@@ -49,7 +49,7 @@ func parityTrace() *trace.Trace {
 
 // parityOrigin builds a one-video origin (profiled with w) shaping every
 // session to the parity trace on clock (nil: the wall clock) at scale.
-func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock, scale float64) *origin.Server {
+func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock, scale float64) (*origin.Origin, *origin.Server) {
 	t.Helper()
 	tr := parityTrace()
 	o, err := origin.New(origin.Config{
@@ -65,7 +65,7 @@ func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock,
 	}
 	srv := origin.NewServer(o)
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv
+	return o, srv
 }
 
 // streamVirtual streams v through c from a fresh origin (profiled with w)
@@ -74,7 +74,7 @@ func parityOrigin(t *testing.T, v *video.Video, w []float64, clock vclock.Clock,
 func streamVirtual(t *testing.T, v *video.Video, w []float64, c *dash.Client) *dash.Session {
 	t.Helper()
 	clock := vclock.NewVirtual()
-	c.Caller = parityOrigin(t, v, w, clock, 1).Origin()
+	c.Caller, _ = parityOrigin(t, v, w, clock, 1)
 	c.Clock = clock
 	// The client is the run's one registered participant: simulated time
 	// advances exactly while the origin's shaper holds its request.
@@ -222,7 +222,8 @@ func TestWallClockParitySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := parityOrigin(t, v, weights, nil, scale).Start("127.0.0.1:0")
+	_, srv := parityOrigin(t, v, weights, nil, scale)
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

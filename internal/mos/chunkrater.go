@@ -34,7 +34,7 @@ func ChunkTrueQoE(r *qoe.Rendering, i int) float64 {
 // TryRateChunk simulates one in-player chunk rating: the rater scores the
 // just-rendered chunk i on the Likert scale, subject to the same integrity
 // filtering as a survey assignment (a distracted rater produces nothing).
-// Like TryRate, the outcome is a pure function of (rater, slot, chunk
+// Like tryRate, the outcome is a pure function of (rater, slot, chunk
 // experience) — order-independent, so concurrent sessions rating through
 // the same population stay bit-reproducible.
 func (r *Rater) TryRateChunk(rendering *qoe.Rendering, i, slot int) (rating int, ok bool) {

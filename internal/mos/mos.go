@@ -35,12 +35,6 @@ func TrueQoE(r *qoe.Rendering) float64 {
 	return qoe.QoE01(qoe.DefaultQualityParams(), r, r.Video.TrueSensitivity())
 }
 
-// TrueQoEUnweighted ignores sensitivity weights — the QoE a content-blind
-// model would consider "true". Used only by tests and diagnostics.
-func TrueQoEUnweighted(r *qoe.Rendering) float64 {
-	return qoe.QoE01(qoe.DefaultQualityParams(), r, nil)
-}
-
 // Rater is one simulated study participant. Raters differ in bias (some are
 // generous), consistency (noise), and diligence (probability of watching
 // the whole video / answering attention checks correctly).
@@ -57,11 +51,11 @@ type Rater struct {
 	// Master marks "master Turkers" (Appendix C): more reliable, pricier.
 	Master bool
 
-	// rng backs the legacy sequential methods (Rate, PassesIntegrityChecks,
-	// WouldInvertReference): one stream advanced by every call, so outcomes
+	// rng backs the legacy sequential methods (Rate and
+	// PassesIntegrityChecks): one stream advanced by every call, so outcomes
 	// depend on global call order.
 	rng *stats.RNG
-	// seed keys the order-independent event streams used by TryRate: each
+	// seed keys the order-independent event streams used by tryRate: each
 	// assignment slot derives its own stream, so outcomes are a pure
 	// function of (rater, slot, rendering) regardless of what ran before —
 	// the property that lets rating campaigns fan out across goroutines
@@ -151,16 +145,6 @@ func (r *Rater) PassesIntegrityChecks() bool {
 	return r.rng.Bool(r.Diligence)
 }
 
-// WouldInvertReference reports whether the rater would (incorrectly) rate a
-// degraded rendering above the pristine reference — the paper's rejection
-// criterion. Modeled as a noise-driven event: raters whose noise draw on the
-// reference falls far below their draw on the degraded clip.
-func (r *Rater) WouldInvertReference(degraded *qoe.Rendering) bool {
-	ref := LikertMax + r.Bias + r.Noise*r.rng.Norm()
-	deg := LikertMin + (LikertMax-LikertMin)*TrueQoE(degraded) + r.Bias + r.Noise*r.rng.Norm()
-	return math.Round(deg) > math.Round(ref)
-}
-
 // eventSalt decorrelates the event-stream family from every other seed
 // namespace in the repo and pins the realization of simulated rater noise.
 // Like every seed here it is arbitrary; it was chosen so the Quick-mode
@@ -175,19 +159,13 @@ func (r *Rater) eventRNG(slot int) *stats.RNG {
 	return stats.NewRNG((r.seed + eventSalt) ^ (uint64(slot)+1)*hashx.Gamma)
 }
 
-// TryRate simulates one survey assignment: the rater either rates the
-// rendering or is rejected by the integrity filters (failed attention
-// check, or rating the degraded clip above the pristine reference). slot
-// is the rater's global assignment index within the study, normally
-// supplied by CollectMOS. The outcome is a pure function of
+// tryRate simulates one survey assignment of a rendering whose ground-truth
+// QoE is trueQoE: the rater either rates it or is rejected by the integrity
+// filters (failed attention check, or rating the degraded clip above the
+// pristine reference). slot is the rater's global assignment index within
+// the study, supplied by CollectMOS. The outcome is a pure function of
 // (rater, slot, rendering): rating events are order-independent, so
 // campaigns may collect them concurrently and in any order.
-func (r *Rater) TryRate(rendering *qoe.Rendering, slot int) (rating int, ok bool) {
-	return r.tryRate(TrueQoE(rendering), slot)
-}
-
-// tryRate is TryRate with the rendering's ground-truth QoE precomputed, so
-// bulk collections evaluate it once instead of per attempt.
 func (r *Rater) tryRate(trueQoE float64, slot int) (rating int, ok bool) {
 	rng := r.eventRNG(slot)
 	if !rng.Bool(r.Diligence) {

@@ -63,7 +63,8 @@ func TestTrueQoESensitivityAlignment(t *testing.T) {
 		t.Fatal("stall at sensitive chunk should yield lower QoE")
 	}
 	// The unweighted view cannot tell them apart.
-	d := TrueQoEUnweighted(base.WithStall(hi, 1)) - TrueQoEUnweighted(base.WithStall(lo, 1))
+	unweighted := func(r *qoe.Rendering) float64 { return qoe.QoE01(qoe.DefaultQualityParams(), r, nil) }
+	d := unweighted(base.WithStall(hi, 1)) - unweighted(base.WithStall(lo, 1))
 	if math.Abs(d) > 1e-9 {
 		t.Fatalf("unweighted QoE should be position-blind, diff %v", d)
 	}
@@ -192,7 +193,8 @@ func TestMastersRejectedLessOften(t *testing.T) {
 	var masterFail, normalFail, masterN, normalN int
 	for i := 0; i < p.Size(); i++ {
 		rt := p.Rater(i)
-		fail := !rt.PassesIntegrityChecks() || rt.WouldInvertReference(r)
+		_, ok := rt.tryRate(TrueQoE(r), i)
+		fail := !ok
 		if rt.Master {
 			masterN++
 			if fail {

@@ -154,22 +154,6 @@ func (t *RegressionTree) Predict(features []float64) float64 {
 	return n.value
 }
 
-// Depth returns the tree's realized depth (0 for a single leaf).
-func (t *RegressionTree) Depth() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil || n.feature < 0 {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
-}
-
 // Forest is a bagged ensemble of regression trees.
 type Forest struct {
 	trees []*RegressionTree
@@ -229,6 +213,3 @@ func (f *Forest) Predict(features []float64) float64 {
 	}
 	return s / float64(len(f.trees))
 }
-
-// Size returns the number of trees.
-func (f *Forest) Size() int { return len(f.trees) }

@@ -217,7 +217,7 @@ func TestTreeFitsStep(t *testing.T) {
 	if got := tree.Predict([]float64{0.1}); math.Abs(got) > 0.05 {
 		t.Fatalf("low side %v", got)
 	}
-	if tree.Depth() < 1 {
+	if depth(tree.root) < 1 {
 		t.Fatal("tree did not split")
 	}
 }
@@ -235,7 +235,7 @@ func TestTreeRespectsDepthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 2 {
+	if d := depth(tree.root); d > 2 {
 		t.Fatalf("depth %d exceeds limit", d)
 	}
 }
@@ -262,8 +262,8 @@ func TestForestBeatsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 20 {
-		t.Fatalf("forest size %d", f.Size())
+	if len(f.trees) != 20 {
+		t.Fatalf("forest size %d", len(f.trees))
 	}
 	mean := stats.Mean(y[:300])
 	var sseF, sseC float64
@@ -341,4 +341,12 @@ func TestTreePredictionBoundedProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// depth returns a tree's realized depth (0 for a single leaf).
+func depth(n *treeNode) int {
+	if n == nil || n.feature < 0 {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
 }

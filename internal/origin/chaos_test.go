@@ -31,7 +31,7 @@ func TestOriginChaosEndToEnd(t *testing.T) {
 	v := excerptOf(t, "Soccer1", 6)
 	policy := chaos.Uniform(0xe2e, 0.25)
 	policy.StallDelay = 5 * time.Millisecond
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      []*video.Video{v},
 		Profile:      trueSensitivityProfile,
 		Traces:       flatTraces(map[string]float64{"f": 1e8}),
@@ -61,7 +61,7 @@ func TestOriginChaosEndToEnd(t *testing.T) {
 	}
 	res := c.Resilience()
 
-	st := srv.Origin().Stats()
+	st := o.Stats()
 	if st.Chaos == nil {
 		t.Fatal("stats carry no chaos ledger")
 	}
@@ -89,7 +89,7 @@ func TestOriginChaosEndToEnd(t *testing.T) {
 	}
 
 	// Every journaled fault must replay from the seed alone.
-	journal := srv.Origin().ChaosJournal()
+	journal := o.ChaosJournal()
 	if int64(len(journal)) != st.Chaos.Total {
 		t.Fatalf("journal has %d events, ledger says %d", len(journal), st.Chaos.Total)
 	}

@@ -78,9 +78,9 @@ func TestSegmentSteadyStateZeroAllocEvents(t *testing.T) {
 	if got := o.events.SegmentsServed.Load(); got < 201 {
 		t.Fatalf("metrics counted %d segments, want >= 201", got)
 	}
-	if o.events.SegmentLatency.Count() != o.events.SegmentsServed.Load() {
-		t.Fatalf("latency observations %d != segments %d",
-			o.events.SegmentLatency.Count(), o.events.SegmentsServed.Load())
+	want := fmt.Sprintf("sensei_segment_latency_seconds_count %d\n", o.events.SegmentsServed.Load())
+	if text := o.events.AppendPrometheus(nil); !bytes.Contains(text, []byte(want)) {
+		t.Fatalf("latency observations do not match segments: no %q in\n%s", want, text)
 	}
 }
 
@@ -160,6 +160,14 @@ func TestOriginEventsDrain(t *testing.T) {
 		}
 	}
 
+	kindOf := func(name string) qlog.Kind {
+		for k := range qlog.NumKinds {
+			if qlog.Kind(k).String() == name {
+				return qlog.Kind(k)
+			}
+		}
+		return qlog.KindInvalid
+	}
 	drain := func(since uint64) ([]qlog.Event, string) {
 		resp, err := http.Get(fmt.Sprintf("%s/events?sid=%s&since=%d", base, sid, since))
 		if err != nil {
@@ -185,7 +193,7 @@ func TestOriginEventsDrain(t *testing.T) {
 				t.Fatalf("bad event line %q: %v", sc.Text(), err)
 			}
 			out = append(out, qlog.Event{
-				Seq: raw.Seq, Kind: qlog.KindByName(raw.Kind),
+				Seq: raw.Seq, Kind: kindOf(raw.Kind),
 				Chunk: raw.Chunk, Bytes: raw.Bytes,
 			})
 		}

@@ -2,6 +2,7 @@ package origin
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -516,7 +517,7 @@ func TestEpochStampSharedPerEpoch(t *testing.T) {
 			var a wire.Answer
 			for range refreshes {
 				var rr wire.RefreshResponse
-				if !call(&c, &a) || rr.Parse(a.Body) != nil || rr.Epoch != a.Epoch {
+				if !call(&c, &a) || json.Unmarshal(a.Body, &rr) != nil || rr.Epoch != a.Epoch {
 					t.Errorf("refresh reply: header epoch %d, body %s", a.Epoch, a.Body)
 					return
 				}

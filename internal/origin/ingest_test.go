@@ -92,7 +92,7 @@ func TestOriginRatingEndpoint(t *testing.T) {
 
 	// Warm the profile (epoch 1), then a correctly stamped rating accepts
 	// and the response carries the current-epoch beacon.
-	if _, err := o.Weights().Get(v); err != nil {
+	if _, err := o.store.Get(v); err != nil {
 		t.Fatal(err)
 	}
 	status, rr, epoch := postRating(t, base, wire.RatingRequest{SessionID: sid, Chunk: 3, Epoch: 1, Rating: 4})
@@ -137,7 +137,7 @@ func TestOriginRatingEndpoint(t *testing.T) {
 func TestOriginAutonomousRefresh(t *testing.T) {
 	o, base, v := ingestOrigin(t, nil)
 	sid := joinSession(t, base, v.Name)
-	if _, err := o.Weights().Get(v); err != nil {
+	if _, err := o.store.Get(v); err != nil {
 		t.Fatal(err)
 	}
 

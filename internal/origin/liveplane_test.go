@@ -43,7 +43,7 @@ func joinSession(t *testing.T, base string, videoName string) string {
 // already advertises the bumped epoch. /stats reconciles the whole story.
 func TestLiveWeightPlaneHTTP(t *testing.T) {
 	v := excerptOf(t, "Soccer1", 8)
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      []*video.Video{v},
 		Profile:      trueSensitivityProfile,
 		Traces:       flatTraces(map[string]float64{"f": 1e9}),
@@ -149,7 +149,7 @@ func TestLiveWeightPlaneHTTP(t *testing.T) {
 		t.Fatalf("unknown-video refresh: %s", resp.Status)
 	}
 
-	st := srv.Origin().Stats()
+	st := o.Stats()
 	if st.ProfilesRefreshed != 1 {
 		t.Fatalf("stats refreshes %d", st.ProfilesRefreshed)
 	}
@@ -187,14 +187,13 @@ func (w *epochWatcher) Decide(s *player.State) player.Decision {
 func TestEndToEndMidStreamRefresh(t *testing.T) {
 	v := excerptOf(t, "Soccer1", 8)
 	scale := testScale() * 25 // slow enough that chunk downloads are observable events
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      []*video.Video{v},
 		Profile:      trueSensitivityProfile,
 		Traces:       flatTraces(map[string]float64{"f": 4e6}),
 		DefaultTrace: "f",
 		TimeScale:    scale,
 	})
-	o := srv.Origin()
 
 	// Bump the epoch once the origin has served half the segments: at that
 	// point the session is mid-stream by construction.

@@ -43,7 +43,7 @@ func TestOriginLoadConcurrentSessions(t *testing.T) {
 		excerptOf(t, "Lava", 6),
 	}
 	var profiled atomic.Int64
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog: catalog,
 		Profile: func(v *video.Video) ([]float64, error) {
 			profiled.Add(1)
@@ -122,7 +122,7 @@ func TestOriginLoadConcurrentSessions(t *testing.T) {
 		t.Fatalf("no shaper isolation: fast cohort %.0f bps, slow cohort %.0f bps", fastMean, slowMean)
 	}
 
-	st := srv.Origin().Stats()
+	st := o.Stats()
 	if st.ActiveSessions != clients || st.SessionsCreated != int64(clients) {
 		t.Fatalf("stats sessions: %+v", st)
 	}

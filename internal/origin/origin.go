@@ -381,9 +381,6 @@ func (r refresherAdapter) RefreshWindow(videoName string, lo, hi int) (uint64, e
 	return p.Epoch, nil
 }
 
-// Ingest exposes the feedback plane (nil when the closed loop is disabled).
-func (o *Origin) Ingest() *ingest.Plane { return o.feedback }
-
 // DrainIngest waits for every autonomously triggered refresh to complete,
 // so a /stats read afterwards sees settled refresh counters. Harnesses call
 // it after their clients drain and before reconciling ledgers. A no-op when
@@ -394,10 +391,6 @@ func (o *Origin) DrainIngest(ctx context.Context) error {
 	}
 	return o.feedback.Quiesce(ctx)
 }
-
-// Weights exposes the versioned profile service (tests assert its call
-// counts; operators publish refreshes through it).
-func (o *Origin) Weights() *WeightService { return o.store }
 
 // SessionsCreated reports the join counter — a lock-free read for callers
 // (like the fleet's refresh watcher) that poll it at high frequency and

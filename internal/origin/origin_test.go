@@ -43,7 +43,7 @@ func excerptOf(t testing.TB, name string, chunks int) *video.Video {
 }
 
 // startOrigin builds and serves an origin, cleaning both up with the test.
-func startOrigin(t testing.TB, cfg Config) (*Server, string) {
+func startOrigin(t testing.TB, cfg Config) (*Origin, string) {
 	t.Helper()
 	o, err := New(cfg)
 	if err != nil {
@@ -55,7 +55,7 @@ func startOrigin(t testing.TB, cfg Config) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv, "http://" + addr
+	return o, "http://" + addr
 }
 
 // flatTraces builds named constant-rate traces.
@@ -195,7 +195,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 
 func TestSessionControlPlane(t *testing.T) {
 	v := excerptOf(t, "Tank", 4)
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      []*video.Video{v},
 		Traces:       flatTraces(map[string]float64{"fast": 1e9, "slow": 1e6}),
 		DefaultTrace: "fast",
@@ -263,7 +263,7 @@ func TestSessionControlPlane(t *testing.T) {
 		t.Fatalf("segment after leave: %s", resp.Status)
 	}
 
-	st := srv.Origin().Stats()
+	st := o.Stats()
 	if st.SessionsCreated != 1 || st.SessionsClosed != 1 || st.ActiveSessions != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -293,7 +293,7 @@ func TestSegmentPinnedToSessionVideo(t *testing.T) {
 
 func TestSessionIdleExpiry(t *testing.T) {
 	v := excerptOf(t, "Lava", 4)
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:            []*video.Video{v},
 		Traces:             flatTraces(map[string]float64{"f": 1e9}),
 		DefaultTrace:       "f",
@@ -310,7 +310,7 @@ func TestSessionIdleExpiry(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := srv.Origin().Stats()
+		st := o.Stats()
 		if st.SessionsExpired == 1 && st.ActiveSessions == 0 {
 			break
 		}
@@ -467,7 +467,7 @@ func TestDeleteSessionMidStream(t *testing.T) {
 	// Slow enough that the download comfortably outlives the mid-stream
 	// DELETE: the top rung is ~11 Mb, which at 2 Mbps is ~5.7 virtual
 	// seconds — a few hundred wall milliseconds at this scale.
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      []*video.Video{v},
 		Traces:       flatTraces(map[string]float64{"f": 2e6}),
 		DefaultTrace: "f",
@@ -531,7 +531,7 @@ func TestDeleteSessionMidStream(t *testing.T) {
 
 	// Session-ledger vs bytes_served consistency: every streamed byte is on
 	// a registered session's row.
-	st := srv.Origin().Stats()
+	st := o.Stats()
 	if st.ActiveSessions != 1 || len(st.Sessions) != 1 {
 		t.Fatalf("session vanished mid-stream: %+v", st)
 	}
@@ -547,7 +547,7 @@ func TestDeleteSessionMidStream(t *testing.T) {
 	if resp := del(); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("post-drain DELETE: %s, want 204", resp.Status)
 	}
-	st = srv.Origin().Stats()
+	st = o.Stats()
 	if st.ActiveSessions != 0 || st.SessionsClosed != 1 {
 		t.Fatalf("post-delete stats: %+v", st)
 	}

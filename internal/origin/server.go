@@ -111,13 +111,9 @@ func (s *HTTPServer) Close() error {
 // Shutdown/Close also close it.
 type Server struct {
 	*HTTPServer
-	origin *Origin
 }
 
 // NewServer wraps o.
 func NewServer(o *Origin) *Server {
-	return &Server{HTTPServer: NewHTTPServer("origin", o, o.cfg.Logf, o.Close), origin: o}
+	return &Server{HTTPServer: NewHTTPServer("origin", o, o.cfg.Logf, o.Close)}
 }
-
-// Origin returns the served origin (for stats and weight-store access).
-func (s *Server) Origin() *Origin { return s.origin }

@@ -39,7 +39,7 @@ func TestWeightServiceSingleflight(t *testing.T) {
 		excerptOf(t, "Tank", 6),
 	}
 	var calls atomic.Int64
-	srv, base := startOrigin(t, Config{
+	o, base := startOrigin(t, Config{
 		Catalog:      videos,
 		Profile:      countingProfile(&calls, 30*time.Millisecond),
 		Traces:       flatTraces(map[string]float64{"f": 1e9}),
@@ -75,7 +75,7 @@ func TestWeightServiceSingleflight(t *testing.T) {
 	if got := calls.Load(); got != int64(len(videos)) {
 		t.Fatalf("profiler ran %d times for %d videos", got, len(videos))
 	}
-	if got := srv.Origin().Weights().ProfileCalls(); got != int64(len(videos)) {
+	if got := o.store.ProfileCalls(); got != int64(len(videos)) {
 		t.Fatalf("service counted %d profile calls", got)
 	}
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"time"
 
 	"sensei/internal/hashx"
@@ -78,10 +77,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	h := hashx.Mix64(b.Seed ^ (uint64(attempt+1) * hashx.Gamma))
 	frac := 0.5 + 0.5*float64(h>>11)/(1<<53)
 	return time.Duration(frac * float64(d))
-}
-
-// Sleep pauses for Delay(attempt) unless ctx is canceled first and reports
-// whether the full pause completed.
-func (b Backoff) Sleep(ctx context.Context, attempt int) bool {
-	return Sleep(ctx, b.Delay(attempt))
 }

@@ -72,13 +72,13 @@ func TestBackoffDefaults(t *testing.T) {
 	}
 }
 
-// TestBackoffSleepContextCanceled cancels mid-wait: Sleep must return false
-// promptly instead of serving the full delay.
+// TestBackoffSleepContextCanceled cancels mid-wait: Sleep of a backoff
+// delay must return false promptly instead of serving the full delay.
 func TestBackoffSleepContextCanceled(t *testing.T) {
 	b := Backoff{Base: 30 * time.Second, Max: time.Minute}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
-	go func() { done <- b.Sleep(ctx, 0) }()
+	go func() { done <- Sleep(ctx, b.Delay(0)) }()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	select {

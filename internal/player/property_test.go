@@ -60,7 +60,7 @@ func TestPlaySessionInvariantsProperty(t *testing.T) {
 			return false
 		}
 		// Bits accounting agrees with the rendering.
-		diff := res.BitsDownloaded - res.Rendering.BitsDownloaded()
+		diff := res.BitsDownloaded - renderedBits(res.Rendering)
 		return diff < 1 && diff > -1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -135,17 +135,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// KindByName resolves a wire token back to its Kind (KindInvalid when
-// unknown) — the inverse of String, for trace-reading tools.
-func KindByName(name string) Kind {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k)
-		}
-	}
-	return KindInvalid
-}
-
 // Event is one trace record. It is a fixed-shape value type: appending one
 // into a ring copies it into a slot, so the hot path allocates nothing per
 // event (only a ring's slot blocks, once each, see Ring). Detail must be a constant or interned string (the emitters

@@ -77,21 +77,6 @@ func (h *Histogram) Observe(ns int64) {
 	h.sum.Add(ns)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// SumNs returns the sum of observations in nanoseconds.
-func (h *Histogram) SumNs() int64 { return h.sum.Load() }
-
-// MeanNs returns the mean observation in nanoseconds (0 when empty).
-func (h *Histogram) MeanNs() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Metrics is the process-wide aggregate registry behind GET /metrics:
 // every family is a padded atomic Counter or a fixed-boundary Histogram,
 // so observers on the hot path pay a handful of uncontended atomic adds

@@ -3,6 +3,7 @@ package qlog
 import (
 	"encoding/json"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,8 +142,8 @@ func TestRingSlowDrainerFastEmitters(t *testing.T) {
 	if drained != stored.Load() {
 		t.Fatalf("drained %d events, want every stored one (%d)", drained, stored.Load())
 	}
-	if int64(r.Emitted()) != stored.Load() {
-		t.Fatalf("Emitted() %d, want %d", r.Emitted(), stored.Load())
+	if int64(r.head.Load()) != stored.Load() {
+		t.Fatalf("head %d, want %d", r.head.Load(), stored.Load())
 	}
 }
 
@@ -162,11 +163,18 @@ func emittersDone(wg *sync.WaitGroup) bool {
 // of runtime.MemStats.Mallocs (AllocsPerRun truncates its average, so it
 // cannot tell 16 allocations in 1000 emits from none): the first lap of a
 // DefaultRingCapacity ring installs exactly Cap()/64 = 16 blocks, and
-// every later lap, drains included, allocates nothing.
+// every later lap, drains included, allocates nothing. The count is
+// process-wide, so the laps run with the collector off and on one P: a GC
+// cycle inside a lap allocates for itself, and so does the runtime when it
+// starts an OS thread for an idle P (its m and g structs are heap
+// objects). With only the collector off, about one run in 3 000 at
+// GOMAXPROCS=2 read five such objects more.
 func TestRingBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	r := NewRing(DefaultRingCapacity)
 	var before, after runtime.MemStats
 	buf := make([]Event, 0, r.Cap())
@@ -342,8 +350,8 @@ func TestRingConcurrentLapsAcrossBlocks(t *testing.T) {
 	}
 	deliver()
 
-	if n := stored.Load(); n != emitters*perEmitter || last != uint64(n) || r.Emitted() != uint64(n) {
-		t.Fatalf("stored %d, delivered %d, Emitted %d, want %d each", n, last, r.Emitted(), emitters*perEmitter)
+	if n := stored.Load(); n != emitters*perEmitter || last != uint64(n) || r.head.Load() != uint64(n) {
+		t.Fatalf("stored %d, delivered %d, head %d, want %d each", n, last, r.head.Load(), emitters*perEmitter)
 	}
 	if got := stored.Load() + r.Drops(); got != attempts.Load() {
 		t.Fatalf("stored %d + dropped %d = %d, want %d attempts", stored.Load(), r.Drops(), got, attempts.Load())
@@ -428,9 +436,6 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		out.Epoch != in.Epoch || out.Extra != in.Extra || out.Detail != in.Detail {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
-	if KindByName(out.Kind) != in.Kind {
-		t.Fatalf("KindByName(%q) = %v, want %v", out.Kind, KindByName(out.Kind), in.Kind)
-	}
 }
 
 // TestMetricsPrometheusText sanity-checks the exposition: families
@@ -454,10 +459,10 @@ func TestMetricsPrometheusText(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if m.SegmentLatency.Count() != 3 {
-		t.Fatalf("histogram count %d, want 3", m.SegmentLatency.Count())
+	if m.SegmentLatency.count.Load() != 3 {
+		t.Fatalf("histogram count %d, want 3", m.SegmentLatency.count.Load())
 	}
-	if got := m.SegmentLatency.SumNs(); got != int64(3*time.Millisecond+40*time.Millisecond+2*time.Minute) {
+	if got := m.SegmentLatency.sum.Load(); got != int64(3*time.Millisecond+40*time.Millisecond+2*time.Minute) {
 		t.Fatalf("histogram sum %d ns", got)
 	}
 }

@@ -138,10 +138,6 @@ func (r *Ring) Emit(ev Event) bool {
 // trace is no longer a complete record) — reconcilers must check it.
 func (r *Ring) Drops() int64 { return r.drops.Load() }
 
-// Emitted returns how many events were successfully stored over the
-// ring's lifetime (the last assigned Seq).
-func (r *Ring) Emitted() uint64 { return r.head.Load() }
-
 // Drain consumes every event currently in the ring, appending them in
 // emit order to buf, and returns the extended slice. Events emitted while
 // the drain runs may or may not be included; they are never lost (a

@@ -1,7 +1,6 @@
 package qoe
 
 import (
-	"errors"
 	"fmt"
 
 	"sensei/internal/stats"
@@ -22,15 +21,6 @@ type Model interface {
 	Name() string
 	// Predict returns the model's QoE estimate, nominally in [0,1].
 	Predict(r *Rendering) float64
-}
-
-// Trainable is implemented by models that are fitted to rated renderings
-// before use (all four models in the paper's comparison are "customized",
-// i.e. retrained on the study's own train split).
-type Trainable interface {
-	Model
-	// Fit trains the model on the samples.
-	Fit(samples []Sample) error
 }
 
 // Evaluation summarizes a model's accuracy on a test set, mirroring the
@@ -186,21 +176,3 @@ func (s *SenseiModel) Fit(samples []Sample) error {
 	s.a, s.b = coef[0], coef[1]
 	return nil
 }
-
-// ErrNoWeights indicates a rendering whose video has no profiled weights.
-var ErrNoWeights = errors.New("qoe: no sensitivity weights for video")
-
-// WeightsFor returns the profiled weights for a video name.
-func (s *SenseiModel) WeightsFor(name string) ([]float64, error) {
-	w, ok := s.Weights[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoWeights, name)
-	}
-	return w, nil
-}
-
-// Compile-time interface checks.
-var (
-	_ Trainable = (*KSQI)(nil)
-	_ Trainable = (*SenseiModel)(nil)
-)

@@ -159,9 +159,3 @@ func (l *LSTMQoE) Predict(r *Rendering) float64 {
 	}
 	return stats.Clamp(l.net.Predict(lstmSequence(r)), 0, 1)
 }
-
-// Compile-time interface checks.
-var (
-	_ Trainable = (*P1203)(nil)
-	_ Trainable = (*LSTMQoE)(nil)
-)

@@ -118,12 +118,3 @@ func (r *Rendering) SwitchCount() int {
 	}
 	return n
 }
-
-// BitsDownloaded returns the total bits delivered across all chunks.
-func (r *Rendering) BitsDownloaded() float64 {
-	var s float64
-	for i, rung := range r.Rungs {
-		s += r.Video.ChunkSizeBits(i, rung)
-	}
-	return s
-}

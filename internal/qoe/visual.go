@@ -90,32 +90,6 @@ func stallLengthScale(numChunks int) float64 {
 	return math.Sqrt(float64(numChunks)) / 1.75
 }
 
-// ChunkQuality returns q_i for chunk i of rendering r: the VMAF proxy minus
-// stall and switch penalties. The first chunk has no switch term. The stall
-// term carries the peak-end length scaling (see stallLengthScale).
-func ChunkQuality(p QualityParams, r *Rendering, i int) float64 {
-	q := ChunkVMAF(r, i)
-	q -= stallLengthScale(len(r.Rungs)) * p.StallCost(r.StallSec[i])
-	if i > 0 {
-		q -= p.SwitchPenalty * math.Abs(ChunkVMAF(r, i)-ChunkVMAF(r, i-1))
-	}
-	return q
-}
-
-// ChunkQualityAt returns q(b, t) for a hypothetical delivery of chunk i at
-// ladder rung `rung` with `stallSec` of preceding stall, given the previous
-// chunk's rung (pass prevRung < 0 for the first chunk). ABR planners use
-// this to evaluate candidate futures without materializing renderings. It
-// agrees exactly with ChunkQuality on a materialized rendering.
-func ChunkQualityAt(p QualityParams, v *video.Video, i, rung, prevRung int, stallSec float64) float64 {
-	vmaf := v.VMAF(i, rung)
-	q := vmaf - stallLengthScale(v.NumChunks())*p.StallCost(stallSec)
-	if prevRung >= 0 && i > 0 {
-		q -= p.SwitchPenalty * math.Abs(vmaf-v.VMAF(i-1, prevRung))
-	}
-	return q
-}
-
 // ChunkDeficit returns d_i, the quality degradation of chunk i relative to
 // pristine playback: visual deficit (1 − VMAF), the length-scaled stall
 // cost, and the switch cost. Deficits are what sensitivity weights

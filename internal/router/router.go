@@ -66,7 +66,6 @@ type Config struct {
 // with the same endpoint surface as a single origin.
 type Router struct {
 	cfg    Config
-	store  *origin.WeightService
 	shards []*origin.Origin
 	ring   *ring
 	mux    *http.ServeMux
@@ -87,11 +86,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Origin.Weights != nil {
 		return nil, fmt.Errorf("router: Origin.Weights is router-owned; configure Profile/WeightDir instead")
 	}
-	rt := &Router{
-		cfg:   cfg,
-		store: origin.NewWeightService(cfg.Origin.WeightDir, cfg.Origin.Profile, cfg.Origin.Logf),
-		ring:  newRing(cfg.Shards),
-	}
+	rt := &Router{cfg: cfg, ring: newRing(cfg.Shards)}
+	store := origin.NewWeightService(cfg.Origin.WeightDir, cfg.Origin.Profile, cfg.Origin.Logf)
 	// One aggregate metrics registry for the whole deployment: every shard
 	// observes into the same padded atomics, so GET /metrics on any shard
 	// (the router routes it to shard 0) is the merged exposition — no
@@ -105,7 +101,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		shardCfg := cfg.Origin
-		shardCfg.Weights = rt.store
+		shardCfg.Weights = store
 		shardCfg.Shard = i
 		if cfg.Origin.Events != nil {
 			ev := *cfg.Origin.Events
@@ -147,16 +143,6 @@ func (rt *Router) Close() {
 		o.Close()
 	}
 }
-
-// Shards exposes the fronted origins (tests reach into per-shard state).
-func (rt *Router) Shards() []*origin.Origin { return rt.shards }
-
-// Weights exposes the shared versioned profile service.
-func (rt *Router) Weights() *origin.WeightService { return rt.store }
-
-// Owner reports which shard owns a session ID (exposed for tests and
-// debugging; the data path uses it internally).
-func (rt *Router) Owner(sid string) int { return rt.ring.Owner(sid) }
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }

@@ -46,7 +46,7 @@ func testConfig(t testing.TB, shards int) Config {
 }
 
 // startRouter boots a router server and tears it down with the test.
-func startRouter(t testing.TB, shards int) (*Server, string) {
+func startRouter(t testing.TB, shards int) (*Router, string) {
 	t.Helper()
 	rt, err := New(testConfig(t, shards))
 	if err != nil {
@@ -59,7 +59,7 @@ func startRouter(t testing.TB, shards int) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv, "http://" + addr
+	return rt, "http://" + addr
 }
 
 func joinSession(t testing.TB, base string) wire.JoinResponse {
@@ -125,8 +125,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // request of one session on the shard the ring names, with no router-side
 // session state.
 func TestStickySessions(t *testing.T) {
-	srv, base := startRouter(t, 4)
-	rt := srv.Router()
+	rt, base := startRouter(t, 4)
 
 	const n = 32
 	sids := make([]string, 0, n)
@@ -136,8 +135,8 @@ func TestStickySessions(t *testing.T) {
 	}
 	// Each session's registry entry is on exactly its owner shard.
 	for _, sid := range sids {
-		owner := rt.Owner(sid)
-		for i, o := range rt.Shards() {
+		owner := rt.ring.Owner(sid)
+		for i, o := range rt.shards {
 			st := o.Stats()
 			found := false
 			for _, row := range st.Sessions {
@@ -239,14 +238,13 @@ func TestStatsMergeExact(t *testing.T) {
 // through the router bumps the epoch beacon on segment responses from
 // sessions living on different shards.
 func TestSharedEpochAcrossShards(t *testing.T) {
-	srv, base := startRouter(t, 4)
-	rt := srv.Router()
+	rt, base := startRouter(t, 4)
 
 	// Join until at least two distinct shards hold a session.
 	shardOf := map[int]string{}
 	for i := 0; i < 64 && len(shardOf) < 2; i++ {
 		jr := joinSession(t, base)
-		owner := rt.Owner(jr.SessionID)
+		owner := rt.ring.Owner(jr.SessionID)
 		if _, ok := shardOf[owner]; !ok {
 			shardOf[owner] = jr.SessionID
 		}
@@ -351,7 +349,7 @@ func TestProcessEventsFanOutLosesNothing(t *testing.T) {
 	rt, _ := goldenRouter(t)
 	emit := func(shard, n int) {
 		for i := 0; i < n; i++ {
-			rt.Shards()[shard].EventRing("").Emit(qlog.Event{Kind: qlog.KindOriginFaultInjected, Detail: fmt.Sprintf("shard %d", shard)})
+			rt.shards[shard].EventRing("").Emit(qlog.Event{Kind: qlog.KindOriginFaultInjected, Detail: fmt.Sprintf("shard %d", shard)})
 		}
 	}
 	drain := func(target string) (int, int) {

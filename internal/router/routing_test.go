@@ -126,7 +126,7 @@ func goldenRouter(t *testing.T) (*Router, string) {
 	name := cfg.Origin.Catalog[0].Name // an excerpt: "Soccer1[0:6]"
 	join := httptest.NewRequest(http.MethodPost, "/session", strings.NewReader(`{"video":"`+name+`"}`))
 	rec := httptest.NewRecorder()
-	rt.Shards()[rt.Owner(routingSID)].ServeJoin(rec, join, routingSID)
+	rt.shards[rt.ring.Owner(routingSID)].ServeJoin(rec, join, routingSID)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("registering %s on its shard: %d %s", routingSID, rec.Code, rec.Body)
 	}
@@ -227,21 +227,21 @@ func TestSIDlessManifestShard(t *testing.T) {
 	rt, name := goldenRouter(t)
 	served := func() []int64 {
 		var n []int64
-		for _, o := range rt.Shards() {
+		for _, o := range rt.shards {
 			n = append(n, o.Stats().ManifestsServed)
 		}
 		return n
 	}
-	want := make([]int64, len(rt.Shards()))
+	want := make([]int64, len(rt.shards))
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v/"+url.PathEscape(name)+"/manifest.mpd", nil))
-	want[rt.Owner("")]++
+	want[rt.ring.Owner("")]++
 	if got := served(); rec.Code != http.StatusOK || !slices.Equal(got, want) {
 		t.Fatalf("ServeHTTP: status %d, manifests served by shard %v; want %v", rec.Code, got, want)
 	}
 	var a wire.Answer
 	err := rt.Call(context.Background(), &wire.Call{Route: wire.RouteManifest, Video: name}, &a)
-	want[rt.Owner("")]++
+	want[rt.ring.Owner("")]++
 	if got := served(); err != nil || a.Status != http.StatusOK || !slices.Equal(got, want) {
 		t.Fatalf("Call: status %d, %v, manifests served by shard %v; want %v", a.Status, err, got, want)
 	}

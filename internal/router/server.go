@@ -9,14 +9,10 @@ import "sensei/internal/origin"
 // way.
 type Server struct {
 	*origin.HTTPServer
-	router *Router
 }
 
 // NewServer wraps rt. The router's lifecycle is tied to the server's:
 // Shutdown/Close also close rt.
 func NewServer(rt *Router) *Server {
-	return &Server{HTTPServer: origin.NewHTTPServer("router", rt, rt.cfg.Origin.Logf, rt.Close), router: rt}
+	return &Server{HTTPServer: origin.NewHTTPServer("router", rt, rt.cfg.Origin.Logf, rt.Close)}
 }
-
-// Router returns the served router (for stats and shard access).
-func (s *Server) Router() *Router { return s.router }

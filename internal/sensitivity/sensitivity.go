@@ -44,9 +44,6 @@ type Profile struct {
 	Weights []float64
 }
 
-// NumChunks reports the number of per-chunk weights (0 when unprofiled).
-func (p *Profile) NumChunks() int { return len(p.Weights) }
-
 // Validate checks the profile invariants: a nil-weight profile must be
 // epoch 0, a weighted one must be a later epoch with every weight in
 // crowd.ValidWeight's range.
@@ -162,23 +159,23 @@ func (v *Versioned) Publish(weights []float64) (*Profile, error) {
 
 // --- Script: deterministic epoch flips for tests ---
 
-// ScriptStep is one leg of a Script: serve Weights for Chunks consecutive
+// ScriptStep is one leg of a script: serve Weights for Chunks consecutive
 // Snapshot calls (the last step may set Chunks 0 for "forever").
 type ScriptStep struct {
 	Weights []float64
 	Chunks  int
 }
 
-// Script is a Source that flips through a fixed sequence of profiles,
+// script is a Source that flips through a fixed sequence of profiles,
 // advancing after a scripted number of Snapshot calls. Both player.Play and
-// dash.Client take exactly one Snapshot per chunk decision, so a Script is
+// dash.Client take exactly one Snapshot per chunk decision, so a script is
 // the deterministic way to land an epoch flip on a specific chunk in either
 // — the parity contract's mid-stream-refresh extension scripts the same
 // flip into both and demands identical rung sequences.
 //
-// Unlike the other sources, Snapshot advances the script clock; a Script is
+// Unlike the other sources, Snapshot advances the script clock; a script is
 // single-session scratch, not a shared holder.
-type Script struct {
+type script struct {
 	mu        sync.Mutex
 	videoName string
 	steps     []ScriptStep
@@ -189,11 +186,11 @@ type Script struct {
 
 // NewScript builds a scripted source over the given steps. Each step's
 // weights must be non-nil and the same length.
-func NewScript(videoName string, steps ...ScriptStep) (*Script, error) {
+func NewScript(videoName string, steps ...ScriptStep) (Source, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("sensitivity: script for %q has no steps", videoName)
 	}
-	s := &Script{videoName: videoName, steps: steps}
+	s := &script{videoName: videoName, steps: steps}
 	for i, step := range steps {
 		p := &Profile{VideoName: videoName, Epoch: uint64(i + 1), Weights: step.Weights}
 		if err := p.Validate(); err != nil {
@@ -216,7 +213,7 @@ func NewScript(videoName string, steps ...ScriptStep) (*Script, error) {
 }
 
 // Snapshot implements Source, advancing the script clock by one call.
-func (s *Script) Snapshot() (*Profile, uint64) {
+func (s *script) Snapshot() (*Profile, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.idx < len(s.steps)-1 && s.steps[s.idx].Chunks > 0 && s.served >= s.steps[s.idx].Chunks {

@@ -10,7 +10,7 @@ func TestBootstrapMeanCoversPoint(t *testing.T) {
 	rng := NewRNG(101)
 	xs := make([]float64, 80)
 	for i := range xs {
-		xs[i] = rng.NormScaled(5, 2)
+		xs[i] = 5 + 2*rng.Norm()
 	}
 	iv := BootstrapMean(xs, 0.95, 500, NewRNG(7))
 	if iv.Lo > iv.Point || iv.Hi < iv.Point {
@@ -76,7 +76,7 @@ func TestBootstrapSampleSizeProperty(t *testing.T) {
 	rng := NewRNG(77)
 	big := make([]float64, 400)
 	for i := range big {
-		big[i] = rng.NormScaled(0, 1)
+		big[i] = rng.Norm()
 	}
 	wide := BootstrapMean(big[:20], 0.95, 400, NewRNG(5))
 	tight := BootstrapMean(big, 0.95, 400, NewRNG(5))

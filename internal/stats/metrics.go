@@ -143,34 +143,6 @@ func MeanRelativeError(predicted, actual []float64) float64 {
 	return s / float64(len(predicted))
 }
 
-// DiscordantFraction returns the fraction of pairs (i, j), i<j, whose order
-// under predicted disagrees with their order under actual. Pairs tied in
-// actual are skipped; pairs tied in predicted but not in actual count as
-// discordant (the model failed to separate them).
-func DiscordantFraction(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) || len(predicted) < 2 {
-		return 0
-	}
-	var discordant, total int
-	for i := 0; i < len(actual); i++ {
-		for j := i + 1; j < len(actual); j++ {
-			da := actual[i] - actual[j]
-			if da == 0 {
-				continue
-			}
-			total++
-			dp := predicted[i] - predicted[j]
-			if dp == 0 || (da > 0) != (dp > 0) {
-				discordant++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(discordant) / float64(total)
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of xs using linear
 // interpolation between order statistics. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -185,23 +157,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CDFPoint is one (value, cumulative fraction) sample of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of xs as sorted points, one per sample.
-func CDF(xs []float64) []CDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return out
 }
 
 // FractionAtMost returns the empirical P(X <= v).

@@ -107,11 +107,6 @@ func Ridge(x [][]float64, y []float64, lambda float64) ([]float64, error) {
 	return SolveLinear(xtx, xty)
 }
 
-// OLS is Ridge with no regularisation.
-func OLS(x [][]float64, y []float64) ([]float64, error) {
-	return Ridge(x, y, 0)
-}
-
 // Dot returns the inner product of a and b. It panics if lengths differ,
 // because mismatched feature vectors are a programming error.
 func Dot(a, b []float64) float64 {

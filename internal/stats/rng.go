@@ -71,20 +71,6 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// NormScaled returns mean + stddev*Norm().
-func (r *RNG) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
-}
-
-// Exp returns a sample from the exponential distribution with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Perm returns a random permutation of [0, n) using Fisher-Yates.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -96,14 +82,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Bool returns true with probability p.

@@ -175,7 +175,7 @@ func TestOLSRecoversCoefficients(t *testing.T) {
 		x = append(x, row)
 		y = append(y, Dot(truth, row)+0.001*r.Norm())
 	}
-	w, err := OLS(x, y)
+	w, err := Ridge(x, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,26 +259,6 @@ func TestRanksTies(t *testing.T) {
 	}
 }
 
-func TestDiscordantFraction(t *testing.T) {
-	actual := []float64{1, 2, 3}
-	perfect := []float64{10, 20, 30}
-	if got := DiscordantFraction(perfect, actual); got != 0 {
-		t.Fatalf("perfect ranking discordant = %v", got)
-	}
-	reversed := []float64{30, 20, 10}
-	if got := DiscordantFraction(reversed, actual); got != 1 {
-		t.Fatalf("reversed ranking discordant = %v, want 1", got)
-	}
-}
-
-func TestDiscordantTiedPredictions(t *testing.T) {
-	actual := []float64{1, 2}
-	tied := []float64{5, 5}
-	if got := DiscordantFraction(tied, actual); got != 1 {
-		t.Fatalf("tied predictions should be discordant, got %v", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Percentile(xs, 0); got != 1 {
@@ -295,15 +275,20 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestCDFMonotone: the empirical CDF, FractionAtMost, rises strictly at
+// every distinct sample and reaches 1 at the largest.
 func TestCDFMonotone(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value < pts[i-1].Value || pts[i].Fraction <= pts[i-1].Fraction {
-			t.Fatalf("CDF not monotone: %+v", pts)
+	xs := []float64{3, 1, 2}
+	prev := FractionAtMost(xs, 0)
+	for _, v := range []float64{1, 2, 3} {
+		got := FractionAtMost(xs, v)
+		if got <= prev {
+			t.Fatalf("CDF not monotone at %v: %v after %v", v, got, prev)
 		}
+		prev = got
 	}
-	if pts[len(pts)-1].Fraction != 1 {
-		t.Fatalf("CDF does not reach 1: %+v", pts)
+	if prev != 1 {
+		t.Fatalf("CDF does not reach 1: %v", prev)
 	}
 }
 

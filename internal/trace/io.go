@@ -15,24 +15,6 @@ import (
 // in that shape drop straight into the evaluation harness in place of the
 // synthetic generators.
 
-// Write serializes the trace, one bits-per-second sample per line, with a
-// header comment carrying the name.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# trace: %s\n", t.Name); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
-	}
-	for _, v := range t.BitsPerSecond {
-		if _, err := fmt.Fprintf(bw, "%.0f\n", v); err != nil {
-			return fmt.Errorf("trace: writing sample: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flushing: %w", err)
-	}
-	return nil
-}
-
 // Read parses a trace from r. Lines may be blank, comments ('#' prefix), a
 // single bandwidth value in bits/s, or "timestamp bandwidth" pairs whose
 // timestamps are ignored (replay is uniform 1-second bucketed). The name

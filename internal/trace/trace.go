@@ -52,19 +52,9 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Duration returns the trace length in seconds.
-func (t *Trace) Duration() float64 {
-	return float64(len(t.BitsPerSecond)) * BucketSeconds
-}
-
 // Mean returns the average throughput in bits per second.
 func (t *Trace) Mean() float64 {
 	return stats.Mean(t.BitsPerSecond)
-}
-
-// StdDev returns the throughput standard deviation in bits per second.
-func (t *Trace) StdDev() float64 {
-	return stats.StdDev(t.BitsPerSecond)
 }
 
 // At returns the throughput at time tSec, wrapping around the trace end.

@@ -53,8 +53,8 @@ func TestValidate(t *testing.T) {
 func TestHSDPABurstierThanFCC(t *testing.T) {
 	fcc := Generate(GenSpec{Name: "f", Kind: KindFCC, MeanBps: 2e6, Seconds: 900, Seed: 5})
 	hs := Generate(GenSpec{Name: "h", Kind: KindHSDPA, MeanBps: 2e6, Seconds: 900, Seed: 5})
-	cvF := fcc.StdDev() / fcc.Mean()
-	cvH := hs.StdDev() / hs.Mean()
+	cvF := stats.StdDev(fcc.BitsPerSecond) / fcc.Mean()
+	cvH := stats.StdDev(hs.BitsPerSecond) / hs.Mean()
 	if cvH <= cvF {
 		t.Fatalf("HSDPA cv %.3f not burstier than FCC cv %.3f", cvH, cvF)
 	}
@@ -75,8 +75,8 @@ func TestWithNoiseRaisesVariance(t *testing.T) {
 	tr := Generate(GenSpec{Name: "n", Kind: KindFCC, MeanBps: 2e6, Seconds: 600, Seed: 13})
 	rng := stats.NewRNG(1)
 	noisy := tr.WithNoise(800_000, floorBps, rng)
-	if noisy.StdDev() <= tr.StdDev() {
-		t.Fatalf("noise did not raise stddev: %.0f vs %.0f", noisy.StdDev(), tr.StdDev())
+	if stats.StdDev(noisy.BitsPerSecond) <= stats.StdDev(tr.BitsPerSecond) {
+		t.Fatalf("noise did not raise stddev: %.0f vs %.0f", stats.StdDev(noisy.BitsPerSecond), stats.StdDev(tr.BitsPerSecond))
 	}
 	if err := noisy.Validate(); err != nil {
 		t.Fatal(err)

@@ -95,20 +95,6 @@ func (v *Video) Duration() time.Duration {
 // HighestBitrate returns the top ladder rung in kbps.
 func (v *Video) HighestBitrate() int { return v.Ladder[len(v.Ladder)-1] }
 
-// LowestBitrate returns the bottom ladder rung in kbps.
-func (v *Video) LowestBitrate() int { return v.Ladder[0] }
-
-// BitrateIndex returns the ladder index of the given bitrate, or an error if
-// the bitrate is not on the ladder.
-func (v *Video) BitrateIndex(kbps int) (int, error) {
-	for i, b := range v.Ladder {
-		if b == kbps {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("video: bitrate %d kbps not on ladder %v", kbps, v.Ladder)
-}
-
 // ChunkSizeBits returns the encoded size in bits of chunk i at ladder rung r.
 func (v *Video) ChunkSizeBits(i, r int) float64 {
 	return v.Chunks[i].SizeBits[r]

@@ -182,17 +182,6 @@ func TestAttentionNotMotion(t *testing.T) {
 	}
 }
 
-func TestBitrateIndex(t *testing.T) {
-	v, _ := ByName("Soccer1")
-	idx, err := v.BitrateIndex(1200)
-	if err != nil || idx != 2 {
-		t.Fatalf("BitrateIndex(1200) = %d, %v", idx, err)
-	}
-	if _, err := v.BitrateIndex(999); err == nil {
-		t.Fatal("expected error for off-ladder bitrate")
-	}
-}
-
 func TestExcerpt(t *testing.T) {
 	v, _ := ByName("Soccer1")
 	e, err := v.Excerpt(2, 8)
@@ -333,7 +322,7 @@ func TestSensitivityDeterministicProperty(t *testing.T) {
 
 func TestHighLowBitrate(t *testing.T) {
 	v, _ := ByName("Lava")
-	if v.HighestBitrate() != 2850 || v.LowestBitrate() != 300 {
-		t.Fatalf("ladder endpoints wrong: %d..%d", v.LowestBitrate(), v.HighestBitrate())
+	if v.HighestBitrate() != 2850 || v.Ladder[0] != 300 {
+		t.Fatalf("ladder endpoints wrong: %d..%d", v.Ladder[0], v.HighestBitrate())
 	}
 }

@@ -125,17 +125,6 @@ func (m *WeightsResponse) Parse(data []byte, known ...string) error {
 	return d.end()
 }
 
-// AppendJSON appends the request as json.Marshal encodes it.
-func (m *RefreshRequest) AppendJSON(b []byte) []byte {
-	b = append(b, `{"video":`...)
-	b = appendString(b, m.Video)
-	b = append(b, `,"from":`...)
-	b = strconv.AppendInt(b, int64(m.From), 10)
-	b = append(b, `,"to":`...)
-	b = strconv.AppendInt(b, int64(m.To), 10)
-	return append(b, '}')
-}
-
 // Parse decodes data into m as json.Unmarshal would, sharing known's text.
 // No caller holds a string to pass for this body, so known stays empty in
 // the program; it keeps every body's Parse in the one shape FuzzBodies
@@ -164,25 +153,6 @@ func (m *RefreshResponse) AppendJSON(b []byte) []byte {
 	b = append(b, `,"epoch":`...)
 	b = strconv.AppendUint(b, m.Epoch, 10)
 	return append(b, '}')
-}
-
-// Parse decodes data into m as json.Unmarshal would, sharing known's text.
-// No caller holds a string to pass for this body, so known stays empty in
-// the program; it keeps every body's Parse in the one shape FuzzBodies
-// drives.
-func (m *RefreshResponse) Parse(data []byte, known ...string) error {
-	d := decoder{data: data}
-	for d.field() {
-		switch {
-		case d.is("video"):
-			d.string(&m.Video, known)
-		case d.is("epoch"):
-			d.uint(&m.Epoch)
-		default:
-			d.skip()
-		}
-	}
-	return d.end()
 }
 
 // AppendJSON appends the request as json.Marshal encodes it.

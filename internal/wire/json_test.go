@@ -13,7 +13,7 @@ import (
 func TestBodyNestingLimit(t *testing.T) {
 	for _, depth := range []int{maxDepth, maxDepth + 1} {
 		doc := []byte(`{"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `,"video":"v"}`)
-		var got, want RefreshResponse
+		var got, want RefreshRequest
 		gotErr, wantErr := got.Parse(doc), json.Unmarshal(doc, &want)
 		if (wantErr == nil) != (depth <= maxDepth) {
 			t.Fatalf("depth %d: json.Unmarshal says %v", depth, wantErr)

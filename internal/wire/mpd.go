@@ -52,18 +52,6 @@ type Representation struct {
 	SenseiWeights string `xml:"SenseiWeights,omitempty"`
 }
 
-// BuildMPD renders the manifest for a video, embedding weights when
-// non-nil. Weights must match the chunk count. The epoch defaults to 1 for
-// weighted manifests (a frozen first-epoch profile) and 0 for legacy ones;
-// origins serving live profiles use BuildMPDProfile.
-func BuildMPD(v *video.Video, weights []float64) (*MPD, error) {
-	var epoch uint64
-	if weights != nil {
-		epoch = 1
-	}
-	return BuildMPDProfile(v, weights, epoch)
-}
-
 // BuildMPDProfile renders the manifest for a video carrying an
 // epoch-stamped weight snapshot.
 func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, error) {
@@ -113,10 +101,6 @@ func BuildMPDProfile(v *video.Video, weights []float64, epoch uint64) (*MPD, err
 // WeightEpoch returns the manifest's sensitivity-profile epoch (0 for a
 // legacy manifest without the extension).
 func (m *MPD) WeightEpoch() uint64 { return m.Period.AdaptationSet.WeightEpoch }
-
-// Encode serializes the MPD as XML: AppendMPD into a new slice. The error
-// is always nil.
-func (m *MPD) Encode() ([]byte, error) { return m.AppendMPD(nil), nil }
 
 // Weights extracts the SENSEI weight vector from the manifest; it returns
 // nil (no error) for a manifest without the extension — a legacy stream.

@@ -35,14 +35,11 @@ func uniformW(n int, val float64) []float64 {
 func TestMPDRoundTrip(t *testing.T) {
 	v := testVideo(t)
 	w := v.TrueSensitivity()
-	mpd, err := BuildMPD(v, w)
+	mpd, err := BuildMPDProfile(v, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := mpd.AppendMPD(nil)
 	if !strings.Contains(string(data), "SenseiWeights") {
 		t.Fatal("manifest missing SENSEI extension")
 	}
@@ -72,14 +69,11 @@ func TestMPDRoundTrip(t *testing.T) {
 
 func TestMPDWithoutWeights(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := mpd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := mpd.AppendMPD(nil)
 	var parsed MPD
 	if err := parsed.Parse(data); err != nil {
 		t.Fatal(err)
@@ -95,7 +89,7 @@ func TestMPDWithoutWeights(t *testing.T) {
 
 func TestMPDValidatesWeights(t *testing.T) {
 	v := testVideo(t)
-	if _, err := BuildMPD(v, []float64{1, 2}); err == nil {
+	if _, err := BuildMPDProfile(v, []float64{1, 2}, 1); err == nil {
 		t.Fatal("wrong-length weights accepted")
 	}
 	bad := `<?xml version="1.0"?><MPD><Period><AdaptationSet>
@@ -119,7 +113,7 @@ func TestMPDValidatesWeights(t *testing.T) {
 
 func TestISODuration(t *testing.T) {
 	v := testVideo(t)
-	mpd, err := BuildMPD(v, nil)
+	mpd, err := BuildMPDProfile(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +127,7 @@ func TestISODuration(t *testing.T) {
 // straight through to the ABR.
 func TestMPDRejectsPoisonedWeights(t *testing.T) {
 	v := testVideo(t)
-	good, err := BuildMPD(v, uniformW(v.NumChunks(), 1))
+	good, err := BuildMPDProfile(v, uniformW(v.NumChunks(), 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +157,7 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 		})
 	}
 	// The epoch round-trips through the XML codec.
-	encoded, err := good.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	encoded := good.AppendMPD(nil)
 	var parsed MPD
 	if err := parsed.Parse(encoded); err != nil {
 		t.Fatal(err)
@@ -178,10 +169,7 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encoded, err = withEpoch.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	encoded = withEpoch.AppendMPD(nil)
 	if err := parsed.Parse(encoded); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +188,12 @@ func TestMPDRejectsPoisonedWeights(t *testing.T) {
 func TestAppendMPDMatchesMarshalIndent(t *testing.T) {
 	for _, v := range video.TestSet() {
 		for _, weights := range [][]float64{nil, v.TrueSensitivity()} {
+			var first uint64 // the epoch BuildMPDProfile accepts with these weights
+			if weights != nil {
+				first = 1
+			}
 			for _, epoch := range []uint64{0, 1, 7} {
-				m, err := BuildMPD(v, weights)
+				m, err := BuildMPDProfile(v, weights, first)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,15 +26,15 @@
 // process serves the whole catalog over real TCP, clients join sessions
 // shaped by per-session trace cursors, and sensitivity weights are
 // profiled lazily (once per video, persisted on disk) and delivered via
-// the manifest's SenseiWeights extension (BuildMPD). See NewDASHOrigin,
+// the manifest's SenseiWeights extension. See NewDASHOrigin,
 // NewDASHServer, NewDASHRouter and DASHClient, or run cmd/dashserver and
 // cmd/dashclient.
 //
 // Sensitivity is a live, versioned data plane: the origin re-profiles
 // chunk windows and publishes new epochs atomically, and active sessions —
 // simulator and DASH client alike — adopt a refresh before their next
-// decision (StreamWithSource, NewVersionedWeights). The loop closes end to
-// end: clients rate each rendered chunk, the origin's ingest plane
+// decision. The loop closes end to end: clients rate each rendered chunk,
+// the origin's ingest plane
 // (IngestConfig) turns the ratings into autonomous refreshes. RunFleet
 // drives whole fleets of clients against an origin, with raters
 // (FleetRaterSpec) and fault injection (FleetChaosSpec), always on virtual
@@ -55,10 +55,8 @@ import (
 	"sensei/internal/player"
 	"sensei/internal/qoe"
 	"sensei/internal/router"
-	"sensei/internal/sensitivity"
 	"sensei/internal/trace"
 	"sensei/internal/video"
-	"sensei/internal/wire"
 )
 
 // Video is a source video with its synthetic content model (chunk sizes,
@@ -100,13 +98,6 @@ func NewPopulation(cfg PopulationConfig) (*mos.Population, error) { return mos.N
 // observe it directly; it exists for evaluation.
 func TrueQoE(r *qoe.Rendering) float64 { return mos.TrueQoE(r) }
 
-// CollectMOS rates a rendering with n raters and returns the normalized
-// mean opinion score.
-func CollectMOS(p *mos.Population, r *qoe.Rendering, n int) (float64, error) {
-	m, _, err := mos.CollectMOS(p, r, n, 0)
-	return m, err
-}
-
 // Profile is the result of profiling one video: weights plus the bill.
 type Profile = crowd.Profile
 
@@ -131,26 +122,6 @@ func NewSenseiFugu() Algorithm { return abr.NewSenseiFugu() }
 // sensitivity-blind algorithms.
 func Stream(v *Video, tr *Trace, alg Algorithm, weights []float64) (*player.Result, error) {
 	return player.Play(v, tr, alg, weights, player.Config{})
-}
-
-// StreamWithSource plays v over tr taking one sensitivity snapshot from
-// src before every chunk decision, so a mid-session refresh (published on
-// a NewVersionedWeights holder) reaches the ABR without tearing any plan.
-func StreamWithSource(v *Video, tr *Trace, alg Algorithm, src sensitivity.Source) (*player.Result, error) {
-	return player.PlayWithSource(v, tr, alg, src, player.Config{})
-}
-
-// FreezeWeights wraps a plain weight slice as a constant single-epoch
-// sensitivity source (nil weights = the unprofiled epoch-0 placeholder).
-func FreezeWeights(videoName string, weights []float64) sensitivity.Source {
-	return sensitivity.Freeze(videoName, weights)
-}
-
-// NewVersionedWeights starts a live profile holder for a video; Publish
-// new weight vectors on it to bump the epoch mid-session (the holder keeps
-// each vector it is handed, so do not write to one afterwards).
-func NewVersionedWeights(videoName string, weights []float64) *sensitivity.Versioned {
-	return sensitivity.NewVersioned(videoName, weights)
 }
 
 // SessionQoE scores a rendering with the content-blind kernel (the
@@ -207,10 +178,6 @@ func NewDASHRouter(cfg DASHRouterConfig) (*router.Router, error) { return router
 // NewDASHRouterServer binds rt to a listener; Start it, then Shutdown(ctx)
 // to drain in-flight segment streams across every shard.
 func NewDASHRouterServer(rt *router.Router) *router.Server { return router.NewServer(rt) }
-
-// BuildMPD renders the SENSEI-extended manifest for a video, embedding
-// weights when non-nil.
-func BuildMPD(v *Video, weights []float64) (*wire.MPD, error) { return wire.BuildMPD(v, weights) }
 
 // IngestConfig tunes the origin's feedback plane: chunk-window
 // granularity, the confidence gate and the recency half-life. Set it on

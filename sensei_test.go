@@ -57,33 +57,6 @@ func TestPublicAPICatalog(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMOS(t *testing.T) {
-	v, err := sensei.VideoByName("Tank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clip, err := v.Excerpt(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := sensei.NewPopulation(sensei.PopulationConfig{Size: 500, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := sensei.GenerateTrace(sensei.TraceSpec{Name: "m", Kind: sensei.TraceHSDPA, MeanBps: 2e6, Seconds: 300, Seed: 4})
-	res, err := sensei.Stream(clip, tr, sensei.NewBBA(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sensei.CollectMOS(pop, res.Rendering, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 0 || m > 1 {
-		t.Fatalf("MOS %v", m)
-	}
-}
-
 func TestPublicAPIDASH(t *testing.T) {
 	v, err := sensei.VideoByName("Lava")
 	if err != nil {
@@ -139,17 +112,6 @@ func TestPublicAPIDASH(t *testing.T) {
 	if st.ActiveSessions != 1 || st.BytesServed != sess.BytesDownloaded {
 		t.Fatalf("origin stats %+v", st)
 	}
-	weights := make([]float64, clip.NumChunks())
-	for i := range weights {
-		weights[i] = 1
-	}
-	mpd, err := sensei.BuildMPD(clip, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mpd.Encode(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPublicAPIFleet(t *testing.T) {
@@ -182,60 +144,5 @@ func TestPublicAPIFleet(t *testing.T) {
 	}
 	if report.Origin.BytesServed != report.BytesDownloaded {
 		t.Fatalf("ledger mismatch: origin %d, fleet %d", report.Origin.BytesServed, report.BytesDownloaded)
-	}
-}
-
-// TestPublicAPILiveSensitivity drives the live-plane facade: frozen
-// sources reproduce Stream exactly, a versioned holder publishes an epoch
-// bump that mid-session snapshots observe, and a fleet with a scheduled
-// refresh reconciles with every session on the new epoch.
-func TestPublicAPILiveSensitivity(t *testing.T) {
-	v, err := sensei.VideoByName("Soccer1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clip, err := v.Excerpt(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := clip.TrueSensitivity()
-	tr := sensei.GenerateTrace(sensei.TraceSpec{
-		Name: "live", Kind: sensei.TraceFCC, MeanBps: 2.5e6, Seconds: 600, Seed: 9,
-	})
-
-	// Frozen source == legacy Stream, chunk for chunk.
-	a, err := sensei.Stream(clip, tr, sensei.NewSenseiFugu(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sensei.StreamWithSource(clip, tr, sensei.NewSenseiFugu(), sensei.FreezeWeights(clip.Name, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rendering.Rungs {
-		if a.Rendering.Rungs[i] != b.Rendering.Rungs[i] {
-			t.Fatalf("frozen source diverged at chunk %d", i)
-		}
-	}
-	for _, e := range b.ChunkEpochs {
-		if e != 1 {
-			t.Fatalf("frozen epochs %v", b.ChunkEpochs)
-		}
-	}
-
-	// A versioned holder: publish bumps the epoch atomically and the next
-	// session streams under it.
-	holder := sensei.NewVersionedWeights(clip.Name, w)
-	if _, err := holder.Publish(w); err != nil {
-		t.Fatal(err)
-	}
-	c, err := sensei.StreamWithSource(clip, tr, sensei.NewSenseiFugu(), holder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range c.ChunkEpochs {
-		if e != 2 {
-			t.Fatalf("versioned epochs %v", c.ChunkEpochs)
-		}
 	}
 }
