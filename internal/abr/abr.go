@@ -6,8 +6,6 @@
 package abr
 
 import (
-	"fmt"
-
 	"sensei/internal/player"
 	"sensei/internal/qoe"
 	"sensei/internal/trace"
@@ -156,17 +154,6 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// validateWeights checks a weight slice against the video length.
-func validateWeights(weights []float64, n int) error {
-	if weights == nil {
-		return fmt.Errorf("abr: sensitivity weights required but absent")
-	}
-	if len(weights) != n {
-		return fmt.Errorf("abr: %d weights for %d chunks", len(weights), n)
-	}
-	return nil
 }
 
 // Compile-time interface checks.

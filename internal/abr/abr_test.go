@@ -403,18 +403,6 @@ func TestSessionQoEBounds(t *testing.T) {
 	}
 }
 
-func TestValidateWeights(t *testing.T) {
-	if err := validateWeights(nil, 5); err == nil {
-		t.Error("nil weights accepted")
-	}
-	if err := validateWeights([]float64{1, 1}, 5); err == nil {
-		t.Error("short weights accepted")
-	}
-	if err := validateWeights([]float64{1, 1, 1, 1, 1}, 5); err != nil {
-		t.Errorf("valid weights rejected: %v", err)
-	}
-}
-
 // TestVMAFTableMatchesProxy: the table the planners read off the video is
 // the proxy formula bit for bit, on a generated video and on an excerpt.
 func TestVMAFTableMatchesProxy(t *testing.T) {

@@ -2,13 +2,21 @@ package dash
 
 import (
 	"context"
+	"maps"
 	"math"
 	"net/http"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"sensei/internal/ingest"
 	"sensei/internal/origin"
 	"sensei/internal/trace"
+	"sensei/internal/vclock"
 	"sensei/internal/video"
 	"sensei/internal/wire"
 )
@@ -74,4 +82,107 @@ func TestRatingRoundTripAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("%.2f allocations per rating exceeds the budget of %v", allocs, budget)
 	}
+}
+
+// TestSessionBuffersArePooled runs two sessions back to back through the
+// origin's Call, each on a fresh client, on one pooled buffer set: the
+// second client takes the set the first gave back when it left and grows
+// neither buffer, and the first session's outcome still equals a copy
+// taken when it returned, so nothing it keeps aliases the set the second
+// session's replies overwrote. A warm session then allocates at least the
+// set's holder and its growth (the join body, at least one reply) fewer
+// objects than one handed an empty set.
+func TestSessionBuffersArePooled(t *testing.T) {
+	soccer := testVideo(t)
+	full, err := video.ByName("Tank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tank, err := full.Excerpt(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := vclock.NewVirtual()
+	o, err := origin.New(origin.Config{
+		Catalog:      []*video.Video{soccer, tank},
+		Profile:      func(v *video.Video) ([]float64, error) { return v.TrueSensitivity(), nil },
+		Traces:       map[string]*trace.Trace{"flat": {Name: "flat", BitsPerSecond: []float64{4e6}}},
+		DefaultTrace: "flat",
+		TimeScale:    1,
+		Clock:        clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	clock.Enter()
+	defer clock.Exit()
+	// On one P with the collector off, the pool hands each Get the set the
+	// last Put gave back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	// stream plays v on a fresh client and leaves, returning the session
+	// and the buffer set the client held; set, when not nil, is handed to
+	// the client in place of a pooled one.
+	stream := func(v *video.Video, set *buffers) (*Session, *buffers) {
+		c := &Client{Caller: o, Algorithm: rung0ABR(), Clock: clock, pooled: set}
+		sess, err := c.Stream(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := c.pooled
+		if err := c.Leave(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if c.pooled != nil || c.body != nil || c.answer.Body != nil {
+			t.Fatal("a client that left still holds its buffers")
+		}
+		return sess, held
+	}
+
+	first, set := stream(soccer, nil)
+	kept := cloneSession(first)
+	body, reply := unsafe.SliceData(set.body), unsafe.SliceData(set.reply)
+	second, held := stream(tank, nil)
+	// The race detector drops a share of a pool's Puts, so the second
+	// client may start from an empty set.
+	if !raceEnabled {
+		if held != set {
+			t.Fatal("the second client did not take the set the first gave back")
+		}
+		if unsafe.SliceData(set.body) != body || unsafe.SliceData(set.reply) != reply {
+			t.Fatalf("the second session grew a buffer: body cap %d, reply cap %d", cap(set.body), cap(set.reply))
+		}
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Fatalf("the first session changed after the second ran:\n got %+v\nwant %+v", first, kept)
+	}
+	if second.ID == first.ID || slices.Equal(second.Weights, first.Weights) {
+		t.Fatal("the two sessions' replies did not differ")
+	}
+
+	if raceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	warm := testing.AllocsPerRun(5, func() { stream(tank, nil) })
+	cold := testing.AllocsPerRun(5, func() { stream(tank, new(buffers)) })
+	t.Logf("%.0f allocations per warm session, %.0f per session from an empty set", warm, cold)
+	if cold-warm < 3 {
+		t.Fatalf("a warm session allocates %.0f objects, one from an empty set %.0f: the buffers were not reused", warm, cold)
+	}
+}
+
+// cloneSession copies s, sharing nothing with it but the video.
+func cloneSession(s *Session) *Session {
+	c := *s
+	c.ID = strings.Clone(s.ID)
+	c.Weights = slices.Clone(s.Weights)
+	c.ChunkEpochs = slices.Clone(s.ChunkEpochs)
+	c.ThroughputBps = slices.Clone(s.ThroughputBps)
+	r := *s.Rendering
+	r.Rungs, r.StallSec = slices.Clone(r.Rungs), slices.Clone(r.StallSec)
+	c.Rendering = &r
+	c.Resilience.FaultsByKind = maps.Clone(s.Resilience.FaultsByKind)
+	return &c
 }

@@ -155,8 +155,14 @@ type Client struct {
 	// c.body is rewritten by the next POST only: a body this small goes out
 	// in the transport's first flush with the request's headers, so it has
 	// been read in full before the origin can answer.
+	//
+	// Both come from clientBufs, held through pooled: a Join, Stream or
+	// Leave takes a set if the client holds none, and gives it back when
+	// it fails or ends with no session joined (left, or never joined).
+	// Nothing a client returns may alias them.
 	body   []byte
 	answer wire.Answer
+	pooled *buffers
 	// chaosKey is ChaosKey as a header value, shared by every request.
 	chaosKey []string
 	res      Resilience
@@ -333,9 +339,16 @@ func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 	clock := cmp.Or(c.Clock, vclock.Clock(defaultClock))
 	c.s = session{c: c, v: v, step: from}
 	s := &c.s
+	if c.pooled == nil {
+		c.pooled = clientBufs.Get().(*buffers)
+		c.body, c.answer.Body = c.pooled.body, c.pooled.reply
+	}
 	for {
 		o, ok := s.next(clock.Now())
 		if !ok {
+			if s.err != nil || c.sid == "" {
+				c.release()
+			}
 			return s.err
 		}
 		var r reply
@@ -349,6 +362,22 @@ func (c *Client) run(ctx context.Context, v *video.Video, from step) error {
 		r.stop = ctx.Err()
 		s.complete(clock.Now(), &r)
 	}
+}
+
+// buffers is one client's request-body and reply buffers, kept between
+// sessions in clientBufs: a fresh client would otherwise grow each of them
+// once for every session it runs.
+type buffers struct{ body, reply []byte }
+
+var clientBufs = sync.Pool{New: func() any { return new(buffers) }}
+
+// release gives the client's buffers back to clientBufs, grown as they
+// are; the next request takes a set again.
+func (c *Client) release() {
+	p := c.pooled
+	p.body, p.reply = c.body[:0], c.answer.Body[:0]
+	c.pooled, c.body, c.answer.Body = nil, nil, nil
+	clientBufs.Put(p)
 }
 
 // jsonContentType is the Content-Type value of every POST, shared by all of

@@ -685,6 +685,17 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		faultEvents.Add(t.Count(qlog.KindOriginFaultInjected))
 	}
 
+	// One label set and one uncancelable context serve the whole run:
+	// labels per session would allocate for every session what only a
+	// running CPU profile reads, and the per-session view is the event
+	// traces' (fleetsim -events-dump). The labels ride in every session's
+	// requests and on its goroutine, so a profile still tells session work
+	// from the refresh watcher and the origin's janitor. detached carries
+	// them with cancellation stripped, for each Leave and the ledger reads
+	// after the fleet.
+	sessionCtx := pprof.WithLabels(ctx, pprof.Labels("subsystem", "fleet-session"))
+	detached := context.WithoutCancel(sessionCtx)
+
 	// Workers always return nil: a failed session is a data point the
 	// report must show, not a reason to abort the rest of the fleet.
 	_ = par.ForEachN(cfg.Sessions, workers, func(k int) error {
@@ -693,6 +704,10 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		// parked in a clock sleep.
 		clock.Enter()
 		defer clock.Exit()
+		// A single worker runs sessions on Run's own goroutine, whose
+		// labels are ctx's again once the session is over.
+		pprof.SetGoroutineLabels(sessionCtx)
+		defer pprof.SetGoroutineLabels(ctx)
 		if k < workers {
 			firstWave.Done()
 			firstWave.Wait()
@@ -706,13 +721,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 		if cfg.Events != nil {
 			ring = qlog.NewRing(qlog.DefaultRingCapacity)
 		}
-		// The session goroutine carries pprof labels (slot, algorithm,
-		// video) so a CPU or block profile of a large fleet breaks down by
-		// mix dimension instead of melting into one anonymous worker pool.
-		key := chaosKey(k)
-		pprof.Do(ctx, pprof.Labels("slot", key, "abr", string(a.abr), "video", a.video.Name), func(ctx context.Context) {
-			outcomes[k] = runSession(ctx, dial, clock, cfg.MaxBufferSec, k, key, a, rater, cfg.Chaos, ring, metrics)
-		})
+		outcomes[k] = runSession(sessionCtx, detached, dial, clock, cfg.MaxBufferSec, k, a, rater, cfg.Chaos, ring, metrics)
 		outcomes[k].FinishedSec = (clock.Now() - startClock).Seconds()
 		if ring != nil {
 			outcomes[k].Events = drainOutcome(ring, cfg.Events.KeepTraces)
@@ -730,10 +739,10 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	// Let the ingest autopilot land every triggered refresh before the
 	// ledger is read: a campaign still in flight would leave triggered >
 	// applied and a moving ProfilesRefreshed, turning reconciliation into a
-	// race. Cancellation is stripped for the same reason fetchStats strips
-	// it — a timed-out fleet still needs a settled report.
+	// race. Cancellation is stripped, as for fetchStats — a timed-out
+	// fleet still needs a settled report.
 	if ingestCfg != nil {
-		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+		drainCtx, cancel := context.WithTimeout(detached, 30*time.Second)
 		err := o.DrainIngest(drainCtx)
 		cancel()
 		if err != nil {
@@ -742,7 +751,7 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	}
 	elapsed := time.Since(startWall)
 
-	st, shardSt, err := fetchStats(ctx, o)
+	st, shardSt, err := fetchStats(detached, o)
 	if err != nil {
 		return nil, err
 	}
@@ -756,10 +765,11 @@ func run(ctx context.Context, cfg Config, via reach) (*Report, error) {
 	return rep, nil
 }
 
-// runSession streams one fleet slot end to end and captures its outcome;
-// key is the slot's chaosKey, which the caller also labels it with. The
-// caller must hold a clock registration (Enter) for the duration.
-func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock, maxBufferSec float64, k int, key string, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
+// runSession streams one fleet slot end to end on ctx and captures its
+// outcome; it leaves on leaveCtx, which must not be canceled. Only under
+// chaos does the client carry the slot's chaosKey. The caller must hold a
+// clock registration (Enter) for the duration.
+func runSession(ctx, leaveCtx context.Context, dial func(*dash.Client), clock vclock.Clock, maxBufferSec float64, k int, a assignment, rater dash.Rater, spec *ChaosSpec, ring *qlog.Ring, metrics *qlog.Metrics) SessionOutcome {
 	out := SessionOutcome{
 		Index:     k,
 		Video:     a.video.Name,
@@ -784,7 +794,7 @@ func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock
 	}
 	dial(c)
 	if spec != nil {
-		c.ChaosKey = key
+		c.ChaosKey = chaosKey(k)
 		c.Retry = spec.retryFor(k)
 	}
 	captureResilience := func() {
@@ -798,7 +808,7 @@ func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock
 		out.Err = err.Error()
 		// Free the half-open session so the reconciliation failure reads
 		// as "session N failed", not also as a leaked registry entry.
-		_ = c.Leave(context.WithoutCancel(ctx))
+		_ = c.Leave(leaveCtx)
 		captureResilience()
 		return out
 	}
@@ -832,7 +842,7 @@ func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock
 	// session's last segment and its hang-up must not turn a completed
 	// session into a spurious ledger mismatch (the origin answers a typed
 	// leave at once, and its 409s are retried a bounded number of times).
-	if err := c.Leave(context.WithoutCancel(ctx)); err != nil {
+	if err := c.Leave(leaveCtx); err != nil {
 		out.Err = fmt.Sprintf("leave: %v", err)
 	}
 	captureResilience()
@@ -840,16 +850,15 @@ func runSession(ctx context.Context, dial func(*dash.Client), clock vclock.Clock
 }
 
 // fetchStats reads the serving plane's /stats ledger through its Call and
-// decodes the wire encoding, like any external monitor would. The caller's
-// cancellation is stripped — a fleet that timed out still needs its
-// report. The decode target is the router's payload, a superset of
-// origin.Stats: a router additionally reports the per-shard ledgers behind
-// its merge, which reconciliation cross-checks; a single origin simply
-// leaves them empty.
+// decodes the wire encoding, like any external monitor would. ctx must not
+// be canceled — a fleet that timed out still needs its report. The decode
+// target is the router's payload, a superset of origin.Stats: a router
+// additionally reports the per-shard ledgers behind its merge, which
+// reconciliation cross-checks; a single origin simply leaves them empty.
 func fetchStats(ctx context.Context, b wire.Caller) (origin.Stats, []origin.Stats, error) {
 	var st router.Stats
 	var a wire.Answer
-	if err := b.Call(context.WithoutCancel(ctx), &wire.Call{Route: wire.RouteStats}, &a); err != nil {
+	if err := b.Call(ctx, &wire.Call{Route: wire.RouteStats}, &a); err != nil {
 		return st.Stats, nil, fmt.Errorf("fleet: fetching stats: %w", err)
 	}
 	if a.Status != 200 {
